@@ -14,13 +14,12 @@ from .model import (
     design_from_dict,
     design_latency,
     device_from_dict,
-    load_device,
-    load_qor,
     qor_from_dict,
 )
 from .floorplan import FloorplanError, Group, balanced_initial, min_cut_initial, ram_groups
 from .packer import PackState, offline_repack, online_pack
 from .pipeliner import SllState, recompute_all
+from .oracle import solve, verify_optimal
 from .search import SearchResult, compute_lookahead_N, run
 
 __all__ = [
@@ -42,8 +41,6 @@ __all__ = [
     "design_from_dict",
     "design_latency",
     "device_from_dict",
-    "load_device",
-    "load_qor",
     "min_cut_initial",
     "offline_repack",
     "online_pack",
@@ -51,4 +48,6 @@ __all__ = [
     "ram_groups",
     "recompute_all",
     "run",
+    "solve",
+    "verify_optimal",
 ]

@@ -21,6 +21,7 @@ from .model import (
     design_from_dict,
     device_from_dict,
     qor_from_dict,
+    validate_configuration,
 )
 from .packer import PackState
 from .pipeliner import recompute_all
@@ -55,6 +56,23 @@ def _load_inputs(args):
     graph = design_from_dict(_read_json(args.design))
     lib = qor_from_dict(_read_json(args.qor), graph)
     return device, graph, lib
+
+
+def _field(doc, key: str):
+    """``doc[key]`` of a result document, or a ModelError naming the key."""
+    if not isinstance(doc, dict) or key not in doc:
+        raise ModelError(f"result document has no {key!r} entry")
+    return doc[key]
+
+
+def _load_result(path: str):
+    """A result document and the device, design and QoR library it embeds."""
+    doc = _read_json(path)
+    inputs = _field(doc, "inputs")
+    device = device_from_dict(_field(inputs, "device"))
+    graph = design_from_dict(_field(inputs, "design"))
+    lib = qor_from_dict(_field(inputs, "qor"), graph)
+    return doc, device, graph, lib
 
 
 def _write_trace_csv(path: Path, trace) -> None:
@@ -190,13 +208,10 @@ def cmd_optimize(args) -> int:
 
 
 def cmd_check(args) -> int:
-    doc = _read_json(args.result)
-    inputs = doc["inputs"]
-    device = device_from_dict(inputs["device"])
-    graph = design_from_dict(inputs["design"])
-    lib = qor_from_dict(inputs["qor"], graph)
-    config = doc["configuration"]
-    placement = {f: int(s) for f, s in doc["placement"].items()}
+    doc, device, graph, lib = _load_result(args.result)
+    config = _field(doc, "configuration")
+    validate_configuration(graph, lib, config)
+    placement = {f: int(s) for f, s in _field(doc, "placement").items()}
 
     state = PackState(device, graph, lib, config, placement)
     problems = state.check_legal()
@@ -241,14 +256,9 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_verify_optimal(args) -> int:
-    doc = _read_json(args.result)
-    inputs = doc["inputs"]
-    device = device_from_dict(inputs["device"])
-    graph = design_from_dict(inputs["design"])
-    lib = qor_from_dict(inputs["qor"], graph)
-
+    doc, device, graph, lib = _load_result(args.result)
     verdict = oracle.verify_optimal(
-        device, graph, lib, doc["design_latency"],
+        device, graph, lib, _field(doc, "design_latency"),
         sample=args.sample, enum_cap=args.enum_cap, seed=args.seed,
     )
     print(json.dumps(verdict, indent=2))

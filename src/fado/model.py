@@ -8,7 +8,6 @@ cycle count, resources are integer unit counts in five dimensions.
 
 from __future__ import annotations
 
-import json
 import logging
 import math
 import re
@@ -85,20 +84,21 @@ class ResourceVector:
         return total
 
 
-def utilization_ratio(used: ResourceVector, capacity: ResourceVector) -> float:
-    """Max over resource kinds of used/capacity.
+def kind_ratio(used: int, capacity: int) -> float:
+    """used/capacity for one resource kind.
 
-    A kind with zero capacity contributes 0 when unused and is an error when
-    used: there is nowhere the usage could go.
+    A kind with zero capacity has ratio 0 when unused and inf when used:
+    there is nowhere the usage could go.  This is the one place that rule
+    lives; every resource ratio in the package goes through it.
     """
-    worst = 0.0
-    for u, c in zip(used.as_tuple(), capacity.as_tuple()):
-        if c == 0:
-            if u > 0:
-                raise ModelError(f"usage {u} on a zero-capacity resource")
-            continue
-        worst = max(worst, u / c)
-    return worst
+    if capacity > 0:
+        return used / capacity
+    return math.inf if used else 0.0
+
+
+def utilization_ratio(used: ResourceVector, capacity: ResourceVector) -> float:
+    """Max over resource kinds of used/capacity (see ``kind_ratio``)."""
+    return max(map(kind_ratio, used.as_tuple(), capacity.as_tuple()))
 
 
 def fits_within(used: ResourceVector, capacity: ResourceVector, limit: float) -> bool:
@@ -248,11 +248,6 @@ def device_from_dict(doc: dict) -> DeviceModel:
     )
 
 
-def load_device(path: str) -> DeviceModel:
-    with open(path) as fh:
-        return device_from_dict(json.load(fh))
-
-
 # ---------------------------------------------------------------------------
 # Design graph
 
@@ -286,15 +281,6 @@ class DesignGraph:
     edges: list[Edge]
     kernel_order: list[str] = field(default_factory=list)
     kernel_succs: dict[str, set] = field(default_factory=dict)
-
-    def function_names(self) -> list[str]:
-        return list(self.functions)
-
-    def kernel_members(self, kernel: str) -> list[str]:
-        for k in self.kernels:
-            if k["name"] == kernel:
-                return [f["name"] for f in k["functions"]]
-        raise KeyError(kernel)
 
     def fifo_edges(self) -> list[Edge]:
         return [e for e in self.edges if e.kind == FIFO]
@@ -400,11 +386,6 @@ def design_from_dict(doc: dict) -> DesignGraph:
         kernel_order=order,
         kernel_succs=succs,
     )
-
-
-def load_design(path: str) -> DesignGraph:
-    with open(path) as fh:
-        return design_from_dict(json.load(fh))
 
 
 # ---------------------------------------------------------------------------
@@ -635,11 +616,6 @@ def qor_from_dict(doc: dict, graph: DesignGraph) -> QoRLibrary:
         normalization=norm,
         warnings=warnings,
     )
-
-
-def load_qor(path: str, graph: DesignGraph) -> QoRLibrary:
-    with open(path) as fh:
-        return qor_from_dict(json.load(fh), graph)
 
 
 # ---------------------------------------------------------------------------

@@ -5,10 +5,11 @@ latency order, bounded by a padded longest-path lower bound) and decides
 floorplan feasibility by exhaustive group-to-slot assignment.  It is meant
 for desk-scale instances only and guards itself accordingly.
 
-SLL feasibility here is more permissive than the search's router: a
-placement counts as routable if the deterministic half choice works, or,
-failing that, if any assignment of crossing edges to halves stays within
-budget.  A stricter reference could only under-report the optimum.
+SLL feasibility here is more permissive than the search's: a placement
+counts as routable if the pipeliner's half-selection fold (the very check
+the search uses) keeps every half within budget, or, failing that, if any
+assignment of crossing edges to halves does.  A stricter reference could
+only under-report the optimum.
 verify_optimal, by contrast, certifies counterexamples against the exact
 system semantics (PackState.check_legal), so anything it returns is a
 state the search itself would accept as legal.
@@ -19,7 +20,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .floorplan import ram_groups
+from .floorplan import group_resources, ram_groups
 from .model import (
     DesignGraph,
     DeviceModel,
@@ -30,6 +31,7 @@ from .model import (
     fits_within,
 )
 from .packer import PackState
+from .pipeliner import allowed_halves, recompute_all
 
 HARD_GUARD_FUNCTIONS = 12
 HARD_GUARD_STATES = 1_000_000_000
@@ -74,39 +76,18 @@ def _exact_half_assignment(device: DeviceModel, edges: list, y: int) -> bool:
 
 def _sll_feasible(device: DeviceModel, graph: DesignGraph, placement: dict,
                   exact_fallback: bool) -> bool:
-    """Greedy-routed budget check, optionally retrying exhaustively."""
-    per_boundary: dict[int, list] = {b.y: [] for b in device.die_boundaries}
-    for e in graph.edges:
-        if e.kind != "fifo":
-            continue
-        ss = device.slot(placement[e.src])
-        sd = device.slot(placement[e.dst])
-        lo, hi = sorted((ss.y, sd.y))
-        span = range(min(ss.x, sd.x), max(ss.x, sd.x) + 1)
-        for y in per_boundary:
-            if lo <= y < hi:
-                per_boundary[y].append((e.width, span))
-
-    for y, items in per_boundary.items():
-        if not items:
-            continue
-        halves = device.boundary(y).halves
-        loads: dict[int, int] = {}
-        greedy_ok = True
-        for width, allowed in items:
-            best_x, best_ratio = None, None
-            for x in allowed:
-                cap = halves[x]
-                ratio = (loads.get(x, 0) + width) / cap if cap > 0 else float("inf")
-                if best_ratio is None or ratio < best_ratio:
-                    best_x, best_ratio = x, ratio
-            loads[best_x] = loads.get(best_x, 0) + width
-        for x, used in loads.items():
-            if used > device.sll_limit * halves[x] + LIMIT_EPS:
-                greedy_ok = False
-        if greedy_ok:
-            continue
-        if not exact_fallback or not _exact_half_assignment(device, items, y):
+    """The pipeliner's fold, optionally retried exhaustively where it overflows."""
+    state = recompute_all(device, graph, placement)
+    for y in sorted({y for y, _, _, _ in state.over_budget()}):
+        if not exact_fallback:
+            return False
+        crossing = set(state.crossing[y])
+        items = [
+            (e.width, allowed_halves(device.slot(placement[e.src]).x,
+                                     device.slot(placement[e.dst]).x))
+            for e in graph.edges if e.index in crossing
+        ]
+        if not _exact_half_assignment(device, items, y):
             return False
     return True
 
@@ -120,8 +101,7 @@ def assign_slots(device: DeviceModel, graph: DesignGraph, lib: QoRLibrary, confi
     given, is called once per explored node (budget accounting).
     """
     groups = ram_groups(graph)
-    sizes = {g.gid: ResourceVector.sum(lib.point(m, config[m]).resources for m in g.members)
-             for g in groups}
+    sizes = {g.gid: group_resources(g, lib, config) for g in groups}
     order = sorted(groups, key=lambda g: (-max(sizes[g.gid].as_tuple()), g.gid))
     slots = sorted(device.slots, key=lambda s: s.id)
     loads = {s.id: ResourceVector.zero() for s in slots}
@@ -246,8 +226,9 @@ def verify_optimal(device: DeviceModel, graph: DesignGraph, lib: QoRLibrary,
     system semantics.
 
     Verdicts: "counterexample" (with the certified witness), "optimal"
-    (enumeration finished, nothing checked was legal), or "inconclusive"
-    (enumeration hit the cap), always with a coverage fraction.
+    (every faster configuration was enumerated and checked, none legal), or
+    "inconclusive" (enumeration hit the cap, or only a sample was checked),
+    always with a coverage fraction.
     """
     fns = sorted(graph.functions)
     cap = max(sample, enum_cap)
@@ -258,7 +239,6 @@ def verify_optimal(device: DeviceModel, graph: DesignGraph, lib: QoRLibrary,
     rng = random.Random(seed)
     reservoir: list[dict] = []
     total = 0
-    complete = True
     partial = dict(min_latency_config)
 
     def enumerate_configs(i: int) -> bool:
@@ -284,7 +264,7 @@ def verify_optimal(device: DeviceModel, graph: DesignGraph, lib: QoRLibrary,
         partial[f] = min_latency_config[f]
         return True
 
-    complete = enumerate_configs(0)
+    enumerate_configs(0)
 
     checked = 0
     for cand in sorted(reservoir, key=lambda c: design_latency(graph, lib, c)):
@@ -308,7 +288,8 @@ def verify_optimal(device: DeviceModel, graph: DesignGraph, lib: QoRLibrary,
             "final_latency": final_latency,
         }
 
-    verdict = "optimal" if complete else "inconclusive"
+    # A capped enumeration leaves total at cap + 1, above any sample size.
+    verdict = "optimal" if checked == total else "inconclusive"
     return {
         "verdict": verdict,
         "counterexample": None,

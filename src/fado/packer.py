@@ -10,7 +10,7 @@ chosen point.
 
 from __future__ import annotations
 
-from .floorplan import group_of_map, ram_groups
+from .floorplan import group_of_map, group_resources, ram_groups
 from .model import (
     DesignGraph,
     DeviceModel,
@@ -20,27 +20,10 @@ from .model import (
     RESOURCE_KINDS,
     ResourceVector,
     fits_within,
+    kind_ratio,
     utilization_ratio,
 )
 from .pipeliner import SllState
-
-
-def critical_resource(capacity: ResourceVector, load: ResourceVector,
-                      candidate: ResourceVector) -> tuple[str, float]:
-    """Resource kind with the highest post-add ratio, and that ratio.
-
-    Ties break in the fixed kind order (bram, dsp, ff, lut, uram).  A kind
-    with zero capacity only matters when something would actually be put
-    there, in which case its ratio is infinite.
-    """
-    best_kind, best_ratio = RESOURCE_KINDS[0], -1.0
-    for kind, cap, u, c in zip(RESOURCE_KINDS, capacity.as_tuple(),
-                               load.as_tuple(), candidate.as_tuple()):
-        post = u + c
-        ratio = post / cap if cap > 0 else (float("inf") if post > 0 else 0.0)
-        if ratio > best_ratio:
-            best_kind, best_ratio = kind, ratio
-    return best_kind, best_ratio
 
 
 class PackState:
@@ -51,6 +34,10 @@ class PackState:
         missing = set(graph.functions) - set(placement)
         if missing:
             raise ModelError(f"placement missing functions {sorted(missing)}")
+        slot_ids = {s.id for s in device.slots}
+        stray = sorted(f for f, sid in placement.items() if sid not in slot_ids)
+        if stray:
+            raise ModelError(f"placement puts {stray} on slots the device lacks")
         self.device = device
         self.graph = graph
         self.lib = lib
@@ -71,7 +58,7 @@ class PackState:
         return self.lib.point(fn, self.config[fn]).resources
 
     def group_resources(self, group) -> ResourceVector:
-        return ResourceVector.sum(self.fn_resources(m) for m in group.members)
+        return group_resources(group, self.lib, self.config)
 
     def utilization(self, slot_id: int) -> float:
         return utilization_ratio(self.slot_load[slot_id], self.device.slot(slot_id).capacity)
@@ -172,9 +159,7 @@ def _candidate_slots(state: PackState, exclude: int, extra: ResourceVector) -> l
         if s.id == exclude:
             continue
         post = state.slot_load[s.id] + extra
-        ratios = []
-        for cap, u in zip(s.capacity.as_tuple(), post.as_tuple()):
-            ratios.append(u / cap if cap > 0 else (float("inf") if u else 0.0))
+        ratios = list(map(kind_ratio, post.as_tuple(), s.capacity.as_tuple()))
         worst = max(ratios)
         crit = ratios.index(worst)
         rest = [r for i, r in enumerate(ratios) if i != crit]

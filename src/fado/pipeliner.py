@@ -14,7 +14,7 @@ recompute, which the packer relies on when it trials and rolls back moves.
 
 from __future__ import annotations
 
-from .model import DesignGraph, DeviceModel, LIMIT_EPS, ModelError
+from .model import DesignGraph, DeviceModel, LIMIT_EPS
 
 _INF = float("inf")
 
@@ -51,38 +51,6 @@ def choose_half(halves: dict[int, int], loads: dict[int, int], width: int, allow
             best_ratio = ratio
             best_x = x
     return best_x
-
-
-def route_edge(edge, src_slot, dst_slot, device: DeviceModel,
-               boundary_loads: dict) -> list | None:
-    """Route one FIFO edge as a monotone staircase between two slots.
-
-    Crosses every die boundary strictly between the endpoint rows exactly
-    once, and every tracked io column the endpoints straddle.  Die crossings
-    pick the least-filled half given ``boundary_loads`` (current per-boundary
-    loads, not mutated); io crossings carry registers but no SLL cost.
-    Returns the crossing list in travel order, or None when some chosen half
-    would exceed the wire budget.
-    """
-    if edge.kind != "fifo":
-        raise ModelError(f"only fifo edges are routed, got {edge.kind!r} edge {edge.src}->{edge.dst}")
-    route = []
-    die_rows = crossed_die_rows(device, src_slot.y, dst_slot.y)
-    if src_slot.y > dst_slot.y:
-        die_rows = die_rows[::-1]
-    for y in die_rows:
-        boundary = device.boundary(y)
-        loads = boundary_loads.get(y, {})
-        x = choose_half(boundary.halves, loads, edge.width, allowed_halves(src_slot.x, dst_slot.x))
-        cap = boundary.halves[x]
-        if loads.get(x, 0) + edge.width > device.sll_limit * cap + LIMIT_EPS:
-            return None
-        route.append({"boundary": y, "x": x, "kind": "die"})
-    io_cols = crossed_io_cols(device, src_slot.x, dst_slot.x)
-    if src_slot.x > dst_slot.x:
-        io_cols = io_cols[::-1]
-    route.extend({"boundary": x, "kind": "io"} for x in io_cols)
-    return route
 
 
 def recompute_all(device: DeviceModel, graph: DesignGraph, placement: dict) -> "SllState":
@@ -202,20 +170,28 @@ class SllState:
 
     # -- queries ---------------------------------------------------------------
 
-    def violations(self) -> list[str]:
+    def over_budget(self) -> list[tuple[int, int, int, float]]:
+        """Halves whose wire load exceeds the SLL budget, in (y, x) order.
+
+        Each entry is (boundary y, half x, wires used, budget).
+        """
         out = []
         for y, loads in sorted(self.boundary_loads.items()):
-            boundary = self.device.boundary(y)
+            halves = self.device.boundary(y).halves
             for x, used in sorted(loads.items()):
-                budget = self.device.sll_limit * boundary.halves[x]
+                budget = self.device.sll_limit * halves[x]
                 if used > budget + LIMIT_EPS:
-                    out.append(
-                        f"boundary y={y} half x={x}: {used} wires exceed budget {budget:.1f}"
-                    )
+                    out.append((y, x, used, budget))
         return out
 
+    def violations(self) -> list[str]:
+        return [
+            f"boundary y={y} half x={x}: {used} wires exceed budget {budget:.1f}"
+            for y, x, used, budget in self.over_budget()
+        ]
+
     def feasible(self) -> bool:
-        return not self.violations()
+        return not self.over_budget()
 
     def total_register_groups(self) -> int:
         return sum(self.reg_groups.values())

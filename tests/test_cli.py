@@ -8,6 +8,8 @@ import pytest
 
 from fado.cli import main
 
+from helpers import design_doc, device_doc, qor_doc, template_doc
+
 
 @pytest.fixture
 def toy_files(tmp_path):
@@ -179,3 +181,58 @@ def test_usage_errors_exit_one(tmp_path, capsys):
     bad.write_text("{not json")
     assert main(["check", "--result", str(bad)]) == 1
     capsys.readouterr()
+
+
+def test_optimize_moves_a_function_to_the_only_slot_with_its_resource(tmp_path, capsys):
+    device = device_doc(width=1, height=2, cap={"lut": 100})
+    device["slots"][1]["capacity"] = {"lut": 100, "uram": 10}
+    design = design_doc([("K_f", "dataflow", ["f"]), ("K_g", "dataflow", ["g"])])
+    qor = qor_doc({
+        "t_f": template_doc([("baseline", 10, {"lut": 10}),
+                             ("fast", 5, {"lut": 10, "uram": 2})]),
+        "t_g": template_doc([("baseline", 7, {"lut": 10})]),
+    })
+    inputs = tmp_path / "in"
+    inputs.mkdir()
+    for name, doc in (("device", device), ("design", design), ("qor", qor)):
+        (inputs / f"{name}.json").write_text(json.dumps(doc))
+    code, run_dir = _optimize(inputs, tmp_path)
+    assert code == 0, capsys.readouterr().err
+    result = json.loads((run_dir / "result.json").read_text())
+    assert result["design_latency"] == 7
+    assert result["configuration"]["f"] == "fast"
+    assert result["placement"]["f"] == 1
+    capsys.readouterr()
+    assert main(["check", "--result", str(run_dir / "result.json")]) == 0
+    assert capsys.readouterr().out.strip() == "legal"
+
+
+@pytest.mark.parametrize("command", ["check", "verify-optimal"])
+def test_result_without_inputs_is_a_usage_error(toy_files, tmp_path, capsys, command):
+    _, run_dir = _optimize(toy_files, tmp_path)
+    path = run_dir / "result.json"
+    doc = json.loads(path.read_text())
+    del doc["inputs"]
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main([command, "--result", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "'inputs'" in err
+    assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("field", ["configuration", "placement"])
+def test_check_rejects_a_function_missing_or_misplaced(toy_files, tmp_path, capsys, field):
+    _, run_dir = _optimize(toy_files, tmp_path)
+    path = run_dir / "result.json"
+    doc = json.loads(path.read_text())
+    if field == "configuration":
+        del doc["configuration"]["A"]
+    else:
+        doc["placement"]["A"] = 99
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["check", "--result", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "'A'" in err
+    assert len(err.strip().splitlines()) == 1

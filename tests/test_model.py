@@ -66,8 +66,9 @@ def test_utilization_ratio_is_worst_kind():
 def test_utilization_ratio_zero_capacity():
     cap = ResourceVector(lut=100)
     assert utilization_ratio(ResourceVector(lut=50), cap) == 0.5
-    with pytest.raises(ModelError):
-        utilization_ratio(ResourceVector(uram=1), cap)
+    # usage on a kind the slot lacks can never fit: the ratio is infinite
+    assert utilization_ratio(ResourceVector(uram=1), cap) == float("inf")
+    assert utilization_ratio(ResourceVector(lut=10, uram=1), cap) == float("inf")
 
 
 def test_fits_within_allows_exact_budget():

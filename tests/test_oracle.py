@@ -244,6 +244,25 @@ def test_verify_inconclusive_when_the_candidate_space_overflows():
     assert 0 < out["coverage"] < 1
 
 
+def test_verify_is_inconclusive_when_only_a_sample_was_checked():
+    # 21 faster configurations, one of them legal (a=fast, b=fast at 5)
+    design = design_doc([("K", "dataflow", ["a", "b"])])
+    slow = [(f"p{i}", 5, {"lut": 200}) for i in range(1, 21)]
+    qor = qor_doc({
+        "t_a": template_doc([("baseline", 10, {"lut": 10}), ("fast", 5, {"lut": 10}), *slow]),
+        "t_b": template_doc([("baseline", 10, {"lut": 10}), ("fast", 5, {"lut": 10})]),
+    })
+    device, graph, lib = parse(
+        device_doc(width=1, height=1, cap={"lut": 100}, util_limit=1.0), design, qor)
+    for seed in range(5):
+        out = verify_optimal(device, graph, lib, 10, sample=1, seed=seed)
+        assert out["candidates"] == 21 and out["checked"] == 1
+        assert out["verdict"] == "inconclusive", (seed, out)
+    full = verify_optimal(device, graph, lib, 10)
+    assert full["verdict"] == "counterexample"
+    assert full["counterexample"]["latency"] == 5
+
+
 def test_verify_agrees_with_solve_on_generated_instances():
     for seed in (0, 1, 2):
         spec = GenSpec(seed=seed, mode="monotone", device="pair",

@@ -11,11 +11,12 @@ from fado.model import (
     ResourceVector,
     baseline_configuration,
     fits_within,
+    kind_ratio,
+    utilization_ratio,
 )
 from fado.packer import (
     PackState,
     _candidate_slots,
-    critical_resource,
     offline_repack,
     online_pack,
 )
@@ -36,33 +37,51 @@ def _toy_state(toy, *, initial=None):
 
 def test_critical_resource_examples():
     cap = ResourceVector(bram=100, dsp=100, ff=100, lut=100, uram=100)
-    kind, ratio = critical_resource(cap, ResourceVector(lut=10), ResourceVector(lut=80))
-    assert (kind, ratio) == ("lut", 0.9)
-    # exact tie between bram and lut resolves to the earlier kind
-    kind, _ = critical_resource(cap, ResourceVector.zero(), ResourceVector(bram=50, lut=50))
-    assert kind == "bram"
-    # demand against zero capacity dominates everything
-    kind, ratio = critical_resource(ResourceVector(lut=100), ResourceVector.zero(),
-                                    ResourceVector(lut=10, uram=1))
-    assert kind == "uram"
-    assert ratio == float("inf")
+    assert utilization_ratio(ResourceVector(lut=10) + ResourceVector(lut=80), cap) == 0.9
+    # a kind with no capacity only matters when something is put there
+    assert kind_ratio(0, 0) == 0.0
+    assert kind_ratio(1, 0) == float("inf")
+    lut_only = ResourceVector(lut=100)
+    assert utilization_ratio(ResourceVector(lut=10, uram=1), lut_only) == float("inf")
+
+    # so demand for a kind a slot lacks ranks that slot behind every other
+    design = design_doc([("K", "dataflow", ["a", "x"])])
+    qor = qor_doc({f"t_{n}": template_doc([("baseline", 5, {"lut": 10})]) for n in "ax"})
+    device_json = device_doc(width=1, height=3, cap={"lut": 100, "uram": 10}, die_rows=[])
+    device_json["slots"][1]["capacity"] = {"lut": 100}
+    device, graph, lib = parse(device_json, design, qor)
+    state = PackState(device, graph, lib, baseline_configuration(graph), {"a": 2, "x": 0})
+    state.slot_load[2] = ResourceVector(lut=60)
+    assert _candidate_slots(state, 0, ResourceVector(lut=10, uram=1)) == [2, 1]
+    assert _candidate_slots(state, 0, ResourceVector(lut=10)) == [1, 2]
 
 
 def test_critical_resource_matches_naive_recompute():
+    design = design_doc([("K", "dataflow", ["a"])])
+    qor = qor_doc({"t_a": template_doc([("baseline", 5, {"lut": 1})])})
     rng = random.Random(19)
-    for _ in range(200):
-        cap = ResourceVector(*(rng.randint(1, 50) for _ in RESOURCE_KINDS))
-        load = ResourceVector(*(rng.randint(0, 30) for _ in RESOURCE_KINDS))
-        cand = ResourceVector(*(rng.randint(0, 30) for _ in RESOURCE_KINDS))
-        kind, ratio = critical_resource(cap, load, cand)
-        ratios = {
-            k: (l + c) / cp
-            for k, cp, l, c in zip(RESOURCE_KINDS, cap.as_tuple(), load.as_tuple(),
-                                   cand.as_tuple())
-        }
-        want = max(ratios.values())
-        assert ratio == want
-        assert kind == next(k for k in RESOURCE_KINDS if ratios[k] == want)
+    for _ in range(100):
+        device_json = device_doc(width=2, height=2, die_rows=[])
+        for slot in device_json["slots"]:
+            slot["capacity"] = {k: rng.choice((0, rng.randint(1, 50))) for k in RESOURCE_KINDS}
+            slot["capacity"]["lut"] = rng.randint(1, 50)
+        device, graph, lib = parse(device_json, design, qor)
+        state = PackState(device, graph, lib, baseline_configuration(graph), {"a": 0})
+        extra = ResourceVector(*(rng.randint(0, 30) for _ in RESOURCE_KINDS))
+        ranked = []
+        for s in device.slots:
+            state.slot_load[s.id] = ResourceVector(*(rng.randint(0, 30) for _ in RESOURCE_KINDS))
+            post = state.slot_load[s.id] + extra
+            ratios = [
+                u / c if c else (float("inf") if u else 0.0)
+                for u, c in zip(post.as_tuple(), s.capacity.as_tuple())
+            ]
+            worst = max(ratios)
+            assert utilization_ratio(post, s.capacity) == worst
+            ratios.remove(worst)
+            if s.id:
+                ranked.append((worst, sum(ratios) / 4, s.id))
+        assert _candidate_slots(state, 0, extra) == [sid for _, _, sid in sorted(ranked)]
 
 
 # ---------------------------------------------------------------------------

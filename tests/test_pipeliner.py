@@ -2,11 +2,10 @@ from __future__ import annotations
 
 import random
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fado.model import Edge, ModelError, design_from_dict, device_from_dict
+from fado.model import design_from_dict, device_from_dict
 from fado.pipeliner import (
     SllState,
     allowed_halves,
@@ -14,7 +13,6 @@ from fado.pipeliner import (
     crossed_die_rows,
     crossed_io_cols,
     recompute_all,
-    route_edge,
 )
 
 from helpers import design_doc, device_doc
@@ -70,41 +68,50 @@ def test_choose_half_min_ratio_then_lower_column():
 
 
 # ---------------------------------------------------------------------------
-# Single-edge routing
+# Single-edge routing, as the fold records it
 
 
 def test_route_staircase_counts_die_and_io_crossings():
     dev = _grid(2, 4, io_cols=[0])
-    e = Edge(index=0, src="a", dst="b", kind="fifo", width=8)
-    route = route_edge(e, dev.slot_at(0, 3), dev.slot_at(1, 0), dev, {})
-    die = [c for c in route if c["kind"] == "die"]
-    io = [c for c in route if c["kind"] == "io"]
-    assert [c["boundary"] for c in die] == [2, 1, 0]  # travel order, top down
-    assert [c["boundary"] for c in io] == [0]
-    assert len(route) == 4
+    graph = _chain_graph(2, [8])
+    state = recompute_all(dev, graph, {"f0": dev.slot_at(0, 3).id, "f1": dev.slot_at(1, 0).id})
+    assert state.reg_groups[0] == 4  # three die rows and one io column
+    assert sorted(state.edge_halves[0]) == [0, 1, 2]
+    for y in (0, 1, 2):
+        assert sum(state.boundary_loads[y].values()) == 8
 
 
 def test_route_within_one_die_needs_no_sll():
     dev = _grid(2, 4, io_cols=[0])
-    e = Edge(index=0, src="a", dst="b", kind="fifo", width=8)
-    assert route_edge(e, dev.slot_at(0, 1), dev.slot_at(0, 1), dev, {}) == []
-    route = route_edge(e, dev.slot_at(0, 1), dev.slot_at(1, 1), dev, {})
-    assert [c["kind"] for c in route] == ["io"]
+    graph = _chain_graph(2, [8])
+    same = recompute_all(dev, graph, {"f0": dev.slot_at(0, 1).id, "f1": dev.slot_at(0, 1).id})
+    assert same.reg_groups[0] == 0
+    assert same.edge_halves[0] == {}
+    io_only = recompute_all(dev, graph, {"f0": dev.slot_at(0, 1).id, "f1": dev.slot_at(1, 1).id})
+    assert io_only.reg_groups[0] == 1
+    assert io_only.edge_halves[0] == {}
+    assert all(not loads for loads in io_only.boundary_loads.values())
 
 
 def test_route_rejects_an_over_budget_half():
     dev = _grid(1, 2, sll=10, sll_limit=0.9)
-    e = Edge(index=0, src="a", dst="b", kind="fifo", width=16)
-    assert route_edge(e, dev.slot(0), dev.slot(1), dev, {}) is None
-    ok = Edge(index=0, src="a", dst="b", kind="fifo", width=9)
-    assert route_edge(ok, dev.slot(0), dev.slot(1), dev, {}) is not None
+    wide = recompute_all(dev, _chain_graph(2, [16]), {"f0": 0, "f1": 1})
+    assert wide.over_budget() == [(0, 0, 16, 9.0)]
+    assert wide.violations() == ["boundary y=0 half x=0: 16 wires exceed budget 9.0"]
+    assert not wide.feasible()
+    fits = recompute_all(dev, _chain_graph(2, [9]), {"f0": 0, "f1": 1})
+    assert fits.over_budget() == []
+    assert fits.feasible()
 
 
 def test_route_refuses_ram_edges():
-    dev = _grid(1, 2)
-    e = Edge(index=0, src="a", dst="b", kind="ram", width=32)
-    with pytest.raises(ModelError):
-        route_edge(e, dev.slot(0), dev.slot(1), dev, {})
+    # RAM edges pin their ends to one slot; they never take wires or registers
+    dev = _grid(2, 2, sll=0, io_cols=[0])
+    graph = _chain_graph(2, [32], kinds=["ram"])
+    state = recompute_all(dev, graph, {"f0": 0, "f1": 3})  # across die and io
+    assert state.reg_groups[0] == 0
+    assert state.edge_halves[0] == {}
+    assert state.feasible()
 
 
 # ---------------------------------------------------------------------------
