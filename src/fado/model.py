@@ -55,17 +55,34 @@ class ResourceVector:
         return all(v == 0 for v in self.as_tuple())
 
     def __add__(self, other: "ResourceVector") -> "ResourceVector":
-        return ResourceVector(*(a + b for a, b in zip(self.as_tuple(), other.as_tuple())))
+        return ResourceVector._unchecked((
+            self.bram + other.bram, self.dsp + other.dsp, self.ff + other.ff,
+            self.lut + other.lut, self.uram + other.uram,
+        ))
 
     def __sub__(self, other: "ResourceVector") -> "ResourceVector":
-        diff = tuple(a - b for a, b in zip(self.as_tuple(), other.as_tuple()))
-        if any(v < 0 for v in diff):
+        diff = (
+            self.bram - other.bram, self.dsp - other.dsp, self.ff - other.ff,
+            self.lut - other.lut, self.uram - other.uram,
+        )
+        if min(diff) < 0:
             raise ModelError(f"resource subtraction went negative: {self} - {other}")
-        return ResourceVector(*diff)
+        return ResourceVector._unchecked(diff)
+
+    @classmethod
+    def _unchecked(cls, counts: tuple) -> "ResourceVector":
+        """A vector from counts known to be valid, skipping ``__post_init__``.
+
+        Sums of valid vectors are valid by construction and ``__sub__`` checks
+        its one failure itself, so hot-path arithmetic does not re-validate.
+        """
+        v = object.__new__(cls)
+        v.__dict__.update(zip(RESOURCE_KINDS, counts))
+        return v
 
     @classmethod
     def zero(cls) -> "ResourceVector":
-        return cls()
+        return cls._unchecked((0, 0, 0, 0, 0))
 
     @classmethod
     def from_dict(cls, d: dict) -> "ResourceVector":
@@ -85,11 +102,12 @@ class ResourceVector:
 
 
 def kind_ratio(used: int, capacity: int) -> float:
-    """used/capacity for one resource kind.
+    """used/capacity for one resource kind or one SLL boundary half.
 
-    A kind with zero capacity has ratio 0 when unused and inf when used:
-    there is nowhere the usage could go.  This is the one place that rule
-    lives; every resource ratio in the package goes through it.
+    A kind (or half) with zero capacity has ratio 0 when unused and inf when
+    used: there is nowhere the usage could go.  This is the one place that
+    rule lives; every resource ratio and every wire fill ratio in the
+    package goes through it.
     """
     if capacity > 0:
         return used / capacity
@@ -177,24 +195,58 @@ class DeviceModel:
         }
 
 
-def device_from_dict(doc: dict) -> DeviceModel:
-    if not isinstance(doc, dict):
-        raise ModelError("device document must be an object")
+_REQUIRED = object()
+
+
+def _entry(raw, key: str, where: str, default=_REQUIRED):
+    """``raw[key]`` of one document object, else a ModelError naming it.
+
+    A missing entry takes ``default`` when one is given.
+    """
+    if not isinstance(raw, dict):
+        raise ModelError(f"{where} must be an object, got {raw!r}")
+    if key in raw:
+        return raw[key]
+    if default is _REQUIRED:
+        raise ModelError(f"{where} has no {key!r} entry")
+    return default
+
+
+def _number_entry(raw, key: str, where: str, default=_REQUIRED, kind=int):
+    """``kind(raw[key])`` (see ``_entry``), else a ModelError naming it."""
+    value = _entry(raw, key, where, default)
     try:
-        width = int(doc["width"])
-        height = int(doc["height"])
-        raw_slots = doc["slots"]
-    except KeyError as exc:
-        raise ModelError(f"device document missing {exc}") from exc
+        return kind(value)
+    except (TypeError, ValueError):
+        raise ModelError(f"{where}: {key!r} must be a number, got {value!r}") from None
+
+
+def _list_entry(raw, key: str, where: str, default=_REQUIRED) -> list:
+    value = _entry(raw, key, where, default)
+    if not isinstance(value, (list, tuple)):
+        raise ModelError(f"{where}: {key!r} must be a list, got {value!r}")
+    return value
+
+
+def device_from_dict(doc: dict) -> DeviceModel:
+    width = _number_entry(doc, "width", "device document")
+    height = _number_entry(doc, "height", "device document")
+    raw_slots = _list_entry(doc, "slots", "device document")
     if width < 1 or height < 1:
         raise ModelError("device grid must be at least 1x1")
 
     slots = []
-    for raw in raw_slots:
-        cap = ResourceVector.from_dict(raw.get("capacity", {}))
+    for i, raw in enumerate(raw_slots):
+        where = f"device slot #{i}"
+        cap = ResourceVector.from_dict(_entry(raw, "capacity", where, {}))
         if sum(cap.as_tuple()) <= 0:
             raise ModelError(f"slot {raw.get('id')} has non-positive capacity")
-        slots.append(Slot(id=int(raw["id"]), x=int(raw["x"]), y=int(raw["y"]), capacity=cap))
+        slots.append(Slot(
+            id=_number_entry(raw, "id", where),
+            x=_number_entry(raw, "x", where),
+            y=_number_entry(raw, "y", where),
+            capacity=cap,
+        ))
 
     ids = [s.id for s in slots]
     if len(set(ids)) != len(ids):
@@ -205,14 +257,15 @@ def device_from_dict(doc: dict) -> DeviceModel:
         raise ModelError(f"slots must cover the {width}x{height} grid exactly once")
 
     boundaries = []
-    for raw in doc.get("die_boundaries", []):
-        y = int(raw["y"])
+    for i, raw in enumerate(_list_entry(doc, "die_boundaries", "device document", [])):
+        y = _number_entry(raw, "y", f"die boundary #{i}")
         if not 0 <= y <= height - 2:
             raise ModelError(f"die boundary y={y} outside row gaps")
         halves = {}
-        for h in raw.get("halves", []):
-            hx = int(h["x"])
-            cap = int(h["sll_capacity"])
+        for j, h in enumerate(_list_entry(raw, "halves", f"die boundary y={y}", [])):
+            where = f"die boundary y={y} half #{j}"
+            hx = _number_entry(h, "x", where)
+            cap = _number_entry(h, "sll_capacity", where)
             if cap < 0:
                 raise ModelError(f"negative SLL capacity at boundary y={y} x={hx}")
             halves[hx] = cap
@@ -224,16 +277,16 @@ def device_from_dict(doc: dict) -> DeviceModel:
         raise ModelError("duplicate die boundary rows")
 
     io_cols = []
-    for raw in doc.get("io_boundaries", []):
-        x = int(raw["x"]) if isinstance(raw, dict) else int(raw)
+    for i, raw in enumerate(_list_entry(doc, "io_boundaries", "device document", [])):
+        x = _number_entry(raw if isinstance(raw, dict) else {"x": raw}, "x", f"io boundary #{i}")
         if not 0 <= x <= width - 2:
             raise ModelError(f"io boundary x={x} outside column gaps")
         io_cols.append(x)
     if len(set(io_cols)) != len(io_cols):
         raise ModelError("duplicate io boundary columns")
 
-    util_limit = float(doc.get("util_limit", 0.65))
-    sll_limit = float(doc.get("sll_limit", 0.90))
+    util_limit = _number_entry(doc, "util_limit", "device document", 0.65, float)
+    sll_limit = _number_entry(doc, "sll_limit", "device document", 0.90, float)
     if not 0 < util_limit <= 1.0 or not 0 < sll_limit <= 1.0:
         raise ModelError("util_limit and sll_limit must be in (0, 1]")
 
@@ -281,6 +334,7 @@ class DesignGraph:
     edges: list[Edge]
     kernel_order: list[str] = field(default_factory=list)
     kernel_succs: dict[str, set] = field(default_factory=dict)
+    kernel_preds: dict[str, set] = field(default_factory=dict)
 
     def fifo_edges(self) -> list[Edge]:
         return [e for e in self.edges if e.kind == FIFO]
@@ -364,6 +418,7 @@ def design_from_dict(doc: dict) -> DesignGraph:
 
     edges = []
     succs: dict[str, set] = {k: set() for k in knames}
+    preds: dict[str, set] = {k: set() for k in knames}
     for i, raw in enumerate(doc.get("edges", [])):
         src, dst, kind = raw.get("src"), raw.get("dst"), raw.get("kind")
         if src not in functions or dst not in functions:
@@ -377,6 +432,7 @@ def design_from_dict(doc: dict) -> DesignGraph:
         ks, kd = functions[src].kernel, functions[dst].kernel
         if ks != kd:
             succs[ks].add(kd)
+            preds[kd].add(ks)
 
     order = _toposort_kernels(knames, succs)
     return DesignGraph(
@@ -385,6 +441,7 @@ def design_from_dict(doc: dict) -> DesignGraph:
         edges=edges,
         kernel_order=order,
         kernel_succs=succs,
+        kernel_preds=preds,
     )
 
 
@@ -497,8 +554,19 @@ class QoRLibrary:
         }
 
 
+def _parse_loop(raw: dict, where: str, idx: int) -> LoopInfo:
+    min_ii = _number_entry(raw, "min_ii", where, 1)
+    return LoopInfo(
+        label=raw.get("label", f"L{idx}"),
+        depth=_number_entry(raw, "depth", where, 1),
+        bound=_number_entry(raw, "bound", where),
+        min_ii=min_ii,
+        iter_latency=_number_entry(raw, "iter_latency", where, min_ii),
+    )
+
+
 def _parse_point(raw: dict, template: str) -> QoRPoint:
-    pid = raw.get("id")
+    pid = _entry(raw, "id", f"template {template!r} point", None)
     if not pid or not isinstance(pid, str):
         raise ModelError(f"template {template!r}: point without string id")
     latency = raw.get("latency")
@@ -527,11 +595,14 @@ def qor_from_dict(doc: dict, graph: DesignGraph) -> QoRLibrary:
     raw_templates = doc.get("templates")
     if not raw_templates:
         raise ModelError("qor library has no templates")
+    if not isinstance(raw_templates, dict):
+        raise ModelError("qor templates must be an object keyed by template name")
 
     rules: list[tuple[str, str]] = []
     compiled = []
-    for raw in doc.get("name_rules", []):
-        pat, tmpl = raw.get("regex"), raw.get("template")
+    for raw in _list_entry(doc, "name_rules", "qor document", []):
+        pat = _entry(raw, "regex", "name rule", None)
+        tmpl = _entry(raw, "template", "name rule", None)
         if not pat or not tmpl:
             raise ModelError("name rules need regex and template")
         try:
@@ -547,15 +618,10 @@ def qor_from_dict(doc: dict, graph: DesignGraph) -> QoRLibrary:
     points_seen: list[ResourceVector] = []
     parsed: dict[str, tuple[list[LoopInfo], list[QoRPoint]]] = {}
     for name, raw in raw_templates.items():
+        where = f"template {name!r}"
         loops = [
-            LoopInfo(
-                label=l.get("label", f"L{idx}"),
-                depth=int(l.get("depth", 1)),
-                bound=int(l["bound"]),
-                min_ii=int(l.get("min_ii", 1)),
-                iter_latency=int(l.get("iter_latency", l.get("min_ii", 1))),
-            )
-            for idx, l in enumerate(raw.get("loops", []))
+            _parse_loop(l, f"{where} loop #{idx}", idx)
+            for idx, l in enumerate(_list_entry(raw, "loops", where, []))
         ]
         raw_points = raw.get("points")
         if not raw_points:
@@ -655,9 +721,5 @@ def design_latency(graph: DesignGraph, lib: QoRLibrary, config: Configuration) -
     weights = kernel_latencies(graph, lib, config)
     dist: dict[str, int] = {}
     for k in graph.kernel_order:
-        best_pred = 0
-        for p, outs in graph.kernel_succs.items():
-            if k in outs:
-                best_pred = max(best_pred, dist[p])
-        dist[k] = weights[k] + best_pred
+        dist[k] = weights[k] + max((dist[p] for p in graph.kernel_preds[k]), default=0)
     return max(dist.values())

@@ -6,9 +6,19 @@ other slots in order of lowest critical-resource ratio.  Offline re-packing
 is a best-fit-decreasing compaction that moves groups from less-utilized
 slots into fuller ones to open up contiguous headroom, without touching any
 chosen point.
+
+Offline re-packing is a deterministic function of the packing state, so
+re-running it on a state where it last moved nothing would move nothing
+again.  Every ``PackState`` carries a generation stamp, drawn fresh from
+one process-wide counter on each mutation and carried by snapshots, so a
+rolled-back state gets its old stamp back and a stamp never names two
+different states.  A repack that moves nothing marks its stamp settled,
+and a repack on a settled stamp returns at once.
 """
 
 from __future__ import annotations
+
+import itertools
 
 from .floorplan import group_of_map, group_resources, ram_groups
 from .model import (
@@ -25,9 +35,17 @@ from .model import (
 )
 from .pipeliner import SllState
 
+# Generation stamps of every PackState in the process: one counter, so a
+# stamp value is never handed out twice, not even across restores.
+_stamps = itertools.count()
+
 
 class PackState:
-    """Mutable aggregate of configuration, placement, loads, and routing."""
+    """Mutable aggregate of configuration, placement, loads, and routing.
+
+    Mutate it only through ``apply_point``, ``move_group`` and ``restore``:
+    they keep ``stamp`` naming the state (see the module docstring).
+    """
 
     def __init__(self, device: DeviceModel, graph: DesignGraph, lib: QoRLibrary,
                  config: dict, placement: dict):
@@ -51,6 +69,8 @@ class PackState:
             self.slot_load[sid] = self.slot_load[sid] + self.fn_resources(f)
         self.sll = SllState(device, graph)
         self.sll.refresh(self.placement)
+        self.stamp = next(_stamps)
+        self.settled_stamp = None  # stamp of the last repack that moved nothing
 
     # -- accessors -----------------------------------------------------------
 
@@ -67,15 +87,14 @@ class PackState:
         return max(self.utilization(s.id) for s in self.device.slots)
 
     def max_sll_utilization(self) -> float:
-        worst = 0.0
-        for y, loads in self.sll.boundary_loads.items():
-            halves = self.device.boundary(y).halves
-            for x, used in loads.items():
-                if halves[x] > 0:
-                    worst = max(worst, used / halves[x])
-                elif used:
-                    return float("inf")
-        return worst
+        return max(
+            (
+                kind_ratio(used, self.device.boundary(y).halves[x])
+                for y, loads in self.sll.boundary_loads.items()
+                for x, used in loads.items()
+            ),
+            default=0.0,
+        )
 
     def groups_on(self, slot_id: int) -> list:
         return [g for g in self.groups if self.placement[g.members[0]] == slot_id]
@@ -88,6 +107,7 @@ class PackState:
         sid = self.placement[fn]
         self.slot_load[sid] = (self.slot_load[sid] - old) + new
         self.config[fn] = point_id
+        self.stamp = next(_stamps)
 
     def move_group(self, group, dest: int) -> dict:
         """Relocate every member of ``group``; returns the routing delta."""
@@ -101,6 +121,7 @@ class PackState:
             self.slot_load[dest] = self.slot_load[dest] + res
             self.placement[m] = dest
             moved.add(m)
+        self.stamp = next(_stamps)
         return self.sll.update(self.placement, moved)
 
     def snapshot(self) -> tuple:
@@ -109,14 +130,16 @@ class PackState:
             dict(self.placement),
             dict(self.slot_load),
             self.sll.snapshot(),
+            self.stamp,
         )
 
     def restore(self, snap: tuple) -> None:
-        config, placement, slot_load, sll_snap = snap
+        config, placement, slot_load, sll_snap, stamp = snap
         self.config = dict(config)
         self.placement = dict(placement)
         self.slot_load = dict(slot_load)
         self.sll.restore(sll_snap)
+        self.stamp = stamp
 
     # -- legality --------------------------------------------------------------
 
@@ -234,17 +257,24 @@ def offline_repack(state: PackState, trials: list | None = None) -> list:
     order; trials against an empty destination are cancelled, since moving
     there cannot compact anything.  Pinned groups (those holding a function
     outside any dataflow region) stay put.
+
+    A repack that moves nothing marks the state's stamp settled; called
+    again on that stamp it returns ``[]`` at once and records no trials,
+    since the schedule would replay exactly.
     """
+    if state.stamp == state.settled_stamp:
+        return []
     ranks = sorted(state.device.slots, key=lambda s: (-state.utilization(s.id), s.id))
+    group_res = {g.gid: state.group_resources(g) for g in state.groups if not g.pinned}
     moves: list[tuple[str, int, int]] = []
     for m in range(1, len(ranks)):
         src = ranks[m]
         movable = sorted(
             (g for g in state.groups_on(src.id) if not g.pinned),
-            key=lambda g: (-utilization_ratio(state.group_resources(g), src.capacity), g.gid),
+            key=lambda g: (-utilization_ratio(group_res[g.gid], src.capacity), g.gid),
         )
         for g in movable:
-            gres = state.group_resources(g)
+            gres = group_res[g.gid]
             for dest in ranks[:m]:
                 record = {"group": g.gid, "src": src.id, "dst": dest.id}
                 if state.slot_load[dest.id].is_zero():
@@ -265,4 +295,6 @@ def offline_repack(state: PackState, trials: list | None = None) -> list:
                 state.restore(snap)
                 if trials is not None:
                     trials.append({**record, "outcome": "rejected"})
+    if not moves:
+        state.settled_stamp = state.stamp
     return moves

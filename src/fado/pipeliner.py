@@ -14,9 +14,7 @@ recompute, which the packer relies on when it trials and rolls back moves.
 
 from __future__ import annotations
 
-from .model import DesignGraph, DeviceModel, LIMIT_EPS
-
-_INF = float("inf")
+from .model import DesignGraph, DeviceModel, LIMIT_EPS, kind_ratio
 
 
 def crossed_die_rows(device: DeviceModel, ys: int, yd: int) -> list[int]:
@@ -38,15 +36,15 @@ def allowed_halves(xs: int, xd: int) -> range:
 def choose_half(halves: dict[int, int], loads: dict[int, int], width: int, allowed) -> int:
     """Pick the crossing column with the lowest post-assignment fill ratio.
 
-    Ties break toward the lower column index.  The choice ignores the budget
-    cap on purpose: if even the best ratio busts the cap, no column would
-    have passed, and the caller detects that from the resulting loads.
+    Ties break toward the lower column index; a zero-capacity column ranks
+    last (``kind_ratio``).  The choice ignores the budget cap on purpose: if
+    even the best ratio busts the cap, no column would have passed, and the
+    caller detects that from the resulting loads.
     """
     best_x = None
     best_ratio = None
     for x in allowed:
-        cap = halves[x]
-        ratio = (loads.get(x, 0) + width) / cap if cap > 0 else _INF
+        ratio = kind_ratio(loads.get(x, 0) + width, halves[x])
         if best_ratio is None or ratio < best_ratio:
             best_ratio = ratio
             best_x = x

@@ -6,7 +6,9 @@ point strictly faster than the second latency level, so one acceptance
 hands the bottleneck role to a different function.  Legalization escalates
 through four stages: online packing, offline re-packing plus an online
 retry, a bounded look-ahead below DP, and a look-back between DP and the
-current latency.  A batch that survives no stage is excluded from future
+current latency.  The retry after a repack runs only when the repack moved
+something: online packing is deterministic, so on an unchanged state it
+would fail again.  A batch that survives no stage is excluded from future
 selection and the search moves on; it stops when nothing is left to select.
 """
 
@@ -209,12 +211,14 @@ def run(
                 accepted = targets
                 moves += m
             if not ok and not freeze_floorplan:
-                moves += offline_repack(state)
-                ok, m = online_pack(state, targets)
-                if ok:
-                    stage = STAGE_OFFLINE
-                    accepted = targets
-                    moves += m
+                repacked = offline_repack(state)
+                moves += repacked
+                if repacked:
+                    ok, m = online_pack(state, targets)
+                    if ok:
+                        stage = STAGE_OFFLINE
+                        accepted = targets
+                        moves += m
             if not ok:
                 ahead = {
                     f: [p for p in lib.template_for(f).points if p.latency < dps[f].latency][::-1]
@@ -223,8 +227,10 @@ def run(
                 for vec in _window_vectors(batch, ahead, dps, n):
                     ok, m = online_pack(state, vec, allow_moves=not freeze_floorplan)
                     if not ok and not freeze_floorplan:
-                        moves += offline_repack(state)
-                        ok, m = online_pack(state, vec)
+                        repacked = offline_repack(state)
+                        moves += repacked
+                        if repacked:
+                            ok, m = online_pack(state, vec)
                     if ok:
                         stage = STAGE_LOOK_AHEAD
                         accepted = vec

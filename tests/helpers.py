@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from fado import instancegen
 from fado.model import (
     RESOURCE_KINDS,
     design_from_dict,
@@ -73,3 +74,13 @@ def qor_doc(templates, name_rules=(), **extra):
 def parse(device, design, qor):
     graph = design_from_dict(design)
     return device_from_dict(device), graph, qor_from_dict(qor, graph)
+
+
+def stress_grid(seed, n_functions, points_per_template, *, sll):
+    """A ``gen_stress`` design and QoR library on a 2x4 grid with quad's slot
+    capacities: three die boundaries of ``sll`` wires per half and an io
+    column between x=0 and x=1."""
+    quad, design, qor = instancegen.gen_stress(seed, n_functions, points_per_template)
+    device = device_doc(width=2, height=4, cap=quad["slots"][0]["capacity"], sll=sll,
+                        util_limit=0.65, io_cols=(0,))
+    return device, design, qor

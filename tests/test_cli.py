@@ -236,3 +236,71 @@ def test_check_rejects_a_function_missing_or_misplaced(toy_files, tmp_path, caps
     err = capsys.readouterr().err
     assert err.startswith("error:") and "'A'" in err
     assert len(err.strip().splitlines()) == 1
+
+
+def _drop_slot_x(doc):
+    del doc["slots"][0]["x"]
+
+
+def _drop_half_capacity(doc):
+    del doc["die_boundaries"][0]["halves"][0]["sll_capacity"]
+
+
+def _null_slot_id(doc):
+    doc["slots"][1]["id"] = None
+
+
+def _null_util_limit(doc):
+    doc["util_limit"] = None
+
+
+def _drop_loop_bound(doc):
+    tmpl = next(iter(doc["templates"].values()))
+    tmpl["loops"] = [{"label": "L0", "depth": 1}]
+
+
+def _string_name_rule(doc):
+    doc["name_rules"] = ["x"]
+
+
+MALFORMED = {
+    "slot-without-x": ("device", _drop_slot_x, "'x'"),
+    "half-without-sll-capacity": ("device", _drop_half_capacity, "'sll_capacity'"),
+    "slot-with-null-id": ("device", _null_slot_id, "'id'"),
+    "null-util-limit": ("device", _null_util_limit, "'util_limit'"),
+    "loop-without-bound": ("qor", _drop_loop_bound, "'bound'"),
+    "name-rule-not-an-object": ("qor", _string_name_rule, "name rule"),
+}
+
+
+def _assert_one_line_error(capsys, needle):
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and needle in err, err
+    assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_optimize_rejects_a_malformed_document_in_one_line(toy_files, tmp_path, capsys, case):
+    name, damage, needle = MALFORMED[case]
+    path = toy_files / f"{name}.json"
+    doc = json.loads(path.read_text())
+    damage(doc)
+    path.write_text(json.dumps(doc))
+    code, _ = _optimize(toy_files, tmp_path)
+    assert code == 1
+    _assert_one_line_error(capsys, needle)
+
+
+@pytest.mark.parametrize("command", ["check", "verify-optimal"])
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_result_embedding_a_malformed_document_is_a_usage_error(
+        toy_files, tmp_path, capsys, command, case):
+    name, damage, needle = MALFORMED[case]
+    _, run_dir = _optimize(toy_files, tmp_path)
+    path = run_dir / "result.json"
+    doc = json.loads(path.read_text())
+    damage(doc["inputs"][name])
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main([command, "--result", str(path)]) == 1
+    _assert_one_line_error(capsys, needle)

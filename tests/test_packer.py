@@ -293,3 +293,47 @@ def test_offline_repack_keeps_state_legal(toy):
     assert state.check_legal() == []
     for s in state.device.slots:
         assert fits_within(state.slot_load[s.id], s.capacity, state.device.util_limit)
+
+
+# ---------------------------------------------------------------------------
+# Settled-stamp skip
+
+
+def test_offline_repack_on_a_settled_state_records_no_trials():
+    state = _repack_fixture()
+    assert offline_repack(state) == [("F31", 2, 0)]
+    trials: list = []
+    assert offline_repack(state, trials) == []
+    assert trials  # the schedule ran and moved nothing
+    trials = []
+    assert offline_repack(state, trials) == []
+    assert trials == []
+
+
+@pytest.mark.parametrize("mutation", ["apply_point", "move_group"])
+def test_a_mutation_after_a_noop_repack_makes_it_run_again(mutation):
+    state = _repack_fixture()
+    offline_repack(state)
+    assert offline_repack(state) == []
+    if mutation == "apply_point":
+        state.apply_point("F41", "baseline")
+        expected = []
+    else:
+        state.move_group(state.group_of["F31"], 2)
+        expected = [("F31", 2, 0)]
+    trials: list = []
+    assert offline_repack(state, trials) == expected
+    assert trials
+
+
+def test_restore_then_diverge_still_repacks():
+    state = _repack_fixture()
+    offline_repack(state)
+    at_a = state.snapshot()
+    state.apply_point("F41", "baseline")  # B: same loads, a new generation
+    assert offline_repack(state) == []  # settles B
+    state.restore(at_a)
+    state.move_group(state.group_of["F31"], 2)  # C: differs from B
+    trials: list = []
+    assert offline_repack(state, trials) == [("F31", 2, 0)]
+    assert trials
