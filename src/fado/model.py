@@ -382,29 +382,35 @@ def _toposort_kernels(names: list[str], succs: dict[str, set]) -> list[str]:
     return order
 
 
+def _name_entry(raw, key: str, where: str):
+    """``raw[key]`` (see ``_entry``) when it is a non-empty string, else None."""
+    value = _entry(raw, key, where, None)
+    return value if isinstance(value, str) and value else None
+
+
 def design_from_dict(doc: dict) -> DesignGraph:
-    if not isinstance(doc, dict):
-        raise ModelError("design document must be an object")
-    raw_kernels = doc.get("kernels")
+    raw_kernels = _list_entry(doc, "kernels", "design document", [])
     if not raw_kernels:
         raise ModelError("design must declare at least one kernel")
 
     kernels = []
     functions: dict[str, Function] = {}
-    for raw in raw_kernels:
-        name = raw.get("name")
-        kind = raw.get("kind")
-        if not name or kind not in (DATAFLOW, NON_DATAFLOW):
+    for i, raw in enumerate(raw_kernels):
+        name = _name_entry(raw, "name", f"design kernel #{i}")
+        if not name:
+            raise ModelError(f"design kernel #{i} needs a name")
+        kind = _entry(raw, "kind", f"design kernel #{i}", None)
+        if kind not in (DATAFLOW, NON_DATAFLOW):
             raise ModelError(f"kernel {name!r} must have kind dataflow or non_dataflow")
-        fns = raw.get("functions") or []
+        fns = _list_entry(raw, "functions", f"kernel {name!r}", [])
         if not fns:
             raise ModelError(f"kernel {name!r} has no functions")
         if kind == NON_DATAFLOW and len(fns) != 1:
             raise ModelError(f"non-dataflow kernel {name!r} must have exactly one function")
         members = []
-        for f in fns:
-            fname = f.get("name")
-            tmpl = f.get("template")
+        for j, f in enumerate(fns):
+            where = f"kernel {name!r} function #{j}"
+            fname, tmpl = _name_entry(f, "name", where), _name_entry(f, "template", where)
             if not fname or not tmpl:
                 raise ModelError(f"function entries need name and template (kernel {name!r})")
             if fname in functions:
@@ -419,8 +425,10 @@ def design_from_dict(doc: dict) -> DesignGraph:
     edges = []
     succs: dict[str, set] = {k: set() for k in knames}
     preds: dict[str, set] = {k: set() for k in knames}
-    for i, raw in enumerate(doc.get("edges", [])):
-        src, dst, kind = raw.get("src"), raw.get("dst"), raw.get("kind")
+    for i, raw in enumerate(_list_entry(doc, "edges", "design document", [])):
+        where = f"design edge #{i}"
+        src, dst = _name_entry(raw, "src", where), _name_entry(raw, "dst", where)
+        kind = _entry(raw, "kind", where, None)
         if src not in functions or dst not in functions:
             raise ModelError(f"edge {src!r}->{dst!r} references unknown function")
         if kind not in (FIFO, RAM):

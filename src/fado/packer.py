@@ -109,8 +109,8 @@ class PackState:
         self.config[fn] = point_id
         self.stamp = next(_stamps)
 
-    def move_group(self, group, dest: int) -> dict:
-        """Relocate every member of ``group``; returns the routing delta."""
+    def move_group(self, group, dest: int) -> None:
+        """Relocate every member of ``group`` and re-derive its routing."""
         moved = set()
         for m in group.members:
             src = self.placement[m]
@@ -122,7 +122,7 @@ class PackState:
             self.placement[m] = dest
             moved.add(m)
         self.stamp = next(_stamps)
-        return self.sll.update(self.placement, moved)
+        self.sll.update(self.placement, moved)
 
     def snapshot(self) -> tuple:
         return (

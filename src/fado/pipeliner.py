@@ -10,11 +10,24 @@ are a pure function of the set of edges crossing it, folded in a canonical
 order.  That makes an incremental update (recompute only the boundaries
 whose crossing set changed) land bit-for-bit on the same state as a full
 recompute, which the packer relies on when it trials and rolls back moves.
+
+The state costs what a move changes, not what the design holds.  Each die
+boundary owns three fold results: its loads, its ``{edge id: half}`` map
+and its sorted crossing list.  They are replaced whole, never changed in
+place, so ``snapshot`` and ``restore`` share them by reference.  ``update``
+re-examines only the FIFO edges of the moved functions and marks dirty only
+the boundaries in their old and new die rows.  A dirty boundary is refolded
+from the first edge whose presence or column span changed: a fold choice
+depends only on the edges before it in canonical order and on the edge's
+own column span, so the earlier prefix replays its recorded halves and
+lands exactly where a full fold would.
 """
 
 from __future__ import annotations
 
-from .model import DesignGraph, DeviceModel, LIMIT_EPS, kind_ratio
+from bisect import bisect_left
+
+from .model import FIFO, DesignGraph, DeviceModel, LIMIT_EPS, kind_ratio
 
 
 def crossed_die_rows(device: DeviceModel, ys: int, yd: int) -> list[int]:
@@ -64,107 +77,137 @@ class SllState:
     ``refresh`` rebuilds everything; ``update`` rebuilds only the boundaries
     touched by a set of moved functions.  Both end in identical state for
     the same placement.
+
+    Every state object, the per-boundary dicts and lists inside them
+    included, is replaced rather than changed in place (see the module
+    docstring): ``boundary_loads`` maps a boundary row to ``{half: wires}``,
+    ``half_of`` maps it to ``{edge id: half}``, ``crossing`` to its crossing
+    edge ids in ascending order, and ``reg_groups`` maps every edge id to
+    its register-group count.
     """
 
     def __init__(self, device: DeviceModel, graph: DesignGraph):
         self.device = device
         self.graph = graph
-        self._edges = {e.index: e for e in graph.edges}
+        self._width = {e.index: e.width for e in graph.edges if e.kind == FIFO}
+        self._fifo_of: dict[str, list] = {f: [] for f in graph.functions}
+        for e in graph.edges:
+            if e.kind == FIFO:
+                self._fifo_of[e.src].append(e)
+                self._fifo_of[e.dst].append(e)
+        self._caps = {b.y: b.halves for b in device.die_boundaries}
+        self._routes: dict[tuple, tuple] = {}  # slot pair -> route, filled on first use
         self.boundary_loads: dict[int, dict[int, int]] = {}
-        self.edge_halves: dict[int, dict[int, int]] = {}
+        self.half_of: dict[int, dict[int, int]] = {}
         self.crossing: dict[int, list[int]] = {}
         self.reg_groups: dict[int, int] = {}
+        self._route_of: dict[int, tuple] = {}  # FIFO edge id -> its route
 
     # -- core fold ---------------------------------------------------------
 
-    def _fold(self, y: int, edge_ids: list[int], placement: dict) -> tuple[dict, dict]:
-        boundary = self.device.boundary(y)
+    def _route(self, src_slot: int, dst_slot: int) -> tuple:
+        """(die rows crossed, lowest column, highest column, register groups)."""
+        route = self._routes.get((src_slot, dst_slot))
+        if route is None:
+            ss, sd = self.device.slot(src_slot), self.device.slot(dst_slot)
+            rows = tuple(crossed_die_rows(self.device, ss.y, sd.y))
+            regs = len(rows) + len(crossed_io_cols(self.device, ss.x, sd.x))
+            lo, hi = sorted((ss.x, sd.x))
+            route = self._routes[src_slot, dst_slot] = (rows, lo, hi, regs)
+        return route
+
+    def _fold(self, y: int, edge_ids: list[int], start: int = 0,
+              prev: dict | None = None) -> tuple[dict, dict]:
+        """Fold boundary y's crossing list into fresh (loads, halves) dicts.
+
+        The first ``start`` edges take the halves recorded in ``prev``; the
+        rest are chosen by ``choose_half``, except that an edge spanning one
+        column takes that column.
+        """
+        caps = self._caps[y]
+        width = self._width
         loads: dict[int, int] = {}
         halves: dict[int, int] = {}
-        for eid in edge_ids:
-            e = self._edges[eid]
-            ss = self.device.slot(placement[e.src])
-            sd = self.device.slot(placement[e.dst])
-            x = choose_half(boundary.halves, loads, e.width, allowed_halves(ss.x, sd.x))
-            halves[eid] = x
-            loads[x] = loads.get(x, 0) + e.width
+        for eid in edge_ids[:start]:
+            x = halves[eid] = prev[eid]
+            loads[x] = loads.get(x, 0) + width[eid]
+        route_of = self._route_of
+        for eid in edge_ids[start:]:
+            _, lo, hi, _ = route_of[eid]
+            w = width[eid]
+            x = halves[eid] = lo if lo == hi else choose_half(caps, loads, w, allowed_halves(lo, hi))
+            loads[x] = loads.get(x, 0) + w
         return loads, halves
-
-    def _edge_crossings(self, eid: int, placement: dict) -> tuple[list[int], list[int]]:
-        e = self._edges[eid]
-        ss = self.device.slot(placement[e.src])
-        sd = self.device.slot(placement[e.dst])
-        return crossed_die_rows(self.device, ss.y, sd.y), crossed_io_cols(self.device, ss.x, sd.x)
 
     # -- full rebuild --------------------------------------------------------
 
     def refresh(self, placement: dict) -> None:
-        self.crossing = {b.y: [] for b in self.device.die_boundaries}
-        self.reg_groups = {}
+        crossing: dict[int, list[int]] = {y: [] for y in self._caps}
+        route_of = {}
+        regs = {}
         for e in self.graph.edges:
-            if e.kind != "fifo":
-                self.reg_groups[e.index] = 0
+            if e.kind != FIFO:
+                regs[e.index] = 0
                 continue
-            die_rows, io_cols = self._edge_crossings(e.index, placement)
-            for y in die_rows:
-                self.crossing[y].append(e.index)
-            self.reg_groups[e.index] = len(die_rows) + len(io_cols)
+            route = route_of[e.index] = self._route(placement[e.src], placement[e.dst])
+            regs[e.index] = route[3]
+            for y in route[0]:
+                crossing[y].append(e.index)
+        self._route_of = route_of
+        self.reg_groups = regs
+        self.crossing = crossing
         self.boundary_loads = {}
-        self.edge_halves = {e.index: {} for e in self.graph.edges}
-        for y, eids in self.crossing.items():
-            loads, halves = self._fold(y, eids, placement)
-            self.boundary_loads[y] = loads
-            for eid, x in halves.items():
-                self.edge_halves[eid][y] = x
+        self.half_of = {}
+        for y, eids in crossing.items():
+            self.boundary_loads[y], self.half_of[y] = self._fold(y, eids)
 
     # -- incremental rebuild --------------------------------------------------
 
-    def update(self, placement: dict, moved: set) -> dict:
+    def update(self, placement: dict, moved: set) -> None:
         """Re-derive state after the functions in ``moved`` changed slots.
 
-        Only boundaries whose crossing set could have changed are refolded.
-        Returns the register-group delta per affected edge.
+        Only the moved functions' FIFO edges whose route changed are
+        re-examined, and only the boundaries in their old and new die rows
+        are refolded, each from its first changed edge.
         """
-        affected_edges = [
-            e for e in self.graph.edges
-            if e.kind == "fifo" and (e.src in moved or e.dst in moved)
-        ]
-        delta = {}
-        dirty: set[int] = set()
-        for e in affected_edges:
-            for y, eids in self.crossing.items():
-                if e.index in eids:
-                    dirty.add(y)
-            die_rows, io_cols = self._edge_crossings(e.index, placement)
-            dirty.update(die_rows)
-            before = self.reg_groups[e.index]
-            after = len(die_rows) + len(io_cols)
-            self.reg_groups[e.index] = after
-            if before != after:
-                delta[e.index] = {"before": before, "after": after}
-
-        if not dirty:
-            return delta
-
-        affected_ids = {e.index for e in affected_edges}
-        for y in sorted(dirty):
-            eids = [i for i in self.crossing[y] if i not in affected_ids]
-            for e in affected_edges:
-                die_rows, _ = self._edge_crossings(e.index, placement)
-                if y in die_rows:
-                    eids.append(e.index)
-            eids.sort()
-            for old in self.crossing[y]:
-                if old in affected_ids:
-                    self.edge_halves[old].pop(y, None)
-            self.crossing[y] = eids
-            loads, halves = self._fold(y, eids, placement)
-            self.boundary_loads[y] = loads
-            for eid in eids:
-                self.edge_halves[eid][y] = halves[eid]
-            for eid in affected_ids - set(eids):
-                self.edge_halves[eid].pop(y, None)
-        return delta
+        changed = {}
+        for f in moved:
+            for e in self._fifo_of[f]:
+                route = self._route(placement[e.src], placement[e.dst])
+                if route != self._route_of[e.index]:
+                    changed[e.index] = route
+        if not changed:
+            return
+        first: dict[int, int] = {}  # dirty boundary row -> lowest changed edge id
+        entering: dict[int, list[int]] = {}
+        leaving: dict[int, list[int]] = {}
+        for eid, route in changed.items():
+            old_rows, new_rows = self._route_of[eid][0], route[0]
+            for y in old_rows:
+                if y not in new_rows:
+                    leaving.setdefault(y, []).append(eid)
+            for y in new_rows:
+                if y not in old_rows:
+                    entering.setdefault(y, []).append(eid)
+            for y in old_rows + new_rows:
+                first[y] = min(first.get(y, eid), eid)
+        route_of = dict(self._route_of)
+        route_of.update(changed)
+        self._route_of = route_of
+        regs = dict(self.reg_groups)
+        for eid, route in changed.items():
+            regs[eid] = route[3]
+        self.reg_groups = regs
+        if not first:
+            return
+        loads, half_of, crossing = dict(self.boundary_loads), dict(self.half_of), dict(self.crossing)
+        for y, eid in first.items():
+            eids = crossing[y]
+            if y in entering or y in leaving:
+                eids = crossing[y] = sorted(
+                    set(eids).difference(leaving.get(y, ())).union(entering.get(y, ())))
+            loads[y], half_of[y] = self._fold(y, eids, bisect_left(eids, eid), half_of[y])
+        self.boundary_loads, self.half_of, self.crossing = loads, half_of, crossing
 
     # -- queries ---------------------------------------------------------------
 
@@ -175,7 +218,7 @@ class SllState:
         """
         out = []
         for y, loads in sorted(self.boundary_loads.items()):
-            halves = self.device.boundary(y).halves
+            halves = self._caps[y]
             for x, used in sorted(loads.items()):
                 budget = self.device.sll_limit * halves[x]
                 if used > budget + LIMIT_EPS:
@@ -195,23 +238,16 @@ class SllState:
         return sum(self.reg_groups.values())
 
     def snapshot(self) -> tuple:
-        return (
-            {y: dict(l) for y, l in self.boundary_loads.items()},
-            {i: dict(h) for i, h in self.edge_halves.items()},
-            {y: list(e) for y, e in self.crossing.items()},
-            dict(self.reg_groups),
-        )
+        """The current state objects, shared: none is ever changed in place."""
+        return (self.boundary_loads, self.half_of, self.crossing, self.reg_groups, self._route_of)
 
     def restore(self, snap: tuple) -> None:
-        loads, halves, crossing, regs = snap
-        self.boundary_loads = {y: dict(l) for y, l in loads.items()}
-        self.edge_halves = {i: dict(h) for i, h in halves.items()}
-        self.crossing = {y: list(e) for y, e in crossing.items()}
-        self.reg_groups = dict(regs)
+        (self.boundary_loads, self.half_of, self.crossing, self.reg_groups,
+         self._route_of) = snap
 
     def state_fingerprint(self) -> tuple:
         return (
             tuple(sorted((y, tuple(sorted(l.items()))) for y, l in self.boundary_loads.items())),
-            tuple(sorted((i, tuple(sorted(h.items()))) for i, h in self.edge_halves.items() if h)),
+            tuple(sorted((y, tuple(sorted(h.items()))) for y, h in self.half_of.items())),
             tuple(sorted(self.reg_groups.items())),
         )

@@ -263,6 +263,26 @@ def _string_name_rule(doc):
     doc["name_rules"] = ["x"]
 
 
+def _string_function(doc):
+    doc["kernels"][0]["functions"][0] = "A"
+
+
+def _number_edge(doc):
+    doc["edges"][0] = 5
+
+
+def _list_kernel(doc):
+    doc["kernels"][0] = []
+
+
+def _edges_object(doc):
+    doc["edges"] = {"a": 1}
+
+
+def _functions_string(doc):
+    doc["kernels"][0]["functions"] = "AB"
+
+
 MALFORMED = {
     "slot-without-x": ("device", _drop_slot_x, "'x'"),
     "half-without-sll-capacity": ("device", _drop_half_capacity, "'sll_capacity'"),
@@ -270,6 +290,11 @@ MALFORMED = {
     "null-util-limit": ("device", _null_util_limit, "'util_limit'"),
     "loop-without-bound": ("qor", _drop_loop_bound, "'bound'"),
     "name-rule-not-an-object": ("qor", _string_name_rule, "name rule"),
+    "function-not-an-object": ("design", _string_function, "function #0"),
+    "edge-not-an-object": ("design", _number_edge, "edge #0"),
+    "kernel-not-an-object": ("design", _list_kernel, "kernel #0"),
+    "edges-not-a-list": ("design", _edges_object, "'edges'"),
+    "functions-not-a-list": ("design", _functions_string, "'functions'"),
 }
 
 

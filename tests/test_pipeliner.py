@@ -23,6 +23,11 @@ def _grid(width, height, *, sll=1000, io_cols=(), sll_limit=0.9):
         width=width, height=height, sll=sll, io_cols=io_cols, sll_limit=sll_limit))
 
 
+def _rows_of(state, eid):
+    """Boundary rows whose fold assigned edge ``eid`` a half."""
+    return sorted(y for y, halves in state.half_of.items() if eid in halves)
+
+
 def _chain_graph(n, widths, kinds=None):
     names = [f"f{i}" for i in range(n)]
     kinds = kinds or ["fifo"] * (n - 1)
@@ -76,7 +81,7 @@ def test_route_staircase_counts_die_and_io_crossings():
     graph = _chain_graph(2, [8])
     state = recompute_all(dev, graph, {"f0": dev.slot_at(0, 3).id, "f1": dev.slot_at(1, 0).id})
     assert state.reg_groups[0] == 4  # three die rows and one io column
-    assert sorted(state.edge_halves[0]) == [0, 1, 2]
+    assert _rows_of(state, 0) == [0, 1, 2]
     for y in (0, 1, 2):
         assert sum(state.boundary_loads[y].values()) == 8
 
@@ -86,10 +91,10 @@ def test_route_within_one_die_needs_no_sll():
     graph = _chain_graph(2, [8])
     same = recompute_all(dev, graph, {"f0": dev.slot_at(0, 1).id, "f1": dev.slot_at(0, 1).id})
     assert same.reg_groups[0] == 0
-    assert same.edge_halves[0] == {}
+    assert _rows_of(same, 0) == []
     io_only = recompute_all(dev, graph, {"f0": dev.slot_at(0, 1).id, "f1": dev.slot_at(1, 1).id})
     assert io_only.reg_groups[0] == 1
-    assert io_only.edge_halves[0] == {}
+    assert _rows_of(io_only, 0) == []
     assert all(not loads for loads in io_only.boundary_loads.values())
 
 
@@ -110,7 +115,7 @@ def test_route_refuses_ram_edges():
     graph = _chain_graph(2, [32], kinds=["ram"])
     state = recompute_all(dev, graph, {"f0": 0, "f1": 3})  # across die and io
     assert state.reg_groups[0] == 0
-    assert state.edge_halves[0] == {}
+    assert _rows_of(state, 0) == []
     assert state.feasible()
 
 
@@ -127,9 +132,8 @@ def test_colocated_then_moved_edge_gains_register_groups():
     assert state.boundary_loads.get(0, {}) == {}
 
     placement["f1"] = 3  # (x=1, y=1): one die row and one io column away
-    delta = state.update(placement, {"f1"})
-    assert state.reg_groups[0] == 2
-    assert delta[0] == {"before": 0, "after": 2}
+    state.update(placement, {"f1"})
+    assert state.reg_groups == {0: 2}
     assert state.boundary_loads[0] == {0: 12}
     assert state.total_register_groups() == 2
 
@@ -214,3 +218,54 @@ def test_snapshot_restore_round_trip():
     assert state.state_fingerprint() != fp
     state.restore(snap)
     assert state.state_fingerprint() == fp
+
+
+@st.composite
+def _wired_instance(draw):
+    """A device of 1-3 columns and 1-4 rows with some die rows, io columns
+    and zero-capacity halves, and one dataflow kernel of 2-8 functions with
+    random FIFO and RAM edges (self-loops and parallel edges included)."""
+    width, height = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    doc = device_doc(
+        width, height,
+        die_rows=draw(st.lists(st.integers(0, height - 2), unique=True)) if height > 1 else [],
+        io_cols=draw(st.lists(st.integers(0, width - 2), unique=True)) if width > 1 else [],
+    )
+    for boundary in doc["die_boundaries"]:
+        for half in boundary["halves"]:
+            half["sll_capacity"] = draw(st.sampled_from((0, 8, 24, 64)))
+    names = [f"f{i}" for i in range(draw(st.integers(2, 8)))]
+    fn = st.sampled_from(names)
+    edges = draw(st.lists(
+        st.tuples(fn, fn, st.sampled_from(("fifo", "fifo", "ram")), st.sampled_from((1, 4, 8, 16))),
+        max_size=16,
+    ))
+    return device_from_dict(doc), design_from_dict(design_doc([("K", "dataflow", names)], edges))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_wired_instance(), st.data())
+def test_update_snapshot_restore_match_recompute(instance, data):
+    dev, graph = instance
+    names = sorted(graph.functions)
+    slot = st.sampled_from([s.id for s in dev.slots])
+    placement = {f: data.draw(slot) for f in names}
+    state = recompute_all(dev, graph, placement)
+    saved = []  # (snapshot, fingerprint, placement) stack
+    for _ in range(data.draw(st.integers(1, 12))):
+        op = data.draw(st.sampled_from(("move", "move", "snapshot", "restore")))
+        if op == "snapshot":
+            saved.append((state.snapshot(), state.state_fingerprint(), dict(placement)))
+        elif op == "restore" and saved:
+            # any open snapshot, the outer ones after inner updates included
+            snap, fp, at = saved[data.draw(st.integers(0, len(saved) - 1))]
+            state.restore(snap)
+            placement = dict(at)
+            assert state.state_fingerprint() == fp
+        else:
+            moves = data.draw(st.dictionaries(st.sampled_from(names), slot, min_size=1, max_size=3))
+            placement.update(moves)
+            state.update(placement, set(moves))
+        fresh = recompute_all(dev, graph, placement)
+        assert state.state_fingerprint() == fresh.state_fingerprint()
+        assert state.crossing == fresh.crossing
