@@ -18,6 +18,9 @@ from . import __version__, instancegen, oracle, search
 from .floorplan import FloorplanError
 from .model import (
     ModelError,
+    _dict_entry,
+    _entry,
+    _number_entry,
     design_from_dict,
     device_from_dict,
     qor_from_dict,
@@ -48,30 +51,26 @@ def _read_json(path: str) -> dict:
 
 def _load_inputs(args):
     device_doc = _read_json(args.device)
-    if getattr(args, "util_limit", None) is not None:
-        device_doc["util_limit"] = args.util_limit
-    if getattr(args, "sll_limit", None) is not None:
-        device_doc["sll_limit"] = args.sll_limit
+    for key in ("util_limit", "sll_limit"):
+        value = getattr(args, key, None)
+        if value is not None and isinstance(device_doc, dict):
+            device_doc[key] = value
     device = device_from_dict(device_doc)
     graph = design_from_dict(_read_json(args.design))
     lib = qor_from_dict(_read_json(args.qor), graph)
     return device, graph, lib
 
 
-def _field(doc, key: str):
-    """``doc[key]`` of a result document, or a ModelError naming the key."""
-    if not isinstance(doc, dict) or key not in doc:
-        raise ModelError(f"result document has no {key!r} entry")
-    return doc[key]
+RESULT_DOC = "result document"
 
 
 def _load_result(path: str):
     """A result document and the device, design and QoR library it embeds."""
     doc = _read_json(path)
-    inputs = _field(doc, "inputs")
-    device = device_from_dict(_field(inputs, "device"))
-    graph = design_from_dict(_field(inputs, "design"))
-    lib = qor_from_dict(_field(inputs, "qor"), graph)
+    inputs = _entry(doc, "inputs", RESULT_DOC)
+    device = device_from_dict(_entry(inputs, "device", "result 'inputs'"))
+    graph = design_from_dict(_entry(inputs, "design", "result 'inputs'"))
+    lib = qor_from_dict(_entry(inputs, "qor", "result 'inputs'"), graph)
     return doc, device, graph, lib
 
 
@@ -209,23 +208,26 @@ def cmd_optimize(args) -> int:
 
 def cmd_check(args) -> int:
     doc, device, graph, lib = _load_result(args.result)
-    config = _field(doc, "configuration")
+    config = _dict_entry(doc, "configuration", RESULT_DOC)
     validate_configuration(graph, lib, config)
-    placement = {f: int(s) for f, s in _field(doc, "placement").items()}
+    slots = _dict_entry(doc, "placement", RESULT_DOC)
+    placement = {f: _number_entry(slots, f, "result 'placement'") for f in slots}
 
     state = PackState(device, graph, lib, config, placement)
     problems = state.check_legal()
 
     fresh = recompute_all(device, graph, placement)
+    tables = _dict_entry(doc, "sll", RESULT_DOC, {})
     recorded_sll = {
-        int(y): {int(x): used for x, used in table.items()}
-        for y, table in doc.get("sll", {}).items()
+        int(y): {int(x): used for x, used in _dict_entry(tables, y, "result 'sll'").items()}
+        for y in tables
     }
     fresh_sll = {y: dict(loads) for y, loads in fresh.boundary_loads.items()}
     if {y: {x: u for x, u in t.items() if u} for y, t in fresh_sll.items()} != \
        {y: {x: u for x, u in t.items() if u} for y, t in recorded_sll.items()}:
         problems.append("recorded SLL table does not match a recompute from scratch")
-    recorded_regs = {int(i): n for i, n in doc.get("register_groups", {}).items()}
+    recorded_regs = {
+        int(i): n for i, n in _dict_entry(doc, "register_groups", RESULT_DOC, {}).items()}
     fresh_regs = {i: n for i, n in fresh.reg_groups.items() if n}
     if fresh_regs != recorded_regs:
         problems.append("recorded register groups do not match a recompute from scratch")
@@ -258,7 +260,7 @@ def cmd_oracle(args) -> int:
 def cmd_verify_optimal(args) -> int:
     doc, device, graph, lib = _load_result(args.result)
     verdict = oracle.verify_optimal(
-        device, graph, lib, _field(doc, "design_latency"),
+        device, graph, lib, _number_entry(doc, "design_latency", RESULT_DOC),
         sample=args.sample, enum_cap=args.enum_cap, seed=args.seed,
     )
     print(json.dumps(verdict, indent=2))

@@ -14,10 +14,10 @@ from dataclasses import dataclass
 from .model import (
     DesignGraph,
     DeviceModel,
-    LIMIT_EPS,
     NON_DATAFLOW,
     QoRLibrary,
     ResourceVector,
+    fit_budget,
     utilization_ratio,
 )
 
@@ -95,8 +95,7 @@ def _group_fifo_weights(groups: list[Group], graph: DesignGraph) -> dict[tuple[s
 
 
 def _budget(slots, limit: float) -> tuple:
-    cap = ResourceVector.sum(s.capacity for s in slots)
-    return tuple(limit * c + LIMIT_EPS for c in cap.as_tuple())
+    return fit_budget(ResourceVector.sum(s.capacity for s in slots), limit)
 
 
 def _fits_budget(total: ResourceVector, budget: tuple) -> bool:

@@ -374,6 +374,11 @@ def _non_monotone_qor(spec: GenSpec, rng: random.Random, device: dict,
 
 def gen_stress(seed: int, n_functions: int = 400, points_per_template: int = 10) -> tuple:
     """Large mixed instance on the quad device for runtime checks."""
+    if n_functions < 1:
+        raise ValueError(f"a stress instance needs at least one function, got {n_functions}")
+    if points_per_template < 1:
+        raise ValueError(
+            f"a stress instance needs at least one point per template, got {points_per_template}")
     rng = random.Random(seed)
     device = _device_doc("quad")
 

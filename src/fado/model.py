@@ -52,7 +52,7 @@ class ResourceVector:
         return {k: getattr(self, k) for k in RESOURCE_KINDS}
 
     def is_zero(self) -> bool:
-        return all(v == 0 for v in self.as_tuple())
+        return not any(self.as_tuple())
 
     def __add__(self, other: "ResourceVector") -> "ResourceVector":
         return ResourceVector._unchecked((
@@ -119,9 +119,15 @@ def utilization_ratio(used: ResourceVector, capacity: ResourceVector) -> float:
     return max(map(kind_ratio, used.as_tuple(), capacity.as_tuple()))
 
 
+def fit_budget(capacity: ResourceVector, limit: float) -> tuple:
+    """Per-kind ceilings, limit * capacity + LIMIT_EPS: a load fits when no
+    kind exceeds its ceiling.  Every fit test compares against these."""
+    return tuple(limit * c + LIMIT_EPS for c in capacity.as_tuple())
+
+
 def fits_within(used: ResourceVector, capacity: ResourceVector, limit: float) -> bool:
     """True when every resource kind stays at or below limit * capacity."""
-    return all(u <= limit * c + LIMIT_EPS for u, c in zip(used.as_tuple(), capacity.as_tuple()))
+    return all(u <= b for u, b in zip(used.as_tuple(), fit_budget(capacity, limit)))
 
 
 # ---------------------------------------------------------------------------
@@ -225,6 +231,13 @@ def _list_entry(raw, key: str, where: str, default=_REQUIRED) -> list:
     value = _entry(raw, key, where, default)
     if not isinstance(value, (list, tuple)):
         raise ModelError(f"{where}: {key!r} must be a list, got {value!r}")
+    return value
+
+
+def _dict_entry(raw, key: str, where: str, default=_REQUIRED) -> dict:
+    value = _entry(raw, key, where, default)
+    if not isinstance(value, dict):
+        raise ModelError(f"{where}: {key!r} must be an object, got {value!r}")
     return value
 
 

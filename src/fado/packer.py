@@ -14,6 +14,16 @@ one process-wide counter on each mutation and carried by snapshots, so a
 rolled-back state gets its old stamp back and a stamp never names two
 different states.  A repack that moves nothing marks its stamp settled,
 and a repack on a settled stamp returns at once.
+
+A trial costs what it touches.  Each slot's fit budget (``fit_budget``) is
+computed once, and every RAM group's resource vector is kept current as
+points change, so the fit test and the repack schedule re-sum nothing.
+``PackState.trial_move`` applies a trial, asks the routing state whether the
+wires still fit (``SllState.feasible``, which folds only boundaries whose
+total crossing width could overflow a half), and on rejection puts back
+only the entries the trial changed: the members' placements, the touched
+slot loads, the point's configuration entry, the group load, the routing
+snapshot and the stamp.
 """
 
 from __future__ import annotations
@@ -24,12 +34,11 @@ from .floorplan import group_of_map, group_resources, ram_groups
 from .model import (
     DesignGraph,
     DeviceModel,
-    LIMIT_EPS,
     ModelError,
     QoRLibrary,
     RESOURCE_KINDS,
     ResourceVector,
-    fits_within,
+    fit_budget,
     kind_ratio,
     utilization_ratio,
 )
@@ -43,8 +52,10 @@ _stamps = itertools.count()
 class PackState:
     """Mutable aggregate of configuration, placement, loads, and routing.
 
-    Mutate it only through ``apply_point``, ``move_group`` and ``restore``:
-    they keep ``stamp`` naming the state (see the module docstring).
+    Mutate it only through ``apply_point``, ``move_group``,
+    ``trial_move`` and ``restore``: they keep ``stamp`` naming the state and
+    ``group_load`` mapping each RAM group id to its members' summed
+    resources (see the module docstring).
     """
 
     def __init__(self, device: DeviceModel, graph: DesignGraph, lib: QoRLibrary,
@@ -63,10 +74,12 @@ class PackState:
         self.placement = dict(placement)
         self.groups = ram_groups(graph)
         self.group_of = group_of_map(self.groups)
+        self.budget = {s.id: fit_budget(s.capacity, device.util_limit) for s in device.slots}
         self.slot_load = {s.id: ResourceVector.zero() for s in device.slots}
         for f in graph.functions:
             sid = self.placement[f]
             self.slot_load[sid] = self.slot_load[sid] + self.fn_resources(f)
+        self.group_load = {g.gid: group_resources(g, lib, self.config) for g in self.groups}
         self.sll = SllState(device, graph)
         self.sll.refresh(self.placement)
         self.stamp = next(_stamps)
@@ -76,9 +89,6 @@ class PackState:
 
     def fn_resources(self, fn: str) -> ResourceVector:
         return self.lib.point(fn, self.config[fn]).resources
-
-    def group_resources(self, group) -> ResourceVector:
-        return group_resources(group, self.lib, self.config)
 
     def utilization(self, slot_id: int) -> float:
         return utilization_ratio(self.slot_load[slot_id], self.device.slot(slot_id).capacity)
@@ -105,7 +115,9 @@ class PackState:
         new = self.lib.point(fn, point_id).resources
         old = self.fn_resources(fn)
         sid = self.placement[fn]
+        gid = self.group_of[fn].gid
         self.slot_load[sid] = (self.slot_load[sid] - old) + new
+        self.group_load[gid] = (self.group_load[gid] - old) + new
         self.config[fn] = point_id
         self.stamp = next(_stamps)
 
@@ -124,20 +136,50 @@ class PackState:
         self.stamp = next(_stamps)
         self.sll.update(self.placement, moved)
 
+    def trial_move(self, group, dest: int, point: tuple | None = None) -> bool:
+        """Move ``group`` to ``dest``, first applying ``point``, a (member of
+        the group, new point id) pair, when given; keep the result only if
+        every SLL half stays within budget.
+
+        A rejected trial puts back just the entries it changed, so the state
+        ends exactly as it was, stamp included.
+        """
+        placed = {m: self.placement[m] for m in group.members}
+        loads = {sid: self.slot_load[sid] for sid in {dest, *placed.values()}}
+        group_load = self.group_load[group.gid]
+        sll, stamp = self.sll.snapshot(), self.stamp
+        if point:
+            fn, point_id = point
+            old_point = self.config[fn]
+            self.apply_point(fn, point_id)
+        self.move_group(group, dest)
+        if self.sll.feasible():
+            return True
+        self.placement.update(placed)
+        self.slot_load.update(loads)
+        self.group_load[group.gid] = group_load
+        if point:
+            self.config[fn] = old_point
+        self.sll.restore(sll)
+        self.stamp = stamp
+        return False
+
     def snapshot(self) -> tuple:
         return (
             dict(self.config),
             dict(self.placement),
             dict(self.slot_load),
+            dict(self.group_load),
             self.sll.snapshot(),
             self.stamp,
         )
 
     def restore(self, snap: tuple) -> None:
-        config, placement, slot_load, sll_snap, stamp = snap
+        config, placement, slot_load, group_load, sll_snap, stamp = snap
         self.config = dict(config)
         self.placement = dict(placement)
         self.slot_load = dict(slot_load)
+        self.group_load = dict(group_load)
         self.sll.restore(sll_snap)
         self.stamp = stamp
 
@@ -148,11 +190,11 @@ class PackState:
         limit = self.device.util_limit
         for s in self.device.slots:
             load = self.slot_load[s.id]
-            for kind, u, c in zip(RESOURCE_KINDS, load.as_tuple(), s.capacity.as_tuple()):
-                budget = limit * c
-                if u > budget + LIMIT_EPS:
+            for kind, u, c, ceiling in zip(RESOURCE_KINDS, load.as_tuple(),
+                                           s.capacity.as_tuple(), self.budget[s.id]):
+                if u > ceiling:
                     report.append(
-                        f"slot {s.id}: {kind} usage {u} exceeds budget {budget:.1f}"
+                        f"slot {s.id}: {kind} usage {u} exceeds budget {limit * c:.1f}"
                         f" (capacity {c} at limit {limit})"
                     )
         for g in self.groups:
@@ -167,8 +209,13 @@ class PackState:
         return report
 
 
-def _fits_slot(state: PackState, slot_id: int, load: ResourceVector) -> bool:
-    return fits_within(load, state.device.slot(slot_id).capacity, state.device.util_limit)
+def _fits_slot(state: PackState, slot_id: int, extra: tuple) -> bool:
+    """True when the slot's load plus ``extra`` (per-kind counts, possibly
+    negative) stays within the slot's fit budget."""
+    for u, e, b in zip(state.slot_load[slot_id].as_tuple(), extra, state.budget[slot_id]):
+        if u + e > b:
+            return False
+    return True
 
 
 def _candidate_slots(state: PackState, exclude: int, extra: ResourceVector) -> list[int]:
@@ -218,30 +265,23 @@ def online_pack(state: PackState, targets: dict, allow_moves: bool = True) -> tu
     for fn in order:
         pid = targets[fn]
         new = state.lib.point(fn, pid).resources
+        old = state.fn_resources(fn)
         sid = state.placement[fn]
-        post = (state.slot_load[sid] - state.fn_resources(fn)) + new
-        if _fits_slot(state, sid, post):
+        if _fits_slot(state, sid, tuple(n - o for n, o in zip(new.as_tuple(), old.as_tuple()))):
             state.apply_point(fn, pid)
             continue
         if not allow_moves:
             state.restore(snap)
             return False, []
         group = state.group_of[fn]
-        group_extra = ResourceVector.sum(
-            new if m == fn else state.fn_resources(m) for m in group.members
-        )
+        group_extra = (state.group_load[group.gid] - old) + new
+        extra = group_extra.as_tuple()
         placed = False
         for dest in _candidate_slots(state, sid, group_extra):
-            if not _fits_slot(state, dest, state.slot_load[dest] + group_extra):
-                continue
-            trial = state.snapshot()
-            state.apply_point(fn, pid)
-            state.move_group(group, dest)
-            if state.sll.feasible():
+            if _fits_slot(state, dest, extra) and state.trial_move(group, dest, (fn, pid)):
                 moves.extend((m, sid, dest) for m in group.members)
                 placed = True
                 break
-            state.restore(trial)
         if not placed:
             state.restore(snap)
             return False, []
@@ -265,36 +305,29 @@ def offline_repack(state: PackState, trials: list | None = None) -> list:
     if state.stamp == state.settled_stamp:
         return []
     ranks = sorted(state.device.slots, key=lambda s: (-state.utilization(s.id), s.id))
-    group_res = {g.gid: state.group_resources(g) for g in state.groups if not g.pinned}
+    group_load = state.group_load
     moves: list[tuple[str, int, int]] = []
     for m in range(1, len(ranks)):
         src = ranks[m]
         movable = sorted(
             (g for g in state.groups_on(src.id) if not g.pinned),
-            key=lambda g: (-utilization_ratio(group_res[g.gid], src.capacity), g.gid),
+            key=lambda g: (-utilization_ratio(group_load[g.gid], src.capacity), g.gid),
         )
         for g in movable:
-            gres = group_res[g.gid]
+            extra = group_load[g.gid].as_tuple()
             for dest in ranks[:m]:
-                record = {"group": g.gid, "src": src.id, "dst": dest.id}
                 if state.slot_load[dest.id].is_zero():
-                    if trials is not None:
-                        trials.append({**record, "outcome": "cancelled"})
-                    continue
-                if not _fits_slot(state, dest.id, state.slot_load[dest.id] + gres):
-                    if trials is not None:
-                        trials.append({**record, "outcome": "rejected"})
-                    continue
-                snap = state.snapshot()
-                state.move_group(g, dest.id)
-                if state.sll.feasible():
-                    if trials is not None:
-                        trials.append({**record, "outcome": "moved"})
+                    outcome = "cancelled"
+                elif _fits_slot(state, dest.id, extra) and state.trial_move(g, dest.id):
+                    outcome = "moved"
+                else:
+                    outcome = "rejected"
+                if trials is not None:
+                    trials.append({"group": g.gid, "src": src.id, "dst": dest.id,
+                                   "outcome": outcome})
+                if outcome == "moved":
                     moves.extend((fn, src.id, dest.id) for fn in g.members)
                     break
-                state.restore(snap)
-                if trials is not None:
-                    trials.append({**record, "outcome": "rejected"})
     if not moves:
         state.settled_stamp = state.stamp
     return moves

@@ -14,18 +14,29 @@ recompute, which the packer relies on when it trials and rolls back moves.
 The state costs what a move changes, not what the design holds.  Each die
 boundary owns three fold results: its loads, its ``{edge id: half}`` map
 and its sorted crossing list.  They are replaced whole, never changed in
-place, so ``snapshot`` and ``restore`` share them by reference.  ``update``
+place, and so are the per-boundary total widths and pending marks below,
+so ``snapshot`` and ``restore`` share them all by reference.  ``update``
 re-examines only the FIFO edges of the moved functions and marks dirty only
-the boundaries in their old and new die rows.  A dirty boundary is refolded
-from the first edge whose presence or column span changed: a fold choice
-depends only on the edges before it in canonical order and on the edge's
-own column span, so the earlier prefix replays its recorded halves and
-lands exactly where a full fold would.
+the boundaries in their old and new die rows.  It does not fold: it keeps
+each boundary's crossing list and total crossing width current and records
+a dirty boundary's first changed edge.  A fold choice depends only on the
+edges before it in canonical order and on the edge's own column span, so a
+pending boundary is later refolded from that first edge, the earlier
+prefix replaying its recorded halves, and lands exactly where a full fold
+would.
+
+The fold is deferred until something needs it.  ``feasible`` passes a
+boundary unfolded when its total crossing width is at most ``sll_limit``
+times its smallest half capacity: no half can then hold more than its
+budget, whatever the fold chooses (a zero-capacity half makes that bound
+fail unless nothing crosses).  Only the other boundaries are folded and
+checked.  ``boundary_loads``, ``half_of``, ``over_budget`` and
+``state_fingerprint`` fold every pending boundary first.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, insort
 
 from .model import FIFO, DesignGraph, DeviceModel, LIMIT_EPS, kind_ratio
 
@@ -83,7 +94,8 @@ class SllState:
     docstring): ``boundary_loads`` maps a boundary row to ``{half: wires}``,
     ``half_of`` maps it to ``{edge id: half}``, ``crossing`` to its crossing
     edge ids in ascending order, and ``reg_groups`` maps every edge id to
-    its register-group count.
+    its register-group count.  ``boundary_loads`` and ``half_of`` fold the
+    pending boundaries before they answer.
     """
 
     def __init__(self, device: DeviceModel, graph: DesignGraph):
@@ -96,12 +108,30 @@ class SllState:
                 self._fifo_of[e.src].append(e)
                 self._fifo_of[e.dst].append(e)
         self._caps = {b.y: b.halves for b in device.die_boundaries}
+        # A boundary whose crossing edges total at most this many wires
+        # cannot overflow any half, however the fold splits them.
+        self._width_bound = {
+            y: device.sll_limit * min(halves.values()) + LIMIT_EPS
+            for y, halves in self._caps.items()
+        }
         self._routes: dict[tuple, tuple] = {}  # slot pair -> route, filled on first use
-        self.boundary_loads: dict[int, dict[int, int]] = {}
-        self.half_of: dict[int, dict[int, int]] = {}
+        self._loads: dict[int, dict[int, int]] = {}
+        self._half_of: dict[int, dict[int, int]] = {}
         self.crossing: dict[int, list[int]] = {}
+        self._total: dict[int, int] = {}  # boundary row -> total crossing width
+        self._pending: dict[int, int] = {}  # unfolded boundary row -> first changed edge id
         self.reg_groups: dict[int, int] = {}
         self._route_of: dict[int, tuple] = {}  # FIFO edge id -> its route
+
+    @property
+    def boundary_loads(self) -> dict[int, dict[int, int]]:
+        self._settle()
+        return self._loads
+
+    @property
+    def half_of(self) -> dict[int, dict[int, int]]:
+        self._settle()
+        return self._half_of
 
     # -- core fold ---------------------------------------------------------
 
@@ -139,6 +169,20 @@ class SllState:
             loads[x] = loads.get(x, 0) + w
         return loads, halves
 
+    def _settle(self, rows=None) -> None:
+        """Fold the pending boundaries among ``rows`` (all of them when
+        None), each from its first changed edge."""
+        pending = self._pending
+        rows = list(pending) if rows is None else [y for y in rows if y in pending]
+        if not rows:
+            return
+        loads, half_of = dict(self._loads), dict(self._half_of)
+        for y in rows:
+            eids = self.crossing[y]
+            loads[y], half_of[y] = self._fold(y, eids, bisect_left(eids, pending[y]), half_of[y])
+        self._loads, self._half_of = loads, half_of
+        self._pending = {y: eid for y, eid in pending.items() if y not in rows}
+
     # -- full rebuild --------------------------------------------------------
 
     def refresh(self, placement: dict) -> None:
@@ -156,10 +200,12 @@ class SllState:
         self._route_of = route_of
         self.reg_groups = regs
         self.crossing = crossing
-        self.boundary_loads = {}
-        self.half_of = {}
+        self._total = {y: sum(self._width[eid] for eid in eids) for y, eids in crossing.items()}
+        self._pending = {}
+        self._loads = {}
+        self._half_of = {}
         for y, eids in crossing.items():
-            self.boundary_loads[y], self.half_of[y] = self._fold(y, eids)
+            self._loads[y], self._half_of[y] = self._fold(y, eids)
 
     # -- incremental rebuild --------------------------------------------------
 
@@ -167,8 +213,10 @@ class SllState:
         """Re-derive state after the functions in ``moved`` changed slots.
 
         Only the moved functions' FIFO edges whose route changed are
-        re-examined, and only the boundaries in their old and new die rows
-        are refolded, each from its first changed edge.
+        re-examined.  The boundaries in their old and new die rows get their
+        crossing lists and total widths updated and become pending, each
+        remembering its first changed edge; the fold itself waits until a
+        query needs it.
         """
         changed = {}
         for f in moved:
@@ -200,30 +248,38 @@ class SllState:
         self.reg_groups = regs
         if not first:
             return
-        loads, half_of, crossing = dict(self.boundary_loads), dict(self.half_of), dict(self.crossing)
+        width = self._width
+        crossing, total, pending = dict(self.crossing), dict(self._total), dict(self._pending)
         for y, eid in first.items():
-            eids = crossing[y]
             if y in entering or y in leaving:
-                eids = crossing[y] = sorted(
-                    set(eids).difference(leaving.get(y, ())).union(entering.get(y, ())))
-            loads[y], half_of[y] = self._fold(y, eids, bisect_left(eids, eid), half_of[y])
-        self.boundary_loads, self.half_of, self.crossing = loads, half_of, crossing
+                eids = crossing[y] = list(crossing[y])
+                for e in leaving.get(y, ()):
+                    del eids[bisect_left(eids, e)]
+                    total[y] -= width[e]
+                for e in entering.get(y, ()):
+                    insort(eids, e)
+                    total[y] += width[e]
+            pending[y] = min(pending.get(y, eid), eid)
+        self.crossing, self._total, self._pending = crossing, total, pending
 
     # -- queries ---------------------------------------------------------------
+
+    def _over(self, y: int) -> list[tuple[int, int, int, float]]:
+        halves, limit = self._caps[y], self.device.sll_limit
+        out = []
+        for x, used in sorted(self._loads[y].items()):
+            budget = limit * halves[x]
+            if used > budget + LIMIT_EPS:
+                out.append((y, x, used, budget))
+        return out
 
     def over_budget(self) -> list[tuple[int, int, int, float]]:
         """Halves whose wire load exceeds the SLL budget, in (y, x) order.
 
         Each entry is (boundary y, half x, wires used, budget).
         """
-        out = []
-        for y, loads in sorted(self.boundary_loads.items()):
-            halves = self._caps[y]
-            for x, used in sorted(loads.items()):
-                budget = self.device.sll_limit * halves[x]
-                if used > budget + LIMIT_EPS:
-                    out.append((y, x, used, budget))
-        return out
+        self._settle()
+        return [over for y in sorted(self._loads) for over in self._over(y)]
 
     def violations(self) -> list[str]:
         return [
@@ -232,18 +288,29 @@ class SllState:
         ]
 
     def feasible(self) -> bool:
-        return not self.over_budget()
+        """True when no half is over budget.
+
+        A boundary whose total crossing width is within its width bound
+        passes unfolded; only the others are folded, if pending, and checked.
+        """
+        total, bound = self._total, self._width_bound
+        wide = [y for y in self._caps if total.get(y, 0) > bound[y]]
+        if not wide:
+            return True
+        self._settle(wide)
+        return not any(self._over(y) for y in wide)
 
     def total_register_groups(self) -> int:
         return sum(self.reg_groups.values())
 
     def snapshot(self) -> tuple:
         """The current state objects, shared: none is ever changed in place."""
-        return (self.boundary_loads, self.half_of, self.crossing, self.reg_groups, self._route_of)
+        return (self._loads, self._half_of, self.crossing, self._total, self._pending,
+                self.reg_groups, self._route_of)
 
     def restore(self, snap: tuple) -> None:
-        (self.boundary_loads, self.half_of, self.crossing, self.reg_groups,
-         self._route_of) = snap
+        (self._loads, self._half_of, self.crossing, self._total, self._pending,
+         self.reg_groups, self._route_of) = snap
 
     def state_fingerprint(self) -> tuple:
         return (

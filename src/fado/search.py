@@ -175,13 +175,15 @@ def run(
     cap = iter_cap if iter_cap is not None else 10 * len(graph.functions)
 
     initial_placement = dict(placement)
+    # Only an accepted target vector changes the configuration, so the map
+    # is kept current from those alone.
+    latencies = {f: lib.point(f, state.config[f]).latency for f in graph.functions}
     excluded: set = set()
     trace: list[TraceRow] = []
     it = 0
     cap_reached = False
 
     while True:
-        latencies = {f: lib.point(f, state.config[f]).latency for f in graph.functions}
         sel = select_bottleneck(latencies, excluded)
         if sel is None:
             break
@@ -257,6 +259,8 @@ def run(
 
         if stage == STAGE_EXCLUDED:
             excluded.update(batch)
+        for f, pid in accepted.items():
+            latencies[f] = lib.point(f, pid).latency
 
         row = TraceRow(
             iteration=it,

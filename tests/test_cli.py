@@ -329,3 +329,74 @@ def test_result_embedding_a_malformed_document_is_a_usage_error(
     capsys.readouterr()
     assert main([command, "--result", str(path)]) == 1
     _assert_one_line_error(capsys, needle)
+
+
+def _placement_list(doc):
+    doc["placement"] = sorted(doc["placement"])
+
+
+def _null_placement_slot(doc):
+    doc["placement"]["A"] = None
+
+
+def _configuration_list(doc):
+    doc["configuration"] = sorted(doc["configuration"])
+
+
+def _sll_list(doc):
+    doc["sll"] = []
+
+
+def _sll_table_number(doc):
+    doc["sll"]["0"] = 5
+
+
+def _register_groups_string(doc):
+    doc["register_groups"] = "x"
+
+
+def _string_design_latency(doc):
+    doc["design_latency"] = "fast"
+
+
+# Damage to the result document itself: (command reading the entry, damage, needle)
+MALFORMED_RESULT = {
+    "placement-not-an-object": ("check", _placement_list, "'placement'"),
+    "placement-slot-null": ("check", _null_placement_slot, "'A'"),
+    "configuration-not-an-object": ("check", _configuration_list, "'configuration'"),
+    "sll-not-an-object": ("check", _sll_list, "'sll'"),
+    "sll-table-not-an-object": ("check", _sll_table_number, "'0'"),
+    "register-groups-not-an-object": ("check", _register_groups_string, "'register_groups'"),
+    "design-latency-not-a-number": ("verify-optimal", _string_design_latency, "'design_latency'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_RESULT))
+def test_malformed_result_entry_is_a_usage_error(toy_files, tmp_path, capsys, case):
+    command, damage, needle = MALFORMED_RESULT[case]
+    _, run_dir = _optimize(toy_files, tmp_path)
+    path = run_dir / "result.json"
+    doc = json.loads(path.read_text())
+    damage(doc)
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main([command, "--result", str(path)]) == 1
+    _assert_one_line_error(capsys, needle)
+
+
+def test_limit_override_on_a_device_list_is_a_usage_error(toy_files, tmp_path, capsys):
+    (toy_files / "device.json").write_text("[1, 2]")
+    code, _ = _optimize(toy_files, tmp_path, "--util-limit", "0.5")
+    assert code == 1
+    _assert_one_line_error(capsys, "device document must be an object")
+
+
+@pytest.mark.parametrize("flag, count, needle", [
+    ("--functions", "0", "at least one function"),
+    ("--functions", "-3", "at least one function"),
+    ("--points", "0", "at least one point"),
+])
+def test_gen_stress_with_a_count_below_one_is_a_usage_error(tmp_path, capsys, flag, count, needle):
+    args = ["gen", "--preset", "stress", flag, count, "--out", str(tmp_path)]
+    assert main(args) == 1
+    _assert_one_line_error(capsys, needle)

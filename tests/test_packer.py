@@ -3,8 +3,10 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fado.floorplan import min_cut_initial
+from fado.floorplan import group_resources, min_cut_initial
 from fado.model import (
     RESOURCE_KINDS,
     ModelError,
@@ -20,6 +22,7 @@ from fado.packer import (
     offline_repack,
     online_pack,
 )
+from fado.pipeliner import recompute_all
 
 from helpers import design_doc, device_doc, parse, qor_doc, template_doc
 
@@ -337,3 +340,83 @@ def test_restore_then_diverge_still_repacks():
     trials: list = []
     assert offline_repack(state, trials) == [("F31", 2, 0)]
     assert trials
+
+
+# ---------------------------------------------------------------------------
+# Trials, kept group loads and rollback
+
+
+@st.composite
+def _pack_instance(draw):
+    """A 2x2 device (one die row, one io column) whose boundary halves get
+    0, 8, 24 or 64 wires, and one kernel of 2-6 functions with random FIFO
+    and RAM edges and three points each; slots are large enough that only
+    wires can reject a trial.  Each RAM group starts on one random slot."""
+    doc = device_doc(width=2, height=2, io_cols=(0,), util_limit=1.0)
+    for half in doc["die_boundaries"][0]["halves"]:
+        half["sll_capacity"] = draw(st.sampled_from((0, 8, 24, 64)))
+    names = [f"f{i}" for i in range(draw(st.integers(2, 6)))]
+    fn = st.sampled_from(names)
+    edges = draw(st.lists(
+        st.tuples(fn, fn, st.sampled_from(("fifo", "fifo", "ram")), st.sampled_from((4, 8, 16))),
+        max_size=10,
+    ))
+    amount = st.integers(0, 40)
+    qor = qor_doc({
+        f"t_{n}": template_doc([
+            (pid, lat, {"lut": draw(amount), "dsp": draw(amount), "bram": draw(amount)})
+            for pid, lat in (("baseline", 30), ("p1", 20), ("p2", 10))
+        ])
+        for n in names
+    })
+    device, graph, lib = parse(doc, design_doc([("K", "dataflow", names)], edges), qor)
+    state = PackState(device, graph, lib, baseline_configuration(graph),
+                      {n: 0 for n in names})
+    for g in state.groups:
+        state.move_group(g, draw(st.sampled_from([s.id for s in device.slots])))
+    return state
+
+
+def _entries(state):
+    return (dict(state.config), dict(state.placement), dict(state.slot_load),
+            dict(state.group_load), state.stamp)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_pack_instance(), st.data())
+def test_trials_roll_back_exactly_and_group_loads_stay_current(state, data):
+    device, graph, lib = state.device, state.graph, state.lib
+    slot = st.sampled_from([s.id for s in device.slots])
+    group = st.sampled_from(state.groups)
+    point = st.sampled_from(("baseline", "p1", "p2"))
+    saved = []
+    for _ in range(data.draw(st.integers(1, 12))):
+        op = data.draw(st.sampled_from(("point", "move", "trial", "trial", "snapshot", "restore")))
+        if op == "point":
+            state.apply_point(data.draw(st.sampled_from(sorted(graph.functions))), data.draw(point))
+        elif op == "move":
+            state.move_group(data.draw(group), data.draw(slot))
+        elif op == "snapshot":
+            saved.append(state.snapshot())
+        elif op == "restore" and saved:
+            state.restore(saved[data.draw(st.integers(0, len(saved) - 1))])
+        elif op == "trial":
+            g = data.draw(group)
+            change = None
+            if data.draw(st.booleans()):
+                change = (data.draw(st.sampled_from(g.members)), data.draw(point))
+            before = _entries(state)
+            wires = recompute_all(device, graph, state.placement).state_fingerprint()
+            if not state.trial_move(g, data.draw(slot), change):
+                assert _entries(state) == before
+                assert state.sll.state_fingerprint() == wires
+        assert state.group_load == {
+            g.gid: group_resources(g, lib, state.config) for g in state.groups}
+        loads = {s.id: ResourceVector.zero() for s in device.slots}
+        for f, sid in state.placement.items():
+            loads[sid] = loads[sid] + lib.point(f, state.config[f]).resources
+        assert state.slot_load == loads
+        fresh = recompute_all(device, graph, state.placement)
+        assert state.sll.feasible() == (not fresh.over_budget())
+        if data.draw(st.booleans()):
+            assert state.sll.state_fingerprint() == fresh.state_fingerprint()
