@@ -19,6 +19,7 @@ from .model import (
     ResourceVector,
     fit_budget,
     utilization_ratio,
+    within_budget,
 )
 
 log = logging.getLogger(__name__)
@@ -98,10 +99,6 @@ def _budget(slots, limit: float) -> tuple:
     return fit_budget(ResourceVector.sum(s.capacity for s in slots), limit)
 
 
-def _fits_budget(total: ResourceVector, budget: tuple) -> bool:
-    return all(u <= b for u, b in zip(total.as_tuple(), budget))
-
-
 def _split_region(slots) -> tuple[list, list]:
     ys = sorted({s.y for s in slots})
     if len(ys) > 1:
@@ -129,7 +126,7 @@ def _greedy_split(units, sizes, weights, budget_a, budget_b, cap_a, cap_b):
     for u in order:
         choices = []
         for s in (0, 1):
-            if _fits_budget(load[s] + sizes[u], budgets[s]):
+            if within_budget(load[s].as_tuple(), budgets[s], sizes[u].as_tuple()):
                 choices.append((utilization_ratio(load[s] + sizes[u], caps[s]), s))
         if not choices:
             return None
@@ -144,7 +141,7 @@ def _greedy_split(units, sizes, weights, budget_a, budget_b, cap_a, cap_b):
         for u in order:
             s = side[u]
             t = 1 - s
-            if not _fits_budget(load[t] + sizes[u], budgets[t]):
+            if not within_budget(load[t].as_tuple(), budgets[t], sizes[u].as_tuple()):
                 continue
             gain = 0
             for (a, b), w in weights.items():
@@ -204,7 +201,7 @@ def _exact_split(units, sizes, weights, budget_a, budget_b, cap_a, cap_b):
         for s in (0, 1):
             budget = budget_a if s == 0 else budget_b
             new_load = load[s] + sizes[u]
-            if not _fits_budget(new_load, budget):
+            if not within_budget(new_load.as_tuple(), budget):
                 continue
             added = 0
             for other, w in touching[u]:
@@ -300,7 +297,7 @@ def balanced_initial(
             choices = []
             for s in device.slots:
                 new = load[s.id] + sizes[g.gid]
-                if _fits_budget(new, _budget([s], limit)):
+                if within_budget(new.as_tuple(), _budget([s], limit)):
                     choices.append((utilization_ratio(load[s.id], s.capacity), s.id))
             if not choices:
                 return None

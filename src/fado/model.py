@@ -121,13 +121,29 @@ def utilization_ratio(used: ResourceVector, capacity: ResourceVector) -> float:
 
 def fit_budget(capacity: ResourceVector, limit: float) -> tuple:
     """Per-kind ceilings, limit * capacity + LIMIT_EPS: a load fits when no
-    kind exceeds its ceiling.  Every fit test compares against these."""
+    kind exceeds its ceiling (see ``within_budget``)."""
     return tuple(limit * c + LIMIT_EPS for c in capacity.as_tuple())
+
+
+_NO_EXTRA = (0,) * len(RESOURCE_KINDS)
+
+
+def within_budget(counts: tuple, budget: tuple, extra: tuple = _NO_EXTRA) -> bool:
+    """True when each kind's count plus its ``extra`` (per-kind, possibly
+    negative) stays at or below its ceiling in ``budget``.
+
+    This is the one fit comparison: every fit test and legality check in
+    the package goes through it.
+    """
+    for u, e, b in zip(counts, extra, budget):
+        if u + e > b:
+            return False
+    return True
 
 
 def fits_within(used: ResourceVector, capacity: ResourceVector, limit: float) -> bool:
     """True when every resource kind stays at or below limit * capacity."""
-    return all(u <= b for u, b in zip(used.as_tuple(), fit_budget(capacity, limit)))
+    return within_budget(used.as_tuple(), fit_budget(capacity, limit))
 
 
 # ---------------------------------------------------------------------------

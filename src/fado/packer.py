@@ -16,8 +16,9 @@ different states.  A repack that moves nothing marks its stamp settled,
 and a repack on a settled stamp returns at once.
 
 A trial costs what it touches.  Each slot's fit budget (``fit_budget``) is
-computed once, and every RAM group's resource vector is kept current as
-points change, so the fit test and the repack schedule re-sum nothing.
+computed once and compared through ``within_budget``, and every RAM group's
+resource vector is kept current as points change, so the fit test and the
+repack schedule re-sum nothing.
 ``PackState.trial_move`` applies a trial, asks the routing state whether the
 wires still fit (``SllState.feasible``, which folds only boundaries whose
 total crossing width could overflow a half), and on rejection puts back
@@ -41,6 +42,7 @@ from .model import (
     fit_budget,
     kind_ratio,
     utilization_ratio,
+    within_budget,
 )
 from .pipeliner import SllState
 
@@ -192,7 +194,7 @@ class PackState:
             load = self.slot_load[s.id]
             for kind, u, c, ceiling in zip(RESOURCE_KINDS, load.as_tuple(),
                                            s.capacity.as_tuple(), self.budget[s.id]):
-                if u > ceiling:
+                if not within_budget((u,), (ceiling,)):
                     report.append(
                         f"slot {s.id}: {kind} usage {u} exceeds budget {limit * c:.1f}"
                         f" (capacity {c} at limit {limit})"
@@ -212,10 +214,7 @@ class PackState:
 def _fits_slot(state: PackState, slot_id: int, extra: tuple) -> bool:
     """True when the slot's load plus ``extra`` (per-kind counts, possibly
     negative) stays within the slot's fit budget."""
-    for u, e, b in zip(state.slot_load[slot_id].as_tuple(), extra, state.budget[slot_id]):
-        if u + e > b:
-            return False
-    return True
+    return within_budget(state.slot_load[slot_id].as_tuple(), state.budget[slot_id], extra)
 
 
 def _candidate_slots(state: PackState, exclude: int, extra: ResourceVector) -> list[int]:

@@ -13,12 +13,14 @@ from fado.model import (
     design_from_dict,
     design_latency,
     device_from_dict,
+    fit_budget,
     fits_within,
     function_latencies,
     kernel_latencies,
     qor_from_dict,
     utilization_ratio,
     validate_configuration,
+    within_budget,
 )
 
 from helpers import design_doc, device_doc, qor_doc, template_doc
@@ -80,6 +82,18 @@ def test_fits_within_allows_exact_budget():
     assert fits_within(ResourceVector(lut=107172), big, 0.65)
     assert not fits_within(ResourceVector(lut=107173), big, 0.65)
     assert LIMIT_EPS < 1
+
+
+def test_within_budget_adds_the_extra_per_kind():
+    budget = fit_budget(ResourceVector(lut=100, ff=10), 0.7)
+    load = ResourceVector(lut=60, ff=7).as_tuple()
+    assert within_budget(load, budget)
+    extra = ResourceVector(lut=10).as_tuple()
+    assert within_budget(load, budget, extra)
+    assert not within_budget(load, budget, ResourceVector(lut=11).as_tuple())
+    # a negative extra frees room, in its own kind only
+    assert within_budget((0, 0, 8, 71, 0), budget, (0, 0, -1, -1, 0))
+    assert not within_budget(load, budget, (0, 0, 1, -60, 0))
 
 
 # ---------------------------------------------------------------------------
