@@ -19,12 +19,16 @@ A trial costs what it touches.  Each slot's fit budget (``fit_budget``) is
 computed once and compared through ``within_budget``, and every RAM group's
 resource vector is kept current as points change, so the fit test and the
 repack schedule re-sum nothing.
-``PackState.trial_move`` applies a trial, asks the routing state whether the
-wires still fit (``SllState.feasible``, which folds only boundaries whose
-total crossing width could overflow a half), and on rejection puts back
-only the entries the trial changed: the members' placements, the touched
-slot loads, the point's configuration entry, the group load, the routing
-snapshot and the stamp.
+``PackState.trial_move`` first asks the routing state whether the move's
+route changes would push some die boundary's total crossing width past the
+sum of its half budgets (``SllState.rejects``); then no fold could fit the
+wires, and the trial is refused before anything is applied.  Otherwise it
+applies the point and the move and asks ``SllState.feasible``, which
+decides most boundaries from the same reject bound and a per-half accept
+bound and folds only the boundaries left in doubt, stopping at the first
+half over budget.  On rejection it puts back only the entries the trial
+changed: the members' placements, the touched slot loads, the point's
+configuration entry, the group load, the routing snapshot and the stamp.
 """
 
 from __future__ import annotations
@@ -143,10 +147,14 @@ class PackState:
         the group, new point id) pair, when given; keep the result only if
         every SLL half stays within budget.
 
-        A rejected trial puts back just the entries it changed, so the state
-        ends exactly as it was, stamp included.
+        A move that the wires' reject bound rules out (``SllState.rejects``)
+        is refused before anything changes; any other rejected trial puts
+        back just the entries it changed.  Either way the state ends exactly
+        as it was, stamp included.
         """
         placed = {m: self.placement[m] for m in group.members}
+        if self.sll.rejects(self.placement, {m: dest for m, sid in placed.items() if sid != dest}):
+            return False
         loads = {sid: self.slot_load[sid] for sid in {dest, *placed.values()}}
         group_load = self.group_load[group.gid]
         sll, stamp = self.sll.snapshot(), self.stamp
@@ -312,10 +320,14 @@ def offline_repack(state: PackState, trials: list | None = None) -> list:
             (g for g in state.groups_on(src.id) if not g.pinned),
             key=lambda g: (-utilization_ratio(group_load[g.gid], src.capacity), g.gid),
         )
+        # No trial targets an empty slot and a move only adds load to its
+        # destination, so which fuller slots are empty stays fixed while
+        # this slot's groups are tried.
+        empty = {dest.id for dest in ranks[:m] if state.slot_load[dest.id].is_zero()}
         for g in movable:
             extra = group_load[g.gid].as_tuple()
             for dest in ranks[:m]:
-                if state.slot_load[dest.id].is_zero():
+                if dest.id in empty:
                     outcome = "cancelled"
                 elif _fits_slot(state, dest.id, extra) and state.trial_move(g, dest.id):
                     outcome = "moved"

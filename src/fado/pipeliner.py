@@ -25,18 +25,35 @@ pending boundary is later refolded from that first edge, the earlier
 prefix replaying its recorded halves, and lands exactly where a full fold
 would.
 
-The fold is deferred until something needs it.  ``feasible`` passes a
-boundary unfolded when its total crossing width is at most ``sll_limit``
-times its smallest half capacity: no half can then hold more than its
-budget, whatever the fold chooses (a zero-capacity half makes that bound
-fail unless nothing crosses).  Only the other boundaries are folded and
-checked.  ``boundary_loads``, ``half_of``, ``over_budget`` and
-``state_fingerprint`` fold every pending boundary first.
+The fold is deferred until something needs it, and most questions are
+decided without it.  Besides its total crossing width, ``update`` keeps for
+each boundary the width of the crossing edges whose column span contains
+each half (its span widths), replaced whole like the rest.  A half's budget
+is ``sll_limit`` times its capacity plus ``LIMIT_EPS``, and the fold puts
+every edge on one column of its span, so two bounds are exact for any fold:
+
+- reject: a total above the sum of the half budgets (each rounded down to
+  whole wires) must overflow some half;
+- accept: when every half's span width is within its budget, no fold can
+  overflow any half (a zero-capacity half's budget is ``LIMIT_EPS``, so
+  any edge spanning it defeats the bound).
+
+``feasible`` first checks every boundary against both bounds and folds only
+the boundaries left in doubt, one at a time, returning False at the first
+one over budget.  Such a fold stops at the first edge it puts on a half
+past its budget; a stopped fold is not stored, so the boundary stays
+pending.  A completed fold is stored and still checked, since its replayed
+prefix may already be over.  ``rejects`` asks the reject bound about a
+move before it is made, through the same route-change rule as ``update``,
+so a doomed trial changes nothing.  ``boundary_loads``, ``half_of``,
+``over_budget`` and ``state_fingerprint`` fold every pending boundary first.
 """
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left, insort
+from operator import add, gt
 
 from .model import FIFO, DesignGraph, DeviceModel, LIMIT_EPS, kind_ratio
 
@@ -93,8 +110,9 @@ class SllState:
     included, is replaced rather than changed in place (see the module
     docstring): ``boundary_loads`` maps a boundary row to ``{half: wires}``,
     ``half_of`` maps it to ``{edge id: half}``, ``crossing`` to its crossing
-    edge ids in ascending order, and ``reg_groups`` maps every edge id to
-    its register-group count.  ``boundary_loads`` and ``half_of`` fold the
+    edge ids in ascending order, ``span_width`` to a list giving, per column,
+    the total width of the crossing edges whose column span contains it,
+    and ``reg_groups`` maps every edge id to its register-group count.  ``boundary_loads`` and ``half_of`` fold the
     pending boundaries before they answer.
     """
 
@@ -107,18 +125,24 @@ class SllState:
             if e.kind == FIFO:
                 self._fifo_of[e.src].append(e)
                 self._fifo_of[e.dst].append(e)
+        # A move can add at most its functions' FIFO widths to any boundary.
+        self._reach = {f: sum(e.width for e in edges) for f, edges in self._fifo_of.items()}
         self._caps = {b.y: b.halves for b in device.die_boundaries}
-        # A boundary whose crossing edges total at most this many wires
-        # cannot overflow any half, however the fold splits them.
-        self._width_bound = {
-            y: device.sll_limit * min(halves.values()) + LIMIT_EPS
+        self._budget = {  # boundary row -> per-column half budgets
+            y: [device.sll_limit * halves[x] + LIMIT_EPS for x in range(device.width)]
             for y, halves in self._caps.items()
+        }
+        # Loads are whole wires, so a half holds at most floor(budget) of
+        # them: a boundary whose total exceeds the sum overflows some half.
+        self._reject_bound = {
+            y: sum(map(math.floor, budget)) for y, budget in self._budget.items()
         }
         self._routes: dict[tuple, tuple] = {}  # slot pair -> route, filled on first use
         self._loads: dict[int, dict[int, int]] = {}
         self._half_of: dict[int, dict[int, int]] = {}
         self.crossing: dict[int, list[int]] = {}
         self._total: dict[int, int] = {}  # boundary row -> total crossing width
+        self.span_width: dict[int, list[int]] = {}
         self._pending: dict[int, int] = {}  # unfolded boundary row -> first changed edge id
         self.reg_groups: dict[int, int] = {}
         self._route_of: dict[int, tuple] = {}  # FIFO edge id -> its route
@@ -147,14 +171,17 @@ class SllState:
         return route
 
     def _fold(self, y: int, edge_ids: list[int], start: int = 0,
-              prev: dict | None = None) -> tuple[dict, dict]:
+              prev: dict | None = None, stop: bool = False) -> tuple[dict, dict] | None:
         """Fold boundary y's crossing list into fresh (loads, halves) dicts.
 
         The first ``start`` edges take the halves recorded in ``prev``; the
         rest are chosen by ``choose_half``, except that an edge spanning one
-        column takes that column.
+        column takes that column.  With ``stop``, the fold gives up and
+        returns None at the first chosen edge that puts its half over
+        budget; the replayed prefix is not checked.
         """
         caps = self._caps[y]
+        budget = self._budget[y]
         width = self._width
         loads: dict[int, int] = {}
         halves: dict[int, int] = {}
@@ -166,29 +193,37 @@ class SllState:
             _, lo, hi, _ = route_of[eid]
             w = width[eid]
             x = halves[eid] = lo if lo == hi else choose_half(caps, loads, w, allowed_halves(lo, hi))
-            loads[x] = loads.get(x, 0) + w
+            load = loads[x] = loads.get(x, 0) + w
+            if stop and load > budget[x]:
+                return None
         return loads, halves
 
-    def _settle(self, rows=None) -> None:
-        """Fold the pending boundaries among ``rows`` (all of them when
-        None), each from its first changed edge."""
-        pending = self._pending
-        rows = list(pending) if rows is None else [y for y in rows if y in pending]
-        if not rows:
-            return
-        loads, half_of = dict(self._loads), dict(self._half_of)
-        for y in rows:
-            eids = self.crossing[y]
-            loads[y], half_of[y] = self._fold(y, eids, bisect_left(eids, pending[y]), half_of[y])
-        self._loads, self._half_of = loads, half_of
-        self._pending = {y: eid for y, eid in pending.items() if y not in rows}
+    def _fold_pending(self, y: int, stop: bool = False) -> bool:
+        """Fold pending boundary y from its first changed edge and store the
+        result.  A fold that stops (see ``_fold``) stores nothing and leaves
+        the boundary pending; then the answer is False."""
+        eids = self.crossing[y]
+        folded = self._fold(y, eids, bisect_left(eids, self._pending[y]), self._half_of[y], stop)
+        if folded is None:
+            return False
+        self._loads = {**self._loads, y: folded[0]}
+        self._half_of = {**self._half_of, y: folded[1]}
+        self._pending = {r: eid for r, eid in self._pending.items() if r != y}
+        return True
+
+    def _settle(self) -> None:
+        """Fold every pending boundary."""
+        for y in list(self._pending):
+            self._fold_pending(y)
 
     # -- full rebuild --------------------------------------------------------
 
     def refresh(self, placement: dict) -> None:
         crossing: dict[int, list[int]] = {y: [] for y in self._caps}
+        span = {y: [0] * self.device.width for y in self._caps}
         route_of = {}
         regs = {}
+        width = self._width
         for e in self.graph.edges:
             if e.kind != FIFO:
                 regs[e.index] = 0
@@ -197,10 +232,13 @@ class SllState:
             regs[e.index] = route[3]
             for y in route[0]:
                 crossing[y].append(e.index)
+                for x in allowed_halves(route[1], route[2]):
+                    span[y][x] += width[e.index]
         self._route_of = route_of
         self.reg_groups = regs
         self.crossing = crossing
-        self._total = {y: sum(self._width[eid] for eid in eids) for y, eids in crossing.items()}
+        self._total = {y: sum(width[eid] for eid in eids) for y, eids in crossing.items()}
+        self.span_width = span
         self._pending = {}
         self._loads = {}
         self._half_of = {}
@@ -209,36 +247,60 @@ class SllState:
 
     # -- incremental rebuild --------------------------------------------------
 
+    def _route_changes(self, placement: dict, moved: dict) -> dict[int, tuple]:
+        """``{edge id: new route}`` for the FIFO edges of the functions in
+        ``moved`` whose route differs from the recorded one.  ``moved`` maps
+        each moved function to its slot; every other function stays where
+        ``placement`` puts it."""
+        changed = {}
+        route_of = self._route_of
+        for f in moved:
+            for e in self._fifo_of[f]:
+                route = self._route(moved.get(e.src, placement[e.src]),
+                                    moved.get(e.dst, placement[e.dst]))
+                if route != route_of[e.index]:
+                    changed[e.index] = route
+        return changed
+
     def update(self, placement: dict, moved: set) -> None:
         """Re-derive state after the functions in ``moved`` changed slots.
 
         Only the moved functions' FIFO edges whose route changed are
-        re-examined.  The boundaries in their old and new die rows get their
-        crossing lists and total widths updated and become pending, each
-        remembering its first changed edge; the fold itself waits until a
-        query needs it.
+        re-examined.  A boundary that such an edge enters or leaves, or keeps
+        crossing over another column span, gets its crossing list, total
+        width and span widths updated and becomes pending, remembering its
+        first changed edge; the fold itself waits until a query needs it.
         """
-        changed = {}
-        for f in moved:
-            for e in self._fifo_of[f]:
-                route = self._route(placement[e.src], placement[e.dst])
-                if route != self._route_of[e.index]:
-                    changed[e.index] = route
+        changed = self._route_changes(placement, {f: placement[f] for f in moved})
         if not changed:
             return
+        width = self._width
         first: dict[int, int] = {}  # dirty boundary row -> lowest changed edge id
         entering: dict[int, list[int]] = {}
         leaving: dict[int, list[int]] = {}
+        spans: dict[int, list[int]] = {}  # dirty boundary row -> span width change
         for eid, route in changed.items():
-            old_rows, new_rows = self._route_of[eid][0], route[0]
-            for y in old_rows:
-                if y not in new_rows:
+            old = self._route_of[eid]
+            w = width[eid]
+            same_span = old[1] == route[1] and old[2] == route[2]
+            for y in old[0]:
+                if y not in route[0]:
                     leaving.setdefault(y, []).append(eid)
-            for y in new_rows:
-                if y not in old_rows:
-                    entering.setdefault(y, []).append(eid)
-            for y in old_rows + new_rows:
+                elif same_span:
+                    continue  # still crossing y over the same columns
                 first[y] = min(first.get(y, eid), eid)
+                delta = spans.setdefault(y, [0] * self.device.width)
+                for x in allowed_halves(old[1], old[2]):
+                    delta[x] -= w
+            for y in route[0]:
+                if y not in old[0]:
+                    entering.setdefault(y, []).append(eid)
+                elif same_span:
+                    continue
+                first[y] = min(first.get(y, eid), eid)
+                delta = spans.setdefault(y, [0] * self.device.width)
+                for x in allowed_halves(route[1], route[2]):
+                    delta[x] += w
         route_of = dict(self._route_of)
         route_of.update(changed)
         self._route_of = route_of
@@ -248,8 +310,8 @@ class SllState:
         self.reg_groups = regs
         if not first:
             return
-        width = self._width
         crossing, total, pending = dict(self.crossing), dict(self._total), dict(self._pending)
+        span_width = dict(self.span_width)
         for y, eid in first.items():
             if y in entering or y in leaving:
                 eids = crossing[y] = list(crossing[y])
@@ -259,19 +321,17 @@ class SllState:
                 for e in entering.get(y, ()):
                     insort(eids, e)
                     total[y] += width[e]
+            span_width[y] = list(map(add, span_width[y], spans[y]))
             pending[y] = min(pending.get(y, eid), eid)
         self.crossing, self._total, self._pending = crossing, total, pending
+        self.span_width = span_width
 
     # -- queries ---------------------------------------------------------------
 
     def _over(self, y: int) -> list[tuple[int, int, int, float]]:
-        halves, limit = self._caps[y], self.device.sll_limit
-        out = []
-        for x, used in sorted(self._loads[y].items()):
-            budget = limit * halves[x]
-            if used > budget + LIMIT_EPS:
-                out.append((y, x, used, budget))
-        return out
+        halves, budget, limit = self._caps[y], self._budget[y], self.device.sll_limit
+        return [(y, x, used, limit * halves[x])
+                for x, used in sorted(self._loads[y].items()) if used > budget[x]]
 
     def over_budget(self) -> list[tuple[int, int, int, float]]:
         """Halves whose wire load exceeds the SLL budget, in (y, x) order.
@@ -287,30 +347,55 @@ class SllState:
             for y, x, used, budget in self.over_budget()
         ]
 
+    def rejects(self, placement: dict, moved: dict) -> bool:
+        """True when moving the functions in ``moved`` (``{function: slot}``)
+        would put some boundary's total crossing width over its reject bound,
+        so the move cannot be feasible.  Changes nothing."""
+        total, bound = self._total, self._reject_bound
+        reach = sum(self._reach[f] for f in moved)
+        if all(total[y] + reach <= bound[y] for y in total):
+            return False
+        width, route_of = self._width, self._route_of
+        delta: dict[int, int] = {}  # boundary row -> change of its total width
+        for eid, route in self._route_changes(placement, moved).items():
+            for y in route_of[eid][0]:
+                delta[y] = delta.get(y, 0) - width[eid]
+            for y in route[0]:
+                delta[y] = delta.get(y, 0) + width[eid]
+        return any(total[y] + d > bound[y] for y, d in delta.items())
+
     def feasible(self) -> bool:
         """True when no half is over budget.
 
-        A boundary whose total crossing width is within its width bound
-        passes unfolded; only the others are folded, if pending, and checked.
+        Every boundary is first checked against the reject and accept
+        bounds (see the module docstring); only the boundaries left in doubt
+        are folded, if pending, and checked, one at a time.
         """
-        total, bound = self._total, self._width_bound
-        wide = [y for y in self._caps if total.get(y, 0) > bound[y]]
-        if not wide:
-            return True
-        self._settle(wide)
-        return not any(self._over(y) for y in wide)
+        budget, span_width, bound = self._budget, self.span_width, self._reject_bound
+        doubt = []
+        for y, total in self._total.items():
+            if total > bound[y]:
+                return False
+            if any(map(gt, span_width[y], budget[y])):
+                doubt.append(y)
+        for y in doubt:
+            if y in self._pending and not self._fold_pending(y, stop=True):
+                return False
+            if self._over(y):
+                return False
+        return True
 
     def total_register_groups(self) -> int:
         return sum(self.reg_groups.values())
 
     def snapshot(self) -> tuple:
         """The current state objects, shared: none is ever changed in place."""
-        return (self._loads, self._half_of, self.crossing, self._total, self._pending,
-                self.reg_groups, self._route_of)
+        return (self._loads, self._half_of, self.crossing, self._total, self.span_width,
+                self._pending, self.reg_groups, self._route_of)
 
     def restore(self, snap: tuple) -> None:
-        (self._loads, self._half_of, self.crossing, self._total, self._pending,
-         self.reg_groups, self._route_of) = snap
+        (self._loads, self._half_of, self.crossing, self._total, self.span_width,
+         self._pending, self.reg_groups, self._route_of) = snap
 
     def state_fingerprint(self) -> tuple:
         return (

@@ -164,12 +164,11 @@ def run(
         raise ValueError(f"unknown initial floorplan strategy {initial!r}")
 
     state = PackState(device, graph, lib, config, placement)
+    # A boundary over its wire budget fails every trial until it is fixed,
+    # and in-place point changes never touch wires, so it would survive.
     issues = state.check_legal()
-    hard = [v for v in issues if not v.startswith("boundary")]
-    if hard:
-        raise FloorplanError("initial floorplan illegal: " + "; ".join(hard))
-    for v in issues:
-        log.warning("initial floorplan: %s", v)
+    if issues:
+        raise FloorplanError("initial floorplan illegal: " + "; ".join(issues))
 
     n = lookahead_n if lookahead_n is not None else compute_lookahead_N(lib, graph, lookahead_mode)
     cap = iter_cap if iter_cap is not None else 10 * len(graph.functions)

@@ -35,6 +35,11 @@ def device_doc(width=1, height=2, *, cap=None, sll=1000, util_limit=0.65,
     }
 
 
+def slot_at(device, x, y):
+    """The slot of ``device`` at column x, row y."""
+    return next(s for s in device.slots if (s.x, s.y) == (x, y))
+
+
 def design_doc(kernels, edges=()):
     """kernels: (name, kind, [fn names]) triples; edges: (src, dst, kind, width)."""
     return {

@@ -8,7 +8,7 @@ import pytest
 
 from fado.cli import main
 
-from helpers import design_doc, device_doc, qor_doc, template_doc
+from helpers import design_doc, device_doc, qor_doc, stress_grid, template_doc
 
 
 @pytest.fixture
@@ -108,6 +108,39 @@ def test_optimize_util_limit_override_can_make_the_start_infeasible(
     code, _ = _optimize(toy_files, tmp_path, "--util-limit", "0.3")
     assert code == 2
     assert "infeasible" in capsys.readouterr().err
+
+
+def _write_inputs(out, device, design, qor):
+    out.mkdir(parents=True)
+    for name, doc in (("device", device), ("design", design), ("qor", qor)):
+        (out / f"{name}.json").write_text(json.dumps(doc))
+    return out
+
+
+def test_optimize_exits_zero_only_with_a_result_check_accepts(tmp_path, capsys):
+    # 60-function designs on a 2x4 grid with 50-wire halves: some min-cut
+    # starts and every balanced start put a die boundary over its budget
+    codes = set()
+    for seed in range(1, 6):
+        inputs = _write_inputs(tmp_path / f"in{seed}", *stress_grid(seed, 60, 4, sll=50))
+        for initial in ("mincut", "balanced"):
+            code, run_dir = _optimize(inputs, tmp_path / f"{seed}-{initial}", "--initial", initial)
+            if code == 0:
+                assert main(["check", "--result", str(run_dir / "result.json")]) == 0
+            else:
+                assert code == 2
+            codes.add((initial, code))
+    assert codes == {("mincut", 0), ("mincut", 2), ("balanced", 2)}
+
+
+def test_optimize_refuses_a_wire_illegal_start_in_one_line(tmp_path, capsys):
+    inputs = _write_inputs(tmp_path / "in", *stress_grid(1, 200, 10, sll=400))
+    capsys.readouterr()
+    code, _ = _optimize(inputs, tmp_path, "--initial", "balanced")
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("infeasible: initial floorplan illegal: boundary y=")
+    assert len(err.strip().splitlines()) == 1
 
 
 def test_check_accepts_a_fresh_result(toy_files, tmp_path, capsys):

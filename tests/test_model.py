@@ -23,7 +23,7 @@ from fado.model import (
     within_budget,
 )
 
-from helpers import design_doc, device_doc, qor_doc, template_doc
+from helpers import design_doc, device_doc, qor_doc, slot_at, template_doc
 
 
 # ---------------------------------------------------------------------------
@@ -105,7 +105,7 @@ def test_device_round_trip():
     dev = device_from_dict(doc)
     again = device_from_dict(dev.to_dict())
     assert again.to_dict() == dev.to_dict()
-    assert dev.slot_at(1, 1).id == 3
+    assert slot_at(dev, 1, 1).id == 3
     assert dev.boundary(0).halves == {0: 5000, 1: 5000}
     assert dev.io_boundaries == [0]
 

@@ -25,7 +25,7 @@ from fado.oracle import (
     verify_optimal,
 )
 
-from helpers import design_doc, device_doc, parse, qor_doc, template_doc
+from helpers import design_doc, device_doc, parse, qor_doc, slot_at, template_doc
 
 
 # ---------------------------------------------------------------------------
@@ -61,8 +61,8 @@ def test_exact_half_assignment_beats_the_greedy_fold():
         design, qor)
     placement = {}
     for i in range(5):
-        placement[f"s{i}"] = device.slot_at(0, 0).id
-        placement[f"d{i}"] = device.slot_at(1, 1).id
+        placement[f"s{i}"] = slot_at(device, 0, 0).id
+        placement[f"d{i}"] = slot_at(device, 1, 1).id
     assert not _sll_feasible(device, graph, placement, exact_fallback=False)
     assert _sll_feasible(device, graph, placement, exact_fallback=True)
 

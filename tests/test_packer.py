@@ -405,9 +405,13 @@ def test_trials_roll_back_exactly_and_group_loads_stay_current(state, data):
             change = None
             if data.draw(st.booleans()):
                 change = (data.draw(st.sampled_from(g.members)), data.draw(point))
+            dest = data.draw(slot)
             before = _entries(state)
             wires = recompute_all(device, graph, state.placement).state_fingerprint()
-            if not state.trial_move(g, data.draw(slot), change):
+            after = {**state.placement, **{m: dest for m in g.members}}
+            fits = not recompute_all(device, graph, after).over_budget()
+            assert state.trial_move(g, dest, change) == fits
+            if not fits:
                 assert _entries(state) == before
                 assert state.sll.state_fingerprint() == wires
         assert state.group_load == {
@@ -420,3 +424,30 @@ def test_trials_roll_back_exactly_and_group_loads_stay_current(state, data):
         assert state.sll.feasible() == (not fresh.over_budget())
         if data.draw(st.booleans()):
             assert state.sll.state_fingerprint() == fresh.state_fingerprint()
+
+
+def _one_column_state(edges):
+    """Functions a, b, c on slot 0 of a 1x2 device with 9-wire half budgets."""
+    design = design_doc([("K", "dataflow", ["a", "b", "c"])], edges)
+    qor = qor_doc({t: template_doc([("baseline", 5, {"lut": 10}), ("p1", 4, {"lut": 20})])
+                   for t in ("t_a", "t_b", "t_c")})
+    device, graph, lib = parse(device_doc(sll=10), design, qor)
+    return PackState(device, graph, lib, baseline_configuration(graph), {"a": 0, "b": 0, "c": 0})
+
+
+def test_a_move_past_the_reject_bound_is_refused_before_it_is_applied(monkeypatch):
+    state = _one_column_state([("a", "b", "fifo", 16)])  # 16 wires can never cross
+    before, wires = _entries(state), state.sll.snapshot()
+    for name in ("update", "feasible"):
+        monkeypatch.setattr(state.sll, name, lambda *a: pytest.fail("the move was applied"))
+    assert not state.trial_move(state.group_of["b"], 1, ("b", "p1"))
+    assert _entries(state) == before
+    assert all(now is then for now, then in zip(state.sll.snapshot(), wires))
+
+
+def test_a_move_that_fills_the_reject_bound_exactly_is_applied():
+    # b and c share RAM and move together, so their 4-wire FIFO never
+    # crosses; only a->b's 9 wires do, exactly the 9-wire budget
+    state = _one_column_state([("a", "b", "fifo", 9), ("b", "c", "ram", 1), ("b", "c", "fifo", 4)])
+    assert state.trial_move(state.group_of["b"], 1)
+    assert state.sll.boundary_loads[0] == {0: 9}

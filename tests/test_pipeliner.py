@@ -15,7 +15,7 @@ from fado.pipeliner import (
     recompute_all,
 )
 
-from helpers import design_doc, device_doc
+from helpers import design_doc, device_doc, slot_at
 
 
 def _grid(width, height, *, sll=1000, io_cols=(), sll_limit=0.9):
@@ -79,7 +79,7 @@ def test_choose_half_min_ratio_then_lower_column():
 def test_route_staircase_counts_die_and_io_crossings():
     dev = _grid(2, 4, io_cols=[0])
     graph = _chain_graph(2, [8])
-    state = recompute_all(dev, graph, {"f0": dev.slot_at(0, 3).id, "f1": dev.slot_at(1, 0).id})
+    state = recompute_all(dev, graph, {"f0": slot_at(dev, 0, 3).id, "f1": slot_at(dev, 1, 0).id})
     assert state.reg_groups[0] == 4  # three die rows and one io column
     assert _rows_of(state, 0) == [0, 1, 2]
     for y in (0, 1, 2):
@@ -89,10 +89,10 @@ def test_route_staircase_counts_die_and_io_crossings():
 def test_route_within_one_die_needs_no_sll():
     dev = _grid(2, 4, io_cols=[0])
     graph = _chain_graph(2, [8])
-    same = recompute_all(dev, graph, {"f0": dev.slot_at(0, 1).id, "f1": dev.slot_at(0, 1).id})
+    same = recompute_all(dev, graph, {"f0": slot_at(dev, 0, 1).id, "f1": slot_at(dev, 0, 1).id})
     assert same.reg_groups[0] == 0
     assert _rows_of(same, 0) == []
-    io_only = recompute_all(dev, graph, {"f0": dev.slot_at(0, 1).id, "f1": dev.slot_at(1, 1).id})
+    io_only = recompute_all(dev, graph, {"f0": slot_at(dev, 0, 1).id, "f1": slot_at(dev, 1, 1).id})
     assert io_only.reg_groups[0] == 1
     assert _rows_of(io_only, 0) == []
     assert all(not loads for loads in io_only.boundary_loads.values())
@@ -243,6 +243,19 @@ def _wired_instance(draw):
     return device_from_dict(doc), design_from_dict(design_doc([("K", "dataflow", names)], edges))
 
 
+def _span_widths(dev, graph, placement):
+    """Reference span widths from slot coordinates: each FIFO edge adds its
+    width, on every die row it crosses, to every column between its ends."""
+    spans = {b.y: [0] * dev.width for b in dev.die_boundaries}
+    for e in graph.fifo_edges():
+        s, d = dev.slot(placement[e.src]), dev.slot(placement[e.dst])
+        for y, span in spans.items():
+            if min(s.y, d.y) <= y < max(s.y, d.y):
+                for x in range(min(s.x, d.x), max(s.x, d.x) + 1):
+                    span[x] += e.width
+    return spans
+
+
 def _pending_fingerprint(state):
     """The state's fingerprint, read without keeping the fold it forces:
     pending boundaries stay pending, so later steps still meet them."""
@@ -276,6 +289,7 @@ def test_update_snapshot_restore_match_recompute(instance, data):
             placement.update(moves)
             state.update(placement, set(moves))
         fresh = recompute_all(dev, graph, placement)
+        assert state.span_width == fresh.span_width == _span_widths(dev, graph, placement)
         # feasible() first, while boundaries may still be pending
         assert state.feasible() == (not fresh.over_budget())
         assert state.crossing == fresh.crossing
@@ -289,17 +303,70 @@ def test_width_bound_fails_on_a_zero_capacity_half():
     doc["die_boundaries"][0]["halves"][0]["sll_capacity"] = 0
     dev = device_from_dict(doc)
     graph = _chain_graph(2, [8])
-    placement = {"f0": dev.slot_at(1, 0).id, "f1": dev.slot_at(1, 1).id}
+    placement = {"f0": slot_at(dev, 1, 0).id, "f1": slot_at(dev, 1, 1).id}
     state = recompute_all(dev, graph, placement)
     assert state.feasible()  # 8 wires in column 1, well under its 90
-    # the move leaves the boundary pending; 8 wires are under every nonzero
-    # half's budget, but the column-0 half cannot take a single one
-    placement.update(f0=dev.slot_at(0, 0).id, f1=dev.slot_at(0, 1).id)
+    # the move leaves the boundary pending; 8 wires are within the reject
+    # bound, but they span only the column-0 half, which cannot take a
+    # single one, so the accept bound fails and the fold finds it over
+    placement.update(f0=slot_at(dev, 0, 0).id, f1=slot_at(dev, 0, 1).id)
     state.update(placement, {"f0", "f1"})
     assert not state.feasible()
     assert state.over_budget() == [(0, 0, 8, 0.0)]
     # nothing crossing passes even with the zero-capacity half
-    placement["f1"] = dev.slot_at(0, 0).id
+    placement["f1"] = slot_at(dev, 0, 0).id
     state.update(placement, {"f1"})
     assert state.feasible()
     assert state.boundary_loads[0] == {}
+
+
+def _pairs_graph(widths):
+    """Edges s<i> -> d<i> of the given widths, in that index order."""
+    names = [f"{end}{i}" for i in range(len(widths)) for end in "sd"]
+    return design_from_dict(design_doc(
+        [("K", "dataflow", names)],
+        [(f"s{i}", f"d{i}", "fifo", w) for i, w in enumerate(widths)],
+    ))
+
+
+def test_a_completed_fold_still_checks_its_replayed_prefix():
+    # 2x2 grid, 9-wire half budgets: edge 0 already holds 16 wires in
+    # column 0; edge 1 then enters across both columns and the fold, which
+    # replays edge 0 and chooses only edge 1, puts it on column 1 and fits
+    dev = _grid(2, 2, sll=10)
+    graph = _pairs_graph([16, 1])
+    placement = {"s0": 0, "d0": 2, "s1": 0, "d1": 0}
+    state = recompute_all(dev, graph, placement)
+    placement["d1"] = 3
+    state.update(placement, {"d1"})
+    assert not state.feasible()
+    assert state.boundary_loads[0] == {0: 16, 1: 1}
+
+
+def test_a_stopped_fold_is_not_stored():
+    # 18-wire half budgets: edge 0 takes column 0, edge 1 column 1, and
+    # edge 2 (column 0 only) busts column 0, so the fold stops before edge 3
+    dev = _grid(2, 2, sll=20)
+    graph = _pairs_graph([10, 10, 9, 1])
+    placement = {"s0": 0, "s1": 0, "s2": 0, "s3": 1, "d0": 0, "d1": 0, "d2": 0, "d3": 1}
+    state = recompute_all(dev, graph, placement)
+    placement.update(d0=2, d1=3, d2=2, d3=3)
+    state.update(placement, {"d0", "d1", "d2", "d3"})
+    assert not state.feasible()
+    assert state.boundary_loads[0] == {0: 19, 1: 11}
+    assert state.state_fingerprint() == recompute_all(dev, graph, placement).state_fingerprint()
+
+
+def test_the_accept_bound_is_per_half():
+    # a 90-wire and a 9-wire half: 10 wires in column 1 are within the
+    # larger budget and the reject bound, but not within their own half's
+    doc = device_doc(width=2, height=2, sll=100)
+    doc["die_boundaries"][0]["halves"][1]["sll_capacity"] = 10
+    dev = device_from_dict(doc)
+    graph = _pairs_graph([10])
+    placement = {"s0": 1, "d0": 1}
+    state = recompute_all(dev, graph, placement)
+    placement["d0"] = 3
+    state.update(placement, {"d0"})
+    assert not state.feasible()
+    assert state.over_budget() == [(0, 1, 10, 9.0)]
