@@ -312,7 +312,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("optimize", help="run the co-optimization loop")
     add_inputs(sp)
     sp.add_argument("--out", required=True, help="output directory")
-    sp.add_argument("--initial", choices=("mincut", "balanced"), default="mincut")
+    sp.add_argument("--initial", choices=("mincut", "balanced"), default="mincut",
+                    help="initial floorplan; balanced ignores die-boundary wire"
+                         " budgets, so where they are tight it starts wire-illegal"
+                         " and optimize exits 2")
     sp.add_argument("--freeze-floorplan", action="store_true",
                     help="directive search only; no packing moves")
     sp.add_argument("--util-limit", type=float, default=None)

@@ -112,6 +112,15 @@ def _split_region(slots) -> tuple[list, list]:
     return side_a, side_b
 
 
+def _touching(units, weights) -> dict[str, list]:
+    """Each unit's (neighbour, FIFO width) pairs under ``weights``."""
+    touching: dict[str, list] = {u: [] for u in units}
+    for (a, b), w in weights.items():
+        touching[a].append((b, w))
+        touching[b].append((a, w))
+    return touching
+
+
 def _greedy_split(units, sizes, weights, budget_a, budget_b, cap_a, cap_b):
     """Balance-driven split with cut-reducing refinement passes.
 
@@ -136,6 +145,7 @@ def _greedy_split(units, sizes, weights, budget_a, budget_b, cap_a, cap_b):
     def cut_of(assign):
         return sum(w for (a, b), w in weights.items() if assign[a] != assign[b])
 
+    touching = _touching(order, weights)
     for _ in range(REFINE_PASSES):
         improved = False
         for u in order:
@@ -144,10 +154,7 @@ def _greedy_split(units, sizes, weights, budget_a, budget_b, cap_a, cap_b):
             if not within_budget(load[t].as_tuple(), budgets[t], sizes[u].as_tuple()):
                 continue
             gain = 0
-            for (a, b), w in weights.items():
-                if a != u and b != u:
-                    continue
-                other = b if a == u else a
+            for other, w in touching[u]:
                 gain += w if side[other] == t else -w
             if gain > 0:
                 side[u] = t
@@ -168,10 +175,7 @@ def _exact_split(units, sizes, weights, budget_a, budget_b, cap_a, cap_b):
     trips (caller falls back to the greedy split).
     """
     order = sorted(units, key=lambda u: (-max(sizes[u].as_tuple()), u))
-    touching: dict[str, list] = {u: [] for u in order}
-    for (a, b), w in weights.items():
-        touching[a].append((b, w))
-        touching[b].append((a, w))
+    touching = _touching(order, weights)
 
     best: dict = {"cut": None, "side": None, "gap": None, "vec": None}
     nodes = 0
@@ -237,7 +241,8 @@ def _bisect(slots, units, sizes, weights, limit, placement):
     cap_a = ResourceVector.sum(s.capacity for s in side_a)
     cap_b = ResourceVector.sum(s.capacity for s in side_b)
 
-    local = {k: w for k, w in weights.items() if k[0] in units and k[1] in units}
+    members = set(units)
+    local = {k: w for k, w in weights.items() if k[0] in members and k[1] in members}
     result = None
     if sum(local.values()) > 0 and len(units) <= EXACT_BISECTION_LIMIT:
         result = _exact_split(units, sizes, local, budget_a, budget_b, cap_a, cap_b)

@@ -15,6 +15,13 @@ rolled-back state gets its old stamp back and a stamp never names two
 different states.  A repack that moves nothing marks its stamp settled,
 and a repack on a settled stamp returns at once.
 
+A repack that does run tests only what could move.  It buckets the unpinned
+groups by slot once, and gives each source slot a fit floor, the per-kind
+minimum of its groups' loads: a fuller slot that fails the floor can take
+none of them, since destination loads only grow during the source's turn,
+so its trials there are recorded as rejected without a fit test, and a
+source with no fuller slot left open is skipped (see ``offline_repack``).
+
 A trial costs what it touches.  Each slot's fit budget (``fit_budget``) is
 computed once and compared through ``within_budget``, and every RAM group's
 resource vector is kept current as points change, so the fit test and the
@@ -111,9 +118,6 @@ class PackState:
             ),
             default=0.0,
         )
-
-    def groups_on(self, slot_id: int) -> list:
-        return [g for g in self.groups if self.placement[g.members[0]] == slot_id]
 
     # -- mutation ------------------------------------------------------------
 
@@ -305,6 +309,19 @@ def offline_repack(state: PackState, trials: list | None = None) -> list:
     there cannot compact anything.  Pinned groups (those holding a function
     outside any dataflow region) stay put.
 
+    The schedule skips work whose answer is already known, with the same
+    moves and trial records as testing every pair:
+
+    - Unpinned groups are bucketed by slot once per repack.  A source's
+      bucket is still exact when its turn comes, since sources go in rank
+      order and moves only enter fuller, already visited slots.
+    - A source's fit floor is the per-kind minimum of its groups' loads.
+      While its groups are tried, only they move, and only into fuller
+      slots, so destination loads only grow: once a fuller slot is empty or
+      fails the floor, every remaining group of the source is rejected
+      there without a fit test.  When no fuller slot is open the source is
+      skipped; its groups are sorted only to record their trials.
+
     A repack that moves nothing marks the state's stamp settled; called
     again on that stamp it returns ``[]`` at once and records no trials,
     since the schedule would replay exactly.
@@ -313,23 +330,38 @@ def offline_repack(state: PackState, trials: list | None = None) -> list:
         return []
     ranks = sorted(state.device.slots, key=lambda s: (-state.utilization(s.id), s.id))
     group_load = state.group_load
+    buckets: dict[int, list] = {s.id: [] for s in ranks}
+    for g in state.groups:
+        if not g.pinned:
+            buckets[state.placement[g.members[0]]].append(g)
     moves: list[tuple[str, int, int]] = []
     for m in range(1, len(ranks)):
-        src = ranks[m]
-        movable = sorted(
-            (g for g in state.groups_on(src.id) if not g.pinned),
-            key=lambda g: (-utilization_ratio(group_load[g.gid], src.capacity), g.gid),
-        )
+        src, fuller = ranks[m], ranks[:m]
+        movable = buckets[src.id]
+        if not movable:
+            continue
+        floor = tuple(map(min, zip(*(group_load[g.gid].as_tuple() for g in movable))))
         # No trial targets an empty slot and a move only adds load to its
         # destination, so which fuller slots are empty stays fixed while
         # this slot's groups are tried.
-        empty = {dest.id for dest in ranks[:m] if state.slot_load[dest.id].is_zero()}
+        empty = {dest.id for dest in fuller if state.slot_load[dest.id].is_zero()}
+        open_ = {dest.id for dest in fuller
+                 if dest.id not in empty and _fits_slot(state, dest.id, floor)}
+        if not open_ and trials is None:
+            continue
+        movable = sorted(
+            movable,
+            key=lambda g: (-utilization_ratio(group_load[g.gid], src.capacity), g.gid),
+        )
         for g in movable:
+            if not open_ and trials is None:
+                break
             extra = group_load[g.gid].as_tuple()
-            for dest in ranks[:m]:
+            for dest in fuller:
                 if dest.id in empty:
                     outcome = "cancelled"
-                elif _fits_slot(state, dest.id, extra) and state.trial_move(g, dest.id):
+                elif (dest.id in open_ and _fits_slot(state, dest.id, extra)
+                      and state.trial_move(g, dest.id)):
                     outcome = "moved"
                 else:
                     outcome = "rejected"
@@ -338,6 +370,8 @@ def offline_repack(state: PackState, trials: list | None = None) -> list:
                                    "outcome": outcome})
                 if outcome == "moved":
                     moves.extend((fn, src.id, dest.id) for fn in g.members)
+                    if not _fits_slot(state, dest.id, floor):
+                        open_.discard(dest.id)
                     break
     if not moves:
         state.settled_stamp = state.stamp

@@ -1,4 +1,4 @@
-"""Document builders shared across the test suite."""
+"""Document builders and reference implementations shared across the test suite."""
 
 from __future__ import annotations
 
@@ -8,7 +8,9 @@ from fado.model import (
     design_from_dict,
     device_from_dict,
     qor_from_dict,
+    utilization_ratio,
 )
+from fado.packer import _fits_slot
 
 
 def device_doc(width=1, height=2, *, cap=None, sll=1000, util_limit=0.65,
@@ -89,3 +91,40 @@ def stress_grid(seed, n_functions, points_per_template, *, sll):
     device = device_doc(width=2, height=4, cap=quad["slots"][0]["capacity"], sll=sll,
                         util_limit=0.65, io_cols=(0,))
     return device, design, qor
+
+
+def reference_repack(state, trials=None):
+    """The plain offline repack schedule: every unpinned group of every
+    ranked source tries every fuller slot, rescanning the groups per source.
+    ``packer.offline_repack`` must match it exactly."""
+    if state.stamp == state.settled_stamp:
+        return []
+    ranks = sorted(state.device.slots, key=lambda s: (-state.utilization(s.id), s.id))
+    group_load = state.group_load
+    moves = []
+    for m in range(1, len(ranks)):
+        src = ranks[m]
+        movable = sorted(
+            (g for g in state.groups
+             if state.placement[g.members[0]] == src.id and not g.pinned),
+            key=lambda g: (-utilization_ratio(group_load[g.gid], src.capacity), g.gid),
+        )
+        empty = {dest.id for dest in ranks[:m] if state.slot_load[dest.id].is_zero()}
+        for g in movable:
+            extra = group_load[g.gid].as_tuple()
+            for dest in ranks[:m]:
+                if dest.id in empty:
+                    outcome = "cancelled"
+                elif _fits_slot(state, dest.id, extra) and state.trial_move(g, dest.id):
+                    outcome = "moved"
+                else:
+                    outcome = "rejected"
+                if trials is not None:
+                    trials.append({"group": g.gid, "src": src.id, "dst": dest.id,
+                                   "outcome": outcome})
+                if outcome == "moved":
+                    moves.extend((fn, src.id, dest.id) for fn in g.members)
+                    break
+    if not moves:
+        state.settled_stamp = state.stamp
+    return moves

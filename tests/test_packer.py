@@ -16,6 +16,7 @@ from fado.model import (
     kind_ratio,
     utilization_ratio,
 )
+import fado.packer
 from fado.packer import (
     PackState,
     _candidate_slots,
@@ -24,7 +25,7 @@ from fado.packer import (
 )
 from fado.pipeliner import recompute_all
 
-from helpers import design_doc, device_doc, parse, qor_doc, template_doc
+from helpers import design_doc, device_doc, parse, qor_doc, reference_repack, template_doc
 
 
 def _toy_state(toy, *, initial=None):
@@ -296,6 +297,111 @@ def test_offline_repack_keeps_state_legal(toy):
     assert state.check_legal() == []
     for s in state.device.slots:
         assert fits_within(state.slot_load[s.id], s.capacity, state.device.util_limit)
+
+
+@st.composite
+def _repack_instance(draw):
+    """A 2x3 grid (two die rows, an optional io column) with per-slot
+    capacities that may lack DSP or BRAM, wire halves of 0-64, and 4-9
+    functions with random FIFO and RAM edges, some outside any dataflow
+    region (pinned).  Points may be all zero, so a slot can be empty while
+    a lower-ranked one still holds groups.  Groups start on random slots of
+    a random subset, so slots go empty, stay tight or overflow."""
+    doc = device_doc(width=2, height=3, io_cols=draw(st.sampled_from(((), (0,)))),
+                     util_limit=draw(st.sampled_from((0.5, 0.8, 1.0))))
+    for slot in doc["slots"]:
+        slot["capacity"] = {"lut": draw(st.sampled_from((40, 100))),
+                            "dsp": draw(st.sampled_from((0, 60, 60, 100))),
+                            "bram": draw(st.sampled_from((0, 100, 100)))}
+    for boundary in doc["die_boundaries"]:
+        for half in boundary["halves"]:
+            half["sll_capacity"] = draw(st.sampled_from((0, 8, 24, 64)))
+    names = [f"f{i}" for i in range(draw(st.integers(4, 9)))]
+    # edges run from lower to higher index, so the pinned first functions
+    # only feed the dataflow kernel and the kernel graph stays acyclic
+    pinned = names[:draw(st.integers(0, 2))]
+    kernels = [("K", "dataflow", names[len(pinned):])]
+    kernels += [(f"N{n}", "non_dataflow", [n]) for n in pinned]
+    ends = st.lists(st.sampled_from(names), min_size=2, max_size=2, unique=True).map(sorted)
+    edges = [(a, b, kind, width) for (a, b), kind, width in draw(st.lists(
+        st.tuples(ends, st.sampled_from(("fifo", "fifo", "ram")), st.sampled_from((4, 8, 16))),
+        max_size=12,
+    ))]
+    amount = st.sampled_from((0, 0, 2, 5, 10, 20))
+    zero = st.integers(0, 4).map(lambda i: i == 0)
+    qor = qor_doc({
+        f"t_{n}": template_doc([
+            (pid, lat, {} if draw(zero) else
+             {"lut": draw(amount), "dsp": draw(amount), "bram": draw(amount)})
+            for pid, lat in (("baseline", 30), ("p1", 20))
+        ])
+        for n in names
+    })
+    device, graph, lib = parse(doc, design_doc(kernels, edges), qor)
+    config = {n: draw(st.sampled_from(("baseline", "p1"))) for n in names}
+    state = PackState(device, graph, lib, config, {n: 0 for n in names})
+    used = draw(st.lists(st.sampled_from([s.id for s in device.slots]),
+                         min_size=2, max_size=6, unique=True))
+    for g in state.groups:
+        state.move_group(g, draw(st.sampled_from(used)))
+    return state
+
+
+def _repack_outcome(state, repack, trials):
+    entry = state.stamp
+    moves = repack(state, trials)
+    return (moves, trials, dict(state.placement), dict(state.slot_load),
+            dict(state.group_load), state.sll.state_fingerprint(),
+            state.stamp == entry, state.settled_stamp == state.stamp)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_repack_instance())
+def test_offline_repack_matches_the_plain_schedule(state):
+    # two repacks in a row, so a settled second call is compared too
+    snap = state.snapshot()
+    runs = {}
+    for name, repack, record in (("reference", reference_repack, True),
+                                 ("recorded", offline_repack, True),
+                                 ("unrecorded", offline_repack, False)):
+        state.restore(snap)
+        state.settled_stamp = None
+        runs[name] = [_repack_outcome(state, repack, [] if record else None)
+                      for _ in range(2)]
+    assert runs["recorded"] == runs["reference"]
+    # without a trial list everything else must still match
+    assert ([run[:1] + run[2:] for run in runs["unrecorded"]]
+            == [run[:1] + run[2:] for run in runs["reference"]])
+
+
+def test_a_source_no_fuller_slot_can_take_is_skipped_but_still_recorded(monkeypatch):
+    # slot 1's movable groups x and y both need more LUT than slot 0 has
+    # left; the pinned p on slot 1 is smaller, but it never moves, so it
+    # must not lower the floor that closes slot 0 to x and y
+    fns = {"big": {"lut": 80}, "p": {"lut": 1}, "x": {"lut": 30, "dsp": 5},
+           "y": {"lut": 25, "dsp": 10}, "z": {"lut": 10}}
+    design = design_doc([("K", "dataflow", ["big", "x", "y", "z"]),
+                         ("N", "non_dataflow", ["p"])])
+    qor = qor_doc({f"t_{f}": template_doc([("baseline", 10, res)]) for f, res in fns.items()})
+    device, graph, lib = parse(
+        device_doc(width=1, height=3, cap={"lut": 100, "dsp": 100}, util_limit=1.0,
+                   die_rows=[]),
+        design, qor)
+    placement = {"big": 0, "p": 1, "x": 1, "y": 1, "z": 2}
+    state = PackState(device, graph, lib, baseline_configuration(graph), placement)
+    tested = []
+    fits = fado.packer._fits_slot
+    monkeypatch.setattr(fado.packer, "_fits_slot",
+                        lambda state_, sid, extra: tested.append(extra) or fits(state_, sid, extra))
+    trials: list = []
+    assert offline_repack(state, trials) == [("z", 2, 0)]
+    assert trials == [
+        {"group": "x", "src": 1, "dst": 0, "outcome": "rejected"},
+        {"group": "y", "src": 1, "dst": 0, "outcome": "rejected"},
+        {"group": "z", "src": 2, "dst": 0, "outcome": "moved"},
+    ]
+    # x and y were never fit-tested on their own
+    assert not {state.group_load[g].as_tuple() for g in "xy"} & set(tested)
 
 
 # ---------------------------------------------------------------------------
