@@ -8,7 +8,6 @@ plain balance-driven fill.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 
 from .model import (
@@ -21,8 +20,6 @@ from .model import (
     utilization_ratio,
     within_budget,
 )
-
-log = logging.getLogger(__name__)
 
 # Exact bisection is only attempted for this many movable units; beyond it
 # (or past the node cap) a greedy split with refinement passes takes over.
@@ -264,8 +261,7 @@ def min_cut_initial(
     """Recursive min-cut bisection of the slot grid, rows before columns.
 
     Minimizes FIFO width crossing each split while keeping both sides within
-    the utilization limit.  If the limit makes a level infeasible the split
-    is retried at full capacity with a warning.
+    the utilization limit; raises ``FloorplanError`` when some split cannot.
     """
     groups = ram_groups(graph)
     sizes = {g.gid: group_resources(g, lib, config) for g in groups}
@@ -274,12 +270,7 @@ def min_cut_initial(
 
     placement_g: dict[str, int] = {}
     slots = sorted(device.slots, key=lambda s: (s.y, s.x))
-    try:
-        _bisect(slots, unit_ids, sizes, weights, device.util_limit, placement_g)
-    except FloorplanError:
-        log.warning("initial bisection infeasible at limit %.2f, retrying at 1.0", device.util_limit)
-        placement_g = {}
-        _bisect(slots, unit_ids, sizes, weights, 1.0, placement_g)
+    _bisect(slots, unit_ids, sizes, weights, device.util_limit, placement_g)
 
     gof = group_of_map(groups)
     return {f: placement_g[gof[f].gid] for f in graph.functions}
@@ -288,35 +279,25 @@ def min_cut_initial(
 def balanced_initial(
     device: DeviceModel, graph: DesignGraph, lib: QoRLibrary, config: dict
 ) -> dict[str, int]:
-    """Largest groups first, each to the least-utilized slot that fits."""
+    """Largest groups first, each to the least-utilized slot that fits
+    within the utilization limit; raises ``FloorplanError`` when a group
+    fits no slot."""
     groups = ram_groups(graph)
     sizes = {g.gid: group_resources(g, lib, config) for g in groups}
     load = {s.id: ResourceVector.zero() for s in device.slots}
-
-    def place(limit: float) -> dict[str, int] | None:
-        for s in load:
-            load[s] = ResourceVector.zero()
-        out: dict[str, int] = {}
-        order = sorted(groups, key=lambda g: (-max(sizes[g.gid].as_tuple()), g.gid))
-        for g in order:
-            choices = []
-            for s in device.slots:
-                new = load[s.id] + sizes[g.gid]
-                if within_budget(new.as_tuple(), _budget([s], limit)):
-                    choices.append((utilization_ratio(load[s.id], s.capacity), s.id))
-            if not choices:
-                return None
-            sid = min(choices)[1]
-            load[sid] = load[sid] + sizes[g.gid]
-            for m in g.members:
-                out[m] = sid
-        return out
-
-    result = place(device.util_limit)
-    if result is None:
-        log.warning("balanced fill infeasible at limit %.2f, retrying at 1.0", device.util_limit)
-        result = place(1.0)
-    if result is None:
-        biggest = max(groups, key=lambda g: (max(sizes[g.gid].as_tuple()), g.gid))
-        raise FloorplanError(f"group {biggest.gid!r} does not fit on any slot even at full capacity")
-    return result
+    out: dict[str, int] = {}
+    for g in sorted(groups, key=lambda g: (-max(sizes[g.gid].as_tuple()), g.gid)):
+        choices = []
+        for s in device.slots:
+            new = load[s.id] + sizes[g.gid]
+            if within_budget(new.as_tuple(), _budget([s], device.util_limit)):
+                choices.append((utilization_ratio(load[s.id], s.capacity), s.id))
+        if not choices:
+            raise FloorplanError(
+                f"group {g.gid!r} does not fit on any slot at limit {device.util_limit:.2f}"
+            )
+        sid = min(choices)[1]
+        load[sid] = load[sid] + sizes[g.gid]
+        for m in g.members:
+            out[m] = sid
+    return out

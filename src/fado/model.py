@@ -741,18 +741,18 @@ def function_latencies(graph: DesignGraph, lib: QoRLibrary, config: Configuratio
     return {f: lib.point(f, config[f]).latency for f in graph.functions}
 
 
-def kernel_latencies(graph: DesignGraph, lib: QoRLibrary, config: Configuration) -> dict[str, int]:
-    lats = function_latencies(graph, lib, config)
-    out = {}
-    for k in graph.kernels:
-        out[k["name"]] = max(lats[f["name"]] for f in k["functions"])
-    return out
-
-
-def design_latency(graph: DesignGraph, lib: QoRLibrary, config: Configuration) -> int:
-    """Longest kernel-level path, nodes weighted by kernel latency."""
-    weights = kernel_latencies(graph, lib, config)
+def path_latency(graph: DesignGraph, latency_of: dict[str, int]) -> int:
+    """Longest kernel-level path, each kernel weighted by the largest of its
+    functions' latencies in ``latency_of``."""
+    weights = {
+        k["name"]: max(latency_of[f["name"]] for f in k["functions"]) for k in graph.kernels
+    }
     dist: dict[str, int] = {}
     for k in graph.kernel_order:
         dist[k] = weights[k] + max((dist[p] for p in graph.kernel_preds[k]), default=0)
     return max(dist.values())
+
+
+def design_latency(graph: DesignGraph, lib: QoRLibrary, config: Configuration) -> int:
+    """Longest kernel-level path under ``config`` (see ``path_latency``)."""
+    return path_latency(graph, function_latencies(graph, lib, config))

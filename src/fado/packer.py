@@ -31,9 +31,9 @@ route changes would push some die boundary's total crossing width past the
 sum of its half budgets (``SllState.rejects``); then no fold could fit the
 wires, and the trial is refused before anything is applied.  Otherwise it
 applies the point and the move and asks ``SllState.feasible``, which
-decides most boundaries from the same reject bound and a per-half accept
-bound and folds only the boundaries left in doubt, stopping at the first
-half over budget.  On rejection it puts back only the entries the trial
+decides most boundaries from the same reject bound and an accept bound,
+the narrowest half's budget, and folds only the boundaries left in
+between.  On rejection it puts back only the entries the trial
 changed: the members' placements, the touched slot loads, the point's
 configuration entry, the group load, the routing snapshot and the stamp.
 """

@@ -26,34 +26,31 @@ prefix replaying its recorded halves, and lands exactly where a full fold
 would.
 
 The fold is deferred until something needs it, and most questions are
-decided without it.  Besides its total crossing width, ``update`` keeps for
-each boundary the width of the crossing edges whose column span contains
-each half (its span widths), replaced whole like the rest.  A half's budget
-is ``sll_limit`` times its capacity plus ``LIMIT_EPS``, and the fold puts
-every edge on one column of its span, so two bounds are exact for any fold:
+decided without it.  A half's budget is ``sll_limit`` times its capacity
+plus ``LIMIT_EPS``, and the fold puts every edge on one column of its span,
+so two constants per boundary bound its total crossing width exactly for
+any fold:
 
 - reject: a total above the sum of the half budgets (each rounded down to
   whole wires) must overflow some half;
-- accept: when every half's span width is within its budget, no fold can
-  overflow any half (a zero-capacity half's budget is ``LIMIT_EPS``, so
-  any edge spanning it defeats the bound).
+- accept: a total within the narrowest half's budget cannot overflow any
+  half (a zero-capacity half's budget is ``LIMIT_EPS``, so the bound fails
+  unless nothing crosses).
 
-``feasible`` first checks every boundary against both bounds and folds only
-the boundaries left in doubt, one at a time, returning False at the first
-one over budget.  Such a fold stops at the first edge it puts on a half
-past its budget; a stopped fold is not stored, so the boundary stays
-pending.  A completed fold is stored and still checked, since its replayed
-prefix may already be over.  ``rejects`` asks the reject bound about a
-move before it is made, through the same route-change rule as ``update``,
-so a doomed trial changes nothing.  ``boundary_loads``, ``half_of``,
-``over_budget`` and ``state_fingerprint`` fold every pending boundary first.
+``feasible`` first checks every boundary against both bounds, then folds,
+if pending, and checks only the boundaries left in between, one at a time,
+returning False at the first one over budget.  Every fold is stored,
+whether or not it fits.  ``rejects`` asks the reject bound about a move
+before it is made, through the same route-change rule as ``update``, so a
+doomed trial changes nothing.  ``boundary_loads``, ``half_of``,
+``over_budget`` and ``state_fingerprint`` fold every pending boundary
+first.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left, insort
-from operator import add, gt
 
 from .model import FIFO, DesignGraph, DeviceModel, LIMIT_EPS, kind_ratio
 
@@ -110,9 +107,8 @@ class SllState:
     included, is replaced rather than changed in place (see the module
     docstring): ``boundary_loads`` maps a boundary row to ``{half: wires}``,
     ``half_of`` maps it to ``{edge id: half}``, ``crossing`` to its crossing
-    edge ids in ascending order, ``span_width`` to a list giving, per column,
-    the total width of the crossing edges whose column span contains it,
-    and ``reg_groups`` maps every edge id to its register-group count.  ``boundary_loads`` and ``half_of`` fold the
+    edge ids in ascending order, and ``reg_groups`` maps every edge id to
+    its register-group count.  ``boundary_loads`` and ``half_of`` fold the
     pending boundaries before they answer.
     """
 
@@ -137,12 +133,14 @@ class SllState:
         self._reject_bound = {
             y: sum(map(math.floor, budget)) for y, budget in self._budget.items()
         }
+        # A boundary whose total is within its narrowest half's budget
+        # cannot overflow any half, however the fold splits the edges.
+        self._accept_bound = {y: min(budget) for y, budget in self._budget.items()}
         self._routes: dict[tuple, tuple] = {}  # slot pair -> route, filled on first use
         self._loads: dict[int, dict[int, int]] = {}
         self._half_of: dict[int, dict[int, int]] = {}
         self.crossing: dict[int, list[int]] = {}
         self._total: dict[int, int] = {}  # boundary row -> total crossing width
-        self.span_width: dict[int, list[int]] = {}
         self._pending: dict[int, int] = {}  # unfolded boundary row -> first changed edge id
         self.reg_groups: dict[int, int] = {}
         self._route_of: dict[int, tuple] = {}  # FIFO edge id -> its route
@@ -171,17 +169,14 @@ class SllState:
         return route
 
     def _fold(self, y: int, edge_ids: list[int], start: int = 0,
-              prev: dict | None = None, stop: bool = False) -> tuple[dict, dict] | None:
+              prev: dict | None = None) -> tuple[dict, dict]:
         """Fold boundary y's crossing list into fresh (loads, halves) dicts.
 
         The first ``start`` edges take the halves recorded in ``prev``; the
         rest are chosen by ``choose_half``, except that an edge spanning one
-        column takes that column.  With ``stop``, the fold gives up and
-        returns None at the first chosen edge that puts its half over
-        budget; the replayed prefix is not checked.
+        column takes that column.
         """
         caps = self._caps[y]
-        budget = self._budget[y]
         width = self._width
         loads: dict[int, int] = {}
         halves: dict[int, int] = {}
@@ -193,23 +188,17 @@ class SllState:
             _, lo, hi, _ = route_of[eid]
             w = width[eid]
             x = halves[eid] = lo if lo == hi else choose_half(caps, loads, w, allowed_halves(lo, hi))
-            load = loads[x] = loads.get(x, 0) + w
-            if stop and load > budget[x]:
-                return None
+            loads[x] = loads.get(x, 0) + w
         return loads, halves
 
-    def _fold_pending(self, y: int, stop: bool = False) -> bool:
+    def _fold_pending(self, y: int) -> None:
         """Fold pending boundary y from its first changed edge and store the
-        result.  A fold that stops (see ``_fold``) stores nothing and leaves
-        the boundary pending; then the answer is False."""
+        result."""
         eids = self.crossing[y]
-        folded = self._fold(y, eids, bisect_left(eids, self._pending[y]), self._half_of[y], stop)
-        if folded is None:
-            return False
-        self._loads = {**self._loads, y: folded[0]}
-        self._half_of = {**self._half_of, y: folded[1]}
+        loads, halves = self._fold(y, eids, bisect_left(eids, self._pending[y]), self._half_of[y])
+        self._loads = {**self._loads, y: loads}
+        self._half_of = {**self._half_of, y: halves}
         self._pending = {r: eid for r, eid in self._pending.items() if r != y}
-        return True
 
     def _settle(self) -> None:
         """Fold every pending boundary."""
@@ -220,7 +209,6 @@ class SllState:
 
     def refresh(self, placement: dict) -> None:
         crossing: dict[int, list[int]] = {y: [] for y in self._caps}
-        span = {y: [0] * self.device.width for y in self._caps}
         route_of = {}
         regs = {}
         width = self._width
@@ -232,13 +220,10 @@ class SllState:
             regs[e.index] = route[3]
             for y in route[0]:
                 crossing[y].append(e.index)
-                for x in allowed_halves(route[1], route[2]):
-                    span[y][x] += width[e.index]
         self._route_of = route_of
         self.reg_groups = regs
         self.crossing = crossing
         self._total = {y: sum(width[eid] for eid in eids) for y, eids in crossing.items()}
-        self.span_width = span
         self._pending = {}
         self._loads = {}
         self._half_of = {}
@@ -267,9 +252,9 @@ class SllState:
 
         Only the moved functions' FIFO edges whose route changed are
         re-examined.  A boundary that such an edge enters or leaves, or keeps
-        crossing over another column span, gets its crossing list, total
-        width and span widths updated and becomes pending, remembering its
-        first changed edge; the fold itself waits until a query needs it.
+        crossing over another column span, gets its crossing list and total
+        width updated and becomes pending, remembering its first changed
+        edge; the fold itself waits until a query needs it.
         """
         changed = self._route_changes(placement, {f: placement[f] for f in moved})
         if not changed:
@@ -278,10 +263,8 @@ class SllState:
         first: dict[int, int] = {}  # dirty boundary row -> lowest changed edge id
         entering: dict[int, list[int]] = {}
         leaving: dict[int, list[int]] = {}
-        spans: dict[int, list[int]] = {}  # dirty boundary row -> span width change
         for eid, route in changed.items():
             old = self._route_of[eid]
-            w = width[eid]
             same_span = old[1] == route[1] and old[2] == route[2]
             for y in old[0]:
                 if y not in route[0]:
@@ -289,18 +272,12 @@ class SllState:
                 elif same_span:
                     continue  # still crossing y over the same columns
                 first[y] = min(first.get(y, eid), eid)
-                delta = spans.setdefault(y, [0] * self.device.width)
-                for x in allowed_halves(old[1], old[2]):
-                    delta[x] -= w
             for y in route[0]:
                 if y not in old[0]:
                     entering.setdefault(y, []).append(eid)
                 elif same_span:
                     continue
                 first[y] = min(first.get(y, eid), eid)
-                delta = spans.setdefault(y, [0] * self.device.width)
-                for x in allowed_halves(route[1], route[2]):
-                    delta[x] += w
         route_of = dict(self._route_of)
         route_of.update(changed)
         self._route_of = route_of
@@ -311,7 +288,6 @@ class SllState:
         if not first:
             return
         crossing, total, pending = dict(self.crossing), dict(self._total), dict(self._pending)
-        span_width = dict(self.span_width)
         for y, eid in first.items():
             if y in entering or y in leaving:
                 eids = crossing[y] = list(crossing[y])
@@ -321,10 +297,8 @@ class SllState:
                 for e in entering.get(y, ()):
                     insort(eids, e)
                     total[y] += width[e]
-            span_width[y] = list(map(add, span_width[y], spans[y]))
             pending[y] = min(pending.get(y, eid), eid)
         self.crossing, self._total, self._pending = crossing, total, pending
-        self.span_width = span_width
 
     # -- queries ---------------------------------------------------------------
 
@@ -371,16 +345,16 @@ class SllState:
         bounds (see the module docstring); only the boundaries left in doubt
         are folded, if pending, and checked, one at a time.
         """
-        budget, span_width, bound = self._budget, self.span_width, self._reject_bound
+        reject, accept = self._reject_bound, self._accept_bound
         doubt = []
         for y, total in self._total.items():
-            if total > bound[y]:
+            if total > reject[y]:
                 return False
-            if any(map(gt, span_width[y], budget[y])):
+            if total > accept[y]:
                 doubt.append(y)
         for y in doubt:
-            if y in self._pending and not self._fold_pending(y, stop=True):
-                return False
+            if y in self._pending:
+                self._fold_pending(y)
             if self._over(y):
                 return False
         return True
@@ -390,11 +364,11 @@ class SllState:
 
     def snapshot(self) -> tuple:
         """The current state objects, shared: none is ever changed in place."""
-        return (self._loads, self._half_of, self.crossing, self._total, self.span_width,
+        return (self._loads, self._half_of, self.crossing, self._total,
                 self._pending, self.reg_groups, self._route_of)
 
     def restore(self, snap: tuple) -> None:
-        (self._loads, self._half_of, self.crossing, self._total, self.span_width,
+        (self._loads, self._half_of, self.crossing, self._total,
          self._pending, self.reg_groups, self._route_of) = snap
 
     def state_fingerprint(self) -> tuple:

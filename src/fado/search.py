@@ -25,6 +25,7 @@ from .model import (
     QoRLibrary,
     baseline_configuration,
     design_latency,
+    path_latency,
 )
 from .packer import PackState, offline_repack, online_pack
 
@@ -175,7 +176,8 @@ def run(
 
     initial_placement = dict(placement)
     # Only an accepted target vector changes the configuration, so the map
-    # is kept current from those alone.
+    # is kept current from those alone, and each trace row's design latency
+    # is read from it.
     latencies = {f: lib.point(f, state.config[f]).latency for f in graph.functions}
     excluded: set = set()
     trace: list[TraceRow] = []
@@ -200,44 +202,46 @@ def run(
                 break
             dps[f] = dp
 
-        stage = STAGE_EXCLUDED
-        accepted: dict = {}
         moves: list = []
+
+        def attempt(vec: dict, repack: bool) -> str | None:
+            """Pack ``vec`` online; when that fails, ``repack`` holds and the
+            floorplan may move, repack offline and, if that moved groups,
+            pack once more.  Every move made is kept in ``moves``.  Returns
+            the stage that packed ``vec`` (online or offline), or None."""
+            ok, m = online_pack(state, vec, allow_moves=not freeze_floorplan)
+            if ok:
+                moves.extend(m)
+                return STAGE_ONLINE
+            if not repack or freeze_floorplan:
+                return None
+            repacked = offline_repack(state)
+            moves.extend(repacked)
+            if repacked:
+                ok, m = online_pack(state, vec)
+                if ok:
+                    moves.extend(m)
+                    return STAGE_OFFLINE
+            return None
+
+        stage = None
+        accepted: dict = {}
         t_legalize = time.perf_counter()
         if len(dps) == len(batch):
             targets = {f: dps[f].id for f in batch}
-            ok, m = online_pack(state, targets, allow_moves=not freeze_floorplan)
-            if ok:
-                stage = STAGE_ONLINE
+            stage = attempt(targets, repack=True)
+            if stage is not None:
                 accepted = targets
-                moves += m
-            if not ok and not freeze_floorplan:
-                repacked = offline_repack(state)
-                moves += repacked
-                if repacked:
-                    ok, m = online_pack(state, targets)
-                    if ok:
-                        stage = STAGE_OFFLINE
-                        accepted = targets
-                        moves += m
-            if not ok:
+            else:
                 ahead = {
                     f: [p for p in lib.template_for(f).points if p.latency < dps[f].latency][::-1]
                     for f in batch
                 }
                 for vec in _window_vectors(batch, ahead, dps, n):
-                    ok, m = online_pack(state, vec, allow_moves=not freeze_floorplan)
-                    if not ok and not freeze_floorplan:
-                        repacked = offline_repack(state)
-                        moves += repacked
-                        if repacked:
-                            ok, m = online_pack(state, vec)
-                    if ok:
-                        stage = STAGE_LOOK_AHEAD
-                        accepted = vec
-                        moves += m
+                    if attempt(vec, repack=True):
+                        stage, accepted = STAGE_LOOK_AHEAD, vec
                         break
-            if not ok:
+            if stage is None:
                 back = {
                     f: [
                         p
@@ -247,12 +251,11 @@ def run(
                     for f in batch
                 }
                 for vec in _window_vectors(batch, back, dps, max(map(len, back.values()), default=0)):
-                    ok, m = online_pack(state, vec, allow_moves=not freeze_floorplan)
-                    if ok:
-                        stage = STAGE_LOOK_BACK
-                        accepted = vec
-                        moves += m
+                    if attempt(vec, repack=False):
+                        stage, accepted = STAGE_LOOK_BACK, vec
                         break
+        if stage is None:
+            stage = STAGE_EXCLUDED
 
         t_legalize = time.perf_counter() - t_legalize
 
@@ -268,7 +271,7 @@ def run(
             batch=batch,
             stage=stage,
             accepted=accepted,
-            design_latency=design_latency(graph, lib, state.config),
+            design_latency=path_latency(graph, latencies),
             max_util=state.max_utilization(),
             max_sll_util=state.max_sll_utilization(),
             moves=moves,

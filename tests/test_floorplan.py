@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import itertools
-import logging
 import random
 
 import pytest
@@ -138,13 +137,12 @@ def test_min_cut_matches_exhaustive_on_random_instances():
         assert realized == want
 
 
-def test_min_cut_retries_at_full_capacity(caplog):
+def test_min_cut_raises_when_the_limit_leaves_no_split():
+    # each group fits a slot's capacity but not its budget at the 0.5 limit
     device, graph, lib = _singleton_instance(
         {"a": 60, "b": 60}, cap_lut=100, util_limit=0.5)
-    with caplog.at_level(logging.WARNING):
-        placement = min_cut_initial(device, graph, lib, baseline_configuration(graph))
-    assert sorted(placement.values()) == [0, 1]
-    assert any("retrying at 1.0" in r.message for r in caplog.records)
+    with pytest.raises(FloorplanError):
+        min_cut_initial(device, graph, lib, baseline_configuration(graph))
 
 
 def test_min_cut_oversized_group_raises():
@@ -194,13 +192,12 @@ def test_balanced_fill_is_least_utilized_first():
     assert loads == {0: 50, 1: 50}
 
 
-def test_balanced_fill_retry_and_error(caplog):
+def test_balanced_fill_errors_at_the_limit():
     device, graph, lib = _singleton_instance(
         {"a": 60, "b": 60}, cap_lut=100, util_limit=0.5)
-    with caplog.at_level(logging.WARNING):
-        placement = balanced_initial(device, graph, lib, baseline_configuration(graph))
-    assert sorted(placement.values()) == [0, 1]
-    assert any("retrying at 1.0" in r.message for r in caplog.records)
+    with pytest.raises(FloorplanError) as err:
+        balanced_initial(device, graph, lib, baseline_configuration(graph))
+    assert "'a'" in str(err.value) and "0.50" in str(err.value)
 
     device, graph, lib = _singleton_instance({"a": 150, "b": 10}, cap_lut=100)
     with pytest.raises(FloorplanError) as err:
@@ -209,7 +206,7 @@ def test_balanced_fill_retry_and_error(caplog):
 
 
 def test_both_initial_strategies_respect_capacity():
-    # every subset of these fits one slot's budget, so no retry can fire
+    # every subset of these fits one slot's budget, so neither can fail
     rng = random.Random(3)
     for _ in range(10):
         n = rng.randint(2, 8)

@@ -16,7 +16,7 @@ from fado.model import (
     fit_budget,
     fits_within,
     function_latencies,
-    kernel_latencies,
+    path_latency,
     qor_from_dict,
     utilization_ratio,
     validate_configuration,
@@ -275,8 +275,9 @@ def test_toy_baseline_latency_is_chain_sum(toy):
     _, graph, lib = toy
     config = baseline_configuration(graph)
     assert function_latencies(graph, lib, config) == {"A": 8, "B": 9, "C": 2, "D": 6, "E": 7}
-    assert kernel_latencies(graph, lib, config) == {"K1": 9, "K2": 2, "K3": 7}
     assert design_latency(graph, lib, config) == 18
+    # K1 holds A and B, K2 holds C, K3 holds D and E: the slowest member counts
+    assert path_latency(graph, {"A": 8, "B": 1, "C": 2, "D": 6, "E": 1}) == 16
 
 
 def test_validate_configuration(toy):

@@ -243,19 +243,6 @@ def _wired_instance(draw):
     return device_from_dict(doc), design_from_dict(design_doc([("K", "dataflow", names)], edges))
 
 
-def _span_widths(dev, graph, placement):
-    """Reference span widths from slot coordinates: each FIFO edge adds its
-    width, on every die row it crosses, to every column between its ends."""
-    spans = {b.y: [0] * dev.width for b in dev.die_boundaries}
-    for e in graph.fifo_edges():
-        s, d = dev.slot(placement[e.src]), dev.slot(placement[e.dst])
-        for y, span in spans.items():
-            if min(s.y, d.y) <= y < max(s.y, d.y):
-                for x in range(min(s.x, d.x), max(s.x, d.x) + 1):
-                    span[x] += e.width
-    return spans
-
-
 def _pending_fingerprint(state):
     """The state's fingerprint, read without keeping the fold it forces:
     pending boundaries stay pending, so later steps still meet them."""
@@ -289,7 +276,6 @@ def test_update_snapshot_restore_match_recompute(instance, data):
             placement.update(moves)
             state.update(placement, set(moves))
         fresh = recompute_all(dev, graph, placement)
-        assert state.span_width == fresh.span_width == _span_widths(dev, graph, placement)
         # feasible() first, while boundaries may still be pending
         assert state.feasible() == (not fresh.over_budget())
         assert state.crossing == fresh.crossing
@@ -307,8 +293,8 @@ def test_width_bound_fails_on_a_zero_capacity_half():
     state = recompute_all(dev, graph, placement)
     assert state.feasible()  # 8 wires in column 1, well under its 90
     # the move leaves the boundary pending; 8 wires are within the reject
-    # bound, but they span only the column-0 half, which cannot take a
-    # single one, so the accept bound fails and the fold finds it over
+    # bound, but the column-0 half cannot take a single one, so the accept
+    # bound fails, and the fold, with only column 0 to use, finds it over
     placement.update(f0=slot_at(dev, 0, 0).id, f1=slot_at(dev, 0, 1).id)
     state.update(placement, {"f0", "f1"})
     assert not state.feasible()
@@ -343,23 +329,10 @@ def test_a_completed_fold_still_checks_its_replayed_prefix():
     assert state.boundary_loads[0] == {0: 16, 1: 1}
 
 
-def test_a_stopped_fold_is_not_stored():
-    # 18-wire half budgets: edge 0 takes column 0, edge 1 column 1, and
-    # edge 2 (column 0 only) busts column 0, so the fold stops before edge 3
-    dev = _grid(2, 2, sll=20)
-    graph = _pairs_graph([10, 10, 9, 1])
-    placement = {"s0": 0, "s1": 0, "s2": 0, "s3": 1, "d0": 0, "d1": 0, "d2": 0, "d3": 1}
-    state = recompute_all(dev, graph, placement)
-    placement.update(d0=2, d1=3, d2=2, d3=3)
-    state.update(placement, {"d0", "d1", "d2", "d3"})
-    assert not state.feasible()
-    assert state.boundary_loads[0] == {0: 19, 1: 11}
-    assert state.state_fingerprint() == recompute_all(dev, graph, placement).state_fingerprint()
-
-
-def test_the_accept_bound_is_per_half():
+def test_the_accept_bound_is_the_narrowest_half():
     # a 90-wire and a 9-wire half: 10 wires in column 1 are within the
-    # larger budget and the reject bound, but not within their own half's
+    # larger budget and the reject bound, but not within the narrowest
+    # half's, so the boundary is folded and found over
     doc = device_doc(width=2, height=2, sll=100)
     doc["die_boundaries"][0]["halves"][1]["sll_capacity"] = 10
     dev = device_from_dict(doc)
@@ -370,3 +343,33 @@ def test_the_accept_bound_is_per_half():
     state.update(placement, {"d0"})
     assert not state.feasible()
     assert state.over_budget() == [(0, 1, 10, 9.0)]
+
+
+def test_feasible_folds_only_above_the_narrowest_half(monkeypatch):
+    # 2x2 grid, 9-wire halves; both edges end up crossing over both columns
+    dev = _grid(2, 2, sll=10)
+
+    def pending_state(widths):
+        placement = {"s0": 0, "d0": 0, "s1": 0, "d1": 0}
+        state = recompute_all(dev, _pairs_graph(widths), placement)
+        placement.update(d0=3, d1=3)
+        state.update(placement, {"d0", "d1"})
+        return state
+
+    within, above = pending_state([4, 5]), pending_state([5, 5])
+    real_fold = SllState._fold
+    folded = []
+
+    def refuse(self, y, *args):
+        raise AssertionError(f"boundary {y} folded within the accept bound")
+
+    def record(self, y, *args):
+        folded.append(y)
+        return real_fold(self, y, *args)
+
+    monkeypatch.setattr(SllState, "_fold", refuse)
+    assert within.feasible()  # 9 wires
+    monkeypatch.setattr(SllState, "_fold", record)
+    assert above.feasible()  # 10 wires: folded, one edge per half
+    assert folded == [0]
+    assert above.boundary_loads[0] == {0: 5, 1: 5}

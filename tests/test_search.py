@@ -313,3 +313,12 @@ PINNED_INSTANCES = {
 def test_search_outcome_is_pinned(name):
     make, digest = PINNED_INSTANCES[name]
     assert outcome_digest(run(*parse(*make()))) == digest
+
+
+def test_frozen_floorplan_outcome_is_pinned():
+    # the stress-quad instance with moves off: look-ahead and look-back both
+    # accept, and nothing is ever repacked
+    result = run(*parse(*instancegen.gen_stress(5, 150, 6)), freeze_floorplan=True)
+    assert {"look_ahead", "look_back"} <= {row.stage for row in result.trace}
+    assert outcome_digest(result) == \
+        "eecc48c5ba9e6352939b4785406d05cbfdc593fe69db0f0a2dcfd53b378a63f8"
