@@ -124,7 +124,7 @@ def _greedy_split(units, sizes, weights, budget_a, budget_b, cap_a, cap_b):
     Returns (assignment dict unit->0/1, cut) or None when even this cannot
     satisfy both budgets.
     """
-    order = sorted(units, key=lambda u: (-max(sizes[u].as_tuple()), u))
+    order = sorted(units, key=lambda u: (-max(sizes[u]), u))
     side = {}
     load = [ResourceVector.zero(), ResourceVector.zero()]
     budgets = [budget_a, budget_b]
@@ -132,7 +132,7 @@ def _greedy_split(units, sizes, weights, budget_a, budget_b, cap_a, cap_b):
     for u in order:
         choices = []
         for s in (0, 1):
-            if within_budget(load[s].as_tuple(), budgets[s], sizes[u].as_tuple()):
+            if within_budget(load[s], budgets[s], sizes[u]):
                 choices.append((utilization_ratio(load[s] + sizes[u], caps[s]), s))
         if not choices:
             return None
@@ -148,7 +148,7 @@ def _greedy_split(units, sizes, weights, budget_a, budget_b, cap_a, cap_b):
         for u in order:
             s = side[u]
             t = 1 - s
-            if not within_budget(load[t].as_tuple(), budgets[t], sizes[u].as_tuple()):
+            if not within_budget(load[t], budgets[t], sizes[u]):
                 continue
             gain = 0
             for other, w in touching[u]:
@@ -171,7 +171,7 @@ def _exact_split(units, sizes, weights, budget_a, budget_b, cap_a, cap_b):
     None when no assignment satisfies both budgets, or when the node cap
     trips (caller falls back to the greedy split).
     """
-    order = sorted(units, key=lambda u: (-max(sizes[u].as_tuple()), u))
+    order = sorted(units, key=lambda u: (-max(sizes[u]), u))
     touching = _touching(order, weights)
 
     best: dict = {"cut": None, "side": None, "gap": None, "vec": None}
@@ -202,7 +202,7 @@ def _exact_split(units, sizes, weights, budget_a, budget_b, cap_a, cap_b):
         for s in (0, 1):
             budget = budget_a if s == 0 else budget_b
             new_load = load[s] + sizes[u]
-            if not within_budget(new_load.as_tuple(), budget):
+            if not within_budget(new_load, budget):
                 continue
             added = 0
             for other, w in touching[u]:
@@ -246,7 +246,7 @@ def _bisect(slots, units, sizes, weights, limit, placement):
     if result is None:
         result = _greedy_split(units, sizes, local, budget_a, budget_b, cap_a, cap_b)
     if result is None:
-        biggest = max(units, key=lambda u: (max(sizes[u].as_tuple()), u))
+        biggest = max(units, key=lambda u: (max(sizes[u]), u))
         raise FloorplanError(
             f"group {biggest!r} cannot be placed: no split of {len(units)} groups fits"
         )
@@ -286,11 +286,11 @@ def balanced_initial(
     sizes = {g.gid: group_resources(g, lib, config) for g in groups}
     load = {s.id: ResourceVector.zero() for s in device.slots}
     out: dict[str, int] = {}
-    for g in sorted(groups, key=lambda g: (-max(sizes[g.gid].as_tuple()), g.gid)):
+    for g in sorted(groups, key=lambda g: (-max(sizes[g.gid]), g.gid)):
         choices = []
         for s in device.slots:
             new = load[s.id] + sizes[g.gid]
-            if within_budget(new.as_tuple(), _budget([s], device.util_limit)):
+            if within_budget(new, _budget([s], device.util_limit)):
                 choices.append((utilization_ratio(load[s.id], s.capacity), s.id))
         if not choices:
             raise FloorplanError(

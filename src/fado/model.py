@@ -3,7 +3,10 @@
 Everything downstream (floorplanning, packing, routing, search) works on the
 types defined here.  Inputs are plain JSON documents; the loaders validate
 them and build immutable-ish model objects.  Latency is always an integer
-cycle count, resources are integer unit counts in five dimensions.
+cycle count, resources are integer unit counts in five dimensions.  A
+resource vector (``ResourceVector``) is a tuple of those five counts in
+``RESOURCE_KINDS`` order, validated when built, so fit tests and ratios
+zip it with budgets and capacities as it is.
 """
 
 from __future__ import annotations
@@ -12,6 +15,7 @@ import logging
 import math
 import re
 from dataclasses import dataclass, field
+from operator import add, itemgetter, sub
 
 log = logging.getLogger(__name__)
 
@@ -29,60 +33,60 @@ class ModelError(ValueError):
     """Schema violation or inconsistent model data."""
 
 
-@dataclass(frozen=True)
-class ResourceVector:
-    """Non-negative usage or capacity counts, one per resource kind."""
+class ResourceVector(tuple):
+    """Non-negative usage or capacity counts: a tuple of five ints in
+    ``RESOURCE_KINDS`` order, each also readable by its kind's name.
 
-    bram: int = 0
-    dsp: int = 0
-    ff: int = 0
-    lut: int = 0
-    uram: int = 0
+    The counts are validated once, when a vector is built from them.  Sums
+    of valid vectors are valid by construction and ``-`` checks its one
+    failure itself, so arithmetic builds its results without re-validating,
+    and fit tests and ratios read a vector's items in place.  Equality and
+    hashing are the plain tuple's.  Repetition and ordering are switched off:
+    ``v * 2`` and ``v < w`` raise ``TypeError`` rather than act on the tuple.
+    """
 
-    def __post_init__(self) -> None:
-        for kind in RESOURCE_KINDS:
-            v = getattr(self, kind)
+    __slots__ = ()
+
+    def __new__(cls, bram=0, dsp=0, ff=0, lut=0, uram=0):
+        counts = (bram, dsp, ff, lut, uram)
+        for kind, v in zip(RESOURCE_KINDS, counts):
             if isinstance(v, bool) or not isinstance(v, int) or v < 0:
                 raise ModelError(f"resource {kind!r} must be a non-negative int, got {v!r}")
+        return tuple.__new__(cls, counts)
 
-    def as_tuple(self) -> tuple[int, int, int, int, int]:
-        return (self.bram, self.dsp, self.ff, self.lut, self.uram)
+    bram = property(itemgetter(0))
+    dsp = property(itemgetter(1))
+    ff = property(itemgetter(2))
+    lut = property(itemgetter(3))
+    uram = property(itemgetter(4))
+
+    __mul__ = __rmul__ = __lt__ = __le__ = __gt__ = __ge__ = None
+
+    def __getnewargs__(self) -> tuple:
+        return tuple(self)
+
+    def __repr__(self) -> str:
+        counts = ", ".join(f"{k}={v!r}" for k, v in zip(RESOURCE_KINDS, self))
+        return f"ResourceVector({counts})"
 
     def as_dict(self) -> dict[str, int]:
-        return {k: getattr(self, k) for k in RESOURCE_KINDS}
+        return dict(zip(RESOURCE_KINDS, self))
 
     def is_zero(self) -> bool:
-        return not any(self.as_tuple())
+        return not any(self)
 
     def __add__(self, other: "ResourceVector") -> "ResourceVector":
-        return ResourceVector._unchecked((
-            self.bram + other.bram, self.dsp + other.dsp, self.ff + other.ff,
-            self.lut + other.lut, self.uram + other.uram,
-        ))
+        return tuple.__new__(ResourceVector, map(add, self, other))
 
     def __sub__(self, other: "ResourceVector") -> "ResourceVector":
-        diff = (
-            self.bram - other.bram, self.dsp - other.dsp, self.ff - other.ff,
-            self.lut - other.lut, self.uram - other.uram,
-        )
+        diff = tuple.__new__(ResourceVector, map(sub, self, other))
         if min(diff) < 0:
             raise ModelError(f"resource subtraction went negative: {self} - {other}")
-        return ResourceVector._unchecked(diff)
-
-    @classmethod
-    def _unchecked(cls, counts: tuple) -> "ResourceVector":
-        """A vector from counts known to be valid, skipping ``__post_init__``.
-
-        Sums of valid vectors are valid by construction and ``__sub__`` checks
-        its one failure itself, so hot-path arithmetic does not re-validate.
-        """
-        v = object.__new__(cls)
-        v.__dict__.update(zip(RESOURCE_KINDS, counts))
-        return v
+        return diff
 
     @classmethod
     def zero(cls) -> "ResourceVector":
-        return cls._unchecked((0, 0, 0, 0, 0))
+        return _ZERO
 
     @classmethod
     def from_dict(cls, d: dict) -> "ResourceVector":
@@ -95,10 +99,13 @@ class ResourceVector:
 
     @classmethod
     def sum(cls, vectors) -> "ResourceVector":
-        total = cls.zero()
+        total = _ZERO
         for v in vectors:
             total = total + v
         return total
+
+
+_ZERO = ResourceVector()
 
 
 def kind_ratio(used: int, capacity: int) -> float:
@@ -116,13 +123,13 @@ def kind_ratio(used: int, capacity: int) -> float:
 
 def utilization_ratio(used: ResourceVector, capacity: ResourceVector) -> float:
     """Max over resource kinds of used/capacity (see ``kind_ratio``)."""
-    return max(map(kind_ratio, used.as_tuple(), capacity.as_tuple()))
+    return max(map(kind_ratio, used, capacity))
 
 
 def fit_budget(capacity: ResourceVector, limit: float) -> tuple:
     """Per-kind ceilings, limit * capacity + LIMIT_EPS: a load fits when no
     kind exceeds its ceiling (see ``within_budget``)."""
-    return tuple(limit * c + LIMIT_EPS for c in capacity.as_tuple())
+    return tuple(limit * c + LIMIT_EPS for c in capacity)
 
 
 _NO_EXTRA = (0,) * len(RESOURCE_KINDS)
@@ -143,7 +150,7 @@ def within_budget(counts: tuple, budget: tuple, extra: tuple = _NO_EXTRA) -> boo
 
 def fits_within(used: ResourceVector, capacity: ResourceVector, limit: float) -> bool:
     """True when every resource kind stays at or below limit * capacity."""
-    return within_budget(used.as_tuple(), fit_budget(capacity, limit))
+    return within_budget(used, fit_budget(capacity, limit))
 
 
 # ---------------------------------------------------------------------------
@@ -264,7 +271,7 @@ def device_from_dict(doc: dict) -> DeviceModel:
     for i, raw in enumerate(raw_slots):
         where = f"device slot #{i}"
         cap = ResourceVector.from_dict(_entry(raw, "capacity", where, {}))
-        if sum(cap.as_tuple()) <= 0:
+        if sum(cap) <= 0:
             raise ModelError(f"slot {raw.get('id')} has non-positive capacity")
         slots.append(Slot(
             id=_number_entry(raw, "id", where),
@@ -674,14 +681,9 @@ def qor_from_dict(doc: dict, graph: DesignGraph) -> QoRLibrary:
     if "normalization" in doc:
         norm = ResourceVector.from_dict(doc["normalization"])
     else:
-        norm = ResourceVector(
-            *(
-                max((getattr(p, kind) for p in points_seen), default=0) or 1
-                for kind in RESOURCE_KINDS
-            )
-        )
+        norm = ResourceVector(*map(max, zip(*points_seen)))
     # Guard against zero columns in derived normalization.
-    norm = ResourceVector(*(v if v > 0 else 1 for v in norm.as_tuple()))
+    norm = ResourceVector(*(v if v > 0 else 1 for v in norm))
 
     templates: dict[str, Template] = {}
     for name, (loops, pts) in parsed.items():

@@ -102,7 +102,7 @@ def assign_slots(device: DeviceModel, graph: DesignGraph, lib: QoRLibrary, confi
     """
     groups = ram_groups(graph)
     sizes = {g.gid: group_resources(g, lib, config) for g in groups}
-    order = sorted(groups, key=lambda g: (-max(sizes[g.gid].as_tuple()), g.gid))
+    order = sorted(groups, key=lambda g: (-max(sizes[g.gid]), g.gid))
     slots = sorted(device.slots, key=lambda s: s.id)
     loads = {s.id: ResourceVector.zero() for s in slots}
     chosen: dict[str, int] = {}

@@ -25,7 +25,9 @@ source with no fuller slot left open is skipped (see ``offline_repack``).
 A trial costs what it touches.  Each slot's fit budget (``fit_budget``) is
 computed once and compared through ``within_budget``, and every RAM group's
 resource vector is kept current as points change, so the fit test and the
-repack schedule re-sum nothing.
+repack schedule re-sum nothing.  Resource vectors are tuples in
+``RESOURCE_KINDS`` order, so loads, extras and capacities go to
+``within_budget`` and ``kind_ratio`` as they are, with no conversion.
 ``PackState.trial_move`` first asks the routing state whether the move's
 route changes would push some die boundary's total crossing width past the
 sum of its half budgets (``SllState.rejects``); then no fold could fit the
@@ -41,6 +43,7 @@ configuration entry, the group load, the routing snapshot and the stamp.
 from __future__ import annotations
 
 import itertools
+from operator import sub
 
 from .floorplan import group_of_map, group_resources, ram_groups
 from .model import (
@@ -203,9 +206,8 @@ class PackState:
         report = []
         limit = self.device.util_limit
         for s in self.device.slots:
-            load = self.slot_load[s.id]
-            for kind, u, c, ceiling in zip(RESOURCE_KINDS, load.as_tuple(),
-                                           s.capacity.as_tuple(), self.budget[s.id]):
+            for kind, u, c, ceiling in zip(RESOURCE_KINDS, self.slot_load[s.id],
+                                           s.capacity, self.budget[s.id]):
                 if not within_budget((u,), (ceiling,)):
                     report.append(
                         f"slot {s.id}: {kind} usage {u} exceeds budget {limit * c:.1f}"
@@ -226,7 +228,7 @@ class PackState:
 def _fits_slot(state: PackState, slot_id: int, extra: tuple) -> bool:
     """True when the slot's load plus ``extra`` (per-kind counts, possibly
     negative) stays within the slot's fit budget."""
-    return within_budget(state.slot_load[slot_id].as_tuple(), state.budget[slot_id], extra)
+    return within_budget(state.slot_load[slot_id], state.budget[slot_id], extra)
 
 
 def _candidate_slots(state: PackState, exclude: int, extra: ResourceVector) -> list[int]:
@@ -240,7 +242,7 @@ def _candidate_slots(state: PackState, exclude: int, extra: ResourceVector) -> l
         if s.id == exclude:
             continue
         post = state.slot_load[s.id] + extra
-        ratios = list(map(kind_ratio, post.as_tuple(), s.capacity.as_tuple()))
+        ratios = list(map(kind_ratio, post, s.capacity))
         worst = max(ratios)
         crit = ratios.index(worst)
         rest = [r for i, r in enumerate(ratios) if i != crit]
@@ -278,17 +280,16 @@ def online_pack(state: PackState, targets: dict, allow_moves: bool = True) -> tu
         new = state.lib.point(fn, pid).resources
         old = state.fn_resources(fn)
         sid = state.placement[fn]
-        if _fits_slot(state, sid, tuple(n - o for n, o in zip(new.as_tuple(), old.as_tuple()))):
+        if _fits_slot(state, sid, tuple(map(sub, new, old))):
             state.apply_point(fn, pid)
             continue
         if not allow_moves:
             state.restore(snap)
             return False, []
         group = state.group_of[fn]
-        group_extra = (state.group_load[group.gid] - old) + new
-        extra = group_extra.as_tuple()
+        extra = (state.group_load[group.gid] - old) + new
         placed = False
-        for dest in _candidate_slots(state, sid, group_extra):
+        for dest in _candidate_slots(state, sid, extra):
             if _fits_slot(state, dest, extra) and state.trial_move(group, dest, (fn, pid)):
                 moves.extend((m, sid, dest) for m in group.members)
                 placed = True
@@ -340,7 +341,7 @@ def offline_repack(state: PackState, trials: list | None = None) -> list:
         movable = buckets[src.id]
         if not movable:
             continue
-        floor = tuple(map(min, zip(*(group_load[g.gid].as_tuple() for g in movable))))
+        floor = tuple(map(min, zip(*(group_load[g.gid] for g in movable))))
         # No trial targets an empty slot and a move only adds load to its
         # destination, so which fuller slots are empty stays fixed while
         # this slot's groups are tried.
@@ -356,7 +357,7 @@ def offline_repack(state: PackState, trials: list | None = None) -> list:
         for g in movable:
             if not open_ and trials is None:
                 break
-            extra = group_load[g.gid].as_tuple()
+            extra = group_load[g.gid]
             for dest in fuller:
                 if dest.id in empty:
                     outcome = "cancelled"

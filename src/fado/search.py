@@ -176,9 +176,10 @@ def run(
 
     initial_placement = dict(placement)
     # Only an accepted target vector changes the configuration, so the map
-    # is kept current from those alone, and each trace row's design latency
-    # is read from it.
+    # is kept current from those alone, and the design latency each trace
+    # row reports is recomputed from it only after an accepted vector.
     latencies = {f: lib.point(f, state.config[f]).latency for f in graph.functions}
+    current_lat = baseline_lat
     excluded: set = set()
     trace: list[TraceRow] = []
     it = 0
@@ -261,8 +262,10 @@ def run(
 
         if stage == STAGE_EXCLUDED:
             excluded.update(batch)
-        for f, pid in accepted.items():
-            latencies[f] = lib.point(f, pid).latency
+        if accepted:
+            for f, pid in accepted.items():
+                latencies[f] = lib.point(f, pid).latency
+            current_lat = path_latency(graph, latencies)
 
         row = TraceRow(
             iteration=it,
@@ -271,7 +274,7 @@ def run(
             batch=batch,
             stage=stage,
             accepted=accepted,
-            design_latency=path_latency(graph, latencies),
+            design_latency=current_lat,
             max_util=state.max_utilization(),
             max_sll_util=state.max_sll_utilization(),
             moves=moves,

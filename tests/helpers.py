@@ -111,7 +111,7 @@ def reference_repack(state, trials=None):
         )
         empty = {dest.id for dest in ranks[:m] if state.slot_load[dest.id].is_zero()}
         for g in movable:
-            extra = group_load[g.gid].as_tuple()
+            extra = group_load[g.gid]
             for dest in ranks[:m]:
                 if dest.id in empty:
                     outcome = "cancelled"

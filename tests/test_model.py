@@ -1,8 +1,12 @@
 from __future__ import annotations
 
+import copy
+import pickle
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fado.model import (
     LIMIT_EPS,
@@ -33,8 +37,8 @@ from helpers import design_doc, device_doc, qor_doc, slot_at, template_doc
 def test_resource_vector_arithmetic():
     a = ResourceVector(bram=1, dsp=2, ff=3, lut=4, uram=5)
     b = ResourceVector(lut=4)
-    assert (a + b).as_tuple() == (1, 2, 3, 8, 5)
-    assert (a - b).as_tuple() == (1, 2, 3, 0, 5)
+    assert a + b == (1, 2, 3, 8, 5)
+    assert a - b == (1, 2, 3, 0, 5)
     assert ResourceVector.zero().is_zero()
     assert ResourceVector.sum([a, b, ResourceVector.zero()]).lut == 8
 
@@ -51,11 +55,47 @@ def test_resource_vector_rejects_negative_and_non_int():
 
 
 def test_resource_vector_from_dict_rejects_unknown_kinds():
-    assert ResourceVector.from_dict({"lut": 7}).as_tuple() == (0, 0, 0, 7, 0)
+    assert ResourceVector.from_dict({"lut": 7}) == (0, 0, 0, 7, 0)
     with pytest.raises(ModelError):
         ResourceVector.from_dict({"lust": 7})
     with pytest.raises(ModelError):
         ResourceVector.from_dict("lut")
+
+
+_counts = st.lists(st.integers(0, 10**6), min_size=len(RESOURCE_KINDS),
+                   max_size=len(RESOURCE_KINDS))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_counts, _counts)
+def test_resource_vector_is_a_tuple_of_counts(a, b):
+    v, w = ResourceVector(*a), ResourceVector(*b)
+    assert v == tuple(a) and hash(v) == hash(tuple(v))
+    assert [getattr(v, k) for k in RESOURCE_KINDS] == a
+    total = v + w
+    assert type(total) is ResourceVector
+    assert total == tuple(x + y for x, y in zip(a, b))
+    assert type(total - w) is ResourceVector and total - w == v
+    if all(x >= y for x, y in zip(a, b)):
+        diff = v - w
+        assert type(diff) is ResourceVector
+        assert diff == tuple(x - y for x, y in zip(a, b))
+    else:
+        with pytest.raises(ModelError):
+            v - w
+    assert ResourceVector.from_dict(v.as_dict()) == v
+    assert repr(v) == "ResourceVector(" + ", ".join(
+        f"{k}={x}" for k, x in zip(RESOURCE_KINDS, a)) + ")"
+    copies = [copy.copy(v), copy.deepcopy(v)]
+    copies += [pickle.loads(pickle.dumps(v, p)) for p in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for c in copies:
+        assert type(c) is ResourceVector and c == v
+    with pytest.raises(TypeError):
+        v * 2
+    with pytest.raises(TypeError):
+        2 * v
+    with pytest.raises(TypeError):
+        v < w
 
 
 def test_utilization_ratio_is_worst_kind():
@@ -86,11 +126,10 @@ def test_fits_within_allows_exact_budget():
 
 def test_within_budget_adds_the_extra_per_kind():
     budget = fit_budget(ResourceVector(lut=100, ff=10), 0.7)
-    load = ResourceVector(lut=60, ff=7).as_tuple()
+    load = ResourceVector(lut=60, ff=7)
     assert within_budget(load, budget)
-    extra = ResourceVector(lut=10).as_tuple()
-    assert within_budget(load, budget, extra)
-    assert not within_budget(load, budget, ResourceVector(lut=11).as_tuple())
+    assert within_budget(load, budget, ResourceVector(lut=10))
+    assert not within_budget(load, budget, ResourceVector(lut=11))
     # a negative extra frees room, in its own kind only
     assert within_budget((0, 0, 8, 71, 0), budget, (0, 0, -1, -1, 0))
     assert not within_budget(load, budget, (0, 0, 1, -60, 0))

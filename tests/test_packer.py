@@ -78,7 +78,7 @@ def test_critical_resource_matches_naive_recompute():
             post = state.slot_load[s.id] + extra
             ratios = [
                 u / c if c else (float("inf") if u else 0.0)
-                for u, c in zip(post.as_tuple(), s.capacity.as_tuple())
+                for u, c in zip(post, s.capacity)
             ]
             worst = max(ratios)
             assert utilization_ratio(post, s.capacity) == worst
@@ -401,7 +401,7 @@ def test_a_source_no_fuller_slot_can_take_is_skipped_but_still_recorded(monkeypa
         {"group": "z", "src": 2, "dst": 0, "outcome": "moved"},
     ]
     # x and y were never fit-tested on their own
-    assert not {state.group_load[g].as_tuple() for g in "xy"} & set(tested)
+    assert not {state.group_load[g] for g in "xy"} & set(tested)
 
 
 # ---------------------------------------------------------------------------
