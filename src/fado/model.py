@@ -126,9 +126,11 @@ def utilization_ratio(used: ResourceVector, capacity: ResourceVector) -> float:
     return max(map(kind_ratio, used, capacity))
 
 
-def fit_budget(capacity: ResourceVector, limit: float) -> tuple:
-    """Per-kind ceilings, limit * capacity + LIMIT_EPS: a load fits when no
-    kind exceeds its ceiling (see ``within_budget``)."""
+def fit_budget(capacity: tuple, limit: float) -> tuple:
+    """Ceilings limit * capacity + LIMIT_EPS, one per entry of ``capacity``:
+    per resource kind for a slot, per column for a die boundary's wire
+    halves.  A load fits when no entry exceeds its ceiling (see
+    ``within_budget``)."""
     return tuple(limit * c + LIMIT_EPS for c in capacity)
 
 
@@ -365,7 +367,6 @@ class DesignGraph:
     functions: dict[str, Function]
     edges: list[Edge]
     kernel_order: list[str] = field(default_factory=list)
-    kernel_succs: dict[str, set] = field(default_factory=dict)
     kernel_preds: dict[str, set] = field(default_factory=dict)
 
     def fifo_edges(self) -> list[Edge]:
@@ -480,7 +481,6 @@ def design_from_dict(doc: dict) -> DesignGraph:
         functions=functions,
         edges=edges,
         kernel_order=order,
-        kernel_succs=succs,
         kernel_preds=preds,
     )
 

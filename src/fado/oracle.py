@@ -24,10 +24,10 @@ from .floorplan import group_resources, ram_groups
 from .model import (
     DesignGraph,
     DeviceModel,
-    LIMIT_EPS,
     QoRLibrary,
     ResourceVector,
     design_latency,
+    fit_budget,
     fits_within,
 )
 from .packer import PackState
@@ -55,8 +55,8 @@ class OracleResult:
 
 def _exact_half_assignment(device: DeviceModel, edges: list, y: int) -> bool:
     """True when the crossing edges of boundary y fit some half assignment."""
-    boundary = device.boundary(y)
-    budget = {x: device.sll_limit * cap + LIMIT_EPS for x, cap in boundary.halves.items()}
+    halves = device.boundary(y).halves
+    budget = fit_budget([halves[x] for x in range(device.width)], device.sll_limit)
     edges = sorted(edges, key=lambda item: -item[0])  # widest first
 
     def place(i: int, loads: dict) -> bool:

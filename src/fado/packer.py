@@ -17,10 +17,10 @@ and a repack on a settled stamp returns at once.
 
 A repack that does run tests only what could move.  It buckets the unpinned
 groups by slot once, and gives each source slot a fit floor, the per-kind
-minimum of its groups' loads: a fuller slot that fails the floor can take
-none of them, since destination loads only grow during the source's turn,
-so its trials there are recorded as rejected without a fit test, and a
-source with no fuller slot left open is skipped (see ``offline_repack``).
+minimum of its groups' loads: since destination loads only grow during the
+source's turn, a fuller slot that is empty or fails the floor can take none
+of them, so the source's groups try only the fuller slots still open, and a
+source with none open is skipped (see ``offline_repack``).
 
 A trial costs what it touches.  Each slot's fit budget (``fit_budget``) is
 computed once and compared through ``within_budget``, and every RAM group's
@@ -79,6 +79,9 @@ class PackState:
         missing = set(graph.functions) - set(placement)
         if missing:
             raise ModelError(f"placement missing functions {sorted(missing)}")
+        unknown = set(placement) - set(graph.functions)
+        if unknown:
+            raise ModelError(f"placement names unknown functions {sorted(unknown)}")
         slot_ids = {s.id for s in device.slots}
         stray = sorted(f for f, sid in placement.items() if sid not in slot_ids)
         if stray:
@@ -300,32 +303,32 @@ def online_pack(state: PackState, targets: dict, allow_moves: bool = True) -> tu
     return True, moves
 
 
-def offline_repack(state: PackState, trials: list | None = None) -> list:
+def offline_repack(state: PackState) -> list:
     """Best-fit-decreasing compaction; never changes any chosen point.
 
     Slots are ranked once by utilization non-increasing (ties by id) and the
     ranking stays frozen for the whole schedule.  For the m-th fullest slot
     (m = 2..S), each of its unpinned groups tries the fuller slots in rank
-    order; trials against an empty destination are cancelled, since moving
-    there cannot compact anything.  Pinned groups (those holding a function
-    outside any dataflow region) stay put.
+    order and moves into the first that takes it.  An empty destination is
+    never tried, since moving there cannot compact anything.  Pinned groups
+    (those holding a function outside any dataflow region) stay put.
 
-    The schedule skips work whose answer is already known, with the same
-    moves and trial records as testing every pair:
+    The schedule tests only what could move, with the same moves as testing
+    every pair:
 
     - Unpinned groups are bucketed by slot once per repack.  A source's
       bucket is still exact when its turn comes, since sources go in rank
       order and moves only enter fuller, already visited slots.
     - A source's fit floor is the per-kind minimum of its groups' loads.
       While its groups are tried, only they move, and only into fuller
-      slots, so destination loads only grow: once a fuller slot is empty or
-      fails the floor, every remaining group of the source is rejected
-      there without a fit test.  When no fuller slot is open the source is
-      skipped; its groups are sorted only to record their trials.
+      slots, so destination loads only grow: a fuller slot that is empty
+      or fails the floor stays unable to take any of them.  The source's
+      groups try only the open slots, a slot that a move makes fail the
+      floor is closed, and the turn ends when none is open.
 
     A repack that moves nothing marks the state's stamp settled; called
-    again on that stamp it returns ``[]`` at once and records no trials,
-    since the schedule would replay exactly.
+    again on that stamp it returns ``[]`` at once, since the schedule would
+    replay exactly.
     """
     if state.stamp == state.settled_stamp:
         return []
@@ -337,43 +340,29 @@ def offline_repack(state: PackState, trials: list | None = None) -> list:
             buckets[state.placement[g.members[0]]].append(g)
     moves: list[tuple[str, int, int]] = []
     for m in range(1, len(ranks)):
-        src, fuller = ranks[m], ranks[:m]
+        src = ranks[m]
         movable = buckets[src.id]
         if not movable:
             continue
         floor = tuple(map(min, zip(*(group_load[g.gid] for g in movable))))
-        # No trial targets an empty slot and a move only adds load to its
-        # destination, so which fuller slots are empty stays fixed while
-        # this slot's groups are tried.
-        empty = {dest.id for dest in fuller if state.slot_load[dest.id].is_zero()}
-        open_ = {dest.id for dest in fuller
-                 if dest.id not in empty and _fits_slot(state, dest.id, floor)}
-        if not open_ and trials is None:
+        open_ = [dest.id for dest in ranks[:m]
+                 if not state.slot_load[dest.id].is_zero() and _fits_slot(state, dest.id, floor)]
+        if not open_:
             continue
         movable = sorted(
             movable,
             key=lambda g: (-utilization_ratio(group_load[g.gid], src.capacity), g.gid),
         )
         for g in movable:
-            if not open_ and trials is None:
-                break
             extra = group_load[g.gid]
-            for dest in fuller:
-                if dest.id in empty:
-                    outcome = "cancelled"
-                elif (dest.id in open_ and _fits_slot(state, dest.id, extra)
-                      and state.trial_move(g, dest.id)):
-                    outcome = "moved"
-                else:
-                    outcome = "rejected"
-                if trials is not None:
-                    trials.append({"group": g.gid, "src": src.id, "dst": dest.id,
-                                   "outcome": outcome})
-                if outcome == "moved":
-                    moves.extend((fn, src.id, dest.id) for fn in g.members)
-                    if not _fits_slot(state, dest.id, floor):
-                        open_.discard(dest.id)
+            for dest in open_:
+                if _fits_slot(state, dest, extra) and state.trial_move(g, dest):
+                    moves.extend((fn, src.id, dest) for fn in g.members)
+                    if not _fits_slot(state, dest, floor):
+                        open_.remove(dest)
                     break
+            if not open_:
+                break
     if not moves:
         state.settled_stamp = state.stamp
     return moves

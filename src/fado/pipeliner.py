@@ -26,10 +26,10 @@ prefix replaying its recorded halves, and lands exactly where a full fold
 would.
 
 The fold is deferred until something needs it, and most questions are
-decided without it.  A half's budget is ``sll_limit`` times its capacity
-plus ``LIMIT_EPS``, and the fold puts every edge on one column of its span,
-so two constants per boundary bound its total crossing width exactly for
-any fold:
+decided without it.  A half's budget (``fit_budget``) is ``sll_limit``
+times its capacity plus ``LIMIT_EPS``, and the fold puts every edge on one
+column of its span, so two constants per boundary bound its total crossing
+width exactly for any fold:
 
 - reject: a total above the sum of the half budgets (each rounded down to
   whole wires) must overflow some half;
@@ -42,9 +42,8 @@ if pending, and checks only the boundaries left in between, one at a time,
 returning False at the first one over budget.  Every fold is stored,
 whether or not it fits.  ``rejects`` asks the reject bound about a move
 before it is made, through the same route-change rule as ``update``, so a
-doomed trial changes nothing.  ``boundary_loads``, ``half_of``,
-``over_budget`` and ``state_fingerprint`` fold every pending boundary
-first.
+doomed trial changes nothing.  ``boundary_loads`` and ``over_budget`` fold
+every pending boundary first.
 """
 
 from __future__ import annotations
@@ -52,7 +51,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, insort
 
-from .model import FIFO, DesignGraph, DeviceModel, LIMIT_EPS, kind_ratio
+from .model import FIFO, DesignGraph, DeviceModel, fit_budget, kind_ratio
 
 
 def crossed_die_rows(device: DeviceModel, ys: int, yd: int) -> list[int]:
@@ -106,10 +105,9 @@ class SllState:
     Every state object, the per-boundary dicts and lists inside them
     included, is replaced rather than changed in place (see the module
     docstring): ``boundary_loads`` maps a boundary row to ``{half: wires}``,
-    ``half_of`` maps it to ``{edge id: half}``, ``crossing`` to its crossing
-    edge ids in ascending order, and ``reg_groups`` maps every edge id to
-    its register-group count.  ``boundary_loads`` and ``half_of`` fold the
-    pending boundaries before they answer.
+    folding the pending boundaries before it answers, ``crossing`` maps it
+    to its crossing edge ids in ascending order, and ``reg_groups`` maps
+    every edge id to its register-group count.
     """
 
     def __init__(self, device: DeviceModel, graph: DesignGraph):
@@ -125,7 +123,7 @@ class SllState:
         self._reach = {f: sum(e.width for e in edges) for f, edges in self._fifo_of.items()}
         self._caps = {b.y: b.halves for b in device.die_boundaries}
         self._budget = {  # boundary row -> per-column half budgets
-            y: [device.sll_limit * halves[x] + LIMIT_EPS for x in range(device.width)]
+            y: fit_budget([halves[x] for x in range(device.width)], device.sll_limit)
             for y, halves in self._caps.items()
         }
         # Loads are whole wires, so a half holds at most floor(budget) of
@@ -149,11 +147,6 @@ class SllState:
     def boundary_loads(self) -> dict[int, dict[int, int]]:
         self._settle()
         return self._loads
-
-    @property
-    def half_of(self) -> dict[int, dict[int, int]]:
-        self._settle()
-        return self._half_of
 
     # -- core fold ---------------------------------------------------------
 
@@ -370,10 +363,3 @@ class SllState:
     def restore(self, snap: tuple) -> None:
         (self._loads, self._half_of, self.crossing, self._total,
          self._pending, self.reg_groups, self._route_of) = snap
-
-    def state_fingerprint(self) -> tuple:
-        return (
-            tuple(sorted((y, tuple(sorted(l.items()))) for y, l in self.boundary_loads.items())),
-            tuple(sorted((y, tuple(sorted(h.items()))) for y, h in self.half_of.items())),
-            tuple(sorted(self.reg_groups.items())),
-        )

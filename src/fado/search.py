@@ -25,6 +25,7 @@ from .model import (
     QoRLibrary,
     baseline_configuration,
     design_latency,
+    function_latencies,
     path_latency,
 )
 from .packer import PackState, offline_repack, online_pack
@@ -178,7 +179,7 @@ def run(
     # Only an accepted target vector changes the configuration, so the map
     # is kept current from those alone, and the design latency each trace
     # row reports is recomputed from it only after an accepted vector.
-    latencies = {f: lib.point(f, state.config[f]).latency for f in graph.functions}
+    latencies = function_latencies(graph, lib, state.config)
     current_lat = baseline_lat
     excluded: set = set()
     trace: list[TraceRow] = []

@@ -93,10 +93,10 @@ def stress_grid(seed, n_functions, points_per_template, *, sll):
     return device, design, qor
 
 
-def reference_repack(state, trials=None):
+def reference_repack(state):
     """The plain offline repack schedule: every unpinned group of every
-    ranked source tries every fuller slot, rescanning the groups per source.
-    ``packer.offline_repack`` must match it exactly."""
+    ranked source tries every non-empty fuller slot, rescanning the groups
+    per source.  ``packer.offline_repack`` must match it exactly."""
     if state.stamp == state.settled_stamp:
         return []
     ranks = sorted(state.device.slots, key=lambda s: (-state.utilization(s.id), s.id))
@@ -111,20 +111,23 @@ def reference_repack(state, trials=None):
         )
         empty = {dest.id for dest in ranks[:m] if state.slot_load[dest.id].is_zero()}
         for g in movable:
-            extra = group_load[g.gid]
             for dest in ranks[:m]:
-                if dest.id in empty:
-                    outcome = "cancelled"
-                elif _fits_slot(state, dest.id, extra) and state.trial_move(g, dest.id):
-                    outcome = "moved"
-                else:
-                    outcome = "rejected"
-                if trials is not None:
-                    trials.append({"group": g.gid, "src": src.id, "dst": dest.id,
-                                   "outcome": outcome})
-                if outcome == "moved":
+                if (dest.id not in empty and _fits_slot(state, dest.id, group_load[g.gid])
+                        and state.trial_move(g, dest.id)):
                     moves.extend((fn, src.id, dest.id) for fn in g.members)
                     break
     if not moves:
         state.settled_stamp = state.stamp
     return moves
+
+
+def sll_fingerprint(sll):
+    """Everything an ``SllState`` routes: per-boundary half loads, each
+    crossing edge's half and every edge's register groups, with every
+    pending fold settled first."""
+    loads = sll.boundary_loads  # settles the pending folds
+    return (
+        tuple(sorted((y, tuple(sorted(l.items()))) for y, l in loads.items())),
+        tuple(sorted((y, tuple(sorted(h.items()))) for y, h in sll._half_of.items())),
+        tuple(sorted(sll.reg_groups.items())),
+    )

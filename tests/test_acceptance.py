@@ -29,7 +29,7 @@ from fado.search import compute_lookahead_N, run
 
 import pytest
 
-from helpers import design_doc, device_doc, parse, qor_doc, template_doc
+from helpers import design_doc, device_doc, parse, qor_doc, sll_fingerprint, template_doc
 
 
 def _parse_docs(docs):
@@ -124,7 +124,7 @@ def replay_corpus():
             fresh = recompute_all(device, graph, state.placement)
             records.append({
                 "iteration": row.iteration,
-                "wires_match": state.sll.state_fingerprint() == fresh.state_fingerprint(),
+                "wires_match": sll_fingerprint(state.sll) == sll_fingerprint(fresh),
                 "violations": state.check_legal(),
                 "latency": row.design_latency,
             })

@@ -372,6 +372,10 @@ def _null_placement_slot(doc):
     doc["placement"]["A"] = None
 
 
+def _unknown_placement_function(doc):
+    doc["placement"]["ZZZ"] = 0
+
+
 def _configuration_list(doc):
     doc["configuration"] = sorted(doc["configuration"])
 
@@ -396,6 +400,7 @@ def _string_design_latency(doc):
 MALFORMED_RESULT = {
     "placement-not-an-object": ("check", _placement_list, "'placement'"),
     "placement-slot-null": ("check", _null_placement_slot, "'A'"),
+    "placement-unknown-function": ("check", _unknown_placement_function, "'ZZZ'"),
     "configuration-not-an-object": ("check", _configuration_list, "'configuration'"),
     "sll-not-an-object": ("check", _sll_list, "'sll'"),
     "sll-table-not-an-object": ("check", _sll_table_number, "'0'"),

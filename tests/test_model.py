@@ -216,9 +216,10 @@ def test_kernel_order_respects_edges(toy_docs):
     _, design, _ = toy_docs
     graph = design_from_dict(design)
     pos = {k: i for i, k in enumerate(graph.kernel_order)}
-    for k, outs in graph.kernel_succs.items():
-        for o in outs:
-            assert pos[k] < pos[o]
+    assert any(graph.kernel_preds.values())
+    for k, ins in graph.kernel_preds.items():
+        for p in ins:
+            assert pos[p] < pos[k]
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,15 @@ from fado.packer import (
 )
 from fado.pipeliner import recompute_all
 
-from helpers import design_doc, device_doc, parse, qor_doc, reference_repack, template_doc
+from helpers import (
+    design_doc,
+    device_doc,
+    parse,
+    qor_doc,
+    reference_repack,
+    sll_fingerprint,
+    template_doc,
+)
 
 
 def _toy_state(toy, *, initial=None):
@@ -173,11 +181,11 @@ def test_online_failure_rolls_back_bit_exactly():
         device_doc(width=1, height=1, cap={"lut": 100}, util_limit=1.0), design, qor)
     state = PackState(device, graph, lib, baseline_configuration(graph), {"f": 0, "g": 0})
     before = (dict(state.config), dict(state.placement), dict(state.slot_load),
-              state.sll.state_fingerprint())
+              sll_fingerprint(state.sll))
     fit, moves = online_pack(state, {"f": "p30"})
     assert (fit, moves) == (False, [])
     assert (dict(state.config), dict(state.placement), dict(state.slot_load),
-            state.sll.state_fingerprint()) == before
+            sll_fingerprint(state.sll)) == before
 
 
 def test_online_move_rejected_by_sll_budget():
@@ -199,11 +207,11 @@ def test_online_move_rejected_by_sll_budget():
     device, graph, lib = parse(
         device_doc(cap={"lut": 100}, util_limit=0.7, sll=20), design, qor)
     state = PackState(device, graph, lib, baseline_configuration(graph), {"u": 0, "v": 0})
-    before = state.sll.state_fingerprint()
+    before = sll_fingerprint(state.sll)
     fit, moves = online_pack(state, {"v": "fast"})
     assert (fit, moves) == (False, [])
     assert state.config["v"] == "baseline"
-    assert state.sll.state_fingerprint() == before
+    assert sll_fingerprint(state.sll) == before
 
 
 def test_online_batch_is_all_or_nothing(toy):
@@ -258,22 +266,54 @@ def _repack_fixture():
     return PackState(device, graph, lib, baseline_configuration(graph), placement)
 
 
-def test_offline_repack_schedule_is_frozen_rank_best_fit():
+@pytest.fixture
+def spies(monkeypatch):
+    """Records every ``(group id, slot)`` trial and every ``(slot, extra)``
+    fit test the packer makes, in call order."""
+    trials, fits = [], []
+    trial_move, fits_slot = PackState.trial_move, fado.packer._fits_slot
+
+    def spy_trial(state, group, dest, point=None):
+        trials.append((group.gid, dest))
+        return trial_move(state, group, dest, point)
+
+    def spy_fits(state, slot_id, extra):
+        fits.append((slot_id, extra))
+        return fits_slot(state, slot_id, extra)
+
+    monkeypatch.setattr(PackState, "trial_move", spy_trial)
+    monkeypatch.setattr(fado.packer, "_fits_slot", spy_fits)
+    return trials, fits
+
+
+def test_offline_repack_schedule_is_frozen_rank_best_fit(spies):
+    # ranks 1 (80), 0 (45), 2 (41), 3 (41): F21 fits nowhere fuller, F31
+    # fits slot 0 but not slot 1, and F41 then fits no non-empty slot
     state = _repack_fixture()
-    trials: list = []
-    moves = offline_repack(state, trials)
+    trials, fits = spies
+    moves = offline_repack(state)
     assert moves == [("F31", 2, 0)]
-    assert trials == [
-        {"group": "F21", "src": 0, "dst": 1, "outcome": "rejected"},
-        {"group": "F31", "src": 2, "dst": 1, "outcome": "rejected"},
-        {"group": "F31", "src": 2, "dst": 0, "outcome": "moved"},
-        {"group": "F41", "src": 3, "dst": 1, "outcome": "rejected"},
-        {"group": "F41", "src": 3, "dst": 0, "outcome": "rejected"},
-        {"group": "F41", "src": 3, "dst": 2, "outcome": "cancelled"},
-    ]
+    assert trials == [("F31", 0)]
+    # slot 2, emptied by F31's move, is never tried, not even fit-tested
+    assert {sid for sid, _ in fits} == {0, 1}
     assert state.placement["F31"] == 0
     assert state.slot_load[0].lut == 86
     assert state.slot_load[2].lut == 0
+
+
+def test_a_slot_stays_open_while_it_fits_the_floor(spies):
+    # both of slot 1's groups fit slot 0 one after the other
+    design = design_doc([("K", "dataflow", ["big", "a", "b"])])
+    qor = qor_doc({f"t_{f}": template_doc([("baseline", 10, {"lut": lut})])
+                   for f, lut in (("big", 50), ("a", 20), ("b", 10))})
+    device, graph, lib = parse(
+        device_doc(width=1, height=2, cap={"lut": 100}, util_limit=1.0, die_rows=[]),
+        design, qor)
+    state = PackState(device, graph, lib, baseline_configuration(graph),
+                      {"big": 0, "a": 1, "b": 1})
+    trials, _ = spies
+    assert offline_repack(state) == [("a", 1, 0), ("b", 1, 0)]
+    assert trials == [("a", 0), ("b", 0)]
 
 
 def test_offline_repack_never_touches_the_configuration():
@@ -347,11 +387,20 @@ def _repack_instance(draw):
     return state
 
 
-def _repack_outcome(state, repack, trials):
+def _repack_outcome(state, repack):
+    """What one repack does: its moves, its ``(group id, slot)`` trials in
+    call order, the state it leaves, and whether it changed or settled the
+    stamp."""
     entry = state.stamp
-    moves = repack(state, trials)
+    trials = []
+    trial_move = state.trial_move
+    state.trial_move = lambda g, dest: trials.append((g.gid, dest)) or trial_move(g, dest)
+    try:
+        moves = repack(state)
+    finally:
+        del state.trial_move
     return (moves, trials, dict(state.placement), dict(state.slot_load),
-            dict(state.group_load), state.sll.state_fingerprint(),
+            dict(state.group_load), sll_fingerprint(state.sll),
             state.stamp == entry, state.settled_stamp == state.stamp)
 
 
@@ -361,20 +410,14 @@ def test_offline_repack_matches_the_plain_schedule(state):
     # two repacks in a row, so a settled second call is compared too
     snap = state.snapshot()
     runs = {}
-    for name, repack, record in (("reference", reference_repack, True),
-                                 ("recorded", offline_repack, True),
-                                 ("unrecorded", offline_repack, False)):
+    for repack in (reference_repack, offline_repack):
         state.restore(snap)
         state.settled_stamp = None
-        runs[name] = [_repack_outcome(state, repack, [] if record else None)
-                      for _ in range(2)]
-    assert runs["recorded"] == runs["reference"]
-    # without a trial list everything else must still match
-    assert ([run[:1] + run[2:] for run in runs["unrecorded"]]
-            == [run[:1] + run[2:] for run in runs["reference"]])
+        runs[repack] = [_repack_outcome(state, repack) for _ in range(2)]
+    assert runs[offline_repack] == runs[reference_repack]
 
 
-def test_a_source_no_fuller_slot_can_take_is_skipped_but_still_recorded(monkeypatch):
+def test_a_source_no_fuller_slot_can_take_is_skipped(spies):
     # slot 1's movable groups x and y both need more LUT than slot 0 has
     # left; the pinned p on slot 1 is smaller, but it never moves, so it
     # must not lower the floor that closes slot 0 to x and y
@@ -389,38 +432,32 @@ def test_a_source_no_fuller_slot_can_take_is_skipped_but_still_recorded(monkeypa
         design, qor)
     placement = {"big": 0, "p": 1, "x": 1, "y": 1, "z": 2}
     state = PackState(device, graph, lib, baseline_configuration(graph), placement)
-    tested = []
-    fits = fado.packer._fits_slot
-    monkeypatch.setattr(fado.packer, "_fits_slot",
-                        lambda state_, sid, extra: tested.append(extra) or fits(state_, sid, extra))
-    trials: list = []
-    assert offline_repack(state, trials) == [("z", 2, 0)]
-    assert trials == [
-        {"group": "x", "src": 1, "dst": 0, "outcome": "rejected"},
-        {"group": "y", "src": 1, "dst": 0, "outcome": "rejected"},
-        {"group": "z", "src": 2, "dst": 0, "outcome": "moved"},
-    ]
+    trials, fits = spies
+    assert offline_repack(state) == [("z", 2, 0)]
+    assert trials == [("z", 0)]
     # x and y were never fit-tested on their own
-    assert not {state.group_load[g] for g in "xy"} & set(tested)
+    assert not {state.group_load[g] for g in "xy"} & {extra for _, extra in fits}
 
 
 # ---------------------------------------------------------------------------
 # Settled-stamp skip
 
 
-def test_offline_repack_on_a_settled_state_records_no_trials():
+def test_offline_repack_on_a_settled_state_tests_nothing(spies):
     state = _repack_fixture()
+    trials, fits = spies
     assert offline_repack(state) == [("F31", 2, 0)]
-    trials: list = []
-    assert offline_repack(state, trials) == []
-    assert trials  # the schedule ran and moved nothing
-    trials = []
-    assert offline_repack(state, trials) == []
-    assert trials == []
+    fits.clear()
+    assert offline_repack(state) == []
+    assert fits  # the schedule ran and moved nothing
+    fits.clear()
+    trials.clear()
+    assert offline_repack(state) == []
+    assert (trials, fits) == ([], [])
 
 
 @pytest.mark.parametrize("mutation", ["apply_point", "move_group"])
-def test_a_mutation_after_a_noop_repack_makes_it_run_again(mutation):
+def test_a_mutation_after_a_noop_repack_makes_it_run_again(mutation, spies):
     state = _repack_fixture()
     offline_repack(state)
     assert offline_repack(state) == []
@@ -430,12 +467,13 @@ def test_a_mutation_after_a_noop_repack_makes_it_run_again(mutation):
     else:
         state.move_group(state.group_of["F31"], 2)
         expected = [("F31", 2, 0)]
-    trials: list = []
-    assert offline_repack(state, trials) == expected
-    assert trials
+    _, fits = spies
+    fits.clear()
+    assert offline_repack(state) == expected
+    assert fits
 
 
-def test_restore_then_diverge_still_repacks():
+def test_restore_then_diverge_still_repacks(spies):
     state = _repack_fixture()
     offline_repack(state)
     at_a = state.snapshot()
@@ -443,9 +481,10 @@ def test_restore_then_diverge_still_repacks():
     assert offline_repack(state) == []  # settles B
     state.restore(at_a)
     state.move_group(state.group_of["F31"], 2)  # C: differs from B
-    trials: list = []
-    assert offline_repack(state, trials) == [("F31", 2, 0)]
-    assert trials
+    trials, _ = spies
+    trials.clear()
+    assert offline_repack(state) == [("F31", 2, 0)]
+    assert trials == [("F31", 0)]
 
 
 # ---------------------------------------------------------------------------
@@ -513,13 +552,13 @@ def test_trials_roll_back_exactly_and_group_loads_stay_current(state, data):
                 change = (data.draw(st.sampled_from(g.members)), data.draw(point))
             dest = data.draw(slot)
             before = _entries(state)
-            wires = recompute_all(device, graph, state.placement).state_fingerprint()
+            wires = sll_fingerprint(recompute_all(device, graph, state.placement))
             after = {**state.placement, **{m: dest for m in g.members}}
             fits = not recompute_all(device, graph, after).over_budget()
             assert state.trial_move(g, dest, change) == fits
             if not fits:
                 assert _entries(state) == before
-                assert state.sll.state_fingerprint() == wires
+                assert sll_fingerprint(state.sll) == wires
         assert state.group_load == {
             g.gid: group_resources(g, lib, state.config) for g in state.groups}
         loads = {s.id: ResourceVector.zero() for s in device.slots}
@@ -529,7 +568,7 @@ def test_trials_roll_back_exactly_and_group_loads_stay_current(state, data):
         fresh = recompute_all(device, graph, state.placement)
         assert state.sll.feasible() == (not fresh.over_budget())
         if data.draw(st.booleans()):
-            assert state.sll.state_fingerprint() == fresh.state_fingerprint()
+            assert sll_fingerprint(state.sll) == sll_fingerprint(fresh)
 
 
 def _one_column_state(edges):

@@ -15,7 +15,7 @@ from fado.pipeliner import (
     recompute_all,
 )
 
-from helpers import design_doc, device_doc, slot_at
+from helpers import design_doc, device_doc, sll_fingerprint, slot_at
 
 
 def _grid(width, height, *, sll=1000, io_cols=(), sll_limit=0.9):
@@ -24,8 +24,8 @@ def _grid(width, height, *, sll=1000, io_cols=(), sll_limit=0.9):
 
 
 def _rows_of(state, eid):
-    """Boundary rows whose fold assigned edge ``eid`` a half."""
-    return sorted(y for y, halves in state.half_of.items() if eid in halves)
+    """Boundary rows that edge ``eid`` crosses."""
+    return sorted(y for y, eids in state.crossing.items() if eid in eids)
 
 
 def _chain_graph(n, widths, kinds=None):
@@ -143,13 +143,13 @@ def test_move_away_and_back_is_bit_identical():
     graph = _chain_graph(4, [8, 16, 4])
     placement = {"f0": 0, "f1": 1, "f2": 2, "f3": 3}
     state = recompute_all(dev, graph, placement)
-    before = state.state_fingerprint()
+    before = sll_fingerprint(state)
 
     placement["f2"] = 1
     state.update(placement, {"f2"})
     placement["f2"] = 2
     state.update(placement, {"f2"})
-    assert state.state_fingerprint() == before
+    assert sll_fingerprint(state) == before
 
 
 def test_non_fifo_edges_carry_no_wires():
@@ -203,7 +203,7 @@ def test_incremental_update_equals_recompute(moves):
         placement[fn] = dest
         state.update(placement, {fn})
         fresh = recompute_all(_DEV, _GRAPH, placement)
-        assert state.state_fingerprint() == fresh.state_fingerprint()
+        assert sll_fingerprint(state) == sll_fingerprint(fresh)
 
 
 def test_snapshot_restore_round_trip():
@@ -212,12 +212,12 @@ def test_snapshot_restore_round_trip():
     placement = {"f0": 0, "f1": 3, "f2": 1}
     state = recompute_all(dev, graph, placement)
     snap = state.snapshot()
-    fp = state.state_fingerprint()
+    fp = sll_fingerprint(state)
     placement["f1"] = 0
     state.update(placement, {"f1"})
-    assert state.state_fingerprint() != fp
+    assert sll_fingerprint(state) != fp
     state.restore(snap)
-    assert state.state_fingerprint() == fp
+    assert sll_fingerprint(state) == fp
 
 
 @st.composite
@@ -247,7 +247,7 @@ def _pending_fingerprint(state):
     """The state's fingerprint, read without keeping the fold it forces:
     pending boundaries stay pending, so later steps still meet them."""
     snap = state.snapshot()
-    fp = state.state_fingerprint()
+    fp = sll_fingerprint(state)
     state.restore(snap)
     return fp
 
@@ -279,8 +279,8 @@ def test_update_snapshot_restore_match_recompute(instance, data):
         # feasible() first, while boundaries may still be pending
         assert state.feasible() == (not fresh.over_budget())
         assert state.crossing == fresh.crossing
-        assert _pending_fingerprint(state) == fresh.state_fingerprint()
-    assert state.state_fingerprint() == recompute_all(dev, graph, placement).state_fingerprint()
+        assert _pending_fingerprint(state) == sll_fingerprint(fresh)
+    assert sll_fingerprint(state) == sll_fingerprint(recompute_all(dev, graph, placement))
 
 
 def test_width_bound_fails_on_a_zero_capacity_half():
