@@ -240,8 +240,18 @@ def _entry(raw, key: str, where: str, default=_REQUIRED):
 
 
 def _number_entry(raw, key: str, where: str, default=_REQUIRED, kind=int):
-    """``kind(raw[key])`` (see ``_entry``), else a ModelError naming it."""
+    """``kind(raw[key])`` (see ``_entry``), else a ModelError naming it.
+
+    An int entry takes only a whole number: a bool, a string or a fraction
+    is an error, never truncated.
+    """
     value = _entry(raw, key, where, default)
+    if kind is int:
+        if isinstance(value, float) and value.is_integer():
+            return int(value)
+        if isinstance(value, int) and not isinstance(value, bool):
+            return value
+        raise ModelError(f"{where}: {key!r} must be an integer, got {value!r}")
     try:
         return kind(value)
     except (TypeError, ValueError):
@@ -645,6 +655,8 @@ def qor_from_dict(doc: dict, graph: DesignGraph) -> QoRLibrary:
         tmpl = _entry(raw, "template", "name rule", None)
         if not pat or not tmpl:
             raise ModelError("name rules need regex and template")
+        if not isinstance(pat, str) or not isinstance(tmpl, str):
+            raise ModelError(f"name rule regex and template must be strings, got {pat!r}, {tmpl!r}")
         try:
             compiled.append((re.compile(pat), tmpl))
         except re.error as exc:
@@ -736,6 +748,8 @@ def validate_configuration(graph: DesignGraph, lib: QoRLibrary, config: Configur
     for f, pid in config.items():
         if f not in graph.functions:
             raise ModelError(f"configuration names unknown function {f!r}")
+        if not isinstance(pid, str):
+            raise ModelError(f"configuration entry {f!r} must be a point id, got {pid!r}")
         lib.point(f, pid)
 
 

@@ -27,11 +27,10 @@ from .model import (
     QoRLibrary,
     ResourceVector,
     design_latency,
-    fit_budget,
     fits_within,
 )
 from .packer import PackState
-from .pipeliner import allowed_halves, recompute_all
+from .pipeliner import recompute_all
 
 HARD_GUARD_FUNCTIONS = 12
 HARD_GUARD_STATES = 1_000_000_000
@@ -53,10 +52,9 @@ class OracleResult:
     nodes: int
 
 
-def _exact_half_assignment(device: DeviceModel, edges: list, y: int) -> bool:
-    """True when the crossing edges of boundary y fit some half assignment."""
-    halves = device.boundary(y).halves
-    budget = fit_budget([halves[x] for x in range(device.width)], device.sll_limit)
+def _exact_half_assignment(budget: tuple, edges: list) -> bool:
+    """True when ``edges``, (width, column span) pairs crossing one
+    boundary, fit some assignment to halves of the given budgets."""
     edges = sorted(edges, key=lambda item: -item[0])  # widest first
 
     def place(i: int, loads: dict) -> bool:
@@ -81,13 +79,8 @@ def _sll_feasible(device: DeviceModel, graph: DesignGraph, placement: dict,
     for y in sorted({y for y, _, _, _ in state.over_budget()}):
         if not exact_fallback:
             return False
-        crossing = set(state.crossing[y])
-        items = [
-            (e.width, allowed_halves(device.slot(placement[e.src]).x,
-                                     device.slot(placement[e.dst]).x))
-            for e in graph.edges if e.index in crossing
-        ]
-        if not _exact_half_assignment(device, items, y):
+        items = [(graph.edges[eid].width, state.route_of[eid][1]) for eid in state.crossing[y]]
+        if not _exact_half_assignment(state.budget[y], items):
             return False
     return True
 

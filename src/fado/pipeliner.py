@@ -6,24 +6,23 @@ budgets.  Crossing any tracked boundary (die or io column) inserts one
 register group on the edge; only die crossings consume SLL capacity.
 
 Half selection is deliberately history-free: the halves used on a boundary
-are a pure function of the set of edges crossing it, folded in a canonical
-order.  That makes an incremental update (recompute only the boundaries
-whose crossing set changed) land bit-for-bit on the same state as a full
-recompute, which the packer relies on when it trials and rolls back moves.
+are a pure function of the set of edges crossing it, folded in ascending
+edge id order.  That makes an incremental update (refold only the
+boundaries whose crossing set changed) land bit-for-bit on the same state
+as a full recompute, which the packer relies on when it trials and rolls
+back moves.
 
-The state costs what a move changes, not what the design holds.  Each die
-boundary owns three fold results: its loads, its ``{edge id: half}`` map
-and its sorted crossing list.  They are replaced whole, never changed in
-place, and so are the per-boundary total widths and pending marks below,
-so ``snapshot`` and ``restore`` share them all by reference.  ``update``
-re-examines only the FIFO edges of the moved functions and marks dirty only
-the boundaries in their old and new die rows.  It does not fold: it keeps
-each boundary's crossing list and total crossing width current and records
-a dirty boundary's first changed edge.  A fold choice depends only on the
-edges before it in canonical order and on the edge's own column span, so a
-pending boundary is later refolded from that first edge, the earlier
-prefix replaying its recorded halves, and lands exactly where a full fold
-would.
+The state costs what a move changes, not what the design holds.  It is
+five objects: each FIFO edge's route (die rows crossed, column span,
+register groups), and per die boundary its sorted crossing list, total
+crossing width and folded loads, plus the set of boundaries pending a
+fold.  Each is replaced whole, never changed in place, so ``snapshot`` and
+``restore`` share them by reference.  Register groups are read from the
+routes.  ``update`` re-examines only the FIFO edges of the moved functions
+and touches only the boundaries in their old and new die rows.  It does
+not fold: it keeps each boundary's crossing list and total width current
+and marks the boundary pending.  A pending boundary is later folded whole
+from its crossing list.
 
 The fold is deferred until something needs it, and most questions are
 decided without it.  A half's budget (``fit_budget``) is ``sll_limit``
@@ -70,24 +69,6 @@ def allowed_halves(xs: int, xd: int) -> range:
     return range(min(xs, xd), max(xs, xd) + 1)
 
 
-def choose_half(halves: dict[int, int], loads: dict[int, int], width: int, allowed) -> int:
-    """Pick the crossing column with the lowest post-assignment fill ratio.
-
-    Ties break toward the lower column index; a zero-capacity column ranks
-    last (``kind_ratio``).  The choice ignores the budget cap on purpose: if
-    even the best ratio busts the cap, no column would have passed, and the
-    caller detects that from the resulting loads.
-    """
-    best_x = None
-    best_ratio = None
-    for x in allowed:
-        ratio = kind_ratio(loads.get(x, 0) + width, halves[x])
-        if best_ratio is None or ratio < best_ratio:
-            best_ratio = ratio
-            best_x = x
-    return best_x
-
-
 def recompute_all(device: DeviceModel, graph: DesignGraph, placement: dict) -> "SllState":
     """Fresh routing state built from scratch for a placement."""
     state = SllState(device, graph)
@@ -122,80 +103,80 @@ class SllState:
         # A move can add at most its functions' FIFO widths to any boundary.
         self._reach = {f: sum(e.width for e in edges) for f, edges in self._fifo_of.items()}
         self._caps = {b.y: b.halves for b in device.die_boundaries}
-        self._budget = {  # boundary row -> per-column half budgets
+        self.budget = {  # boundary row -> per-column half budgets
             y: fit_budget([halves[x] for x in range(device.width)], device.sll_limit)
             for y, halves in self._caps.items()
         }
         # Loads are whole wires, so a half holds at most floor(budget) of
         # them: a boundary whose total exceeds the sum overflows some half.
         self._reject_bound = {
-            y: sum(map(math.floor, budget)) for y, budget in self._budget.items()
+            y: sum(map(math.floor, budget)) for y, budget in self.budget.items()
         }
         # A boundary whose total is within its narrowest half's budget
         # cannot overflow any half, however the fold splits the edges.
-        self._accept_bound = {y: min(budget) for y, budget in self._budget.items()}
+        self._accept_bound = {y: min(budget) for y, budget in self.budget.items()}
         self._routes: dict[tuple, tuple] = {}  # slot pair -> route, filled on first use
         self._loads: dict[int, dict[int, int]] = {}
-        self._half_of: dict[int, dict[int, int]] = {}
         self.crossing: dict[int, list[int]] = {}
         self._total: dict[int, int] = {}  # boundary row -> total crossing width
-        self._pending: dict[int, int] = {}  # unfolded boundary row -> first changed edge id
-        self.reg_groups: dict[int, int] = {}
-        self._route_of: dict[int, tuple] = {}  # FIFO edge id -> its route
+        self._pending: frozenset[int] = frozenset()  # boundary rows not yet folded
+        self.route_of: dict[int, tuple] = {}  # FIFO edge id -> its route
 
     @property
     def boundary_loads(self) -> dict[int, dict[int, int]]:
         self._settle()
         return self._loads
 
+    @property
+    def reg_groups(self) -> dict[int, int]:
+        route_of = self.route_of
+        return {e.index: route_of[e.index][2] if e.index in route_of else 0
+                for e in self.graph.edges}
+
     # -- core fold ---------------------------------------------------------
 
     def _route(self, src_slot: int, dst_slot: int) -> tuple:
-        """(die rows crossed, lowest column, highest column, register groups)."""
+        """(die rows crossed, column span, register groups)."""
         route = self._routes.get((src_slot, dst_slot))
         if route is None:
             ss, sd = self.device.slot(src_slot), self.device.slot(dst_slot)
             rows = tuple(crossed_die_rows(self.device, ss.y, sd.y))
             regs = len(rows) + len(crossed_io_cols(self.device, ss.x, sd.x))
-            lo, hi = sorted((ss.x, sd.x))
-            route = self._routes[src_slot, dst_slot] = (rows, lo, hi, regs)
+            route = self._routes[src_slot, dst_slot] = (rows, allowed_halves(ss.x, sd.x), regs)
         return route
 
-    def _fold(self, y: int, edge_ids: list[int], start: int = 0,
-              prev: dict | None = None) -> tuple[dict, dict]:
-        """Fold boundary y's crossing list into fresh (loads, halves) dicts.
+    def _fold(self, y: int, edge_ids: list[int]) -> dict[int, int]:
+        """Fold boundary y's crossing list into a fresh ``{half: wires}``.
 
-        The first ``start`` edges take the halves recorded in ``prev``; the
-        rest are chosen by ``choose_half``, except that an edge spanning one
-        column takes that column.
+        Each edge in turn takes the column of its span with the lowest fill
+        ratio after adding it (``kind_ratio``), ties to the lower column, so
+        a zero-capacity column ranks last.  The choice ignores the budget on
+        purpose: if even the best column busts it, none would have passed,
+        and the loads show it.
         """
         caps = self._caps[y]
-        width = self._width
+        width, route_of = self._width, self.route_of
         loads: dict[int, int] = {}
-        halves: dict[int, int] = {}
-        for eid in edge_ids[:start]:
-            x = halves[eid] = prev[eid]
-            loads[x] = loads.get(x, 0) + width[eid]
-        route_of = self._route_of
-        for eid in edge_ids[start:]:
-            _, lo, hi, _ = route_of[eid]
-            w = width[eid]
-            x = halves[eid] = lo if lo == hi else choose_half(caps, loads, w, allowed_halves(lo, hi))
+        for eid in edge_ids:
+            span, w = route_of[eid][1], width[eid]
+            x = span[0]
+            if len(span) > 1:
+                best = kind_ratio(loads.get(x, 0) + w, caps[x])
+                for col in span[1:]:
+                    ratio = kind_ratio(loads.get(col, 0) + w, caps[col])
+                    if ratio < best:
+                        x, best = col, ratio
             loads[x] = loads.get(x, 0) + w
-        return loads, halves
+        return loads
 
     def _fold_pending(self, y: int) -> None:
-        """Fold pending boundary y from its first changed edge and store the
-        result."""
-        eids = self.crossing[y]
-        loads, halves = self._fold(y, eids, bisect_left(eids, self._pending[y]), self._half_of[y])
-        self._loads = {**self._loads, y: loads}
-        self._half_of = {**self._half_of, y: halves}
-        self._pending = {r: eid for r, eid in self._pending.items() if r != y}
+        """Fold pending boundary y and store the result."""
+        self._loads = {**self._loads, y: self._fold(y, self.crossing[y])}
+        self._pending = self._pending - {y}
 
     def _settle(self) -> None:
         """Fold every pending boundary."""
-        for y in list(self._pending):
+        for y in self._pending:
             self._fold_pending(y)
 
     # -- full rebuild --------------------------------------------------------
@@ -203,25 +184,17 @@ class SllState:
     def refresh(self, placement: dict) -> None:
         crossing: dict[int, list[int]] = {y: [] for y in self._caps}
         route_of = {}
-        regs = {}
-        width = self._width
         for e in self.graph.edges:
-            if e.kind != FIFO:
-                regs[e.index] = 0
-                continue
-            route = route_of[e.index] = self._route(placement[e.src], placement[e.dst])
-            regs[e.index] = route[3]
-            for y in route[0]:
-                crossing[y].append(e.index)
-        self._route_of = route_of
-        self.reg_groups = regs
+            if e.kind == FIFO:
+                route = route_of[e.index] = self._route(placement[e.src], placement[e.dst])
+                for y in route[0]:
+                    crossing[y].append(e.index)
+        width = self._width
+        self.route_of = route_of
         self.crossing = crossing
         self._total = {y: sum(width[eid] for eid in eids) for y, eids in crossing.items()}
-        self._pending = {}
-        self._loads = {}
-        self._half_of = {}
-        for y, eids in crossing.items():
-            self._loads[y], self._half_of[y] = self._fold(y, eids)
+        self._pending = frozenset()
+        self._loads = {y: self._fold(y, eids) for y, eids in crossing.items()}
 
     # -- incremental rebuild --------------------------------------------------
 
@@ -231,7 +204,7 @@ class SllState:
         each moved function to its slot; every other function stays where
         ``placement`` puts it."""
         changed = {}
-        route_of = self._route_of
+        route_of = self.route_of
         for f in moved:
             for e in self._fifo_of[f]:
                 route = self._route(moved.get(e.src, placement[e.src]),
@@ -246,57 +219,50 @@ class SllState:
         Only the moved functions' FIFO edges whose route changed are
         re-examined.  A boundary that such an edge enters or leaves, or keeps
         crossing over another column span, gets its crossing list and total
-        width updated and becomes pending, remembering its first changed
-        edge; the fold itself waits until a query needs it.
+        width updated and becomes pending; the fold itself waits until a
+        query needs it.
         """
         changed = self._route_changes(placement, {f: placement[f] for f in moved})
         if not changed:
             return
-        width = self._width
-        first: dict[int, int] = {}  # dirty boundary row -> lowest changed edge id
+        width, route_of = self._width, self.route_of
+        dirty: set[int] = set()
         entering: dict[int, list[int]] = {}
         leaving: dict[int, list[int]] = {}
         for eid, route in changed.items():
-            old = self._route_of[eid]
-            same_span = old[1] == route[1] and old[2] == route[2]
+            old = route_of[eid]
+            same_span = old[1] == route[1]
             for y in old[0]:
                 if y not in route[0]:
                     leaving.setdefault(y, []).append(eid)
                 elif same_span:
                     continue  # still crossing y over the same columns
-                first[y] = min(first.get(y, eid), eid)
+                dirty.add(y)
             for y in route[0]:
                 if y not in old[0]:
                     entering.setdefault(y, []).append(eid)
                 elif same_span:
                     continue
-                first[y] = min(first.get(y, eid), eid)
-        route_of = dict(self._route_of)
-        route_of.update(changed)
-        self._route_of = route_of
-        regs = dict(self.reg_groups)
-        for eid, route in changed.items():
-            regs[eid] = route[3]
-        self.reg_groups = regs
-        if not first:
+                dirty.add(y)
+        self.route_of = {**route_of, **changed}
+        if not dirty:
             return
-        crossing, total, pending = dict(self.crossing), dict(self._total), dict(self._pending)
-        for y, eid in first.items():
-            if y in entering or y in leaving:
-                eids = crossing[y] = list(crossing[y])
-                for e in leaving.get(y, ()):
-                    del eids[bisect_left(eids, e)]
-                    total[y] -= width[e]
-                for e in entering.get(y, ()):
-                    insort(eids, e)
-                    total[y] += width[e]
-            pending[y] = min(pending.get(y, eid), eid)
-        self.crossing, self._total, self._pending = crossing, total, pending
+        crossing, total = dict(self.crossing), dict(self._total)
+        for y in entering.keys() | leaving.keys():
+            eids = crossing[y] = list(crossing[y])
+            for e in leaving.get(y, ()):
+                del eids[bisect_left(eids, e)]
+                total[y] -= width[e]
+            for e in entering.get(y, ()):
+                insort(eids, e)
+                total[y] += width[e]
+        self.crossing, self._total = crossing, total
+        self._pending = self._pending | dirty
 
     # -- queries ---------------------------------------------------------------
 
     def _over(self, y: int) -> list[tuple[int, int, int, float]]:
-        halves, budget, limit = self._caps[y], self._budget[y], self.device.sll_limit
+        halves, budget, limit = self._caps[y], self.budget[y], self.device.sll_limit
         return [(y, x, used, limit * halves[x])
                 for x, used in sorted(self._loads[y].items()) if used > budget[x]]
 
@@ -322,7 +288,7 @@ class SllState:
         reach = sum(self._reach[f] for f in moved)
         if all(total[y] + reach <= bound[y] for y in total):
             return False
-        width, route_of = self._width, self._route_of
+        width, route_of = self._width, self.route_of
         delta: dict[int, int] = {}  # boundary row -> change of its total width
         for eid, route in self._route_changes(placement, moved).items():
             for y in route_of[eid][0]:
@@ -353,13 +319,11 @@ class SllState:
         return True
 
     def total_register_groups(self) -> int:
-        return sum(self.reg_groups.values())
+        return sum(route[2] for route in self.route_of.values())
 
     def snapshot(self) -> tuple:
         """The current state objects, shared: none is ever changed in place."""
-        return (self._loads, self._half_of, self.crossing, self._total,
-                self._pending, self.reg_groups, self._route_of)
+        return self._loads, self.crossing, self._total, self._pending, self.route_of
 
     def restore(self, snap: tuple) -> None:
-        (self._loads, self._half_of, self.crossing, self._total,
-         self._pending, self.reg_groups, self._route_of) = snap
+        self._loads, self.crossing, self._total, self._pending, self.route_of = snap

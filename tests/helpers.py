@@ -7,6 +7,7 @@ from fado.model import (
     RESOURCE_KINDS,
     design_from_dict,
     device_from_dict,
+    kind_ratio,
     qor_from_dict,
     utilization_ratio,
 )
@@ -121,13 +122,34 @@ def reference_repack(state):
     return moves
 
 
+def reference_fold(device, graph, placement, y):
+    """Boundary y's ``{half: wires}`` by the plain half rule, from scratch:
+    each FIFO edge crossing y, in ascending id order, takes the column of its
+    endpoint span with the lowest post-add fill ratio, the first such column
+    on a tie.  ``SllState.boundary_loads`` must match it exactly."""
+    caps = device.boundary(y).halves
+    loads = {}
+    for edge in sorted(graph.fifo_edges(), key=lambda e: e.index):
+        src, dst = device.slot(placement[edge.src]), device.slot(placement[edge.dst])
+        if not min(src.y, dst.y) <= y < max(src.y, dst.y):
+            continue
+        best_x = best_ratio = None
+        for x in range(min(src.x, dst.x), max(src.x, dst.x) + 1):
+            ratio = kind_ratio(loads.get(x, 0) + edge.width, caps[x])
+            if best_ratio is None or ratio < best_ratio:
+                best_x, best_ratio = x, ratio
+        loads[best_x] = loads.get(best_x, 0) + edge.width
+    return loads
+
+
 def sll_fingerprint(sll):
-    """Everything an ``SllState`` routes: per-boundary half loads, each
-    crossing edge's half and every edge's register groups, with every
-    pending fold settled first."""
+    """Everything an ``SllState`` routes: per-boundary half loads and
+    crossing lists, which with the placement determine each crossing edge's
+    half, and every edge's register groups, with every pending fold settled
+    first."""
     loads = sll.boundary_loads  # settles the pending folds
     return (
         tuple(sorted((y, tuple(sorted(l.items()))) for y, l in loads.items())),
-        tuple(sorted((y, tuple(sorted(h.items()))) for y, h in sll._half_of.items())),
+        tuple(sorted((y, tuple(eids)) for y, eids in sll.crossing.items())),
         tuple(sorted(sll.reg_groups.items())),
     )

@@ -296,6 +296,14 @@ def _string_name_rule(doc):
     doc["name_rules"] = ["x"]
 
 
+def _number_rule_regex(doc):
+    doc["name_rules"] = [{"regex": 5, "template": "tA"}]
+
+
+def _list_rule_template(doc):
+    doc["name_rules"] = [{"regex": "A", "template": ["tA"]}]
+
+
 def _string_function(doc):
     doc["kernels"][0]["functions"][0] = "A"
 
@@ -323,6 +331,8 @@ MALFORMED = {
     "null-util-limit": ("device", _null_util_limit, "'util_limit'"),
     "loop-without-bound": ("qor", _drop_loop_bound, "'bound'"),
     "name-rule-not-an-object": ("qor", _string_name_rule, "name rule"),
+    "name-rule-regex-not-a-string": ("qor", _number_rule_regex, "name rule"),
+    "name-rule-template-not-a-string": ("qor", _list_rule_template, "name rule"),
     "function-not-an-object": ("design", _string_function, "function #0"),
     "edge-not-an-object": ("design", _number_edge, "edge #0"),
     "kernel-not-an-object": ("design", _list_kernel, "kernel #0"),
@@ -376,6 +386,18 @@ def _unknown_placement_function(doc):
     doc["placement"]["ZZZ"] = 0
 
 
+def _fractional_placement_slot(doc):
+    doc["placement"]["A"] = 1.5
+
+
+def _bool_placement_slot(doc):
+    doc["placement"]["A"] = True
+
+
+def _list_configuration_point(doc):
+    doc["configuration"]["A"] = ["baseline"]
+
+
 def _configuration_list(doc):
     doc["configuration"] = sorted(doc["configuration"])
 
@@ -401,7 +423,10 @@ MALFORMED_RESULT = {
     "placement-not-an-object": ("check", _placement_list, "'placement'"),
     "placement-slot-null": ("check", _null_placement_slot, "'A'"),
     "placement-unknown-function": ("check", _unknown_placement_function, "'ZZZ'"),
+    "placement-slot-fraction": ("check", _fractional_placement_slot, "'A'"),
+    "placement-slot-bool": ("check", _bool_placement_slot, "'A'"),
     "configuration-not-an-object": ("check", _configuration_list, "'configuration'"),
+    "configuration-point-a-list": ("check", _list_configuration_point, "'A'"),
     "sll-not-an-object": ("check", _sll_list, "'sll'"),
     "sll-table-not-an-object": ("check", _sll_table_number, "'0'"),
     "register-groups-not-an-object": ("check", _register_groups_string, "'register_groups'"),

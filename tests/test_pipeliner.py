@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -9,13 +10,12 @@ from fado.model import design_from_dict, device_from_dict
 from fado.pipeliner import (
     SllState,
     allowed_halves,
-    choose_half,
     crossed_die_rows,
     crossed_io_cols,
     recompute_all,
 )
 
-from helpers import design_doc, device_doc, sll_fingerprint, slot_at
+from helpers import design_doc, device_doc, reference_fold, sll_fingerprint, slot_at
 
 
 def _grid(width, height, *, sll=1000, io_cols=(), sll_limit=0.9):
@@ -60,16 +60,6 @@ def test_allowed_halves_is_the_column_span():
     assert list(allowed_halves(0, 2)) == [0, 1, 2]
     assert list(allowed_halves(2, 0)) == [0, 1, 2]
     assert list(allowed_halves(1, 1)) == [1]
-
-
-def test_choose_half_min_ratio_then_lower_column():
-    halves = {0: 100, 1: 100}
-    assert choose_half(halves, {}, 8, [0, 1]) == 0
-    assert choose_half(halves, {0: 50}, 8, [0, 1]) == 1
-    # smaller capacity loses even when both are empty
-    assert choose_half({0: 50, 1: 100}, {}, 8, [0, 1]) == 1
-    # zero capacity is never chosen while an alternative exists
-    assert choose_half({0: 0, 1: 10}, {}, 8, [0, 1]) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -315,10 +305,11 @@ def _pairs_graph(widths):
     ))
 
 
-def test_a_completed_fold_still_checks_its_replayed_prefix():
+def test_a_refold_still_counts_the_unchanged_edges():
     # 2x2 grid, 9-wire half budgets: edge 0 already holds 16 wires in
-    # column 0; edge 1 then enters across both columns and the fold, which
-    # replays edge 0 and chooses only edge 1, puts it on column 1 and fits
+    # column 0; edge 1 then enters across both columns, and the refold,
+    # which counts edge 0 again before choosing edge 1, puts edge 1 on
+    # column 1 and finds column 0 over
     dev = _grid(2, 2, sll=10)
     graph = _pairs_graph([16, 1])
     placement = {"s0": 0, "d0": 2, "s1": 0, "d1": 0}
@@ -327,6 +318,53 @@ def test_a_completed_fold_still_checks_its_replayed_prefix():
     state.update(placement, {"d1"})
     assert not state.feasible()
     assert state.boundary_loads[0] == {0: 16, 1: 1}
+
+
+# One die boundary on a 2x2 grid; an edge spans column 0 (0), column 1
+# (1) or both (None).  Slots are row-major, so (x, 0) is x and (x, 1) is 2 + x.
+_SPAN_ENDS = {0: (0, 2), 1: (1, 3), None: (0, 3)}
+
+
+@pytest.mark.parametrize("caps, edges, loads", [
+    # equal ratios tie to the lower column
+    ((100, 100), [(8, None)], {0: 8}),
+    # the lowest fill ratio after adding the edge wins, counting earlier edges
+    ((100, 100), [(50, 0), (8, None)], {0: 50, 1: 8}),
+    ((100, 100), [(8, None), (8, None), (8, None)], {0: 16, 1: 8}),
+    # a smaller half loses even when both are empty
+    ((50, 100), [(8, None)], {1: 8}),
+    # a zero-capacity half ranks last while another half has wires...
+    ((0, 10), [(8, None)], {1: 8}),
+    # ...and between two of them the tie goes to the lower column
+    ((0, 0), [(8, None)], {0: 8}),
+])
+def test_fold_takes_the_lowest_post_add_ratio_then_the_lower_column(caps, edges, loads):
+    doc = device_doc(width=2, height=2)
+    for half, cap in zip(doc["die_boundaries"][0]["halves"], caps):
+        half["sll_capacity"] = cap
+    dev = device_from_dict(doc)
+    graph = _pairs_graph([w for w, _ in edges])
+    placement = {}
+    for i, (_, col) in enumerate(edges):
+        placement[f"s{i}"], placement[f"d{i}"] = _SPAN_ENDS[col]
+    assert recompute_all(dev, graph, placement).boundary_loads[0] == loads
+
+
+@settings(max_examples=200, deadline=None)
+@given(_wired_instance(), st.data())
+def test_every_fold_matches_the_reference_rule(instance, data):
+    dev, graph = instance
+    names = sorted(graph.functions)
+    slot = st.sampled_from([s.id for s in dev.slots])
+    placement = {f: data.draw(slot) for f in names}
+    state = recompute_all(dev, graph, placement)
+    for _ in range(data.draw(st.integers(0, 6))):
+        moves = data.draw(st.dictionaries(st.sampled_from(names), slot, min_size=1, max_size=3))
+        placement.update(moves)
+        state.update(placement, set(moves))
+    assert state.boundary_loads == {
+        b.y: reference_fold(dev, graph, placement, b.y) for b in dev.die_boundaries
+    }
 
 
 def test_the_accept_bound_is_the_narrowest_half():
