@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 import time
@@ -177,7 +178,8 @@ def cmd_optimize(args) -> int:
         "qor": args.qor,
     }
     doc = _result_document(device, graph, lib, result, wall, flags)
-    (out / "result.json").write_text(json.dumps(doc, indent=2) + "\n")
+    # Compact: without an indent the json module encodes in C.
+    (out / "result.json").write_text(json.dumps(doc, separators=(",", ":")) + "\n")
     _write_trace_csv(out / "trace.csv", result.trace)
     _write_directives(out / "directives.txt", graph, lib, result.config)
     state = result.state
@@ -299,7 +301,18 @@ def cmd_gen(args) -> int:
     return EXIT_OK
 
 
+def _count(text: str) -> int:
+    """An argparse type: a whole number, 0 or more."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be 0 or more, got {value}")
+    return value
+
+
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it as it
+    was, and building it costs more than a small instance's result write."""
     p = _Parser(prog="fado", description=__doc__)
     p.add_argument("--version", action="version", version=__version__)
     sub = p.add_subparsers(dest="command", required=True, parser_class=_Parser)
@@ -320,9 +333,9 @@ def build_parser() -> argparse.ArgumentParser:
                     help="directive search only; no packing moves")
     sp.add_argument("--util-limit", type=float, default=None)
     sp.add_argument("--sll-limit", type=float, default=None)
-    sp.add_argument("--lookahead-n", type=int, default=None)
+    sp.add_argument("--lookahead-n", type=_count, default=None)
     sp.add_argument("--lookahead-mode", choices=("min", "max"), default="min")
-    sp.add_argument("--iter-cap", type=int, default=None)
+    sp.add_argument("--iter-cap", type=_count, default=None)
     sp.add_argument("--tcl-stub", action="store_true")
     sp.set_defaults(func=cmd_optimize)
 

@@ -15,6 +15,7 @@ import logging
 import math
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 from operator import add, itemgetter, sub
 
 log = logging.getLogger(__name__)
@@ -242,20 +243,18 @@ def _entry(raw, key: str, where: str, default=_REQUIRED):
 def _number_entry(raw, key: str, where: str, default=_REQUIRED, kind=int):
     """``kind(raw[key])`` (see ``_entry``), else a ModelError naming it.
 
-    An int entry takes only a whole number: a bool, a string or a fraction
-    is an error, never truncated.
+    Only a JSON number is taken: a bool or a string is an error, never
+    converted.  An int entry also refuses a fraction rather than truncate it.
     """
     value = _entry(raw, key, where, default)
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        noun = "an integer" if kind is int else "a number"
+        raise ModelError(f"{where}: {key!r} must be {noun}, got {value!r}")
     if kind is int:
-        if isinstance(value, float) and value.is_integer():
-            return int(value)
-        if isinstance(value, int) and not isinstance(value, bool):
-            return value
-        raise ModelError(f"{where}: {key!r} must be an integer, got {value!r}")
-    try:
-        return kind(value)
-    except (TypeError, ValueError):
-        raise ModelError(f"{where}: {key!r} must be a number, got {value!r}") from None
+        if isinstance(value, float) and not value.is_integer():
+            raise ModelError(f"{where}: {key!r} must be an integer, got {value!r}")
+        return int(value)
+    return float(value)
 
 
 def _list_entry(raw, key: str, where: str, default=_REQUIRED) -> list:
@@ -378,6 +377,16 @@ class DesignGraph:
     edges: list[Edge]
     kernel_order: list[str] = field(default_factory=list)
     kernel_preds: dict[str, set] = field(default_factory=dict)
+
+    @cached_property
+    def latency_plan(self) -> tuple:
+        """The kernel DAG as ``path_latency`` walks it, built on first use:
+        per kernel in ``kernel_order``, its member function names and the
+        plan positions of its predecessor kernels."""
+        members = {k["name"]: tuple(f["name"] for f in k["functions"]) for k in self.kernels}
+        at = {k: i for i, k in enumerate(self.kernel_order)}
+        return tuple((members[k], tuple(at[p] for p in self.kernel_preds[k]))
+                     for k in self.kernel_order)
 
     def fifo_edges(self) -> list[Edge]:
         return [e for e in self.edges if e.kind == FIFO]
@@ -759,14 +768,13 @@ def function_latencies(graph: DesignGraph, lib: QoRLibrary, config: Configuratio
 
 def path_latency(graph: DesignGraph, latency_of: dict[str, int]) -> int:
     """Longest kernel-level path, each kernel weighted by the largest of its
-    functions' latencies in ``latency_of``."""
-    weights = {
-        k["name"]: max(latency_of[f["name"]] for f in k["functions"]) for k in graph.kernels
-    }
-    dist: dict[str, int] = {}
-    for k in graph.kernel_order:
-        dist[k] = weights[k] + max((dist[p] for p in graph.kernel_preds[k]), default=0)
-    return max(dist.values())
+    functions' latencies in ``latency_of``, over the graph's
+    ``latency_plan``."""
+    latency = latency_of.__getitem__
+    dist: list[int] = []
+    for members, preds in graph.latency_plan:
+        dist.append(max(map(latency, members)) + max([dist[p] for p in preds], default=0))
+    return max(dist)
 
 
 def design_latency(graph: DesignGraph, lib: QoRLibrary, config: Configuration) -> int:

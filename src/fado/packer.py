@@ -28,16 +28,25 @@ resource vector is kept current as points change, so the fit test and the
 repack schedule re-sum nothing.  Resource vectors are tuples in
 ``RESOURCE_KINDS`` order, so loads, extras and capacities go to
 ``within_budget`` and ``kind_ratio`` as they are, with no conversion.
-``PackState.trial_move`` first asks the routing state whether the move's
-route changes would push some die boundary's total crossing width past the
-sum of its half budgets (``SllState.rejects``); then no fold could fit the
-wires, and the trial is refused before anything is applied.  Otherwise it
-applies the point and the move and asks ``SllState.feasible``, which
-decides most boundaries from the same reject bound and an accept bound,
-the narrowest half's budget, and folds only the boundaries left in
-between.  On rejection it puts back only the entries the trial
-changed: the members' placements, the touched slot loads, the point's
-configuration entry, the group load, the routing snapshot and the stamp.
+``PackState.trial_move`` computes the move's FIFO route changes once
+(``SllState.route_changes``) and first asks the routing state whether they
+would push some die boundary's total crossing width past the sum of its
+half budgets (``SllState.rejects``); then no fold could fit the wires, and
+the trial is refused before anything is applied.  Otherwise it applies the
+point and the move, hands the same route changes to ``SllState.update``,
+and asks ``SllState.feasible``, which decides most boundaries from the same
+reject bound and an accept bound, the narrowest half's budget, and folds
+only the boundaries left in between.  On rejection it puts back only the
+entries the trial changed: the members' placements, the touched slot
+loads, the point's configuration entry, the group load, the routing
+snapshot and the stamp.
+
+Sort keys are not re-derived while their inputs stand.  Offline repack's
+key for a group (its load's utilization ratio against its slot) is kept
+with the group load and slot capacity it came from, and is recomputed only
+when a point change has changed the load or the group sits on a slot of
+another capacity.  Online pack orders a batch by each target point's ratio
+against the function's slot, remembered per (function, point, slot).
 """
 
 from __future__ import annotations
@@ -103,6 +112,11 @@ class PackState:
         self.sll.refresh(self.placement)
         self.stamp = next(_stamps)
         self.settled_stamp = None  # stamp of the last repack that moved nothing
+        # Sort-key memos, read only through the functions that fill them:
+        # online pack's by (function, point id, slot id), offline repack's
+        # by group id, each with the load and capacity it was computed from.
+        self.pack_keys: dict[tuple, float] = {}
+        self.repack_keys: dict[int, tuple] = {}
 
     # -- accessors -----------------------------------------------------------
 
@@ -139,18 +153,21 @@ class PackState:
 
     def move_group(self, group, dest: int) -> None:
         """Relocate every member of ``group`` and re-derive its routing."""
-        moved = set()
-        for m in group.members:
+        moving = {m: dest for m in group.members if self.placement[m] != dest}
+        self._relocate(moving, self.sll.route_changes(self.placement, moving))
+
+    def _relocate(self, moving: dict, routes: dict) -> None:
+        """Put each function of ``moving`` on its slot there, and hand the
+        routing state the FIFO route changes this makes (``routes``, from
+        ``SllState.route_changes``)."""
+        for m, dest in moving.items():
             src = self.placement[m]
-            if src == dest:
-                continue
             res = self.fn_resources(m)
             self.slot_load[src] = self.slot_load[src] - res
             self.slot_load[dest] = self.slot_load[dest] + res
             self.placement[m] = dest
-            moved.add(m)
         self.stamp = next(_stamps)
-        self.sll.update(self.placement, moved)
+        self.sll.update(routes)
 
     def trial_move(self, group, dest: int, point: tuple | None = None) -> bool:
         """Move ``group`` to ``dest``, first applying ``point``, a (member of
@@ -163,7 +180,9 @@ class PackState:
         as it was, stamp included.
         """
         placed = {m: self.placement[m] for m in group.members}
-        if self.sll.rejects(self.placement, {m: dest for m, sid in placed.items() if sid != dest}):
+        moving = {m: dest for m, sid in placed.items() if sid != dest}
+        routes = self.sll.route_changes(self.placement, moving)
+        if self.sll.rejects(routes):
             return False
         loads = {sid: self.slot_load[sid] for sid in {dest, *placed.values()}}
         group_load = self.group_load[group.gid]
@@ -172,7 +191,7 @@ class PackState:
             fn, point_id = point
             old_point = self.config[fn]
             self.apply_point(fn, point_id)
-        self.move_group(group, dest)
+        self._relocate(moving, routes)
         if self.sll.feasible():
             return True
         self.placement.update(placed)
@@ -268,16 +287,17 @@ def online_pack(state: PackState, targets: dict, allow_moves: bool = True) -> tu
 
     snap = state.snapshot()
     moves: list[tuple[str, int, int]] = []
-    order = sorted(
-        targets,
-        key=lambda f: (
-            -utilization_ratio(
-                state.lib.point(f, targets[f]).resources,
-                state.device.slot(state.placement[f]).capacity,
-            ),
-            f,
-        ),
-    )
+    keys = state.pack_keys
+
+    def order_key(f):
+        at = (f, targets[f], state.placement[f])
+        key = keys.get(at)
+        if key is None:
+            key = keys[at] = -utilization_ratio(state.lib.point(f, targets[f]).resources,
+                                                state.device.slot(at[2]).capacity)
+        return key, f
+
+    order = sorted(targets, key=order_key)
     for fn in order:
         pid = targets[fn]
         new = state.lib.point(fn, pid).resources
@@ -301,6 +321,18 @@ def online_pack(state: PackState, targets: dict, allow_moves: bool = True) -> tu
             state.restore(snap)
             return False, []
     return True, moves
+
+
+def _repack_key(state: PackState, group, capacity: ResourceVector) -> tuple:
+    """Offline repack's sort key for ``group`` on a slot of ``capacity``,
+    remembered with the group load and capacity it was computed from and
+    recomputed only when either differs."""
+    load = state.group_load[group.gid]
+    memo = state.repack_keys.get(group.gid)
+    if memo is None or memo[0] != load or memo[1] != capacity:
+        memo = state.repack_keys[group.gid] = (
+            load, capacity, (-utilization_ratio(load, capacity), group.gid))
+    return memo[2]
 
 
 def offline_repack(state: PackState) -> list:
@@ -349,10 +381,7 @@ def offline_repack(state: PackState) -> list:
                  if not state.slot_load[dest.id].is_zero() and _fits_slot(state, dest.id, floor)]
         if not open_:
             continue
-        movable = sorted(
-            movable,
-            key=lambda g: (-utilization_ratio(group_load[g.gid], src.capacity), g.gid),
-        )
+        movable = sorted(movable, key=lambda g: _repack_key(state, g, src.capacity))
         for g in movable:
             extra = group_load[g.gid]
             for dest in open_:

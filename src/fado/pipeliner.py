@@ -18,11 +18,14 @@ register groups), and per die boundary its sorted crossing list, total
 crossing width and folded loads, plus the set of boundaries pending a
 fold.  Each is replaced whole, never changed in place, so ``snapshot`` and
 ``restore`` share them by reference.  Register groups are read from the
-routes.  ``update`` re-examines only the FIFO edges of the moved functions
-and touches only the boundaries in their old and new die rows.  It does
-not fold: it keeps each boundary's crossing list and total width current
-and marks the boundary pending.  A pending boundary is later folded whole
-from its crossing list.
+routes.  A move is described once, by ``route_changes``: the moved
+functions' FIFO edges whose route changes, with their new routes.
+``update`` takes that description and touches only the boundaries in those
+edges' old and new die rows.  It does not fold: it keeps each boundary's
+crossing list and total width current and marks the boundary pending.  A
+pending boundary is later folded whole from its crossing list, in one
+walk: an edge whose span is one column adds its width there directly, and
+only a wider span compares the fill ratios of its columns.
 
 The fold is deferred until something needs it, and most questions are
 decided without it.  A half's budget (``fit_budget``) is ``sll_limit``
@@ -40,9 +43,10 @@ width exactly for any fold:
 if pending, and checks only the boundaries left in between, one at a time,
 returning False at the first one over budget.  Every fold is stored,
 whether or not it fits.  ``rejects`` asks the reject bound about a move
-before it is made, through the same route-change rule as ``update``, so a
-doomed trial changes nothing.  ``boundary_loads`` and ``over_budget`` fold
-every pending boundary first.
+before it is made, from the same ``route_changes`` that ``update`` then
+takes, so a doomed trial changes nothing and a trial computes its route
+changes once.  ``boundary_loads`` and ``over_budget`` fold every pending
+boundary first.
 """
 
 from __future__ import annotations
@@ -100,12 +104,11 @@ class SllState:
             if e.kind == FIFO:
                 self._fifo_of[e.src].append(e)
                 self._fifo_of[e.dst].append(e)
-        # A move can add at most its functions' FIFO widths to any boundary.
-        self._reach = {f: sum(e.width for e in edges) for f, edges in self._fifo_of.items()}
-        self._caps = {b.y: b.halves for b in device.die_boundaries}
+        self._caps = {  # boundary row -> per-column half capacities
+            b.y: tuple(b.halves[x] for x in range(device.width)) for b in device.die_boundaries
+        }
         self.budget = {  # boundary row -> per-column half budgets
-            y: fit_budget([halves[x] for x in range(device.width)], device.sll_limit)
-            for y, halves in self._caps.items()
+            y: fit_budget(halves, device.sll_limit) for y, halves in self._caps.items()
         }
         # Loads are whole wires, so a half holds at most floor(budget) of
         # them: a boundary whose total exceeds the sum overflows some half.
@@ -150,24 +153,27 @@ class SllState:
 
         Each edge in turn takes the column of its span with the lowest fill
         ratio after adding it (``kind_ratio``), ties to the lower column, so
-        a zero-capacity column ranks last.  The choice ignores the budget on
+        a zero-capacity column ranks last; a one-column span has no choice
+        and adds its width directly.  The choice ignores the budget on
         purpose: if even the best column busts it, none would have passed,
         and the loads show it.
         """
         caps = self._caps[y]
-        width, route_of = self._width, self.route_of
-        loads: dict[int, int] = {}
+        width, route_of, ratio = self._width, self.route_of, kind_ratio
+        loads = [0] * len(caps)
         for eid in edge_ids:
             span, w = route_of[eid][1], width[eid]
-            x = span[0]
-            if len(span) > 1:
-                best = kind_ratio(loads.get(x, 0) + w, caps[x])
-                for col in span[1:]:
-                    ratio = kind_ratio(loads.get(col, 0) + w, caps[col])
-                    if ratio < best:
-                        x, best = col, ratio
-            loads[x] = loads.get(x, 0) + w
-        return loads
+            if len(span) == 1:
+                x = span[0]
+            else:
+                x = best = None
+                for col in span:
+                    r = ratio(loads[col] + w, caps[col])
+                    if best is None or r < best:
+                        x, best = col, r
+            loads[x] += w
+        # Widths are positive, so a column still at 0 took no edge.
+        return {x: used for x, used in enumerate(loads) if used}
 
     def _fold_pending(self, y: int) -> None:
         """Fold pending boundary y and store the result."""
@@ -198,11 +204,12 @@ class SllState:
 
     # -- incremental rebuild --------------------------------------------------
 
-    def _route_changes(self, placement: dict, moved: dict) -> dict[int, tuple]:
+    def route_changes(self, placement: dict, moved: dict) -> dict[int, tuple]:
         """``{edge id: new route}`` for the FIFO edges of the functions in
         ``moved`` whose route differs from the recorded one.  ``moved`` maps
         each moved function to its slot; every other function stays where
-        ``placement`` puts it."""
+        ``placement`` puts it.  Changes nothing: ``rejects`` and ``update``
+        both take the result, so a trial computes it once."""
         changed = {}
         route_of = self.route_of
         for f in moved:
@@ -213,16 +220,15 @@ class SllState:
                     changed[e.index] = route
         return changed
 
-    def update(self, placement: dict, moved: set) -> None:
-        """Re-derive state after the functions in ``moved`` changed slots.
+    def update(self, changed: dict[int, tuple]) -> None:
+        """Re-derive state after functions changed slots, from the route
+        changes of their FIFO edges (``route_changes``).
 
-        Only the moved functions' FIFO edges whose route changed are
-        re-examined.  A boundary that such an edge enters or leaves, or keeps
-        crossing over another column span, gets its crossing list and total
-        width updated and becomes pending; the fold itself waits until a
-        query needs it.
+        Only those edges are re-examined.  A boundary that such an edge
+        enters or leaves, or keeps crossing over another column span, gets
+        its crossing list and total width updated and becomes pending; the
+        fold itself waits until a query needs it.
         """
-        changed = self._route_changes(placement, {f: placement[f] for f in moved})
         if not changed:
             return
         width, route_of = self._width, self.route_of
@@ -280,17 +286,14 @@ class SllState:
             for y, x, used, budget in self.over_budget()
         ]
 
-    def rejects(self, placement: dict, moved: dict) -> bool:
-        """True when moving the functions in ``moved`` (``{function: slot}``)
-        would put some boundary's total crossing width over its reject bound,
-        so the move cannot be feasible.  Changes nothing."""
+    def rejects(self, changed: dict[int, tuple]) -> bool:
+        """True when the route changes ``changed`` (``route_changes``) would
+        put some boundary's total crossing width over its reject bound, so
+        the move cannot be feasible.  Changes nothing."""
         total, bound = self._total, self._reject_bound
-        reach = sum(self._reach[f] for f in moved)
-        if all(total[y] + reach <= bound[y] for y in total):
-            return False
         width, route_of = self._width, self.route_of
         delta: dict[int, int] = {}  # boundary row -> change of its total width
-        for eid, route in self._route_changes(placement, moved).items():
+        for eid, route in changed.items():
             for y in route_of[eid][0]:
                 delta[y] = delta.get(y, 0) - width[eid]
             for y in route[0]:

@@ -10,12 +10,20 @@ current latency.  The retry after a repack runs only when the repack moved
 something: online packing is deterministic, so on an unchanged state it
 would fail again.  A batch that survives no stage is excluded from future
 selection and the search moves on; it stops when nothing is left to select.
+
+Selection reads latency levels kept current as the search goes: the
+active functions grouped by latency, with the occupied levels sorted.  Only
+an accepted vector moves functions between levels and only an exclusion
+removes them, so an iteration takes its bottleneck and L2 from the top two
+levels without a scan over every function.  The design latency is
+recomputed over the graph's ``latency_plan`` only after an accepted vector.
 """
 
 from __future__ import annotations
 
 import logging
 import time
+from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 
 from .floorplan import FloorplanError, balanced_initial, min_cut_initial
@@ -77,19 +85,43 @@ def compute_lookahead_N(lib: QoRLibrary, graph: DesignGraph, mode: str = "min") 
     )
 
 
-def select_bottleneck(latencies: dict, excluded: set):
-    """(L1, batch, L2) over non-excluded functions, or None when done.
+class _Levels:
+    """The active (not yet excluded) functions grouped by latency level,
+    kept current as vectors are accepted and batches excluded, so that
+    selecting the bottleneck reads the top two levels instead of scanning
+    every function."""
 
-    batch = every function at the maximum latency L1; L2 = largest latency
-    strictly below L1 (0 when the batch is all that's left).
-    """
-    active = {f: l for f, l in latencies.items() if f not in excluded}
-    if not active:
-        return None
-    l1 = max(active.values())
-    batch = sorted(f for f, l in active.items() if l == l1)
-    below = [l for l in active.values() if l < l1]
-    return l1, batch, max(below) if below else 0
+    def __init__(self, latencies: dict):
+        self.members: dict[int, set] = {}
+        for f, lat in latencies.items():
+            self.members.setdefault(lat, set()).add(f)
+        self.tiers = sorted(self.members)  # the occupied levels, ascending
+
+    def select(self):
+        """(L1, batch, L2), or None when every function is excluded.
+
+        batch = every active function at the maximum latency L1; L2 = the
+        largest active latency strictly below L1 (0 when the batch is all
+        that's left).
+        """
+        tiers = self.tiers
+        if not tiers:
+            return None
+        l1 = tiers[-1]
+        return l1, sorted(self.members[l1]), tiers[-2] if len(tiers) > 1 else 0
+
+    def remove(self, f: str, lat: int) -> None:
+        fns = self.members[lat]
+        fns.remove(f)
+        if not fns:
+            del self.members[lat]
+            del self.tiers[bisect_left(self.tiers, lat)]
+
+    def add(self, f: str, lat: int) -> None:
+        if lat not in self.members:
+            self.members[lat] = set()
+            insort(self.tiers, lat)
+        self.members[lat].add(f)
 
 
 def prune(template, current_latency: int, l1: int, l2: int):
@@ -177,9 +209,11 @@ def run(
 
     initial_placement = dict(placement)
     # Only an accepted target vector changes the configuration, so the map
-    # is kept current from those alone, and the design latency each trace
-    # row reports is recomputed from it only after an accepted vector.
+    # and its levels are kept current from those alone, and the design
+    # latency each trace row reports is recomputed from it only after an
+    # accepted vector.
     latencies = function_latencies(graph, lib, state.config)
+    levels = _Levels(latencies)
     current_lat = baseline_lat
     excluded: set = set()
     trace: list[TraceRow] = []
@@ -187,7 +221,7 @@ def run(
     cap_reached = False
 
     while True:
-        sel = select_bottleneck(latencies, excluded)
+        sel = levels.select()
         if sel is None:
             break
         if it >= cap:
@@ -263,9 +297,13 @@ def run(
 
         if stage == STAGE_EXCLUDED:
             excluded.update(batch)
+            for f in batch:
+                levels.remove(f, l1)
         if accepted:
             for f, pid in accepted.items():
+                levels.remove(f, latencies[f])
                 latencies[f] = lib.point(f, pid).latency
+                levels.add(f, latencies[f])
             current_lat = path_latency(graph, latencies)
 
         row = TraceRow(

@@ -142,6 +142,32 @@ def reference_fold(device, graph, placement, y):
     return loads
 
 
+def select_bottleneck(latencies, excluded):
+    """(L1, batch, L2) over non-excluded functions, or None when done, from
+    scratch: batch = every function at the maximum latency L1; L2 = largest
+    latency strictly below L1 (0 when the batch is all that's left).  The
+    levels ``search.run`` keeps must select the same at every iteration."""
+    active = {f: l for f, l in latencies.items() if f not in excluded}
+    if not active:
+        return None
+    l1 = max(active.values())
+    batch = sorted(f for f, l in active.items() if l == l1)
+    below = [l for l in active.values() if l < l1]
+    return l1, batch, max(below) if below else 0
+
+
+def reference_path_latency(graph, latency_of):
+    """Longest kernel-level path from the kernel dicts, each kernel weighted
+    by its largest function latency.  ``model.path_latency`` must match it."""
+    weights = {
+        k["name"]: max(latency_of[f["name"]] for f in k["functions"]) for k in graph.kernels
+    }
+    dist = {}
+    for k in graph.kernel_order:
+        dist[k] = weights[k] + max((dist[p] for p in graph.kernel_preds[k]), default=0)
+    return max(dist.values())
+
+
 def sll_fingerprint(sll):
     """Everything an ``SllState`` routes: per-boundary half loads and
     crossing lists, which with the placement determine each crossing edge's

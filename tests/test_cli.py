@@ -85,6 +85,31 @@ def test_optimize_iter_cap_zero_reports_the_baseline(toy_files, tmp_path):
     assert all(p == "baseline" for p in doc["configuration"].values())
 
 
+@pytest.mark.parametrize("flag", ["--iter-cap", "--lookahead-n"])
+def test_optimize_refuses_a_negative_count(toy_files, tmp_path, capsys, flag):
+    code, run_dir = _optimize(toy_files, tmp_path, flag, "-3")
+    assert code == 1
+    err = capsys.readouterr().err
+    assert f"argument {flag}: must be 0 or more, got -3" in err
+    assert not (run_dir / "result.json").exists()
+
+
+def test_optimize_lookahead_n_zero_is_valid(toy_files, tmp_path):
+    code, run_dir = _optimize(toy_files, tmp_path, "--lookahead-n", "0")
+    assert code == 0
+    doc = json.loads((run_dir / "result.json").read_text())
+    assert doc["manifest"]["flags"]["lookahead_n"] == 0
+
+
+def test_result_json_is_compact_and_floorplan_json_stays_indented(toy_files, tmp_path):
+    code, run_dir = _optimize(toy_files, tmp_path)
+    assert code == 0
+    text = (run_dir / "result.json").read_text()
+    assert text.count("\n") == 1 and text.endswith("}\n")
+    assert json.loads(text)["design_latency"] == 13
+    assert (run_dir / "floorplan.json").read_text().startswith('{\n  "assignment"')
+
+
 def test_optimize_balanced_initial_differs_but_converges(toy_files, tmp_path):
     _, mincut_dir = _optimize(toy_files, tmp_path / "m")
     code, bal_dir = _optimize(toy_files, tmp_path / "b", "--initial", "balanced")
@@ -287,6 +312,14 @@ def _null_util_limit(doc):
     doc["util_limit"] = None
 
 
+def _bool_util_limit(doc):
+    doc["util_limit"] = True
+
+
+def _string_sll_limit(doc):
+    doc["sll_limit"] = "0.5"
+
+
 def _drop_loop_bound(doc):
     tmpl = next(iter(doc["templates"].values()))
     tmpl["loops"] = [{"label": "L0", "depth": 1}]
@@ -329,6 +362,8 @@ MALFORMED = {
     "half-without-sll-capacity": ("device", _drop_half_capacity, "'sll_capacity'"),
     "slot-with-null-id": ("device", _null_slot_id, "'id'"),
     "null-util-limit": ("device", _null_util_limit, "'util_limit'"),
+    "util-limit-bool": ("device", _bool_util_limit, "'util_limit'"),
+    "sll-limit-string": ("device", _string_sll_limit, "'sll_limit'"),
     "loop-without-bound": ("qor", _drop_loop_bound, "'bound'"),
     "name-rule-not-an-object": ("qor", _string_name_rule, "name rule"),
     "name-rule-regex-not-a-string": ("qor", _number_rule_regex, "name rule"),

@@ -20,6 +20,7 @@ import fado.packer
 from fado.packer import (
     PackState,
     _candidate_slots,
+    _repack_key,
     offline_repack,
     online_pack,
 )
@@ -169,6 +170,41 @@ def test_online_moves_the_function_when_its_slot_is_full(toy):
     assert state.slot_load[1].lut == 9 + 45
     # the A->B edge now crosses the die boundary as well
     assert state.sll.boundary_loads[0] == {0: 24}
+
+
+def _two_function_state(points, caps=({"lut": 100},)):
+    """Functions a and b on slot 0 of a one-row device with one slot per
+    capacity in ``caps``; ``points`` maps each to its (id, lut) pairs."""
+    design = design_doc([("K", "dataflow", ["a", "b"])])
+    qor = qor_doc({f"t_{f}": template_doc([(pid, 10, {"lut": lut}) for pid, lut in pts])
+                   for f, pts in points.items()})
+    doc = device_doc(width=len(caps), height=1, util_limit=1.0)
+    for slot, cap in zip(doc["slots"], caps):
+        slot["capacity"] = dict(cap)
+    device, graph, lib = parse(doc, design, qor)
+    return PackState(device, graph, lib, baseline_configuration(graph), {"a": 0, "b": 0})
+
+
+def test_online_orders_each_batch_by_its_own_target_points():
+    state = _two_function_state({"a": [("baseline", 5), ("p1", 50)],
+                                 "b": [("baseline", 5), ("p1", 30)]})
+    order = []
+    apply_point = state.apply_point
+    state.apply_point = lambda f, pid: order.append(f) or apply_point(f, pid)
+    assert online_pack(state, {"a": "p1", "b": "p1"})[0]  # 0.5 before 0.3
+    assert online_pack(state, {"a": "baseline", "b": "p1"})[0]  # 0.3 before 0.05
+    assert order == ["a", "b", "b", "a"]
+
+
+def test_the_repack_key_follows_the_group_load_and_the_slot_capacity():
+    state = _two_function_state({"a": [("baseline", 20), ("p1", 40)], "b": [("baseline", 5)]},
+                                caps=({"lut": 100}, {"lut": 50}))
+    group = state.group_of["a"]
+    for pid in ("baseline", "p1"):
+        state.apply_point("a", pid)
+        for slot in state.device.slots:
+            want = (-utilization_ratio(state.group_load[group.gid], slot.capacity), group.gid)
+            assert _repack_key(state, group, slot.capacity) == want
 
 
 def test_online_failure_rolls_back_bit_exactly():
@@ -417,6 +453,52 @@ def test_offline_repack_matches_the_plain_schedule(state):
     assert runs[offline_repack] == runs[reference_repack]
 
 
+@settings(max_examples=200, deadline=None)
+@given(_repack_instance(), st.data())
+def test_kept_sort_keys_follow_every_load_and_slot_change(state, data):
+    # The same steps twice from one snapshot: once with the sort-key memos
+    # kept across steps, once with them emptied before each step, so every
+    # key is computed afresh.  Groups move between slots of other
+    # capacities and points change between the packs that read the keys;
+    # the points applied and the moves tried, in call order, show the order
+    # the keys gave.
+    names, slots = sorted(state.graph.functions), [s.id for s in state.device.slots]
+    step = st.one_of(
+        st.tuples(st.just("move"), st.sampled_from(state.groups), st.sampled_from(slots)),
+        st.tuples(st.just("point"), st.sampled_from(names), st.sampled_from(("baseline", "p1"))),
+        st.tuples(st.just("repack")),
+        st.tuples(st.just("pack"), st.dictionaries(
+            st.sampled_from(names), st.sampled_from(("baseline", "p1")), min_size=1, max_size=3)),
+    )
+    steps = data.draw(st.lists(step, min_size=1, max_size=10))
+    snap = state.snapshot()
+    apply_point, trial_move = state.apply_point, state.trial_move
+    runs = []
+    for fresh in (False, True):
+        state.restore(snap)
+        state.settled_stamp = None
+        state.pack_keys.clear()
+        state.repack_keys.clear()
+        out = []
+        state.apply_point = lambda *a: out.append(("point", *a)) or apply_point(*a)
+        state.trial_move = lambda g, *a: out.append(("trial", g.gid, *a)) or trial_move(g, *a)
+        for op, *args in steps:
+            if fresh:
+                state.pack_keys.clear()
+                state.repack_keys.clear()
+            if op == "move":
+                state.move_group(*args)
+            elif op == "point":
+                state.apply_point(*args)
+            elif op == "repack":
+                out.append(offline_repack(state))
+            else:
+                out.append(online_pack(state, *args))
+        del state.apply_point, state.trial_move
+        runs.append((out, dict(state.config), dict(state.placement), dict(state.slot_load)))
+    assert runs[0] == runs[1]
+
+
 def test_a_source_no_fuller_slot_can_take_is_skipped(spies):
     # slot 1's movable groups x and y both need more LUT than slot 0 has
     # left; the pinned p on slot 1 is smaller, but it never moves, so it
@@ -569,6 +651,27 @@ def test_trials_roll_back_exactly_and_group_loads_stay_current(state, data):
         assert state.sll.feasible() == (not fresh.over_budget())
         if data.draw(st.booleans()):
             assert sll_fingerprint(state.sll) == sll_fingerprint(fresh)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_pack_instance(), st.data())
+def test_a_trial_computes_its_route_changes_once(state, data):
+    device, graph = state.device, state.graph
+    calls = []
+    route_changes = state.sll.route_changes
+    state.sll.route_changes = lambda *args: calls.append(route_changes(*args)) or calls[-1]
+    for _ in range(data.draw(st.integers(1, 8))):
+        g = data.draw(st.sampled_from(state.groups))
+        dest = data.draw(st.sampled_from([s.id for s in device.slots]))
+        before = recompute_all(device, graph, state.placement).route_of
+        after = {**state.placement, **{m: dest for m in g.members}}
+        want = {eid: route for eid, route in recompute_all(device, graph, after).route_of.items()
+                if route != before[eid]}
+        calls.clear()
+        state.trial_move(g, dest)
+        # one computation, covering every member's edges, for both the
+        # reject test and the update
+        assert calls == [want]
 
 
 def _one_column_state(edges):

@@ -23,6 +23,12 @@ def _grid(width, height, *, sll=1000, io_cols=(), sll_limit=0.9):
         width=width, height=height, sll=sll, io_cols=io_cols, sll_limit=sll_limit))
 
 
+def _update(state, placement, moved):
+    """Hand ``state`` the route changes of the functions in ``moved``, which
+    ``placement`` already puts on their new slots."""
+    state.update(state.route_changes(placement, {f: placement[f] for f in moved}))
+
+
 def _rows_of(state, eid):
     """Boundary rows that edge ``eid`` crosses."""
     return sorted(y for y, eids in state.crossing.items() if eid in eids)
@@ -122,7 +128,7 @@ def test_colocated_then_moved_edge_gains_register_groups():
     assert state.boundary_loads.get(0, {}) == {}
 
     placement["f1"] = 3  # (x=1, y=1): one die row and one io column away
-    state.update(placement, {"f1"})
+    _update(state, placement, {"f1"})
     assert state.reg_groups == {0: 2}
     assert state.boundary_loads[0] == {0: 12}
     assert state.total_register_groups() == 2
@@ -136,9 +142,9 @@ def test_move_away_and_back_is_bit_identical():
     before = sll_fingerprint(state)
 
     placement["f2"] = 1
-    state.update(placement, {"f2"})
+    _update(state, placement, {"f2"})
     placement["f2"] = 2
-    state.update(placement, {"f2"})
+    _update(state, placement, {"f2"})
     assert sll_fingerprint(state) == before
 
 
@@ -191,7 +197,7 @@ def test_incremental_update_equals_recompute(moves):
     for fn_idx, dest in moves:
         fn = f"f{fn_idx}"
         placement[fn] = dest
-        state.update(placement, {fn})
+        _update(state, placement, {fn})
         fresh = recompute_all(_DEV, _GRAPH, placement)
         assert sll_fingerprint(state) == sll_fingerprint(fresh)
 
@@ -204,7 +210,7 @@ def test_snapshot_restore_round_trip():
     snap = state.snapshot()
     fp = sll_fingerprint(state)
     placement["f1"] = 0
-    state.update(placement, {"f1"})
+    _update(state, placement, {"f1"})
     assert sll_fingerprint(state) != fp
     state.restore(snap)
     assert sll_fingerprint(state) == fp
@@ -264,7 +270,7 @@ def test_update_snapshot_restore_match_recompute(instance, data):
         else:
             moves = data.draw(st.dictionaries(st.sampled_from(names), slot, min_size=1, max_size=3))
             placement.update(moves)
-            state.update(placement, set(moves))
+            _update(state, placement, set(moves))
         fresh = recompute_all(dev, graph, placement)
         # feasible() first, while boundaries may still be pending
         assert state.feasible() == (not fresh.over_budget())
@@ -286,12 +292,12 @@ def test_width_bound_fails_on_a_zero_capacity_half():
     # bound, but the column-0 half cannot take a single one, so the accept
     # bound fails, and the fold, with only column 0 to use, finds it over
     placement.update(f0=slot_at(dev, 0, 0).id, f1=slot_at(dev, 0, 1).id)
-    state.update(placement, {"f0", "f1"})
+    _update(state, placement, {"f0", "f1"})
     assert not state.feasible()
     assert state.over_budget() == [(0, 0, 8, 0.0)]
     # nothing crossing passes even with the zero-capacity half
     placement["f1"] = slot_at(dev, 0, 0).id
-    state.update(placement, {"f1"})
+    _update(state, placement, {"f1"})
     assert state.feasible()
     assert state.boundary_loads[0] == {}
 
@@ -315,7 +321,7 @@ def test_a_refold_still_counts_the_unchanged_edges():
     placement = {"s0": 0, "d0": 2, "s1": 0, "d1": 0}
     state = recompute_all(dev, graph, placement)
     placement["d1"] = 3
-    state.update(placement, {"d1"})
+    _update(state, placement, {"d1"})
     assert not state.feasible()
     assert state.boundary_loads[0] == {0: 16, 1: 1}
 
@@ -361,7 +367,7 @@ def test_every_fold_matches_the_reference_rule(instance, data):
     for _ in range(data.draw(st.integers(0, 6))):
         moves = data.draw(st.dictionaries(st.sampled_from(names), slot, min_size=1, max_size=3))
         placement.update(moves)
-        state.update(placement, set(moves))
+        _update(state, placement, set(moves))
     assert state.boundary_loads == {
         b.y: reference_fold(dev, graph, placement, b.y) for b in dev.die_boundaries
     }
@@ -378,7 +384,7 @@ def test_the_accept_bound_is_the_narrowest_half():
     placement = {"s0": 1, "d0": 1}
     state = recompute_all(dev, graph, placement)
     placement["d0"] = 3
-    state.update(placement, {"d0"})
+    _update(state, placement, {"d0"})
     assert not state.feasible()
     assert state.over_budget() == [(0, 1, 10, 9.0)]
 
@@ -391,7 +397,7 @@ def test_feasible_folds_only_above_the_narrowest_half(monkeypatch):
         placement = {"s0": 0, "d0": 0, "s1": 0, "d1": 0}
         state = recompute_all(dev, _pairs_graph(widths), placement)
         placement.update(d0=3, d1=3)
-        state.update(placement, {"d0", "d1"})
+        _update(state, placement, {"d0", "d1"})
         return state
 
     within, above = pending_state([4, 5]), pending_state([5, 5])

@@ -8,19 +8,36 @@ import random
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fado import instancegen, search
-from fado.model import baseline_configuration, design_from_dict, qor_from_dict
+from fado.floorplan import FloorplanError
+from fado.model import (
+    baseline_configuration,
+    design_from_dict,
+    function_latencies,
+    path_latency,
+    qor_from_dict,
+)
 from fado.search import (
     DEFAULT_LOOKAHEAD_N,
     _window_vectors,
     compute_lookahead_N,
     prune,
     run,
-    select_bottleneck,
 )
 
-from helpers import design_doc, device_doc, parse, qor_doc, stress_grid, template_doc
+from helpers import (
+    design_doc,
+    device_doc,
+    parse,
+    qor_doc,
+    reference_path_latency,
+    select_bottleneck,
+    stress_grid,
+    template_doc,
+)
 
 
 def _loop(label, depth, bound, il):
@@ -270,6 +287,66 @@ def test_on_iteration_hook_sees_every_row(toy):
     result = run(device, graph, lib, on_iteration=lambda state, row: seen.append(row.iteration))
     assert seen == [r.iteration for r in result.trace]
     assert seen == list(range(1, result.iterations + 1))
+
+
+@st.composite
+def _dag_instance(draw):
+    """A kernel DAG of 2-7 kernels on a 1x2 device, each dataflow kernel
+    holding 1-3 functions and any kernel any number of predecessors among
+    the earlier ones.  Every template has 1-5 points whose latencies come
+    from a few values, so batches tie and levels repeat, and whose LUTs
+    range up to the whole slot budget, so some batches fail to pack and are
+    excluded."""
+    kernels, edges, names = [], [], []
+    for k in range(draw(st.integers(2, 7))):
+        kind = draw(st.sampled_from(("dataflow", "dataflow", "non_dataflow")))
+        size = 1 if kind == "non_dataflow" else draw(st.integers(1, 3))
+        fns = [f"k{k}f{i}" for i in range(size)]
+        for pred in draw(st.lists(st.sampled_from(names), max_size=3)) if names else ():
+            edges.append((pred, draw(st.sampled_from(fns)), "fifo", 4))
+        kernels.append((f"K{k}", kind, fns))
+        names.extend(fns)
+    latency = st.sampled_from((5, 10, 20, 40, 80))
+    templates = {}
+    for f in names:
+        lats = sorted(draw(st.lists(latency, min_size=1, max_size=5)), reverse=True)
+        templates[f"t_{f}"] = template_doc([
+            ("baseline" if i == 0 else f"p{i}", lat, {"lut": draw(st.integers(1, 40))})
+            for i, lat in enumerate(lats)
+        ])
+    device = device_doc(width=1, height=2, cap={"lut": 100}, util_limit=1.0)
+    return parse(device, design_doc(kernels, edges), qor_doc(templates))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_dag_instance(), st.data())
+def test_kept_levels_and_latency_match_a_recompute(instance, data):
+    device, graph, lib = instance
+    lat_of = st.sampled_from((1, 5, 10, 20, 40, 80))
+    latencies = {f: data.draw(lat_of) for f in graph.functions}
+    assert path_latency(graph, latencies) == reference_path_latency(graph, latencies)
+
+    config, excluded, seen = baseline_configuration(graph), set(), []
+
+    def check(state, row):
+        # the selection made at the start of the row, from scratch
+        before = function_latencies(graph, lib, config)
+        assert (row.l1, row.batch, row.l2) == select_bottleneck(before, excluded)
+        if row.stage == "excluded":
+            excluded.update(row.batch)
+        config.update(state.config)
+        after = function_latencies(graph, lib, config)
+        assert row.design_latency == reference_path_latency(graph, after)
+        seen.append(row.iteration)
+
+    try:
+        result = run(device, graph, lib, on_iteration=check)
+    except FloorplanError:
+        return  # the baseline points alone overfill the device
+    assert seen == list(range(1, result.iterations + 1))
+    assert select_bottleneck(function_latencies(graph, lib, result.config), excluded) is None
+    assert result.design_latency == reference_path_latency(
+        graph, function_latencies(graph, lib, result.config))
 
 
 def test_unknown_initial_strategy_raises(toy):
