@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import functools
 import json
 import sys
 import time
@@ -309,10 +308,7 @@ def _count(text: str) -> int:
     return value
 
 
-@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process: parsing leaves it as it
-    was, and building it costs more than a small instance's result write."""
     p = _Parser(prog="fado", description=__doc__)
     p.add_argument("--version", action="version", version=__version__)
     sub = p.add_subparsers(dest="command", required=True, parser_class=_Parser)

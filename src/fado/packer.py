@@ -40,13 +40,6 @@ only the boundaries left in between.  On rejection it puts back only the
 entries the trial changed: the members' placements, the touched slot
 loads, the point's configuration entry, the group load, the routing
 snapshot and the stamp.
-
-Sort keys are not re-derived while their inputs stand.  Offline repack's
-key for a group (its load's utilization ratio against its slot) is kept
-with the group load and slot capacity it came from, and is recomputed only
-when a point change has changed the load or the group sits on a slot of
-another capacity.  Online pack orders a batch by each target point's ratio
-against the function's slot, remembered per (function, point, slot).
 """
 
 from __future__ import annotations
@@ -112,11 +105,6 @@ class PackState:
         self.sll.refresh(self.placement)
         self.stamp = next(_stamps)
         self.settled_stamp = None  # stamp of the last repack that moved nothing
-        # Sort-key memos, read only through the functions that fill them:
-        # online pack's by (function, point id, slot id), offline repack's
-        # by group id, each with the load and capacity it was computed from.
-        self.pack_keys: dict[tuple, float] = {}
-        self.repack_keys: dict[int, tuple] = {}
 
     # -- accessors -----------------------------------------------------------
 
@@ -151,16 +139,15 @@ class PackState:
         self.config[fn] = point_id
         self.stamp = next(_stamps)
 
-    def move_group(self, group, dest: int) -> None:
-        """Relocate every member of ``group`` and re-derive its routing."""
-        moving = {m: dest for m in group.members if self.placement[m] != dest}
-        self._relocate(moving, self.sll.route_changes(self.placement, moving))
-
-    def _relocate(self, moving: dict, routes: dict) -> None:
-        """Put each function of ``moving`` on its slot there, and hand the
-        routing state the FIFO route changes this makes (``routes``, from
-        ``SllState.route_changes``)."""
-        for m, dest in moving.items():
+    def move_group(self, group, dest: int, routes: dict | None = None) -> None:
+        """Relocate every member of ``group`` to ``dest`` and hand the
+        routing state the FIFO route changes this makes: ``routes`` when the
+        caller already has them from ``SllState.route_changes``, else
+        computed here."""
+        moving = [m for m in group.members if self.placement[m] != dest]
+        if routes is None:
+            routes = self.sll.route_changes(self.placement, dict.fromkeys(moving, dest))
+        for m in moving:
             src = self.placement[m]
             res = self.fn_resources(m)
             self.slot_load[src] = self.slot_load[src] - res
@@ -191,7 +178,7 @@ class PackState:
             fn, point_id = point
             old_point = self.config[fn]
             self.apply_point(fn, point_id)
-        self._relocate(moving, routes)
+        self.move_group(group, dest, routes)
         if self.sll.feasible():
             return True
         self.placement.update(placed)
@@ -287,17 +274,16 @@ def online_pack(state: PackState, targets: dict, allow_moves: bool = True) -> tu
 
     snap = state.snapshot()
     moves: list[tuple[str, int, int]] = []
-    keys = state.pack_keys
-
-    def order_key(f):
-        at = (f, targets[f], state.placement[f])
-        key = keys.get(at)
-        if key is None:
-            key = keys[at] = -utilization_ratio(state.lib.point(f, targets[f]).resources,
-                                                state.device.slot(at[2]).capacity)
-        return key, f
-
-    order = sorted(targets, key=order_key)
+    order = sorted(
+        targets,
+        key=lambda f: (
+            -utilization_ratio(
+                state.lib.point(f, targets[f]).resources,
+                state.device.slot(state.placement[f]).capacity,
+            ),
+            f,
+        ),
+    )
     for fn in order:
         pid = targets[fn]
         new = state.lib.point(fn, pid).resources
@@ -321,18 +307,6 @@ def online_pack(state: PackState, targets: dict, allow_moves: bool = True) -> tu
             state.restore(snap)
             return False, []
     return True, moves
-
-
-def _repack_key(state: PackState, group, capacity: ResourceVector) -> tuple:
-    """Offline repack's sort key for ``group`` on a slot of ``capacity``,
-    remembered with the group load and capacity it was computed from and
-    recomputed only when either differs."""
-    load = state.group_load[group.gid]
-    memo = state.repack_keys.get(group.gid)
-    if memo is None or memo[0] != load or memo[1] != capacity:
-        memo = state.repack_keys[group.gid] = (
-            load, capacity, (-utilization_ratio(load, capacity), group.gid))
-    return memo[2]
 
 
 def offline_repack(state: PackState) -> list:
@@ -381,7 +355,10 @@ def offline_repack(state: PackState) -> list:
                  if not state.slot_load[dest.id].is_zero() and _fits_slot(state, dest.id, floor)]
         if not open_:
             continue
-        movable = sorted(movable, key=lambda g: _repack_key(state, g, src.capacity))
+        movable = sorted(
+            movable,
+            key=lambda g: (-utilization_ratio(group_load[g.gid], src.capacity), g.gid),
+        )
         for g in movable:
             extra = group_load[g.gid]
             for dest in open_:

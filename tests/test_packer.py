@@ -20,7 +20,6 @@ import fado.packer
 from fado.packer import (
     PackState,
     _candidate_slots,
-    _repack_key,
     offline_repack,
     online_pack,
 )
@@ -194,17 +193,6 @@ def test_online_orders_each_batch_by_its_own_target_points():
     assert online_pack(state, {"a": "p1", "b": "p1"})[0]  # 0.5 before 0.3
     assert online_pack(state, {"a": "baseline", "b": "p1"})[0]  # 0.3 before 0.05
     assert order == ["a", "b", "b", "a"]
-
-
-def test_the_repack_key_follows_the_group_load_and_the_slot_capacity():
-    state = _two_function_state({"a": [("baseline", 20), ("p1", 40)], "b": [("baseline", 5)]},
-                                caps=({"lut": 100}, {"lut": 50}))
-    group = state.group_of["a"]
-    for pid in ("baseline", "p1"):
-        state.apply_point("a", pid)
-        for slot in state.device.slots:
-            want = (-utilization_ratio(state.group_load[group.gid], slot.capacity), group.gid)
-            assert _repack_key(state, group, slot.capacity) == want
 
 
 def test_online_failure_rolls_back_bit_exactly():
@@ -451,52 +439,6 @@ def test_offline_repack_matches_the_plain_schedule(state):
         state.settled_stamp = None
         runs[repack] = [_repack_outcome(state, repack) for _ in range(2)]
     assert runs[offline_repack] == runs[reference_repack]
-
-
-@settings(max_examples=200, deadline=None)
-@given(_repack_instance(), st.data())
-def test_kept_sort_keys_follow_every_load_and_slot_change(state, data):
-    # The same steps twice from one snapshot: once with the sort-key memos
-    # kept across steps, once with them emptied before each step, so every
-    # key is computed afresh.  Groups move between slots of other
-    # capacities and points change between the packs that read the keys;
-    # the points applied and the moves tried, in call order, show the order
-    # the keys gave.
-    names, slots = sorted(state.graph.functions), [s.id for s in state.device.slots]
-    step = st.one_of(
-        st.tuples(st.just("move"), st.sampled_from(state.groups), st.sampled_from(slots)),
-        st.tuples(st.just("point"), st.sampled_from(names), st.sampled_from(("baseline", "p1"))),
-        st.tuples(st.just("repack")),
-        st.tuples(st.just("pack"), st.dictionaries(
-            st.sampled_from(names), st.sampled_from(("baseline", "p1")), min_size=1, max_size=3)),
-    )
-    steps = data.draw(st.lists(step, min_size=1, max_size=10))
-    snap = state.snapshot()
-    apply_point, trial_move = state.apply_point, state.trial_move
-    runs = []
-    for fresh in (False, True):
-        state.restore(snap)
-        state.settled_stamp = None
-        state.pack_keys.clear()
-        state.repack_keys.clear()
-        out = []
-        state.apply_point = lambda *a: out.append(("point", *a)) or apply_point(*a)
-        state.trial_move = lambda g, *a: out.append(("trial", g.gid, *a)) or trial_move(g, *a)
-        for op, *args in steps:
-            if fresh:
-                state.pack_keys.clear()
-                state.repack_keys.clear()
-            if op == "move":
-                state.move_group(*args)
-            elif op == "point":
-                state.apply_point(*args)
-            elif op == "repack":
-                out.append(offline_repack(state))
-            else:
-                out.append(online_pack(state, *args))
-        del state.apply_point, state.trial_move
-        runs.append((out, dict(state.config), dict(state.placement), dict(state.slot_load)))
-    assert runs[0] == runs[1]
 
 
 def test_a_source_no_fuller_slot_can_take_is_skipped(spies):

@@ -22,6 +22,7 @@ from fado.model import (
 )
 from fado.search import (
     DEFAULT_LOOKAHEAD_N,
+    _Levels,
     _window_vectors,
     compute_lookahead_N,
     prune,
@@ -114,12 +115,29 @@ def test_lookahead_depth_matches_reference_on_random_nests():
 # Bottleneck selection and pruning
 
 
+def _select(latencies, excluded):
+    levels = _Levels(latencies)
+    for f in excluded:
+        levels.remove(f, latencies[f])
+    return levels.select()
+
+
 def test_select_bottleneck_single_and_tied():
-    assert select_bottleneck({"a": 8933, "b": 120, "c": 80}, set()) == (8933, ["a"], 120)
-    assert select_bottleneck({"a": 50, "b": 50, "c": 10}, set()) == (50, ["a", "b"], 10)
-    assert select_bottleneck({"a": 50, "b": 50}, set()) == (50, ["a", "b"], 0)
-    assert select_bottleneck({"a": 50, "b": 50}, {"a"}) == (50, ["b"], 0)
-    assert select_bottleneck({"a": 50}, {"a"}) is None
+    assert _select({"a": 8933, "b": 120, "c": 80}, set()) == (8933, ["a"], 120)
+    assert _select({"a": 50, "b": 50, "c": 10}, set()) == (50, ["a", "b"], 10)
+    assert _select({"a": 50, "b": 50}, set()) == (50, ["a", "b"], 0)
+    assert _select({"a": 50, "b": 50}, {"a"}) == (50, ["b"], 0)
+    assert _select({"a": 50, "b": 10}, {"a"}) == (10, ["b"], 0)
+    assert _select({"a": 50}, {"a"}) is None
+
+
+def test_levels_follow_accepted_latencies():
+    levels = _Levels({"a": 50, "b": 50, "c": 10})
+    levels.remove("a", 50)
+    levels.add("a", 30)
+    assert levels.select() == (50, ["b"], 30)
+    levels.remove("b", 50)
+    assert levels.select() == (30, ["a"], 10)
 
 
 def _points(lats):
