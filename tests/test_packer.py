@@ -171,15 +171,13 @@ def test_online_moves_the_function_when_its_slot_is_full(toy):
     assert state.sll.boundary_loads[0] == {0: 24}
 
 
-def _two_function_state(points, caps=({"lut": 100},)):
-    """Functions a and b on slot 0 of a one-row device with one slot per
-    capacity in ``caps``; ``points`` maps each to its (id, lut) pairs."""
+def _two_function_state(points):
+    """Functions a and b on the one 100-LUT slot of a device; ``points``
+    maps each to its (id, lut) pairs."""
     design = design_doc([("K", "dataflow", ["a", "b"])])
     qor = qor_doc({f"t_{f}": template_doc([(pid, 10, {"lut": lut}) for pid, lut in pts])
                    for f, pts in points.items()})
-    doc = device_doc(width=len(caps), height=1, util_limit=1.0)
-    for slot, cap in zip(doc["slots"], caps):
-        slot["capacity"] = dict(cap)
+    doc = device_doc(width=1, height=1, cap={"lut": 100}, util_limit=1.0)
     device, graph, lib = parse(doc, design, qor)
     return PackState(device, graph, lib, baseline_configuration(graph), {"a": 0, "b": 0})
 
