@@ -135,6 +135,15 @@ def fit_budget(capacity: tuple, limit: float) -> tuple:
     return tuple(limit * c + LIMIT_EPS for c in capacity)
 
 
+def floored_total(ceilings) -> int:
+    """The sum of ``ceilings`` (fit budgets of several bins for one kind),
+    each rounded down.  Loads are whole units, resources or wires, so a
+    bin holds at most its ceiling rounded down, and a total above this sum
+    overflows some bin however it is split: the reject bound of a device's
+    slots per resource kind and of a die boundary's halves."""
+    return sum(map(math.floor, ceilings))
+
+
 _NO_EXTRA = (0,) * len(RESOURCE_KINDS)
 
 
@@ -149,11 +158,6 @@ def within_budget(counts: tuple, budget: tuple, extra: tuple = _NO_EXTRA) -> boo
         if u + e > b:
             return False
     return True
-
-
-def fits_within(used: ResourceVector, capacity: ResourceVector, limit: float) -> bool:
-    """True when every resource kind stays at or below limit * capacity."""
-    return within_budget(used, fit_budget(capacity, limit))
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,10 @@ from .model import (
     QoRLibrary,
     ResourceVector,
     design_latency,
-    fits_within,
+    fit_budget,
+    function_latencies,
+    path_latency,
+    within_budget,
 )
 from .packer import PackState
 from .pipeliner import recompute_all
@@ -97,6 +100,7 @@ def assign_slots(device: DeviceModel, graph: DesignGraph, lib: QoRLibrary, confi
     sizes = {g.gid: group_resources(g, lib, config) for g in groups}
     order = sorted(groups, key=lambda g: (-max(sizes[g.gid]), g.gid))
     slots = sorted(device.slots, key=lambda s: s.id)
+    budget = {s.id: fit_budget(s.capacity, device.util_limit) for s in slots}
     loads = {s.id: ResourceVector.zero() for s in slots}
     chosen: dict[str, int] = {}
 
@@ -113,7 +117,7 @@ def assign_slots(device: DeviceModel, graph: DesignGraph, lib: QoRLibrary, confi
         g = order[i]
         for s in slots:
             post = loads[s.id] + sizes[g.gid]
-            if not fits_within(post, s.capacity, device.util_limit):
+            if not within_budget(post, budget[s.id]):
                 continue
             loads[s.id] = post
             chosen[g.gid] = s.id
@@ -164,10 +168,11 @@ def solve(device: DeviceModel, graph: DesignGraph, lib: QoRLibrary,
         return cur is None or tuple(cand[f] for f in fns) < tuple(cur[f] for f in fns)
 
     partial = dict(min_latency_config)
+    latency = function_latencies(graph, lib, partial)  # kept equal to partial's
 
     def descend(i: int):
         tick()
-        lb = design_latency(graph, lib, partial)
+        lb = path_latency(graph, latency)
         if best["latency"] is not None and lb > best["latency"]:
             return
         if i == len(fns):
@@ -179,10 +184,11 @@ def solve(device: DeviceModel, graph: DesignGraph, lib: QoRLibrary,
             best.update(latency=lb, config=dict(partial), placement=placement)
             return
         f = fns[i]
+        kept = partial[f], latency[f]
         for p in lib.template_for(f).points:
-            partial[f] = p.id
+            partial[f], latency[f] = p.id, p.latency
             descend(i + 1)
-        partial[f] = min_latency_config[f]
+        partial[f], latency[f] = kept
 
     status = "optimal"
     try:
@@ -233,10 +239,11 @@ def verify_optimal(device: DeviceModel, graph: DesignGraph, lib: QoRLibrary,
     reservoir: list[dict] = []
     total = 0
     partial = dict(min_latency_config)
+    latency = function_latencies(graph, lib, partial)  # kept equal to partial's
 
     def enumerate_configs(i: int) -> bool:
         nonlocal total
-        if design_latency(graph, lib, partial) >= final_latency:
+        if path_latency(graph, latency) >= final_latency:
             return True
         if i == len(fns):
             total += 1
@@ -250,11 +257,12 @@ def verify_optimal(device: DeviceModel, graph: DesignGraph, lib: QoRLibrary,
                     reservoir[j] = dict(partial)
             return True
         f = fns[i]
+        kept = partial[f], latency[f]
         for p in lib.template_for(f).points:
-            partial[f] = p.id
+            partial[f], latency[f] = p.id, p.latency
             if not enumerate_configs(i + 1):
                 return False
-        partial[f] = min_latency_config[f]
+        partial[f], latency[f] = kept
         return True
 
     enumerate_configs(0)

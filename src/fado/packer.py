@@ -7,6 +7,14 @@ is a best-fit-decreasing compaction that moves groups from less-utilized
 slots into fuller ones to open up contiguous headroom, without touching any
 chosen point.
 
+No packing can place a batch whose total demand exceeds, in some resource
+kind, what the slots hold together: the sum of the slots' fit budgets, each
+rounded down to whole units (``PackState.device_bound``, the slot-side twin
+of the wires' reject bound).  Online packing checks a batch against that
+bound once, at its first function that does not fit in place, and refuses
+it there; ``fits_device`` is the one test, and the search uses it too, to
+skip the repack for a vector over the bound.
+
 Offline re-packing is a deterministic function of the packing state, so
 re-running it on a state where it last moved nothing would move nothing
 again.  Every ``PackState`` carries a generation stamp, drawn fresh from
@@ -56,6 +64,7 @@ from .model import (
     RESOURCE_KINDS,
     ResourceVector,
     fit_budget,
+    floored_total,
     kind_ratio,
     utilization_ratio,
     within_budget,
@@ -96,6 +105,8 @@ class PackState:
         self.groups = ram_groups(graph)
         self.group_of = group_of_map(self.groups)
         self.budget = {s.id: fit_budget(s.capacity, device.util_limit) for s in device.slots}
+        # per kind, the most the slots can hold together (see ``fits_device``)
+        self.device_bound = tuple(map(floored_total, zip(*self.budget.values())))
         self.slot_load = {s.id: ResourceVector.zero() for s in device.slots}
         for f in graph.functions:
             sid = self.placement[f]
@@ -240,6 +251,20 @@ def _fits_slot(state: PackState, slot_id: int, extra: tuple) -> bool:
     return within_budget(state.slot_load[slot_id], state.budget[slot_id], extra)
 
 
+def fits_device(state: PackState, targets: dict) -> bool:
+    """True when the device's total load, with each function of ``targets``
+    moved to its target point, stays within ``state.device_bound``: per
+    kind, the sum of the slots' fit budgets rounded down (``floored_total``).
+
+    Moves never change the total, so a batch over the bound has no legal
+    packing at all, and neither online packing nor a repack can place it.
+    """
+    total = ResourceVector.sum(state.slot_load.values())
+    for fn, pid in targets.items():
+        total = (total - state.fn_resources(fn)) + state.lib.point(fn, pid).resources
+    return within_budget(total, state.device_bound)
+
+
 def _candidate_slots(state: PackState, exclude: int, extra: ResourceVector) -> list[int]:
     """Other slots ordered by worst-fit preference for ``extra``.
 
@@ -266,6 +291,13 @@ def online_pack(state: PackState, targets: dict, allow_moves: bool = True) -> tu
     Transactional over the whole batch: if any function fits neither in
     place nor (with its RAM group) on any other slot, the state rolls back
     to entry and fit is False.  Returned moves are (function, from, to).
+
+    At the first function that does not fit in place, the batch is checked
+    once against the device-wide bound (``fits_device``) with the points
+    of that function and every one after it; a batch over the bound is
+    refused before any move is tried.  On a state whose slots are all
+    within budget, as the search keeps them, a batch over the bound could
+    not be packed anyway, so the outcome is the same as without the check.
     """
     for fn, pid in targets.items():
         if fn not in state.graph.functions:
@@ -284,7 +316,8 @@ def online_pack(state: PackState, targets: dict, allow_moves: bool = True) -> tu
             f,
         ),
     )
-    for fn in order:
+    bounded = False  # the batch has been checked against the device bound
+    for i, fn in enumerate(order):
         pid = targets[fn]
         new = state.lib.point(fn, pid).resources
         old = state.fn_resources(fn)
@@ -295,6 +328,11 @@ def online_pack(state: PackState, targets: dict, allow_moves: bool = True) -> tu
         if not allow_moves:
             state.restore(snap)
             return False, []
+        if not bounded:
+            if not fits_device(state, {f: targets[f] for f in order[i:]}):
+                state.restore(snap)
+                return False, []
+            bounded = True
         group = state.group_of[fn]
         extra = (state.group_load[group.gid] - old) + new
         placed = False

@@ -33,8 +33,9 @@ times its capacity plus ``LIMIT_EPS``, and the fold puts every edge on one
 column of its span, so two constants per boundary bound its total crossing
 width exactly for any fold:
 
-- reject: a total above the sum of the half budgets (each rounded down to
-  whole wires) must overflow some half;
+- reject: a total above the sum of the half budgets, each rounded down to
+  whole wires (``floored_total``, as for the slots' device-wide bound),
+  must overflow some half;
 - accept: a total within the narrowest half's budget cannot overflow any
   half (a zero-capacity half's budget is ``LIMIT_EPS``, so the bound fails
   unless nothing crosses).
@@ -51,10 +52,9 @@ boundary first.
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_left, insort
 
-from .model import FIFO, DesignGraph, DeviceModel, fit_budget, kind_ratio
+from .model import FIFO, DesignGraph, DeviceModel, fit_budget, floored_total, kind_ratio
 
 
 def crossed_die_rows(device: DeviceModel, ys: int, yd: int) -> list[int]:
@@ -110,11 +110,9 @@ class SllState:
         self.budget = {  # boundary row -> per-column half budgets
             y: fit_budget(halves, device.sll_limit) for y, halves in self._caps.items()
         }
-        # Loads are whole wires, so a half holds at most floor(budget) of
-        # them: a boundary whose total exceeds the sum overflows some half.
-        self._reject_bound = {
-            y: sum(map(math.floor, budget)) for y, budget in self.budget.items()
-        }
+        # A boundary whose total exceeds its halves' floored budget sum
+        # overflows some half.
+        self._reject_bound = {y: floored_total(budget) for y, budget in self.budget.items()}
         # A boundary whose total is within its narrowest half's budget
         # cannot overflow any half, however the fold splits the edges.
         self._accept_bound = {y: min(budget) for y, budget in self.budget.items()}

@@ -8,8 +8,12 @@ through four stages: online packing, offline re-packing plus an online
 retry, a bounded look-ahead below DP, and a look-back between DP and the
 current latency.  The retry after a repack runs only when the repack moved
 something: online packing is deterministic, so on an unchanged state it
-would fail again.  A batch that survives no stage is excluded from future
-selection and the search moves on; it stops when nothing is left to select.
+would fail again.  A vector whose total demand exceeds the device-wide
+bound (per kind, the sum of the slots' floored fit budgets) is not
+repacked for at all: no floorplan can hold it, so the retry would fail too,
+and the repack's moves would be kept for nothing.  A batch that survives no
+stage is excluded from future selection and the search moves on; it stops
+when nothing is left to select.
 
 Selection reads latency levels kept current as the search goes: the
 active functions grouped by latency, with the occupied levels sorted.  Only
@@ -36,7 +40,7 @@ from .model import (
     function_latencies,
     path_latency,
 )
-from .packer import PackState, offline_repack, online_pack
+from .packer import PackState, fits_device, offline_repack, online_pack
 
 log = logging.getLogger(__name__)
 
@@ -241,15 +245,16 @@ def run(
         moves: list = []
 
         def attempt(vec: dict, repack: bool) -> str | None:
-            """Pack ``vec`` online; when that fails, ``repack`` holds and the
-            floorplan may move, repack offline and, if that moved groups,
+            """Pack ``vec`` online; when that fails, ``repack`` holds, the
+            floorplan may move and ``vec`` is within the device-wide bound
+            (``fits_device``), repack offline and, if that moved groups,
             pack once more.  Every move made is kept in ``moves``.  Returns
             the stage that packed ``vec`` (online or offline), or None."""
             ok, m = online_pack(state, vec, allow_moves=not freeze_floorplan)
             if ok:
                 moves.extend(m)
                 return STAGE_ONLINE
-            if not repack or freeze_floorplan:
+            if not repack or freeze_floorplan or not fits_device(state, vec):
                 return None
             repacked = offline_repack(state)
             moves.extend(repacked)

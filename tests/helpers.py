@@ -2,16 +2,22 @@
 
 from __future__ import annotations
 
+import math
+from operator import sub
+
 from fado import instancegen
 from fado.model import (
+    LIMIT_EPS,
     RESOURCE_KINDS,
+    ModelError,
+    ResourceVector,
     design_from_dict,
     device_from_dict,
     kind_ratio,
     qor_from_dict,
     utilization_ratio,
 )
-from fado.packer import _fits_slot
+from fado.packer import _candidate_slots, _fits_slot
 
 
 def device_doc(width=1, height=2, *, cap=None, sll=1000, util_limit=0.65,
@@ -120,6 +126,63 @@ def reference_repack(state):
     if not moves:
         state.settled_stamp = state.stamp
     return moves
+
+
+def reference_online_pack(state, targets, allow_moves=True):
+    """Online packing with no device-wide bound: every function that does
+    not fit in place tries every candidate slot before the batch fails.
+    On a state whose slots are all within budget, ``packer.online_pack``
+    must match it exactly, in its result and in the state it leaves."""
+    for fn, pid in targets.items():
+        if fn not in state.graph.functions:
+            raise ModelError(f"unknown function {fn!r}")
+        state.lib.point(fn, pid)
+    snap = state.snapshot()
+    moves = []
+    order = sorted(
+        targets,
+        key=lambda f: (
+            -utilization_ratio(
+                state.lib.point(f, targets[f]).resources,
+                state.device.slot(state.placement[f]).capacity,
+            ),
+            f,
+        ),
+    )
+    for fn in order:
+        pid = targets[fn]
+        new = state.lib.point(fn, pid).resources
+        old = state.fn_resources(fn)
+        sid = state.placement[fn]
+        if _fits_slot(state, sid, tuple(map(sub, new, old))):
+            state.apply_point(fn, pid)
+            continue
+        if not allow_moves:
+            state.restore(snap)
+            return False, []
+        group = state.group_of[fn]
+        extra = (state.group_load[group.gid] - old) + new
+        for dest in _candidate_slots(state, sid, extra):
+            if _fits_slot(state, dest, extra) and state.trial_move(group, dest, (fn, pid)):
+                moves.extend((m, sid, dest) for m in group.members)
+                break
+        else:
+            state.restore(snap)
+            return False, []
+    return True, moves
+
+
+def within_device_bound(state, targets):
+    """Whether the design's total demand with ``targets`` applied stays, in
+    every resource kind, within the sum over slots of each slot's whole
+    units under its limit, computed from scratch."""
+    config = {**state.config, **targets}
+    total = ResourceVector.sum(state.lib.point(f, p).resources for f, p in config.items())
+    limit = state.device.util_limit
+    return all(
+        total[k] <= sum(math.floor(limit * s.capacity[k] + LIMIT_EPS) for s in state.device.slots)
+        for k in range(len(RESOURCE_KINDS))
+    )
 
 
 def reference_fold(device, graph, placement, y):

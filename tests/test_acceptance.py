@@ -19,8 +19,9 @@ from fado.model import (
     ResourceVector,
     design_from_dict,
     device_from_dict,
-    fits_within,
+    fit_budget,
     qor_from_dict,
+    within_budget,
 )
 from fado.oracle import assign_slots, certify, solve, verify_optimal
 from fado.packer import PackState
@@ -332,7 +333,7 @@ def test_09_wire_budget_blocks_a_capacity_feasible_move():
         for f, s in result.initial_placement.items() if s == dst
     )
     fast = lib.point("g2", "fast").resources
-    assert fits_within(dst_load + fast, device.slot(dst).capacity, device.util_limit)
+    assert within_budget(dst_load + fast, fit_budget(device.slot(dst).capacity, device.util_limit))
 
     # ...but both fifos would then cross the boundary: 32 wires against a
     # budget of 0.9 * 20 = 18, so the move must be rejected and g2 given up.

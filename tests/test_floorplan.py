@@ -18,8 +18,9 @@ from fado.model import (
     baseline_configuration,
     design_from_dict,
     device_from_dict,
-    fits_within,
+    fit_budget,
     qor_from_dict,
+    within_budget,
 )
 
 from helpers import design_doc, device_doc, parse, qor_doc, template_doc
@@ -220,4 +221,4 @@ def test_both_initial_strategies_respect_capacity():
                     lib.point(f, config[f]).resources
                     for f in graph.functions if placement[f] == s.id
                 )
-                assert fits_within(used, s.capacity, device.util_limit)
+                assert within_budget(used, fit_budget(s.capacity, device.util_limit))

@@ -18,7 +18,7 @@ from fado.model import (
     design_latency,
     device_from_dict,
     fit_budget,
-    fits_within,
+    floored_total,
     function_latencies,
     path_latency,
     qor_from_dict,
@@ -113,15 +113,23 @@ def test_utilization_ratio_zero_capacity():
     assert utilization_ratio(ResourceVector(lut=10, uram=1), cap) == float("inf")
 
 
-def test_fits_within_allows_exact_budget():
-    cap = ResourceVector(lut=100)
-    assert fits_within(ResourceVector(lut=70), cap, 0.7)
-    assert not fits_within(ResourceVector(lut=71), cap, 0.7)
+def test_fit_budget_allows_exact_budget():
+    budget = fit_budget(ResourceVector(lut=100), 0.7)
+    assert within_budget(ResourceVector(lut=70), budget)
+    assert not within_budget(ResourceVector(lut=71), budget)
     # 0.65 * 164880 is not exactly representable; the epsilon absorbs that
-    big = ResourceVector(lut=164880)
-    assert fits_within(ResourceVector(lut=107172), big, 0.65)
-    assert not fits_within(ResourceVector(lut=107173), big, 0.65)
+    big = fit_budget(ResourceVector(lut=164880), 0.65)
+    assert within_budget(ResourceVector(lut=107172), big)
+    assert not within_budget(ResourceVector(lut=107173), big)
     assert LIMIT_EPS < 1
+
+
+def test_floored_total_counts_whole_units_per_bin():
+    # 0.65 * 101 + eps holds 65 whole units, 0.65 * 100 + eps holds 65, and
+    # a zero-capacity bin holds none
+    assert floored_total(fit_budget((101, 100, 0), 0.65)) == 130
+    assert floored_total(fit_budget((164880,), 0.65)) == 107172
+    assert floored_total(()) == 0
 
 
 def test_within_budget_adds_the_extra_per_kind():

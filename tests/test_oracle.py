@@ -14,8 +14,9 @@ from fado.model import (
     design_from_dict,
     design_latency,
     device_from_dict,
-    fits_within,
+    fit_budget,
     qor_from_dict,
+    within_budget,
 )
 from fado.oracle import (
     _sll_feasible,
@@ -111,7 +112,7 @@ def _naive_minimum(device, graph, lib):
                 total = used[0] if used else None
                 for u in used[1:]:
                     total = total + u
-                if used and not fits_within(total, s.capacity, device.util_limit):
+                if used and not within_budget(total, fit_budget(s.capacity, device.util_limit)):
                     ok = False
                     break
             if not ok:

@@ -3,18 +3,19 @@ from __future__ import annotations
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from fado.floorplan import group_resources, min_cut_initial
+from fado.floorplan import group_resources, min_cut_initial, ram_groups
 from fado.model import (
     RESOURCE_KINDS,
     ModelError,
     ResourceVector,
     baseline_configuration,
-    fits_within,
+    fit_budget,
     kind_ratio,
     utilization_ratio,
+    within_budget,
 )
 import fado.packer
 from fado.packer import (
@@ -30,9 +31,11 @@ from helpers import (
     device_doc,
     parse,
     qor_doc,
+    reference_online_pack,
     reference_repack,
     sll_fingerprint,
     template_doc,
+    within_device_bound,
 )
 
 
@@ -253,6 +256,125 @@ def test_online_validates_inputs(toy):
         online_pack(state, {"A": "warp"})
 
 
+# ---------------------------------------------------------------------------
+# The device-wide bound
+
+
+def _bound_state(luts, placement, *, slots=2):
+    """Functions on a 1-by-``slots`` column of 100-LUT slots at limit 0.5,
+    so each slot holds 50 LUTs and the device 50 * ``slots``; ``luts``
+    maps each function to its (point id, LUTs) pairs, the first current."""
+    design = design_doc([("K", "dataflow", sorted(luts))])
+    qor = qor_doc({f"t_{f}": template_doc([(pid, 10, {"lut": n}) for pid, n in pts])
+                   for f, pts in luts.items()})
+    doc = device_doc(width=1, height=slots, cap={"lut": 100}, util_limit=0.5, die_rows=[])
+    device, graph, lib = parse(doc, design, qor)
+    return PackState(device, graph, lib, baseline_configuration(graph), placement)
+
+
+def test_a_batch_over_the_device_bound_tries_no_slot(spies, monkeypatch):
+    # a's 70 LUTs fit no slot, and with b's 35 the design needs 105 of 100
+    state = _bound_state({"a": [("baseline", 10), ("big", 70)], "b": [("baseline", 35)]},
+                         {"a": 0, "b": 1})
+    assert state.device_bound == (0, 0, 0, 100, 0)
+    tried = []
+    candidate_slots = fado.packer._candidate_slots
+    monkeypatch.setattr(fado.packer, "_candidate_slots",
+                        lambda *args: tried.append(args[1]) or candidate_slots(*args))
+    before = _entries(state)
+    assert online_pack(state, {"a": "big"}) == (False, [])
+    assert tried == [] and spies == ([], [(0, (0, 0, 0, 60, 0))])
+    assert _entries(state) == before
+
+
+def test_a_batch_within_the_device_bound_still_moves():
+    # a and c fill slot 0 with 45 of 50 LUTs; a's 40-LUT point fits only on
+    # slot 1, and the design's 65 LUTs are more than one slot holds
+    state = _bound_state({"a": [("baseline", 30), ("p1", 40)], "b": [("baseline", 10)],
+                          "c": [("baseline", 15)]}, {"a": 0, "b": 1, "c": 0})
+    assert online_pack(state, {"a": "p1"}) == (True, [("a", 0, 1)])
+
+
+def test_the_bound_counts_each_member_from_its_current_point():
+    # three full-ish slots: {a 10, e 40}, {b 40, c 10}, {d 10}.  c's 40-LUT
+    # point fits only on slot 2, then e shrinks to 5 in place: 105 of 150
+    # LUTs after the batch, though adding the targets to the current points
+    # would ask for 155
+    state = _bound_state({"a": [("baseline", 10)], "b": [("baseline", 40)],
+                          "c": [("baseline", 10), ("big", 40)], "d": [("baseline", 10)],
+                          "e": [("baseline", 40), ("small", 5)]},
+                         {"a": 0, "e": 0, "b": 1, "c": 1, "d": 2}, slots=3)
+    assert online_pack(state, {"c": "big", "e": "small"}) == (True, [("c", 1, 2)])
+
+
+@st.composite
+def _bound_instance(draw):
+    """A state on 2-4 slots whose kinds may have zero capacity, every slot
+    within budget, and a batch of target points for some of its functions."""
+    width, height = draw(st.sampled_from(((1, 2), (1, 3), (2, 2))))
+    doc = device_doc(width=width, height=height, sll=draw(st.sampled_from((8, 64, 1000))),
+                     util_limit=draw(st.sampled_from((0.5, 0.8, 1.0))))
+    for slot in doc["slots"]:
+        slot["capacity"] = {"lut": draw(st.sampled_from((40, 60, 100))),
+                            "dsp": draw(st.sampled_from((0, 30, 30))),
+                            "bram": draw(st.sampled_from((0, 20, 20)))}
+    names = [f"f{i}" for i in range(draw(st.integers(2, 6)))]
+    fn = st.sampled_from(names)
+    edges = draw(st.lists(
+        st.tuples(fn, fn, st.sampled_from(("fifo", "ram", "ram")), st.sampled_from((4, 8))),
+        max_size=6,
+    ).map(lambda es: [e for e in es if e[0] != e[1]]))
+    amount = st.sampled_from((0, 0, 0, 0, 2, 5, 10))
+    lut = {"baseline": st.sampled_from((2, 5, 10)), "p1": st.sampled_from((5, 15, 25)),
+           "p2": st.sampled_from((10, 25, 40))}
+    qor = qor_doc({
+        f"t_{n}": template_doc([
+            (pid, lat, {"lut": draw(lut[pid]), "dsp": draw(amount), "bram": draw(amount)})
+            for pid, lat in (("baseline", 30), ("p1", 20), ("p2", 10))
+        ])
+        for n in names
+    })
+    device, graph, lib = parse(doc, design_doc([("K", "dataflow", names)], edges), qor)
+    config = {n: draw(st.sampled_from(("baseline", "baseline", "p1", "p2"))) for n in names}
+    budget = {s.id: fit_budget(s.capacity, device.util_limit) for s in device.slots}
+    load = {s.id: ResourceVector.zero() for s in device.slots}
+    placement = {}
+    for g in ram_groups(graph):
+        need = group_resources(g, lib, config)
+        room = [sid for sid in load if within_budget(load[sid] + need, budget[sid])]
+        assume(room)
+        sid = draw(st.sampled_from(room))
+        load[sid] = load[sid] + need
+        placement.update(dict.fromkeys(g.members, sid))
+    targets = draw(st.dictionaries(fn, st.sampled_from(("p1", "p2", "p2")), min_size=1))
+    allow_moves = draw(st.sampled_from((True, True, True, False)))
+    return (device, graph, lib, config, placement), targets, allow_moves
+
+
+@settings(max_examples=400, deadline=None)
+@given(_bound_instance())
+def test_online_pack_matches_the_bound_free_schedule(instance):
+    args, targets, allow_moves = instance
+    state, ref = PackState(*args), PackState(*args)
+    entry = state.stamp
+    over = not within_device_bound(state, targets)
+    tried = []
+    candidate_slots = fado.packer._candidate_slots
+    fado.packer._candidate_slots = lambda *a: tried.append(a[1]) or candidate_slots(*a)
+    try:
+        got = online_pack(state, targets, allow_moves)
+    finally:
+        fado.packer._candidate_slots = candidate_slots
+    assert got == reference_online_pack(ref, targets, allow_moves)
+    assert _entries(state)[:4] == _entries(ref)[:4]
+    assert sll_fingerprint(state.sll) == sll_fingerprint(ref.sll)
+    if not got[0]:
+        assert state.stamp == entry
+    if over:
+        # refused before a single slot is ranked for a move
+        assert got == (False, []) and tried == []
+
+
 def test_candidate_slots_prefer_the_least_critical_fit():
     design = design_doc([("K", "dataflow", ["a", "b", "c", "x"])])
     tmpl = template_doc([("baseline", 5, {"lut": 10})])
@@ -358,7 +480,7 @@ def test_offline_repack_keeps_state_legal(toy):
     offline_repack(state)
     assert state.check_legal() == []
     for s in state.device.slots:
-        assert fits_within(state.slot_load[s.id], s.capacity, state.device.util_limit)
+        assert within_budget(state.slot_load[s.id], state.budget[s.id])
 
 
 @st.composite

@@ -38,6 +38,7 @@ from helpers import (
     select_bottleneck,
     stress_grid,
     template_doc,
+    within_device_bound,
 )
 
 
@@ -373,10 +374,40 @@ def test_unknown_initial_strategy_raises(toy):
         run(device, graph, lib, initial="random")
 
 
+def test_a_failed_vector_is_repacked_for_only_within_the_device_bound(monkeypatch):
+    events = []  # ("pack", ok, within the device bound) or ("repack",), in call order
+    pack, repack = search.online_pack, search.offline_repack
+
+    def spy_pack(state, vec, allow_moves=True):
+        within = within_device_bound(state, vec)
+        ok, moves = pack(state, vec, allow_moves)
+        events.append(("pack", ok, within))
+        return ok, moves
+
+    monkeypatch.setattr(search, "online_pack", spy_pack)
+    monkeypatch.setattr(search, "offline_repack", lambda state: events.append(("repack",))
+                        or repack(state))
+    starts = [0]  # index of each iteration's first event
+    run(*parse(*instancegen.gen_stress(5, 150, 6)),
+        on_iteration=lambda state, row: starts.append(len(events)))
+    failed = [i for i, e in enumerate(events) if e[:2] == ("pack", False)]
+    repacks = [i for i, e in enumerate(events) if e == ("repack",)]
+    # every repack follows a failed vector within the bound ...
+    assert repacks and all(events[i - 1] == ("pack", False, True) for i in repacks)
+    # ... none follows one over it ...
+    over = [i for i in failed if not events[i][2]]
+    assert over and all(events[i + 1:i + 2] != [("repack",)] for i in over)
+    # ... and an iteration's first vector, which may repack, does so
+    # whenever it fails within the bound
+    assert all(events[i + 1] == ("repack",) for i in set(starts[:-1]) & set(failed)
+               if events[i][2])
+
+
 # ---------------------------------------------------------------------------
 # Pinned outcomes: legalization shortcuts must leave every decision unchanged.
-# The digests were recorded before repacks on settled states were skipped;
-# a different digest means the search itself decides differently.
+# The digests were re-recorded, on purpose, when vectors over the device-wide
+# bound stopped being repacked for; a different digest means the search
+# itself decides differently.
 
 
 def outcome_digest(result) -> str:
@@ -390,16 +421,18 @@ def outcome_digest(result) -> str:
 
 
 PINNED_INSTANCES = {
-    # 150 functions on quad: every stage, 89 repacks of which 26 move groups.
+    # 150 functions on quad: online, look-ahead, look-back and excluded
+    # rows, 10 repacks of which 6 move groups, and one look-ahead vector
+    # packed by the online retry after a repack that moved groups.
     "stress-quad": (
         lambda: instancegen.gen_stress(5, 150, 6),
-        "0730c2ab8c173e9b4450723614411670de95b337c79d220361869d226da5f08e",
+        "4ab684d9bb1c261eced2fff217bae79b6876a31f53589d0448c546d76eb5ca54",
     ),
-    # 75 functions on the 2x4 grid: the outcome depends on the online retry
-    # after a look-ahead repack that moved groups.
+    # 75 functions on the 2x4 grid: the one offline row depends on the
+    # online retry after a repack that moved groups (12 repacks, 10 moving).
     "stress-grid": (
         lambda: stress_grid(9, 75, 6, sll=150),
-        "334b39595e256e7f87a5b8a5318c4222732fb8adfb8f67369cfa03293bf155ca",
+        "a107abd12152a3e21de9eb8fbb5a0baee8b9fbe3d4dff61515b4a8f056e25d1a",
     ),
 }
 
