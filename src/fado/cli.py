@@ -9,7 +9,9 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
+import os
 import sys
 import time
 from pathlib import Path
@@ -74,21 +76,36 @@ def _load_result(path: str):
     return doc, device, graph, lib
 
 
+def _write_text(path: Path, text: str) -> None:
+    """Write ``text`` to ``path``, overwriting an existing file in place.
+
+    The file is opened without ``O_TRUNC`` and cut to the new length after
+    the write.  Truncating a written file to zero makes ext4 start writeback
+    when it is closed (``auto_da_alloc``), which dominates a re-run into an
+    existing output directory.
+    """
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    with open(fd, "w", newline="") as fh:
+        fh.write(text)
+        fh.truncate()
+
+
 def _write_trace_csv(path: Path, trace) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["record", "iter", "stage", "batch", "points", "latency",
-                    "max_util", "max_sll_util", "function", "from", "to"])
-        for row in trace:
-            w.writerow([
-                "iteration", row.iteration, row.stage, " ".join(row.batch),
-                " ".join(f"{f}={p}" for f, p in sorted(row.accepted.items())),
-                row.design_latency, f"{row.max_util:.6f}", f"{row.max_sll_util:.6f}",
-                "", "", "",
-            ])
-            for fn, src, dst in row.moves:
-                w.writerow(["move", row.iteration, row.stage, "", "", "", "", "",
-                            fn, src, dst])
+    buf = io.StringIO(newline="")
+    w = csv.writer(buf)
+    w.writerow(["record", "iter", "stage", "batch", "points", "latency",
+                "max_util", "max_sll_util", "function", "from", "to"])
+    for row in trace:
+        w.writerow([
+            "iteration", row.iteration, row.stage, " ".join(row.batch),
+            " ".join(f"{f}={p}" for f, p in sorted(row.accepted.items())),
+            row.design_latency, f"{row.max_util:.6f}", f"{row.max_sll_util:.6f}",
+            "", "", "",
+        ])
+        for fn, src, dst in row.moves:
+            w.writerow(["move", row.iteration, row.stage, "", "", "", "", "",
+                        fn, src, dst])
+    _write_text(path, buf.getvalue())
 
 
 def _write_directives(path: Path, graph, lib, config) -> None:
@@ -97,7 +114,7 @@ def _write_directives(path: Path, graph, lib, config) -> None:
         point = lib.point(fn, config[fn])
         settings = "; ".join(f"{k}={v}" for k, v in point.directives) or "(none)"
         lines.append(f"{fn}: point={point.id}; {settings}")
-    path.write_text("\n".join(lines) + "\n")
+    _write_text(path, "\n".join(lines) + "\n")
 
 
 def _write_tcl_stub(path: Path, graph, lib, config, placement) -> None:
@@ -108,7 +125,7 @@ def _write_tcl_stub(path: Path, graph, lib, config, placement) -> None:
             kind, _, target = name.partition(":")
             lines.append(f"set_directive_{kind.lower()} -value {{{value}}} {fn} {target}")
         lines.append(f"assign_region slot_{placement[fn]} {fn}")
-    path.write_text("\n".join(lines) + "\n")
+    _write_text(path, "\n".join(lines) + "\n")
 
 
 def _result_document(device, graph, lib, result, wall_seconds, flags) -> dict:
@@ -178,11 +195,11 @@ def cmd_optimize(args) -> int:
     }
     doc = _result_document(device, graph, lib, result, wall, flags)
     # Compact: without an indent the json module encodes in C.
-    (out / "result.json").write_text(json.dumps(doc, separators=(",", ":")) + "\n")
+    _write_text(out / "result.json", json.dumps(doc, separators=(",", ":")) + "\n")
     _write_trace_csv(out / "trace.csv", result.trace)
     _write_directives(out / "directives.txt", graph, lib, result.config)
     state = result.state
-    (out / "floorplan.json").write_text(json.dumps({
+    _write_text(out / "floorplan.json", json.dumps({
         "assignment": result.placement,
         "slots": {
             str(s.id): {
@@ -293,9 +310,8 @@ def cmd_gen(args) -> int:
         }
         spec = instancegen.GenSpec(seed=args.seed, **presets[args.preset])
         device, design, qor = instancegen.gen_instance(spec)
-    (out / "device.json").write_text(json.dumps(device, indent=2, sort_keys=True) + "\n")
-    (out / "design.json").write_text(json.dumps(design, indent=2, sort_keys=True) + "\n")
-    (out / "qor.json").write_text(json.dumps(qor, indent=2, sort_keys=True) + "\n")
+    for name, doc in (("device", device), ("design", design), ("qor", qor)):
+        _write_text(out / f"{name}.json", json.dumps(doc, indent=2, sort_keys=True) + "\n")
     print(f"wrote device.json, design.json, qor.json to {out}")
     return EXIT_OK
 

@@ -236,25 +236,26 @@ def verify_optimal(device: DeviceModel, graph: DesignGraph, lib: QoRLibrary,
     }
 
     rng = random.Random(seed)
-    reservoir: list[dict] = []
+    reservoir: list[tuple[int, dict]] = []  # (design latency, configuration)
     total = 0
     partial = dict(min_latency_config)
     latency = function_latencies(graph, lib, partial)  # kept equal to partial's
 
     def enumerate_configs(i: int) -> bool:
         nonlocal total
-        if path_latency(graph, latency) >= final_latency:
+        lat = path_latency(graph, latency)
+        if lat >= final_latency:
             return True
         if i == len(fns):
             total += 1
             if total > cap:
                 return False
             if len(reservoir) < sample:
-                reservoir.append(dict(partial))
+                reservoir.append((lat, dict(partial)))
             else:
                 j = rng.randrange(total)
                 if j < sample:
-                    reservoir[j] = dict(partial)
+                    reservoir[j] = (lat, dict(partial))
             return True
         f = fns[i]
         kept = partial[f], latency[f]
@@ -268,7 +269,7 @@ def verify_optimal(device: DeviceModel, graph: DesignGraph, lib: QoRLibrary,
     enumerate_configs(0)
 
     checked = 0
-    for cand in sorted(reservoir, key=lambda c: design_latency(graph, lib, c)):
+    for _, cand in sorted(reservoir, key=lambda item: item[0]):
         checked += 1
         placement = assign_slots(device, graph, lib, cand, exact_sll=False)
         if placement is None:

@@ -128,6 +128,50 @@ def test_optimize_tcl_stub(toy_files, tmp_path):
     assert "assign_region" in tcl
 
 
+def _files(directory):
+    return {p.name: p.read_bytes() for p in directory.iterdir()}
+
+
+def _without_volatile_manifest(result_bytes):
+    doc = json.loads(result_bytes)
+    for key in ("created_unix", "wall_seconds"):
+        del doc["manifest"][key]
+    return doc
+
+
+def test_a_rerun_overwrites_every_longer_output_to_its_new_length(toy_files, tmp_path):
+    # a 100-function run writes longer files than the toy run that follows
+    # it into the same directory; none of their old tails may survive
+    stress = tmp_path / "stress"
+    assert main(["gen", "--preset", "stress", "--functions", "100", "--out", str(stress)]) == 0
+    code, reused = _optimize(stress, tmp_path / "reused", "--tcl-stub")
+    assert code == 0
+    before = _files(reused)
+    code, reused = _optimize(toy_files, tmp_path / "reused", "--tcl-stub")
+    assert code == 0
+    code, fresh = _optimize(toy_files, tmp_path / "fresh", "--tcl-stub")
+    assert code == 0
+
+    after, expected = _files(reused), _files(fresh)
+    assert set(after) == set(expected) == set(before) == {
+        "constraints.tcl", "directives.txt", "floorplan.json", "result.json", "trace.csv"}
+    for name, data in expected.items():
+        assert len(before[name]) > len(data), name
+        if name == "result.json":
+            assert after[name].count(b"\n") == 1 and after[name].endswith(b"}\n")
+            assert _without_volatile_manifest(after[name]) == \
+                _without_volatile_manifest(data)
+        else:
+            assert after[name] == data, name
+    assert b"\r\n" in after["trace.csv"]
+
+    generated = _files(stress)
+    assert main(["gen", "--preset", "toy", "--out", str(stress)]) == 0
+    toy = _files(toy_files)
+    assert all(len(generated[name]) > len(data) for name, data in toy.items())
+    assert _files(stress) == toy
+
+
 def test_optimize_util_limit_override_can_make_the_start_infeasible(
         toy_files, tmp_path, capsys):
     code, _ = _optimize(toy_files, tmp_path, "--util-limit", "0.3")

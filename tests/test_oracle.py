@@ -227,6 +227,26 @@ def test_verify_finds_a_counterexample_for_a_truncated_run(toy):
     assert certify(device, graph, lib, witness["config"], witness["placement"]) == []
 
 
+def test_verify_checks_the_fastest_candidates_first():
+    # a feeds b, so latencies add; (fast, fast) at 2 overflows the slot, and
+    # enumeration meets (fast, mid) at 5 before the faster (mid, fast) at 4
+    design = design_doc([("K0", "dataflow", ["a"]), ("K1", "dataflow", ["b"])],
+                        [("a", "b", "fifo", 8)])
+    qor = qor_doc({
+        "t_a": template_doc([("baseline", 10, {"lut": 10}), ("mid", 3, {"lut": 10}),
+                             ("fast", 1, {"lut": 60})]),
+        "t_b": template_doc([("baseline", 10, {"lut": 10}), ("mid", 4, {"lut": 10}),
+                             ("fast", 1, {"lut": 60})]),
+    })
+    device, graph, lib = parse(
+        device_doc(width=1, height=1, cap={"lut": 100}, util_limit=1.0), design, qor)
+    out = verify_optimal(device, graph, lib, 20)
+    assert out["verdict"] == "counterexample"
+    assert out["candidates"] == 8 and out["checked"] == 2
+    assert out["counterexample"]["config"] == {"a": "mid", "b": "fast"}
+    assert out["counterexample"]["latency"] == 4
+
+
 def test_verify_inconclusive_when_the_candidate_space_overflows():
     fns = [f"f{i}" for i in range(10)]
     design = design_doc([("K", "dataflow", fns)])
