@@ -298,9 +298,10 @@ def device_from_dict(doc: dict) -> DeviceModel:
     ids = [s.id for s in slots]
     if len(set(ids)) != len(ids):
         raise ModelError("duplicate slot ids")
-    coords = {(s.x, s.y) for s in slots}
-    expected = {(x, y) for x in range(width) for y in range(height)}
-    if coords != expected:
+    # count first, so a grid far larger than its slots is never built
+    if len(slots) != width * height or (
+        {(s.x, s.y) for s in slots} != {(x, y) for x in range(width) for y in range(height)}
+    ):
         raise ModelError(f"slots must cover the {width}x{height} grid exactly once")
 
     boundaries = []
@@ -688,7 +689,7 @@ def qor_from_dict(doc: dict, graph: DesignGraph) -> QoRLibrary:
             _parse_loop(l, f"{where} loop #{idx}", idx)
             for idx, l in enumerate(_list_entry(raw, "loops", where, []))
         ]
-        raw_points = raw.get("points")
+        raw_points = _list_entry(raw, "points", where, [])
         if not raw_points:
             raise ModelError(f"template {name!r} has an empty point list")
         pts = [_parse_point(p, name) for p in raw_points]

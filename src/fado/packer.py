@@ -10,10 +10,9 @@ chosen point.
 No packing can place a batch whose total demand exceeds, in some resource
 kind, what the slots hold together: the sum of the slots' fit budgets, each
 rounded down to whole units (``PackState.device_bound``, the slot-side twin
-of the wires' reject bound).  Online packing checks a batch against that
-bound once, at its first function that does not fit in place, and refuses
-it there; ``fits_device`` is the one test, and the search uses it too, to
-skip the repack for a vector over the bound.
+of the wires' reject bound).  ``fits_device`` is the one test of that
+bound, and the search makes it once per vector, before any packing work;
+online packing itself does not check the bound.
 
 Offline re-packing is a deterministic function of the packing state, so
 re-running it on a state where it last moved nothing would move nothing
@@ -292,12 +291,10 @@ def online_pack(state: PackState, targets: dict, allow_moves: bool = True) -> tu
     place nor (with its RAM group) on any other slot, the state rolls back
     to entry and fit is False.  Returned moves are (function, from, to).
 
-    At the first function that does not fit in place, the batch is checked
-    once against the device-wide bound (``fits_device``) with the points
-    of that function and every one after it; a batch over the bound is
-    refused before any move is tried.  On a state whose slots are all
-    within budget, as the search keeps them, a batch over the bound could
-    not be packed anyway, so the outcome is the same as without the check.
+    The device-wide bound is not checked here: on a state whose slots are
+    all within budget, as the search keeps them, a batch over the bound
+    (``fits_device``) fails whatever is tried and leaves the state as it
+    was, stamp included, so callers screen it out beforehand.
     """
     for fn, pid in targets.items():
         if fn not in state.graph.functions:
@@ -316,8 +313,7 @@ def online_pack(state: PackState, targets: dict, allow_moves: bool = True) -> tu
             f,
         ),
     )
-    bounded = False  # the batch has been checked against the device bound
-    for i, fn in enumerate(order):
+    for fn in order:
         pid = targets[fn]
         new = state.lib.point(fn, pid).resources
         old = state.fn_resources(fn)
@@ -328,11 +324,6 @@ def online_pack(state: PackState, targets: dict, allow_moves: bool = True) -> tu
         if not allow_moves:
             state.restore(snap)
             return False, []
-        if not bounded:
-            if not fits_device(state, {f: targets[f] for f in order[i:]}):
-                state.restore(snap)
-                return False, []
-            bounded = True
         group = state.group_of[fn]
         extra = (state.group_load[group.gid] - old) + new
         placed = False

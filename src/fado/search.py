@@ -8,10 +8,10 @@ through four stages: online packing, offline re-packing plus an online
 retry, a bounded look-ahead below DP, and a look-back between DP and the
 current latency.  The retry after a repack runs only when the repack moved
 something: online packing is deterministic, so on an unchanged state it
-would fail again.  A vector whose total demand exceeds the device-wide
-bound (per kind, the sum of the slots' floored fit budgets) is not
-repacked for at all: no floorplan can hold it, so the retry would fail too,
-and the repack's moves would be kept for nothing.  A batch that survives no
+would fail again.  Each vector is first checked, once, against the
+device-wide bound (per kind, the sum of the slots' floored fit budgets,
+``fits_device``): no floorplan can hold a vector over it, so it is refused
+before online packing or a repack touches the state.  A batch that survives no
 stage is excluded from future selection and the search moves on; it stops
 when nothing is left to select.
 
@@ -245,16 +245,23 @@ def run(
         moves: list = []
 
         def attempt(vec: dict, repack: bool) -> str | None:
-            """Pack ``vec`` online; when that fails, ``repack`` holds, the
-            floorplan may move and ``vec`` is within the device-wide bound
-            (``fits_device``), repack offline and, if that moved groups,
-            pack once more.  Every move made is kept in ``moves``.  Returns
-            the stage that packed ``vec`` (online or offline), or None."""
+            """Refuse ``vec`` if it is over the device-wide bound
+            (``fits_device``); else pack it online and, when that fails,
+            ``repack`` holds and the floorplan may move, repack offline
+            and, if that moved groups, pack once more.  Every move made is
+            kept in ``moves``.  Returns the stage that packed ``vec``
+            (online or offline), or None.
+
+            Every slot is within budget at every attempt, so a vector over
+            the bound would fail online packing with the state untouched:
+            the early refusal changes no outcome."""
+            if not fits_device(state, vec):
+                return None
             ok, m = online_pack(state, vec, allow_moves=not freeze_floorplan)
             if ok:
                 moves.extend(m)
                 return STAGE_ONLINE
-            if not repack or freeze_floorplan or not fits_device(state, vec):
+            if not repack or freeze_floorplan:
                 return None
             repacked = offline_repack(state)
             moves.extend(repacked)

@@ -401,6 +401,14 @@ def _functions_string(doc):
     doc["kernels"][0]["functions"] = "AB"
 
 
+def _points_bool(doc):
+    next(iter(doc["templates"].values()))["points"] = True
+
+
+def _huge_width(doc):
+    doc["width"] = 1_000_000_000
+
+
 MALFORMED = {
     "slot-without-x": ("device", _drop_slot_x, "'x'"),
     "half-without-sll-capacity": ("device", _drop_half_capacity, "'sll_capacity'"),
@@ -417,6 +425,8 @@ MALFORMED = {
     "kernel-not-an-object": ("design", _list_kernel, "kernel #0"),
     "edges-not-a-list": ("design", _edges_object, "'edges'"),
     "functions-not-a-list": ("design", _functions_string, "'functions'"),
+    "points-not-a-list": ("qor", _points_bool, "'points'"),
+    "grid-larger-than-its-slots": ("device", _huge_width, "exactly once"),
 }
 
 
@@ -435,6 +445,18 @@ def test_optimize_rejects_a_malformed_document_in_one_line(toy_files, tmp_path, 
     path.write_text(json.dumps(doc))
     code, _ = _optimize(toy_files, tmp_path)
     assert code == 1
+    _assert_one_line_error(capsys, needle)
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_oracle_rejects_a_malformed_document_in_one_line(toy_files, capsys, case):
+    name, damage, needle = MALFORMED[case]
+    path = toy_files / f"{name}.json"
+    doc = json.loads(path.read_text())
+    damage(doc)
+    path.write_text(json.dumps(doc))
+    inputs = [f"--{n}={toy_files / n}.json" for n in ("device", "design", "qor")]
+    assert main(["oracle", *inputs]) == 1
     _assert_one_line_error(capsys, needle)
 
 

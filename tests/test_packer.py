@@ -21,6 +21,7 @@ import fado.packer
 from fado.packer import (
     PackState,
     _candidate_slots,
+    fits_device,
     offline_repack,
     online_pack,
 )
@@ -272,18 +273,15 @@ def _bound_state(luts, placement, *, slots=2):
     return PackState(device, graph, lib, baseline_configuration(graph), placement)
 
 
-def test_a_batch_over_the_device_bound_tries_no_slot(spies, monkeypatch):
+def test_fits_device_refuses_a_batch_over_the_device_bound():
     # a's 70 LUTs fit no slot, and with b's 35 the design needs 105 of 100
     state = _bound_state({"a": [("baseline", 10), ("big", 70)], "b": [("baseline", 35)]},
                          {"a": 0, "b": 1})
     assert state.device_bound == (0, 0, 0, 100, 0)
-    tried = []
-    candidate_slots = fado.packer._candidate_slots
-    monkeypatch.setattr(fado.packer, "_candidate_slots",
-                        lambda *args: tried.append(args[1]) or candidate_slots(*args))
     before = _entries(state)
+    assert not fits_device(state, {"a": "big"})
+    # online packing, which does not check the bound, fails it just the same
     assert online_pack(state, {"a": "big"}) == (False, [])
-    assert tried == [] and spies == ([], [(0, (0, 0, 0, 60, 0))])
     assert _entries(state) == before
 
 
@@ -292,6 +290,7 @@ def test_a_batch_within_the_device_bound_still_moves():
     # slot 1, and the design's 65 LUTs are more than one slot holds
     state = _bound_state({"a": [("baseline", 30), ("p1", 40)], "b": [("baseline", 10)],
                           "c": [("baseline", 15)]}, {"a": 0, "b": 1, "c": 0})
+    assert fits_device(state, {"a": "p1"})
     assert online_pack(state, {"a": "p1"}) == (True, [("a", 0, 1)])
 
 
@@ -304,6 +303,7 @@ def test_the_bound_counts_each_member_from_its_current_point():
                           "c": [("baseline", 10), ("big", 40)], "d": [("baseline", 10)],
                           "e": [("baseline", 40), ("small", 5)]},
                          {"a": 0, "e": 0, "b": 1, "c": 1, "d": 2}, slots=3)
+    assert fits_device(state, {"c": "big", "e": "small"})
     assert online_pack(state, {"c": "big", "e": "small"}) == (True, [("c", 1, 2)])
 
 
@@ -356,23 +356,20 @@ def _bound_instance(draw):
 def test_online_pack_matches_the_bound_free_schedule(instance):
     args, targets, allow_moves = instance
     state, ref = PackState(*args), PackState(*args)
-    entry = state.stamp
+    entries, wires = _entries(state), sll_fingerprint(state.sll)
     over = not within_device_bound(state, targets)
-    tried = []
-    candidate_slots = fado.packer._candidate_slots
-    fado.packer._candidate_slots = lambda *a: tried.append(a[1]) or candidate_slots(*a)
-    try:
-        got = online_pack(state, targets, allow_moves)
-    finally:
-        fado.packer._candidate_slots = candidate_slots
+    assert fits_device(state, targets) == (not over)
+    got = online_pack(state, targets, allow_moves)
     assert got == reference_online_pack(ref, targets, allow_moves)
     assert _entries(state)[:4] == _entries(ref)[:4]
     assert sll_fingerprint(state.sll) == sll_fingerprint(ref.sll)
     if not got[0]:
-        assert state.stamp == entry
+        assert state.stamp == entries[-1]
     if over:
-        # refused before a single slot is ranked for a move
-        assert got == (False, []) and tried == []
+        # what the search's screen rests on: a batch over the bound fails
+        # and leaves the state exactly as it was
+        assert got == (False, [])
+        assert _entries(state) == entries and sll_fingerprint(state.sll) == wires
 
 
 def test_candidate_slots_prefer_the_least_critical_fit():

@@ -375,32 +375,42 @@ def test_unknown_initial_strategy_raises(toy):
 
 
 def test_a_failed_vector_is_repacked_for_only_within_the_device_bound(monkeypatch):
-    events = []  # ("pack", ok, within the device bound) or ("repack",), in call order
-    pack, repack = search.online_pack, search.offline_repack
+    # ("vector", within the device bound), ("pack", within, ok) or
+    # ("repack",), in call order
+    events = []
+    pack, repack, fits = search.online_pack, search.offline_repack, search.fits_device
 
     def spy_pack(state, vec, allow_moves=True):
         within = within_device_bound(state, vec)
         ok, moves = pack(state, vec, allow_moves)
-        events.append(("pack", ok, within))
+        events.append(("pack", within, ok))
         return ok, moves
 
+    monkeypatch.setattr(search, "fits_device", lambda state, vec: events.append(
+        ("vector", within_device_bound(state, vec))) or fits(state, vec))
     monkeypatch.setattr(search, "online_pack", spy_pack)
     monkeypatch.setattr(search, "offline_repack", lambda state: events.append(("repack",))
                         or repack(state))
     starts = [0]  # index of each iteration's first event
     run(*parse(*instancegen.gen_stress(5, 150, 6)),
         on_iteration=lambda state, row: starts.append(len(events)))
-    failed = [i for i, e in enumerate(events) if e[:2] == ("pack", False)]
+    packs = [i for i, e in enumerate(events) if e[0] == "pack"]
     repacks = [i for i, e in enumerate(events) if e == ("repack",)]
-    # every repack follows a failed vector within the bound ...
-    assert repacks and all(events[i - 1] == ("pack", False, True) for i in repacks)
-    # ... none follows one over it ...
-    over = [i for i in failed if not events[i][2]]
-    assert over and all(events[i + 1:i + 2] != [("repack",)] for i in over)
+    # online packing sees only vectors within the bound, each checked just
+    # before, or retried after a repack ...
+    assert packs and all(events[i][1] for i in packs)
+    assert all(events[i - 1] in (("vector", True), ("repack",)) for i in packs)
+    # ... a vector over the bound goes no further ...
+    over = [i for i, e in enumerate(events) if e == ("vector", False)]
+    assert over and all(events[i + 1:i + 2] in ([], [("vector", True)], [("vector", False)])
+                        for i in over)
+    # ... every repack follows a failed vector ...
+    assert repacks and all(events[i - 1] == ("pack", True, False) for i in repacks)
     # ... and an iteration's first vector, which may repack, does so
-    # whenever it fails within the bound
-    assert all(events[i + 1] == ("repack",) for i in set(starts[:-1]) & set(failed)
-               if events[i][2])
+    # whenever it is within the bound and fails
+    firsts = [i for i in starts[:-1] if events[i:i + 1] == [("vector", True)]]
+    failed = [i for i in firsts if events[i + 1] == ("pack", True, False)]
+    assert failed and all(events[i + 2] == ("repack",) for i in failed)
 
 
 # ---------------------------------------------------------------------------
