@@ -148,12 +148,11 @@ def _greedy_split(units, sizes, weights, budget_a, budget_b, cap_a, cap_b):
         for u in order:
             s = side[u]
             t = 1 - s
-            if not within_budget(load[t], budgets[t], sizes[u]):
-                continue
             gain = 0
             for other, w in touching[u]:
                 gain += w if side[other] == t else -w
-            if gain > 0:
+            # most units gain nothing by moving: test the fit only for those that do
+            if gain > 0 and within_budget(load[t], budgets[t], sizes[u]):
                 side[u] = t
                 load[s] = load[s] - sizes[u]
                 load[t] = load[t] + sizes[u]

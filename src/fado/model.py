@@ -385,7 +385,7 @@ class DesignGraph:
 
     @cached_property
     def latency_plan(self) -> tuple:
-        """The kernel DAG as ``path_latency`` walks it, built on first use:
+        """The kernel DAG as ``longest_path`` walks it, built on first use:
         per kernel in ``kernel_order``, its member function names and the
         plan positions of its predecessor kernels."""
         members = {k["name"]: tuple(f["name"] for f in k["functions"]) for k in self.kernels}
@@ -771,15 +771,35 @@ def function_latencies(graph: DesignGraph, lib: QoRLibrary, config: Configuratio
     return {f: lib.point(f, config[f]).latency for f in graph.functions}
 
 
+def kernel_weight(members: tuple, latency_of: dict[str, int]) -> int:
+    """A kernel's weight on the latency path: the largest latency in
+    ``latency_of`` among its ``members``."""
+    return max(map(latency_of.__getitem__, members))
+
+
+def longest_path(plan: tuple, weights: list, dist: list, start: int = 0) -> int:
+    """The longest-path rule over a ``latency_plan``: each kernel's path
+    length ``dist[i]`` is its weight plus the longest path of its
+    predecessors (0 for none).  Sets ``dist[i]`` for each plan position from
+    ``start`` on, reading ``dist`` before ``start`` as it stands, and
+    returns the longest path overall.
+
+    Predecessors come earlier in the plan, so after a change to
+    ``weights`` starting at ``start`` this walk alone makes ``dist`` exact.
+    """
+    at = dist.__getitem__
+    for i, (_, preds) in enumerate(plan[start:], start):
+        dist[i] = weights[i] + max(map(at, preds), default=0)
+    return max(dist)
+
+
 def path_latency(graph: DesignGraph, latency_of: dict[str, int]) -> int:
     """Longest kernel-level path, each kernel weighted by the largest of its
     functions' latencies in ``latency_of``, over the graph's
     ``latency_plan``."""
-    latency = latency_of.__getitem__
-    dist: list[int] = []
-    for members, preds in graph.latency_plan:
-        dist.append(max(map(latency, members)) + max([dist[p] for p in preds], default=0))
-    return max(dist)
+    plan = graph.latency_plan
+    weights = [kernel_weight(members, latency_of) for members, _ in plan]
+    return longest_path(plan, weights, [0] * len(plan))
 
 
 def design_latency(graph: DesignGraph, lib: QoRLibrary, config: Configuration) -> int:

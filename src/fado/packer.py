@@ -12,7 +12,11 @@ kind, what the slots hold together: the sum of the slots' fit budgets, each
 rounded down to whole units (``PackState.device_bound``, the slot-side twin
 of the wires' reject bound).  ``fits_device`` is the one test of that
 bound, and the search makes it once per vector, before any packing work;
-online packing itself does not check the bound.
+online packing itself does not check the bound.  The test adds a vector's
+target resources to a remainder, ``device_rest``: the device total less
+the current resources of the vector's functions.  Moves and rolled-back
+packs leave the remainder as it is, so the search takes it once per batch
+and each vector's test costs one add per member.
 
 Offline re-packing is a deterministic function of the packing state, so
 re-running it on a state where it last moved nothing would move nothing
@@ -250,17 +254,28 @@ def _fits_slot(state: PackState, slot_id: int, extra: tuple) -> bool:
     return within_budget(state.slot_load[slot_id], state.budget[slot_id], extra)
 
 
-def fits_device(state: PackState, targets: dict) -> bool:
+def device_rest(state: PackState, fns) -> ResourceVector:
+    """The device's total load less the current resources of ``fns``: the
+    part of the total that a target vector over ``fns`` leaves as it is
+    (see ``fits_device``)."""
+    return (ResourceVector.sum(state.slot_load.values())
+            - ResourceVector.sum(map(state.fn_resources, fns)))
+
+
+def fits_device(state: PackState, targets: dict, rest: ResourceVector) -> bool:
     """True when the device's total load, with each function of ``targets``
     moved to its target point, stays within ``state.device_bound``: per
     kind, the sum of the slots' fit budgets rounded down (``floored_total``).
 
-    Moves never change the total, so a batch over the bound has no legal
-    packing at all, and neither online packing nor a repack can place it.
+    ``rest`` is ``device_rest(state, targets)``.  Moves and rolled-back
+    packs change neither the total nor any point, so one remainder serves
+    every vector over the same functions until one of them is applied.  For
+    the same reason a batch over the bound has no legal packing at all, and
+    neither online packing nor a repack can place it.
     """
-    total = ResourceVector.sum(state.slot_load.values())
+    total = rest
     for fn, pid in targets.items():
-        total = (total - state.fn_resources(fn)) + state.lib.point(fn, pid).resources
+        total = total + state.lib.point(fn, pid).resources
     return within_budget(total, state.device_bound)
 
 
@@ -294,7 +309,10 @@ def online_pack(state: PackState, targets: dict, allow_moves: bool = True) -> tu
     The device-wide bound is not checked here: on a state whose slots are
     all within budget, as the search keeps them, a batch over the bound
     (``fits_device``) fails whatever is tried and leaves the state as it
-    was, stamp included, so callers screen it out beforehand.
+    was, stamp included, so callers screen it out beforehand.  A failed
+    pack restores every point and slot load, so a remainder taken before it
+    (``device_rest``) still holds for the next vector over the same
+    functions.
     """
     for fn, pid in targets.items():
         if fn not in state.graph.functions:

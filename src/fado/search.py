@@ -11,16 +11,24 @@ something: online packing is deterministic, so on an unchanged state it
 would fail again.  Each vector is first checked, once, against the
 device-wide bound (per kind, the sum of the slots' floored fit budgets,
 ``fits_device``): no floorplan can hold a vector over it, so it is refused
-before online packing or a repack touches the state.  A batch that survives no
-stage is excluded from future selection and the search moves on; it stops
-when nothing is left to select.
+before online packing or a repack touches the state.  The check adds the
+vector's target resources to the batch's remainder, the device total less
+the batch's current resources, taken once per iteration: until a vector is
+applied, repacks only move groups and failed packs roll back, so neither
+changes the remainder.  A batch that survives no stage is excluded from
+future selection and the search moves on; it stops when nothing is left to
+select.
 
 Selection reads latency levels kept current as the search goes: the
 active functions grouped by latency, with the occupied levels sorted.  Only
 an accepted vector moves functions between levels and only an exclusion
 removes them, so an iteration takes its bottleneck and L2 from the top two
-levels without a scan over every function.  The design latency is
-recomputed over the graph's ``latency_plan`` only after an accepted vector.
+levels without a scan over every function.  The design latency is kept
+the same way, as each kernel's weight (its functions' largest latency) and
+longest path over the graph's ``latency_plan``.  An accepted vector
+re-weighs only its functions' kernels, and ``model.longest_path`` walks
+the plan again only from the first kernel whose weight changed, or not at
+all when none did.
 """
 
 from __future__ import annotations
@@ -38,9 +46,10 @@ from .model import (
     baseline_configuration,
     design_latency,
     function_latencies,
-    path_latency,
+    kernel_weight,
+    longest_path,
 )
-from .packer import PackState, fits_device, offline_repack, online_pack
+from .packer import PackState, device_rest, fits_device, offline_repack, online_pack
 
 log = logging.getLogger(__name__)
 
@@ -213,12 +222,17 @@ def run(
 
     initial_placement = dict(placement)
     # Only an accepted target vector changes the configuration, so the map
-    # and its levels are kept current from those alone, and the design
-    # latency each trace row reports is recomputed from it only after an
-    # accepted vector.
+    # and its levels are kept current from those alone.  So are the kernel
+    # weights and path lengths behind the design latency each trace row
+    # reports: an accepted vector re-weighs only its functions' kernels,
+    # and the longest-path walk restarts at the first kernel that changed.
     latencies = function_latencies(graph, lib, state.config)
     levels = _Levels(latencies)
-    current_lat = baseline_lat
+    plan = graph.latency_plan
+    kernel_at = {f: i for i, (members, _) in enumerate(plan) for f in members}
+    weights = [kernel_weight(members, latencies) for members, _ in plan]
+    dist = [0] * len(plan)
+    current_lat = longest_path(plan, weights, dist)
     excluded: set = set()
     trace: list[TraceRow] = []
     it = 0
@@ -254,8 +268,11 @@ def run(
 
             Every slot is within budget at every attempt, so a vector over
             the bound would fail online packing with the state untouched:
-            the early refusal changes no outcome."""
-            if not fits_device(state, vec):
+            the early refusal changes no outcome.  Until a vector is
+            applied, packs that fail roll back and repacks only move
+            groups, so the batch's remainder ``rest`` stays exact for
+            every vector of the iteration."""
+            if not fits_device(state, vec, rest):
                 return None
             ok, m = online_pack(state, vec, allow_moves=not freeze_floorplan)
             if ok:
@@ -276,6 +293,7 @@ def run(
         accepted: dict = {}
         t_legalize = time.perf_counter()
         if len(dps) == len(batch):
+            rest = device_rest(state, batch)
             targets = {f: dps[f].id for f in batch}
             stage = attempt(targets, repack=True)
             if stage is not None:
@@ -316,7 +334,14 @@ def run(
                 levels.remove(f, latencies[f])
                 latencies[f] = lib.point(f, pid).latency
                 levels.add(f, latencies[f])
-            current_lat = path_latency(graph, latencies)
+            changed = []
+            for i in {kernel_at[f] for f in accepted}:
+                weight = kernel_weight(plan[i][0], latencies)
+                if weight != weights[i]:
+                    weights[i] = weight
+                    changed.append(i)
+            if changed:
+                current_lat = longest_path(plan, weights, dist, min(changed))
 
         row = TraceRow(
             iteration=it,

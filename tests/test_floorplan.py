@@ -1,11 +1,15 @@
 from __future__ import annotations
 
+import hashlib
 import itertools
+import json
 import random
 
 import pytest
 
+from fado import instancegen
 from fado.floorplan import (
+    EXACT_BISECTION_LIMIT,
     FloorplanError,
     balanced_initial,
     group_of_map,
@@ -23,7 +27,7 @@ from fado.model import (
     within_budget,
 )
 
-from helpers import design_doc, device_doc, parse, qor_doc, template_doc
+from helpers import design_doc, device_doc, parse, qor_doc, stress_grid, template_doc
 
 
 def _singleton_instance(luts, edges=(), *, cap_lut=1000, util_limit=0.65):
@@ -171,6 +175,32 @@ def test_min_cut_four_slots_recursive():
     assert placement["f0"] == placement["f1"]
     assert placement["f2"] == placement["f3"]
     assert placement["f0"] != placement["f2"]
+
+
+# Both designs have hundreds of RAM groups, far over EXACT_BISECTION_LIMIT,
+# so every split is the greedy one and its refinement passes move units.  A
+# different digest means min-cut places some group differently.
+GREEDY_MIN_CUT = {
+    # 400 functions, 379 groups on the 2x2 quad device
+    "stress-quad": (
+        lambda: instancegen.gen_stress(1, 400, 10),
+        "8810efc4989b77868ca8ffbc90421dcf70e1f76f200042d30eaed243f12e4bf3",
+    ),
+    # 200 functions, 194 groups on the 2x4 grid: seven splits
+    "stress-grid": (
+        lambda: stress_grid(1, 200, 10, sll=400),
+        "ddb26712a19230e26cd9f3e97a60164dd225d14bedc849dcaeea64102d844241",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GREEDY_MIN_CUT))
+def test_greedy_min_cut_placement_is_pinned(name):
+    make, digest = GREEDY_MIN_CUT[name]
+    device, graph, lib = parse(*make())
+    assert len(ram_groups(graph)) > EXACT_BISECTION_LIMIT
+    placement = min_cut_initial(device, graph, lib, baseline_configuration(graph))
+    assert hashlib.sha256(json.dumps(placement, sort_keys=True).encode()).hexdigest() == digest
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@ import fado.packer
 from fado.packer import (
     PackState,
     _candidate_slots,
+    device_rest,
     fits_device,
     offline_repack,
     online_pack,
@@ -273,13 +274,18 @@ def _bound_state(luts, placement, *, slots=2):
     return PackState(device, graph, lib, baseline_configuration(graph), placement)
 
 
+def _fits(state, targets):
+    """``fits_device`` with the remainder taken from the state as it is."""
+    return fits_device(state, targets, device_rest(state, targets))
+
+
 def test_fits_device_refuses_a_batch_over_the_device_bound():
     # a's 70 LUTs fit no slot, and with b's 35 the design needs 105 of 100
     state = _bound_state({"a": [("baseline", 10), ("big", 70)], "b": [("baseline", 35)]},
                          {"a": 0, "b": 1})
     assert state.device_bound == (0, 0, 0, 100, 0)
     before = _entries(state)
-    assert not fits_device(state, {"a": "big"})
+    assert not _fits(state, {"a": "big"})
     # online packing, which does not check the bound, fails it just the same
     assert online_pack(state, {"a": "big"}) == (False, [])
     assert _entries(state) == before
@@ -290,7 +296,7 @@ def test_a_batch_within_the_device_bound_still_moves():
     # slot 1, and the design's 65 LUTs are more than one slot holds
     state = _bound_state({"a": [("baseline", 30), ("p1", 40)], "b": [("baseline", 10)],
                           "c": [("baseline", 15)]}, {"a": 0, "b": 1, "c": 0})
-    assert fits_device(state, {"a": "p1"})
+    assert _fits(state, {"a": "p1"})
     assert online_pack(state, {"a": "p1"}) == (True, [("a", 0, 1)])
 
 
@@ -303,7 +309,7 @@ def test_the_bound_counts_each_member_from_its_current_point():
                           "c": [("baseline", 10), ("big", 40)], "d": [("baseline", 10)],
                           "e": [("baseline", 40), ("small", 5)]},
                          {"a": 0, "e": 0, "b": 1, "c": 1, "d": 2}, slots=3)
-    assert fits_device(state, {"c": "big", "e": "small"})
+    assert _fits(state, {"c": "big", "e": "small"})
     assert online_pack(state, {"c": "big", "e": "small"}) == (True, [("c", 1, 2)])
 
 
@@ -358,7 +364,7 @@ def test_online_pack_matches_the_bound_free_schedule(instance):
     state, ref = PackState(*args), PackState(*args)
     entries, wires = _entries(state), sll_fingerprint(state.sll)
     over = not within_device_bound(state, targets)
-    assert fits_device(state, targets) == (not over)
+    assert _fits(state, targets) == (not over)
     got = online_pack(state, targets, allow_moves)
     assert got == reference_online_pack(ref, targets, allow_moves)
     assert _entries(state)[:4] == _entries(ref)[:4]
@@ -370,6 +376,39 @@ def test_online_pack_matches_the_bound_free_schedule(instance):
         # and leaves the state exactly as it was
         assert got == (False, [])
         assert _entries(state) == entries and sll_fingerprint(state.sll) == wires
+
+
+@st.composite
+def _iteration_instance(draw):
+    """A ``_bound_instance`` state and batch, and 2-6 target vectors over
+    the batch's functions, the first the drawn one: what one search
+    iteration may try."""
+    args, targets, allow_moves = draw(_bound_instance())
+    point = st.sampled_from(("baseline", "p1", "p2", "p2"))
+    more = st.fixed_dictionaries({f: point for f in targets})
+    return args, [targets, *draw(st.lists(more, min_size=1, max_size=5))], allow_moves
+
+
+@settings(max_examples=300, deadline=None)
+@given(_iteration_instance())
+def test_one_remainder_serves_every_vector_until_one_is_applied(instance):
+    # the search's use: one remainder per batch, then per vector an online
+    # pack (which rolls back when it fails), a repack and a retry
+    args, vectors, allow_moves = instance
+    state = PackState(*args)
+    batch = sorted(vectors[0])
+    rest = device_rest(state, batch)
+    for vec in vectors:
+        fits = fits_device(state, vec, rest)
+        assert fits == within_device_bound(state, vec)
+        if not fits:
+            continue
+        ok, _ = online_pack(state, vec, allow_moves)
+        if not ok and allow_moves and offline_repack(state):
+            ok, _ = online_pack(state, vec)
+        if ok:
+            # the vector is applied: the next iteration's remainder
+            rest = device_rest(state, batch)
 
 
 def test_candidate_slots_prefer_the_least_critical_fit():

@@ -386,8 +386,8 @@ def test_a_failed_vector_is_repacked_for_only_within_the_device_bound(monkeypatc
         events.append(("pack", within, ok))
         return ok, moves
 
-    monkeypatch.setattr(search, "fits_device", lambda state, vec: events.append(
-        ("vector", within_device_bound(state, vec))) or fits(state, vec))
+    monkeypatch.setattr(search, "fits_device", lambda state, vec, rest: events.append(
+        ("vector", within_device_bound(state, vec))) or fits(state, vec, rest))
     monkeypatch.setattr(search, "online_pack", spy_pack)
     monkeypatch.setattr(search, "offline_repack", lambda state: events.append(("repack",))
                         or repack(state))
