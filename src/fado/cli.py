@@ -52,15 +52,19 @@ def _read_json(path: str) -> dict:
 
 
 def _load_inputs(args):
-    device_doc = _read_json(args.device)
+    """The device, design and QoR library, and the three documents they
+    were parsed from, with the CLI limit overrides applied to the device's."""
+    docs = {"device": _read_json(args.device)}
     for key in ("util_limit", "sll_limit"):
         value = getattr(args, key, None)
-        if value is not None and isinstance(device_doc, dict):
-            device_doc[key] = value
-    device = device_from_dict(device_doc)
-    graph = design_from_dict(_read_json(args.design))
-    lib = qor_from_dict(_read_json(args.qor), graph)
-    return device, graph, lib
+        if value is not None and isinstance(docs["device"], dict):
+            docs["device"][key] = value
+    device = device_from_dict(docs["device"])
+    docs["design"] = _read_json(args.design)
+    graph = design_from_dict(docs["design"])
+    docs["qor"] = _read_json(args.qor)
+    lib = qor_from_dict(docs["qor"], graph)
+    return device, graph, lib, docs
 
 
 RESULT_DOC = "result document"
@@ -128,7 +132,7 @@ def _write_tcl_stub(path: Path, graph, lib, config, placement) -> None:
     _write_text(path, "\n".join(lines) + "\n")
 
 
-def _result_document(device, graph, lib, result, wall_seconds, flags) -> dict:
+def _result_document(graph, lib, docs, result, wall_seconds, flags) -> dict:
     state = result.state
     return {
         "design_latency": result.design_latency,
@@ -157,16 +161,12 @@ def _result_document(device, graph, lib, result, wall_seconds, flags) -> dict:
             "wall_seconds": wall_seconds,
             "flags": flags,
         },
-        "inputs": {
-            "device": device.to_dict(),
-            "design": graph.to_dict(),
-            "qor": lib.to_dict(),
-        },
+        "inputs": docs,
     }
 
 
 def cmd_optimize(args) -> int:
-    device, graph, lib = _load_inputs(args)
+    device, graph, lib, docs = _load_inputs(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -193,7 +193,7 @@ def cmd_optimize(args) -> int:
         "design": args.design,
         "qor": args.qor,
     }
-    doc = _result_document(device, graph, lib, result, wall, flags)
+    doc = _result_document(graph, lib, docs, result, wall, flags)
     # Compact: without an indent the json module encodes in C.
     _write_text(out / "result.json", json.dumps(doc, separators=(",", ":")) + "\n")
     _write_trace_csv(out / "trace.csv", result.trace)
@@ -259,7 +259,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    device, graph, lib = _load_inputs(args)
+    device, graph, lib, _ = _load_inputs(args)
     res = oracle.solve(device, graph, lib, node_budget=args.node_budget)
     print(json.dumps({
         "status": res.status,

@@ -4,6 +4,14 @@ Functions wired through shared RAM must land on one slot, so the unit of
 placement is the RAM-connected group.  Two boot strategies produce the
 starting floorplan: recursive min-cut bisection of the slot grid, and a
 plain balance-driven fill.
+
+A split of at most ``EXACT_BISECTION_LIMIT`` units is solved exactly by
+branch and bound (``_exact_split``).  Its bound: a unit not yet placed will
+cut at least the smaller of its FIFO widths toward the units already placed
+on either side, so a partial assignment whose cut plus the sum of those
+minima exceeds the best cut found cannot lead to a better split.  The bound
+prunes only strictly worse nodes, so ties on cut still reach the gap and
+vector tie-breaks and the split found is the one exhaustive search finds.
 """
 
 from __future__ import annotations
@@ -162,68 +170,80 @@ def _greedy_split(units, sizes, weights, budget_a, budget_b, cap_a, cap_b):
     return side, cut_of(side)
 
 
+class _NodeCap(Exception):
+    """The exact split passed ``EXACT_BISECTION_NODE_CAP`` nodes."""
+
+
 def _exact_split(units, sizes, weights, budget_a, budget_b, cap_a, cap_b):
     """Branch and bound over 2^n unit assignments, minimizing cut width.
 
     Ties on cut width prefer the smaller utilization gap between the two
-    sides, then the lexicographically smallest assignment vector.  Returns
-    None when no assignment satisfies both budgets, or when the node cap
-    trips (caller falls back to the greedy split).
+    sides, then the lexicographically smallest assignment vector (the sides
+    in sorted unit order).  Units are placed largest first.  Each unplaced
+    unit's FIFO widths toward the units placed on either side are kept
+    current as units are placed and removed, and a node is pruned by the
+    bound in the module docstring.  Returns None when no assignment
+    satisfies both budgets, or when the node cap trips (caller falls back
+    to the greedy split).
     """
     order = sorted(units, key=lambda u: (-max(sizes[u]), u))
-    touching = _touching(order, weights)
-
-    best: dict = {"cut": None, "side": None, "gap": None, "vec": None}
+    n = len(order)
+    at = {u: i for i, u in enumerate(order)}
+    ahead: list[list] = [[] for _ in order]  # per position: (later position, FIFO width)
+    for (a, b), w in weights.items():
+        i, j = sorted((at[a], at[b]))
+        ahead[i].append((j, w))
+    toward = [[0, 0] for _ in order]  # per position: width to the units placed on side 0, 1
+    size = [sizes[u] for u in order]
+    budgets = (budget_a, budget_b)
+    names = sorted(units)
+    vec_at = [at[u] for u in names]
+    side = [0] * n
+    load = [ResourceVector.zero(), ResourceVector.zero()]
+    best = None  # (cut, gap, vec) of the best leaf so far
     nodes = 0
 
-    def finish(side):
-        cut = sum(w for (a, b), w in weights.items() if side[a] != side[b])
-        load = [ResourceVector.zero(), ResourceVector.zero()]
-        for u in order:
-            load[side[u]] = load[side[u]] + sizes[u]
-        gap = abs(utilization_ratio(load[0], cap_a) - utilization_ratio(load[1], cap_b))
-        vec = tuple(side[u] for u in sorted(side))
-        key = (cut, gap, vec)
-        if best["cut"] is None or key < (best["cut"], best["gap"], best["vec"]):
-            best.update(cut=cut, gap=gap, vec=vec, side=dict(side))
-
-    def dfs(i, side, load, partial_cut):
-        nonlocal nodes
+    def dfs(i, cut, bound):
+        # ``bound``: the sum over positions i.. of the smaller toward width
+        nonlocal nodes, best
         nodes += 1
         if nodes > EXACT_BISECTION_NODE_CAP:
             raise _NodeCap
-        if best["cut"] is not None and partial_cut > best["cut"]:
+        if best is not None and cut + bound > best[0]:
             return
-        if i == len(order):
-            finish(side)
+        if i == n:
+            gap = abs(utilization_ratio(load[0], cap_a) - utilization_ratio(load[1], cap_b))
+            key = (cut, gap, tuple(side[p] for p in vec_at))
+            if best is None or key < best:
+                best = key
             return
-        u = order[i]
+        mine = toward[i]
+        rest = bound - min(mine)
         for s in (0, 1):
-            budget = budget_a if s == 0 else budget_b
-            new_load = load[s] + sizes[u]
-            if not within_budget(new_load, budget):
-                continue
-            added = 0
-            for other, w in touching[u]:
-                if other in side and side[other] != s:
-                    added += w
-            side[u] = s
             saved = load[s]
+            new_load = saved + size[i]
+            if not within_budget(new_load, budgets[s]):
+                continue
+            side[i] = s
             load[s] = new_load
-            dfs(i + 1, side, load, partial_cut + added)
+            child = rest
+            for j, w in ahead[i]:
+                t = toward[j]
+                before = min(t)
+                t[s] += w
+                child += min(t) - before
+            dfs(i + 1, cut + mine[1 - s], child)
+            for j, w in ahead[i]:
+                toward[j][s] -= w
             load[s] = saved
-            del side[u]
-
-    class _NodeCap(Exception):
-        pass
 
     try:
-        dfs(0, {}, [ResourceVector.zero(), ResourceVector.zero()], 0)
+        dfs(0, 0, 0)
     except _NodeCap:
         return None
-    if best["cut"] is None:
+    if best is None:
         return None
-    return best["side"], best["cut"]
+    return dict(zip(names, best[2])), best[0]
 
 
 def _bisect(slots, units, sizes, weights, limit, placement):

@@ -16,7 +16,7 @@ import math
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
-from operator import add, itemgetter, sub
+from operator import itemgetter
 
 log = logging.getLogger(__name__)
 
@@ -77,13 +77,17 @@ class ResourceVector(tuple):
         return not any(self)
 
     def __add__(self, other: "ResourceVector") -> "ResourceVector":
-        return tuple.__new__(ResourceVector, map(add, self, other))
+        a, b, c, d, e = self
+        v, w, x, y, z = other
+        return tuple.__new__(ResourceVector, (a + v, b + w, c + x, d + y, e + z))
 
     def __sub__(self, other: "ResourceVector") -> "ResourceVector":
-        diff = tuple.__new__(ResourceVector, map(sub, self, other))
+        a, b, c, d, e = self
+        v, w, x, y, z = other
+        diff = (a - v, b - w, c - x, d - y, e - z)
         if min(diff) < 0:
             raise ModelError(f"resource subtraction went negative: {self} - {other}")
-        return diff
+        return tuple.__new__(ResourceVector, diff)
 
     @classmethod
     def zero(cls) -> "ResourceVector":
@@ -203,28 +207,6 @@ class DeviceModel:
 
     def boundary(self, y: int) -> DieBoundary:
         return self._boundary_by_y[y]
-
-    def to_dict(self) -> dict:
-        return {
-            "width": self.width,
-            "height": self.height,
-            "slots": [
-                {"id": s.id, "x": s.x, "y": s.y, "capacity": s.capacity.as_dict()}
-                for s in self.slots
-            ],
-            "die_boundaries": [
-                {
-                    "y": b.y,
-                    "halves": [
-                        {"x": x, "sll_capacity": cap} for x, cap in sorted(b.halves.items())
-                    ],
-                }
-                for b in self.die_boundaries
-            ],
-            "io_boundaries": [{"x": x} for x in self.io_boundaries],
-            "util_limit": self.util_limit,
-            "sll_limit": self.sll_limit,
-        }
 
 
 _REQUIRED = object()
@@ -399,24 +381,6 @@ class DesignGraph:
     def ram_edges(self) -> list[Edge]:
         return [e for e in self.edges if e.kind == RAM]
 
-    def to_dict(self) -> dict:
-        return {
-            "kernels": [
-                {
-                    "name": k["name"],
-                    "kind": k["kind"],
-                    "functions": [
-                        {"name": f["name"], "template": f["template"]} for f in k["functions"]
-                    ],
-                }
-                for k in self.kernels
-            ],
-            "edges": [
-                {"src": e.src, "dst": e.dst, "kind": e.kind, "width": e.width}
-                for e in self.edges
-            ],
-        }
-
 
 def _toposort_kernels(names: list[str], succs: dict[str, set]) -> list[str]:
     indeg = {n: 0 for n in names}
@@ -539,9 +503,6 @@ class QoRPoint:
     latency: int
     resources: ResourceVector
 
-    def directive_map(self) -> dict:
-        return dict(self.directives)
-
 
 @dataclass
 class Template:
@@ -576,9 +537,7 @@ class Template:
 @dataclass
 class QoRLibrary:
     templates: dict[str, Template]
-    name_rules: list[tuple[str, str]]  # (pattern, template)
     template_of: dict[str, str]  # function -> template name
-    normalization: ResourceVector
     warnings: list[str] = field(default_factory=list)
 
     def template_for(self, function: str) -> Template:
@@ -586,36 +545,6 @@ class QoRLibrary:
 
     def point(self, function: str, point_id: str) -> QoRPoint:
         return self.template_for(function).point(point_id)
-
-    def to_dict(self) -> dict:
-        return {
-            "normalization": self.normalization.as_dict(),
-            "name_rules": [{"regex": p, "template": t} for p, t in self.name_rules],
-            "templates": {
-                name: {
-                    "loops": [
-                        {
-                            "label": l.label,
-                            "depth": l.depth,
-                            "bound": l.bound,
-                            "min_ii": l.min_ii,
-                            "iter_latency": l.iter_latency,
-                        }
-                        for l in tmpl.loops
-                    ],
-                    "points": [
-                        {
-                            "id": p.id,
-                            "directives": p.directive_map(),
-                            "latency": p.latency,
-                            "resources": p.resources.as_dict(),
-                        }
-                        for p in tmpl.points
-                    ],
-                }
-                for name, tmpl in sorted(self.templates.items())
-            },
-        }
 
 
 def _parse_loop(raw: dict, where: str, idx: int) -> LoopInfo:
@@ -662,7 +591,6 @@ def qor_from_dict(doc: dict, graph: DesignGraph) -> QoRLibrary:
     if not isinstance(raw_templates, dict):
         raise ModelError("qor templates must be an object keyed by template name")
 
-    rules: list[tuple[str, str]] = []
     compiled = []
     for raw in _list_entry(doc, "name_rules", "qor document", []):
         pat = _entry(raw, "regex", "name rule", None)
@@ -675,7 +603,6 @@ def qor_from_dict(doc: dict, graph: DesignGraph) -> QoRLibrary:
             compiled.append((re.compile(pat), tmpl))
         except re.error as exc:
             raise ModelError(f"bad name rule regex {pat!r}: {exc}") from exc
-        rules.append((pat, tmpl))
 
     warnings: list[str] = []
 
@@ -738,9 +665,7 @@ def qor_from_dict(doc: dict, graph: DesignGraph) -> QoRLibrary:
 
     return QoRLibrary(
         templates=templates,
-        name_rules=rules,
         template_of=template_of,
-        normalization=norm,
         warnings=warnings,
     )
 

@@ -315,8 +315,10 @@ class SllState:
         for y in doubt:
             if y in self._pending:
                 self._fold_pending(y)
-            if self._over(y):
-                return False
+            budget = self.budget[y]
+            for x, used in self._loads[y].items():
+                if used > budget[x]:
+                    return False
         return True
 
     def total_register_groups(self) -> int:

@@ -218,6 +218,28 @@ def test_check_accepts_a_fresh_result(toy_files, tmp_path, capsys):
     assert "legal" in capsys.readouterr().out
 
 
+def test_result_embeds_the_inputs_as_given(toy_files, tmp_path, capsys):
+    # documents no serializer would write: no normalization, points slowest
+    # first, whole numbers written as floats
+    docs = {name: json.loads((toy_files / f"{name}.json").read_text())
+            for name in ("device", "design", "qor")}
+    assert "normalization" not in docs["qor"]
+    for template in docs["qor"]["templates"].values():
+        template["points"].sort(key=lambda p: -p["latency"])
+    docs["device"]["width"] = 1.0
+    docs["device"]["die_boundaries"][0]["halves"][0]["sll_capacity"] = 100.0
+    inputs = _write_inputs(tmp_path / "in", docs["device"], docs["design"], docs["qor"])
+    code, run_dir = _optimize(inputs, tmp_path)
+    assert code == 0
+    result = run_dir / "result.json"
+    assert json.loads(result.read_text())["inputs"] == docs
+    capsys.readouterr()
+    assert main(["check", "--result", str(result)]) == 0
+    assert capsys.readouterr().out == "legal\n"
+    assert main(["verify-optimal", "--result", str(result)]) == 0
+    assert json.loads(capsys.readouterr().out)["verdict"] == "optimal"
+
+
 def test_check_rejects_a_split_ram_group(toy_files, tmp_path, capsys):
     _, run_dir = _optimize(toy_files, tmp_path)
     path = run_dir / "result.json"

@@ -6,11 +6,14 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fado import instancegen
 from fado.floorplan import (
     EXACT_BISECTION_LIMIT,
     FloorplanError,
+    _exact_split,
     balanced_initial,
     group_of_map,
     group_resources,
@@ -24,6 +27,7 @@ from fado.model import (
     device_from_dict,
     fit_budget,
     qor_from_dict,
+    utilization_ratio,
     within_budget,
 )
 
@@ -140,6 +144,49 @@ def test_min_cut_matches_exhaustive_on_random_instances():
             weights[a, b] += w
         want = _brute_min_cut(names, luts, weights, 400, 0.65)
         assert realized == want
+
+
+def _reference_split(units, sizes, weights, budget_a, budget_b, cap_a, cap_b):
+    """Every assignment within both budgets, the least by (cut, utilization
+    gap, sides in sorted unit order): what ``_exact_split`` must return."""
+    names = sorted(units)
+    best = None
+    for vec in itertools.product((0, 1), repeat=len(names)):
+        side = dict(zip(names, vec))
+        load = [ResourceVector.sum(sizes[u] for u in names if side[u] == s) for s in (0, 1)]
+        if not (within_budget(load[0], budget_a) and within_budget(load[1], budget_b)):
+            continue
+        cut = sum(w for (a, b), w in weights.items() if side[a] != side[b])
+        gap = abs(utilization_ratio(load[0], cap_a) - utilization_ratio(load[1], cap_b))
+        if best is None or (cut, gap, vec) < best:
+            best = (cut, gap, vec)
+    return None if best is None else (dict(zip(names, best[2])), best[0])
+
+
+@st.composite
+def _split_instance(draw):
+    """1-11 units whose sizes and FIFO widths come from a few values, so
+    cuts and gaps tie, on two sides whose kinds may have zero capacity and
+    whose budgets may leave no assignment at all."""
+    units = [f"u{i}" for i in range(draw(st.integers(1, 11)))]
+    count = st.sampled_from((0, 0, 0, 1, 5, 10))
+    sizes = {u: ResourceVector(*(draw(count) for _ in range(5))) for u in units}
+    capacity = st.sampled_from((0, 20, 60, 100, 100))
+    caps = [ResourceVector(*(draw(capacity) for _ in range(5))) for _ in range(2)]
+    limit = draw(st.sampled_from((0.5, 0.8, 1.0)))
+    weights = {}
+    for a, b in itertools.combinations(units, 2):
+        w = draw(st.sampled_from((0, 0, 0, 1, 2, 4)))
+        if w:
+            weights[a, b] = w
+    return (units, sizes, weights,
+            fit_budget(caps[0], limit), fit_budget(caps[1], limit), caps[0], caps[1])
+
+
+@settings(max_examples=300, deadline=None)
+@given(_split_instance())
+def test_exact_split_matches_an_exhaustive_search(instance):
+    assert _exact_split(*instance) == _reference_split(*instance)
 
 
 def test_min_cut_raises_when_the_limit_leaves_no_split():

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import copy
+import json
 import pickle
 import random
 
@@ -150,8 +151,9 @@ def test_within_budget_adds_the_extra_per_kind():
 def test_device_round_trip():
     doc = device_doc(width=2, height=2, sll=5000, io_cols=[0])
     dev = device_from_dict(doc)
-    again = device_from_dict(dev.to_dict())
-    assert again.to_dict() == dev.to_dict()
+    # result.json embeds the document as given: through JSON text and back
+    # it parses to the same model
+    assert device_from_dict(json.loads(json.dumps(doc))) == dev
     assert slot_at(dev, 1, 1).id == 3
     assert dev.boundary(0).halves == {0: 5000, 1: 5000}
     assert dev.io_boundaries == [0]
@@ -191,8 +193,7 @@ def test_design_round_trip_and_groups(toy_docs):
     assert graph.kernel_order == ["K1", "K2", "K3"]
     assert [e.kind for e in graph.fifo_edges()] == ["fifo", "fifo"]
     assert len(graph.ram_edges()) == 2
-    again = design_from_dict(graph.to_dict())
-    assert again.to_dict() == graph.to_dict()
+    assert design_from_dict(json.loads(json.dumps(design))) == graph
 
 
 def test_design_rejects_multi_function_non_dataflow():

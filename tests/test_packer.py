@@ -315,8 +315,9 @@ def test_the_bound_counts_each_member_from_its_current_point():
 
 @st.composite
 def _bound_instance(draw):
-    """A state on 2-4 slots whose kinds may have zero capacity, every slot
-    within budget, and a batch of target points for some of its functions."""
+    """A legal state on 2-4 slots whose kinds may have zero capacity (every
+    slot and die-boundary half within budget, as the search starts from),
+    and a batch of target points for some of its functions."""
     width, height = draw(st.sampled_from(((1, 2), (1, 3), (2, 2))))
     doc = device_doc(width=width, height=height, sll=draw(st.sampled_from((8, 64, 1000))),
                      util_limit=draw(st.sampled_from((0.5, 0.8, 1.0))))
@@ -352,6 +353,7 @@ def _bound_instance(draw):
         sid = draw(st.sampled_from(room))
         load[sid] = load[sid] + need
         placement.update(dict.fromkeys(g.members, sid))
+    assume(not PackState(device, graph, lib, config, placement).check_legal())
     targets = draw(st.dictionaries(fn, st.sampled_from(("p1", "p2", "p2")), min_size=1))
     allow_moves = draw(st.sampled_from((True, True, True, False)))
     return (device, graph, lib, config, placement), targets, allow_moves
@@ -406,6 +408,8 @@ def test_one_remainder_serves_every_vector_until_one_is_applied(instance):
         ok, _ = online_pack(state, vec, allow_moves)
         if not ok and allow_moves and offline_repack(state):
             ok, _ = online_pack(state, vec)
+        # from a legal start, packing and repacking keep the state legal
+        assert not state.check_legal()
         if ok:
             # the vector is applied: the next iteration's remainder
             rest = device_rest(state, batch)

@@ -20,6 +20,7 @@ from fado.model import (
     path_latency,
     qor_from_dict,
 )
+from fado.packer import PackState
 from fado.search import (
     DEFAULT_LOOKAHEAD_N,
     _Levels,
@@ -460,3 +461,21 @@ def test_frozen_floorplan_outcome_is_pinned():
     assert {"look_ahead", "look_back"} <= {row.stage for row in result.trace}
     assert outcome_digest(result) == \
         "eecc48c5ba9e6352939b4785406d05cbfdc593fe69db0f0a2dcfd53b378a63f8"
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_INSTANCES))
+def test_every_rows_maxima_match_a_recompute(name):
+    # the maxima are recomputed only when the stamp moved: each row's must
+    # still equal those of a state built from scratch for its placement
+    device, graph, lib = parse(*PINNED_INSTANCES[name][0]())
+    stamps = []
+
+    def check(state, row):
+        fresh = PackState(device, graph, lib, state.config, state.placement)
+        assert row.max_util == fresh.max_utilization()
+        assert row.max_sll_util == fresh.max_sll_utilization()
+        stamps.append(state.stamp)
+
+    run(device, graph, lib, on_iteration=check)
+    kept = sum(a == b for a, b in zip(stamps, stamps[1:]))
+    assert 0 < kept < len(stamps) - 1
