@@ -19,7 +19,6 @@ from pathlib import Path
 from . import __version__, instancegen, oracle, search
 from .floorplan import FloorplanError
 from .model import (
-    ModelError,
     _dict_entry,
     _entry,
     _number_entry,
@@ -355,17 +354,18 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--result", required=True, help="result.json from optimize")
     sp.set_defaults(func=cmd_check)
 
-    sp = sub.add_parser("oracle", help="exact reference optimum (small instances)")
+    sp = sub.add_parser("oracle", help="exact reference optimum, bounded by --node-budget")
     add_inputs(sp)
     sp.add_argument("--util-limit", type=float, default=None)
     sp.add_argument("--sll-limit", type=float, default=None)
-    sp.add_argument("--node-budget", type=int, default=oracle.DEFAULT_NODE_BUDGET)
+    sp.add_argument("--node-budget", type=_count, default=oracle.DEFAULT_NODE_BUDGET,
+                    help="search nodes before the run stops with exit 3")
     sp.set_defaults(func=cmd_oracle)
 
     sp = sub.add_parser("verify-optimal", help="search for a faster legal configuration")
     sp.add_argument("--result", required=True)
-    sp.add_argument("--sample", type=int, default=oracle.DEFAULT_SAMPLE)
-    sp.add_argument("--enum-cap", type=int, default=oracle.DEFAULT_ENUM_CAP)
+    sp.add_argument("--sample", type=_count, default=oracle.DEFAULT_SAMPLE)
+    sp.add_argument("--enum-cap", type=_count, default=oracle.DEFAULT_ENUM_CAP)
     sp.add_argument("--seed", type=int, default=0)
     sp.set_defaults(func=cmd_verify_optimal)
 
@@ -392,13 +392,7 @@ def main(argv=None) -> int:
     except FloorplanError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    except (ModelError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:  # ModelError and JSONDecodeError included
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

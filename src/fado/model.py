@@ -94,13 +94,12 @@ class ResourceVector(tuple):
         return _ZERO
 
     @classmethod
-    def from_dict(cls, d: dict) -> "ResourceVector":
-        if not isinstance(d, dict):
-            raise ModelError(f"resource vector must be an object, got {d!r}")
+    def from_dict(cls, d: dict, where: str = "resource vector") -> "ResourceVector":
+        counts = [_number_entry(d, k, where, 0) for k in RESOURCE_KINDS]
         unknown = set(d) - set(RESOURCE_KINDS)
         if unknown:
             raise ModelError(f"unknown resource kinds {sorted(unknown)}")
-        return cls(**{k: d.get(k, 0) for k in RESOURCE_KINDS})
+        return cls(*counts)
 
     @classmethod
     def sum(cls, vectors) -> "ResourceVector":
@@ -233,6 +232,8 @@ def _number_entry(raw, key: str, where: str, default=_REQUIRED, kind=int):
     converted.  An int entry also refuses a fraction rather than truncate it.
     """
     value = _entry(raw, key, where, default)
+    if type(value) is kind:  # the common case: nothing to check or convert
+        return value
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         noun = "an integer" if kind is int else "a number"
         raise ModelError(f"{where}: {key!r} must be {noun}, got {value!r}")
@@ -267,7 +268,7 @@ def device_from_dict(doc: dict) -> DeviceModel:
     slots = []
     for i, raw in enumerate(raw_slots):
         where = f"device slot #{i}"
-        cap = ResourceVector.from_dict(_entry(raw, "capacity", where, {}))
+        cap = ResourceVector.from_dict(_entry(raw, "capacity", where, {}), f"{where} capacity")
         if sum(cap) <= 0:
             raise ModelError(f"slot {raw.get('id')} has non-positive capacity")
         slots.append(Slot(
@@ -454,8 +455,8 @@ def design_from_dict(doc: dict) -> DesignGraph:
             raise ModelError(f"edge {src!r}->{dst!r} references unknown function")
         if kind not in (FIFO, RAM):
             raise ModelError(f"edge kind must be fifo or ram, got {kind!r}")
-        width = raw.get("width")
-        if isinstance(width, bool) or not isinstance(width, int) or width <= 0:
+        width = _number_entry(raw, "width", where)
+        if width <= 0:
             raise ModelError(f"edge {src!r}->{dst!r} needs a positive integer width")
         edges.append(Edge(index=i, src=src, dst=dst, kind=kind, width=width))
         ks, kd = functions[src].kernel, functions[dst].kernel
@@ -562,18 +563,17 @@ def _parse_point(raw: dict, template: str) -> QoRPoint:
     pid = _entry(raw, "id", f"template {template!r} point", None)
     if not pid or not isinstance(pid, str):
         raise ModelError(f"template {template!r}: point without string id")
-    latency = raw.get("latency")
-    if isinstance(latency, bool) or not isinstance(latency, int) or latency < 1:
-        raise ModelError(f"template {template!r} point {pid!r}: latency must be a positive int")
+    where = f"template {template!r} point {pid!r}"
+    latency = _number_entry(raw, "latency", where)
+    if latency < 1:
+        raise ModelError(f"{where}: latency must be a positive int")
     directives = raw.get("directives", {})
     if not isinstance(directives, dict):
-        raise ModelError(f"template {template!r} point {pid!r}: directives must be an object")
+        raise ModelError(f"{where}: directives must be an object")
     for k, v in directives.items():
         if isinstance(v, (dict, list)):
-            raise ModelError(
-                f"template {template!r} point {pid!r}: directive {k!r} needs a scalar value"
-            )
-    res = ResourceVector.from_dict(raw.get("resources", {}))
+            raise ModelError(f"{where}: directive {k!r} needs a scalar value")
+    res = ResourceVector.from_dict(raw.get("resources", {}), f"{where} resources")
     return QoRPoint(
         id=pid,
         directives=tuple(sorted(directives.items())),

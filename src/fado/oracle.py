@@ -2,8 +2,9 @@
 
 The solver enumerates configurations branch-and-bound style (points in
 latency order, bounded by a padded longest-path lower bound) and decides
-floorplan feasibility by exhaustive group-to-slot assignment.  It is meant
-for desk-scale instances only and guards itself accordingly.
+floorplan feasibility by exhaustive group-to-slot assignment.  Its node
+budget is the only bound on a solve: past it the answer is
+``budget_exceeded``, whatever the instance's size.
 
 SLL feasibility here is more permissive than the search's: a placement
 counts as routable if the pipeliner's half-selection fold (the very check
@@ -35,15 +36,13 @@ from .model import (
 from .packer import PackState
 from .pipeliner import recompute_all
 
-HARD_GUARD_FUNCTIONS = 12
-HARD_GUARD_STATES = 1_000_000_000
 DEFAULT_NODE_BUDGET = 1_000_000
 DEFAULT_SAMPLE = 2000
 DEFAULT_ENUM_CAP = 20_000
 
 
-class _BudgetExceeded(Exception):
-    pass
+class _Stop(Exception):
+    """Ends a configuration walk early: a node budget or enumeration cap ran out."""
 
 
 @dataclass
@@ -131,73 +130,71 @@ def assign_slots(device: DeviceModel, graph: DesignGraph, lib: QoRLibrary, confi
     return place(0)
 
 
+def _walk(graph: DesignGraph, lib: QoRLibrary, fns: list, visit) -> None:
+    """Depth-first over the configurations of ``fns``, points in latency order.
+
+    ``visit(i, lower_bound, partial)`` is called at every node: ``fns[:i]``
+    are chosen in ``partial``, the rest sit at their fastest point, and
+    ``lower_bound`` is the design latency of ``partial``.  A false return
+    prunes the node's subtree; ``i == len(fns)`` is a full configuration.
+    """
+    points = [lib.template_for(f).points for f in fns]
+    partial = {f: pts[0].id for f, pts in zip(fns, points)}  # parsing sorts by latency
+    latency = function_latencies(graph, lib, partial)  # kept equal to partial's
+
+    def descend(i: int) -> None:
+        if not visit(i, path_latency(graph, latency), partial) or i == len(fns):
+            return
+        f = fns[i]
+        kept = partial[f], latency[f]
+        for p in points[i]:
+            partial[f], latency[f] = p.id, p.latency
+            descend(i + 1)
+        partial[f], latency[f] = kept
+
+    descend(0)
+
+
 def solve(device: DeviceModel, graph: DesignGraph, lib: QoRLibrary,
           node_budget: int = DEFAULT_NODE_BUDGET) -> OracleResult:
     """Exact minimum design latency over configurations and placements.
 
-    Guarded: refuses instances over 12 functions or with a state space past
-    the hard cap.  Within the node budget it returns the true optimum with
-    a witness (lexicographically smallest configuration among ties); past
-    it, the best found so far with status budget_exceeded.
+    Every configuration node and every slot-assignment node counts against
+    ``node_budget``, the only bound on the run.  Within it the result is
+    the true optimum with a witness (lexicographically smallest
+    configuration among ties), or infeasible; past it, the best found so
+    far with status budget_exceeded.
     """
     fns = sorted(graph.functions)
-    if len(fns) > HARD_GUARD_FUNCTIONS:
-        raise ValueError(f"exact solve limited to {HARD_GUARD_FUNCTIONS} functions, got {len(fns)}")
-    groups = ram_groups(graph)
-    states = len(device.slots) ** len(groups)
-    for f in fns:
-        states *= len(lib.template_for(f).points)
-        if states > HARD_GUARD_STATES:
-            raise ValueError("state space exceeds the hard guard for exact solve")
-
-    min_latency_config = {
-        f: min(lib.template_for(f).points, key=lambda p: (p.latency, p.id)).id for f in fns
-    }
     spent = 0
 
     def tick():
         nonlocal spent
         spent += 1
         if spent > node_budget:
-            raise _BudgetExceeded
+            raise _Stop
 
     best: dict = {"latency": None, "config": None, "placement": None}
 
-    def better_tie(cand: dict) -> bool:
-        cur = best["config"]
-        return cur is None or tuple(cand[f] for f in fns) < tuple(cur[f] for f in fns)
-
-    partial = dict(min_latency_config)
-    latency = function_latencies(graph, lib, partial)  # kept equal to partial's
-
-    def descend(i: int):
+    def visit(i: int, lb: int, partial: dict) -> bool:
         tick()
-        lb = path_latency(graph, latency)
         if best["latency"] is not None and lb > best["latency"]:
-            return
+            return False
         if i == len(fns):
-            if best["latency"] is not None and lb == best["latency"] and not better_tie(partial):
-                return
+            # a tie replaces the witness only with a lexicographically smaller one
+            tie = lb == best["latency"]
+            if tie and [partial[f] for f in fns] >= [best["config"][f] for f in fns]:
+                return False
             placement = assign_slots(device, graph, lib, partial, tick=tick)
-            if placement is None:
-                return
-            best.update(latency=lb, config=dict(partial), placement=placement)
-            return
-        f = fns[i]
-        kept = partial[f], latency[f]
-        for p in lib.template_for(f).points:
-            partial[f], latency[f] = p.id, p.latency
-            descend(i + 1)
-        partial[f], latency[f] = kept
+            if placement is not None:
+                best.update(latency=lb, config=dict(partial), placement=placement)
+        return True
 
-    status = "optimal"
     try:
-        descend(0)
-    except _BudgetExceeded:
+        _walk(graph, lib, fns, visit)
+        status = "infeasible" if best["latency"] is None else "optimal"
+    except _Stop:
         status = "budget_exceeded"
-
-    if best["latency"] is None and status == "optimal":
-        status = "infeasible"
     return OracleResult(
         status=status,
         latency=best["latency"],
@@ -231,42 +228,30 @@ def verify_optimal(device: DeviceModel, graph: DesignGraph, lib: QoRLibrary,
     """
     fns = sorted(graph.functions)
     cap = max(sample, enum_cap)
-    min_latency_config = {
-        f: min(lib.template_for(f).points, key=lambda p: (p.latency, p.id)).id for f in fns
-    }
-
     rng = random.Random(seed)
     reservoir: list[tuple[int, dict]] = []  # (design latency, configuration)
     total = 0
-    partial = dict(min_latency_config)
-    latency = function_latencies(graph, lib, partial)  # kept equal to partial's
 
-    def enumerate_configs(i: int) -> bool:
+    def visit(i: int, lat: int, partial: dict) -> bool:
         nonlocal total
-        lat = path_latency(graph, latency)
         if lat >= final_latency:
-            return True
+            return False
         if i == len(fns):
             total += 1
             if total > cap:
-                return False
+                raise _Stop
             if len(reservoir) < sample:
                 reservoir.append((lat, dict(partial)))
             else:
                 j = rng.randrange(total)
                 if j < sample:
                     reservoir[j] = (lat, dict(partial))
-            return True
-        f = fns[i]
-        kept = partial[f], latency[f]
-        for p in lib.template_for(f).points:
-            partial[f], latency[f] = p.id, p.latency
-            if not enumerate_configs(i + 1):
-                return False
-        partial[f], latency[f] = kept
         return True
 
-    enumerate_configs(0)
+    try:
+        _walk(graph, lib, fns, visit)
+    except _Stop:
+        pass
 
     checked = 0
     for _, cand in sorted(reservoir, key=lambda item: item[0]):

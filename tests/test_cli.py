@@ -85,13 +85,28 @@ def test_optimize_iter_cap_zero_reports_the_baseline(toy_files, tmp_path):
     assert all(p == "baseline" for p in doc["configuration"].values())
 
 
-@pytest.mark.parametrize("flag", ["--iter-cap", "--lookahead-n"])
+@pytest.mark.parametrize("flag", [
+    "--iter-cap", "--lookahead-n",
+    pytest.param("oracle --node-budget", id="--node-budget"),
+    pytest.param("verify-optimal --sample", id="--sample"),
+    pytest.param("verify-optimal --enum-cap", id="--enum-cap"),
+])
 def test_optimize_refuses_a_negative_count(toy_files, tmp_path, capsys, flag):
-    code, run_dir = _optimize(toy_files, tmp_path, flag, "-3")
+    command, _, flag = flag.rpartition(" ")
+    if command == "oracle":
+        inputs = [f"--{n}={toy_files / n}.json" for n in ("device", "design", "qor")]
+        code = main([command, *inputs, flag, "-3"])
+    elif command:
+        _, run_dir = _optimize(toy_files, tmp_path)
+        capsys.readouterr()
+        code = main([command, "--result", str(run_dir / "result.json"), flag, "-3"])
+    else:
+        code, run_dir = _optimize(toy_files, tmp_path, flag, "-3")
+        assert not (run_dir / "result.json").exists()
     assert code == 1
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
     assert f"argument {flag}: must be 0 or more, got -3" in err
-    assert not (run_dir / "result.json").exists()
+    assert out == ""
 
 
 def test_optimize_lookahead_n_zero_is_valid(toy_files, tmp_path):
@@ -431,6 +446,18 @@ def _huge_width(doc):
     doc["width"] = 1_000_000_000
 
 
+def _fractional_latency(doc):
+    doc["templates"]["tA"]["points"][0]["latency"] = 7.5
+
+
+def _bool_width(doc):
+    doc["edges"][0]["width"] = True
+
+
+def _string_resource_count(doc):
+    doc["templates"]["tA"]["points"][0]["resources"]["lut"] = "22"
+
+
 MALFORMED = {
     "slot-without-x": ("device", _drop_slot_x, "'x'"),
     "half-without-sll-capacity": ("device", _drop_half_capacity, "'sll_capacity'"),
@@ -449,6 +476,9 @@ MALFORMED = {
     "functions-not-a-list": ("design", _functions_string, "'functions'"),
     "points-not-a-list": ("qor", _points_bool, "'points'"),
     "grid-larger-than-its-slots": ("device", _huge_width, "exactly once"),
+    "latency-a-fraction": ("qor", _fractional_latency, "'latency'"),
+    "width-a-bool": ("design", _bool_width, "'width'"),
+    "resource-count-a-string": ("qor", _string_resource_count, "'lut'"),
 }
 
 

@@ -212,6 +212,22 @@ def test_design_rejects_bad_edges():
         design_from_dict(design_doc(base, [("a", "b", "wires", 8)]))
 
 
+def test_whole_numbers_written_as_floats_parse_like_ints():
+    def docs(five, eight, ten):
+        design = design_doc([("K1", "dataflow", ["a"]), ("K2", "dataflow", ["b"])],
+                            [("a", "b", "fifo", eight)])
+        qor = qor_doc({f"t_{f}": template_doc([("baseline", five, {"lut": ten})])
+                       for f in ("a", "b")})
+        graph = design_from_dict(design)
+        return graph, qor_from_dict(qor, graph)
+
+    graph, lib = docs(5, 8, 10)
+    assert docs(5.0, 8.0, 10.0) == (graph, lib)
+    point = lib.point("a", "baseline")
+    assert type(point.latency) is int and type(point.resources.lut) is int
+    assert type(graph.edges[0].width) is int
+
+
 def test_design_rejects_kernel_cycles():
     doc = design_doc(
         [("K1", "dataflow", ["a"]), ("K2", "dataflow", ["b"])],

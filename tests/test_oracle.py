@@ -1,13 +1,16 @@
 from __future__ import annotations
 
 import itertools
+import json
 import random
 import time
 
-import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from fado import search
-from fado.floorplan import ram_groups
+from fado.cli import main
+from fado.floorplan import FloorplanError, ram_groups
 from fado.instancegen import GenSpec, gen_instance
 from fado.model import (
     baseline_configuration,
@@ -175,14 +178,15 @@ def test_solve_reports_infeasible():
     assert solve(device, graph, lib).status == "infeasible"
 
 
-def test_solve_guards_against_oversized_inputs():
+def test_solve_has_no_size_guard():
+    # 13 functions, then 4^12 configurations x 2^12 placements: neither is
+    # refused for its size, and both solve well within the default budget
     n = 13
     design = design_doc([(f"K{i}", "dataflow", [f"f{i}"]) for i in range(n)])
     qor = qor_doc({f"t_f{i}": template_doc([("baseline", 5, {"lut": 1})])
                    for i in range(n)})
-    device, graph, lib = parse(device_doc(), design, qor)
-    with pytest.raises(ValueError):
-        solve(device, graph, lib)
+    res = solve(*parse(device_doc(), design, qor))
+    assert (res.status, res.latency, res.nodes) == ("optimal", 5, 28)
 
     n = 12
     design = design_doc([(f"K{i}", "dataflow", [f"f{i}"]) for i in range(n)])
@@ -192,9 +196,31 @@ def test_solve_guards_against_oversized_inputs():
         )
         for i in range(n)
     })
-    device, graph, lib = parse(device_doc(), design, qor)
-    with pytest.raises(ValueError):
-        solve(device, graph, lib)  # 4^12 configs x 2^12 placements
+    res = solve(*parse(device_doc(), design, qor))
+    assert (res.status, res.latency, res.nodes) == ("optimal", 38, 62)
+
+
+def test_the_node_budget_stops_a_large_solve(tmp_path):
+    # a 14-function chain whose all-fast configuration overflows the device
+    fns = [f"f{i}" for i in range(14)]
+    docs = {
+        "device": device_doc(cap={"lut": 1000}),
+        "design": design_doc([(f"K{i}", "dataflow", [f]) for i, f in enumerate(fns)],
+                             [(a, b, "fifo", 8) for a, b in zip(fns, fns[1:])]),
+        "qor": qor_doc({
+            f"t_{f}": template_doc([("baseline", 30, {"lut": 10}), ("mid", 20, {"lut": 40}),
+                                    ("fast", 10 + i % 3, {"lut": 100})])
+            for i, f in enumerate(fns)
+        }),
+    }
+    res = solve(*parse(docs["device"], docs["design"], docs["qor"]), node_budget=1000)
+    assert (res.status, res.nodes) == ("budget_exceeded", 1001)
+
+    args = []
+    for name, doc in docs.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(doc))
+        args += [f"--{name}", str(tmp_path / f"{name}.json")]
+    assert main(["oracle", *args, "--node-budget", "1000"]) == 3
 
 
 def test_solve_budget_exhaustion(toy):
@@ -299,3 +325,36 @@ def test_verify_agrees_with_solve_on_generated_instances():
         assert res.design_latency == exact.latency
         out = verify_optimal(device, graph, lib, res.design_latency)
         assert out["verdict"] == "optimal"
+
+
+# ---------------------------------------------------------------------------
+# Search against the oracle
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 10**6))
+def test_search_solve_and_verify_agree_on_generated_designs(seed):
+    spec = GenSpec(seed=seed, dataflow_kernels=4, functions_per_dataflow=(2, 4))
+    ddoc, gdoc, qdoc = gen_instance(spec)
+    graph = design_from_dict(gdoc)
+    assume(12 <= len(graph.functions) <= 16)
+    device, lib = device_from_dict(ddoc), qor_from_dict(qdoc, graph)
+    try:
+        found = search.run(device, graph, lib).design_latency
+    except FloorplanError:
+        assume(False)
+    exact = solve(device, graph, lib, node_budget=20_000)
+    if exact.config is not None:
+        assert certify(device, graph, lib, exact.config, exact.placement) == []
+    out = verify_optimal(device, graph, lib, found, sample=100, enum_cap=500)
+    if out["verdict"] == "counterexample":
+        witness = out["counterexample"]
+        assert witness["latency"] < found
+        assert certify(device, graph, lib, witness["config"], witness["placement"]) == []
+    if exact.status != "optimal":
+        return
+    assert exact.latency <= found
+    if out["verdict"] == "optimal":
+        assert exact.latency == found
+    if out["verdict"] == "counterexample":
+        assert exact.latency <= out["counterexample"]["latency"]
