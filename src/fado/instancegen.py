@@ -12,7 +12,9 @@ Presets:
 
 from __future__ import annotations
 
+import math
 import random
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .model import LoopInfo, RESOURCE_KINDS
@@ -30,7 +32,6 @@ class GenSpec:
     nest_depth_range: tuple = (1, 2)
     mode: str = "non_monotone"  # monotone | non_monotone
     device: str = "pair"  # toy | pair | quad
-    points_limit: int = 8
     fifo_widths: tuple = (4, 8, 16, 32)
 
     def __post_init__(self) -> None:
@@ -87,7 +88,7 @@ def _array_choices(array: dict) -> list[dict]:
     return choices
 
 
-def _stride_sample(items: list, limit: int) -> list:
+def _stride_sample(items: Sequence, limit: int | None) -> Sequence:
     """Evenly spaced subset keeping first and last; deterministic."""
     if limit is None or len(items) <= limit:
         return items
@@ -104,19 +105,28 @@ def _stride_sample(items: list, limit: int) -> list:
 
 def gen_directive_space(loops: list[LoopInfo], arrays: list[dict],
                         limit: int | None = None) -> list[dict]:
-    """All directive combinations for a template, capped by stride sampling.
+    """Directive combinations for a template, capped by stride sampling.
 
     Each loop contributes a pipeline II (min_ii up to the smaller of four
     times min_ii and the iteration latency) crossed with an unroll factor;
     each array contributes a partition type and dimension crossed with a
-    storage binding.
+    storage binding.  The combinations are the cross product of these
+    per-loop, then per-array, choice lists with the last axis varying
+    fastest; only the ones the stride sample keeps are built, so the cost
+    follows ``limit``, not the size of the product.
     """
-    combos: list[dict] = [{}]
-    for loop in loops:
-        combos = [dict(base, **c) for base in combos for c in _loop_choices(loop)]
-    for array in arrays:
-        combos = [dict(base, **c) for base in combos for c in _array_choices(array)]
-    return _stride_sample(combos, limit)
+    axes = [_loop_choices(loop) for loop in loops] + [_array_choices(a) for a in arrays]
+    combos = []
+    for index in _stride_sample(range(math.prod(len(axis) for axis in axes)), limit):
+        picks = []
+        for axis in reversed(axes):
+            index, digit = divmod(index, len(axis))
+            picks.append(axis[digit])
+        combo: dict = {}
+        for choice in reversed(picks):
+            combo.update(choice)
+        combos.append(combo)
+    return combos
 
 
 # ---------------------------------------------------------------------------

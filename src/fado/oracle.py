@@ -21,7 +21,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .floorplan import group_resources, ram_groups
+from .floorplan import Group, group_resources, ram_groups
 from .model import (
     DesignGraph,
     DeviceModel,
@@ -88,14 +88,15 @@ def _sll_feasible(device: DeviceModel, graph: DesignGraph, placement: dict,
 
 
 def assign_slots(device: DeviceModel, graph: DesignGraph, lib: QoRLibrary, config: dict,
-                 tick=None, exact_sll: bool = True) -> dict | None:
+                 groups: list[Group], tick=None, exact_sll: bool = True) -> dict | None:
     """First feasible placement of RAM groups onto slots, or None.
 
-    Groups are placed largest-first; slots are tried in id order, skipping
-    capacity-equivalent repeats only via the load check.  ``tick``, when
-    given, is called once per explored node (budget accounting).
+    ``groups`` is ``ram_groups(graph)``, derived once by the caller for
+    every configuration it assigns.  Groups are placed largest-first; slots
+    are tried in id order, skipping capacity-equivalent repeats only via the
+    load check.  ``tick``, when given, is called once per explored node
+    (budget accounting).
     """
-    groups = ram_groups(graph)
     sizes = {g.gid: group_resources(g, lib, config) for g in groups}
     order = sorted(groups, key=lambda g: (-max(sizes[g.gid]), g.gid))
     slots = sorted(device.slots, key=lambda s: s.id)
@@ -166,6 +167,7 @@ def solve(device: DeviceModel, graph: DesignGraph, lib: QoRLibrary,
     far with status budget_exceeded.
     """
     fns = sorted(graph.functions)
+    groups = ram_groups(graph)
     spent = 0
 
     def tick():
@@ -185,7 +187,7 @@ def solve(device: DeviceModel, graph: DesignGraph, lib: QoRLibrary,
             tie = lb == best["latency"]
             if tie and [partial[f] for f in fns] >= [best["config"][f] for f in fns]:
                 return False
-            placement = assign_slots(device, graph, lib, partial, tick=tick)
+            placement = assign_slots(device, graph, lib, partial, groups, tick=tick)
             if placement is not None:
                 best.update(latency=lb, config=dict(partial), placement=placement)
         return True
@@ -253,10 +255,11 @@ def verify_optimal(device: DeviceModel, graph: DesignGraph, lib: QoRLibrary,
     except _Stop:
         pass
 
+    groups = ram_groups(graph)
     checked = 0
     for _, cand in sorted(reservoir, key=lambda item: item[0]):
         checked += 1
-        placement = assign_slots(device, graph, lib, cand, exact_sll=False)
+        placement = assign_slots(device, graph, lib, cand, groups, exact_sll=False)
         if placement is None:
             continue
         issues = certify(device, graph, lib, cand, placement)

@@ -100,6 +100,19 @@ def stress_grid(seed, n_functions, points_per_template, *, sll):
     return device, design, qor
 
 
+def reference_directive_space(loops, arrays, limit=None):
+    """Every directive combination built first, loops then arrays with the
+    last axis varying fastest, then stride-sampled.
+    ``instancegen.gen_directive_space`` must match it exactly, key order
+    included."""
+    combos = [{}]
+    for loop in loops:
+        combos = [dict(base, **c) for base in combos for c in instancegen._loop_choices(loop)]
+    for array in arrays:
+        combos = [dict(base, **c) for base in combos for c in instancegen._array_choices(array)]
+    return instancegen._stride_sample(combos, limit)
+
+
 def reference_repack(state):
     """The plain offline repack schedule: every unpinned group of every
     ranked source tries every non-empty fuller slot, rescanning the groups

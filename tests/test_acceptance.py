@@ -14,6 +14,7 @@ import statistics
 import time
 
 from fado import cli
+from fado.floorplan import ram_groups
 from fado.instancegen import GenSpec, gen_instance, gen_stress, toy_instance
 from fado.model import (
     ResourceVector,
@@ -71,8 +72,7 @@ def test_01_toy_walkthrough_latencies():
 
 def _small_spec(seed, mode):
     return GenSpec(seed=seed, mode=mode, device="pair", dataflow_kernels=2,
-                   non_dataflow_kernels=1, functions_per_dataflow=(1, 2),
-                   points_limit=4)
+                   non_dataflow_kernels=1, functions_per_dataflow=(1, 2))
 
 
 def test_02_reaches_the_optimum_on_monotone_instances():
@@ -277,7 +277,7 @@ def test_08_legalization_beats_full_reassignment_tenfold(capsys):
 
         t0 = time.perf_counter()
         try:
-            placement = assign_slots(device, graph, lib, config,
+            placement = assign_slots(device, graph, lib, config, ram_groups(graph),
                                      tick=tick, exact_sll=False)
             assert placement is not None
         except _Budget:

@@ -1,11 +1,19 @@
 from __future__ import annotations
 
+import hashlib
 import json
+import math
+import time
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from fado.cli import main
 from fado.instancegen import (
     GenSpec,
+    _array_choices,
+    _loop_choices,
     _stride_sample,
     gen_directive_space,
     gen_instance,
@@ -17,7 +25,7 @@ from fado.model import LoopInfo, baseline_configuration, design_latency
 from fado.packer import PackState
 from fado.floorplan import min_cut_initial
 
-from helpers import parse
+from helpers import parse, reference_directive_space
 
 
 def test_unroll_factors_are_powers_of_two_plus_the_bound():
@@ -55,6 +63,103 @@ def test_directive_space_pinned_counts():
     assert len(capped) == 9
     assert capped[0] == both[0]
     assert capped[-1] == both[-1]
+
+
+@st.composite
+def _loop(draw):
+    min_ii = draw(st.integers(1, 4))
+    return LoopInfo(label=draw(st.sampled_from(("L1", "L2"))), depth=1,
+                    bound=draw(st.integers(1, 64)), min_ii=min_ii,
+                    iter_latency=min_ii + draw(st.integers(0, 16)))
+
+
+_ARRAY = st.fixed_dictionaries({"name": st.sampled_from(("a", "b")), "dims": st.integers(0, 3)})
+
+
+def _space_size(loops, arrays):
+    return math.prod(len(_loop_choices(l)) for l in loops) * \
+        math.prod(len(_array_choices(a)) for a in arrays)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_loop(), max_size=2), st.lists(_ARRAY, max_size=2),
+       st.sampled_from((None, 0, 1, 2, 9, "over")))
+def test_directive_space_matches_the_full_product_sampled(loops, arrays, limit):
+    # labels and names repeat on purpose: a later axis then overwrites a key
+    n = _space_size(loops, arrays)
+    assume(n <= 2000)
+    if limit == "over":
+        limit = n + 1
+    got = gen_directive_space(loops, arrays, limit=limit)
+    want = reference_directive_space(loops, arrays, limit=limit)
+    assert got == want
+    assert [list(c) for c in got] == [list(c) for c in want]  # key order too
+
+
+def test_a_large_directive_space_builds_only_the_sampled_combinations():
+    loops = [LoopInfo(label=f"L{d}", depth=d, bound=64, min_ii=2, iter_latency=20)
+             for d in (1, 2, 3)]
+    arrays = [{"name": name, "dims": 3} for name in ("a", "b")]
+    assert _space_size(loops, arrays) == 38_118_276
+    t0 = time.perf_counter()
+    combos = gen_directive_space(loops, arrays, limit=9)
+    elapsed = time.perf_counter() - t0
+    assert len(combos) == 9
+    first, last = {}, {}
+    for d in (1, 2, 3):
+        first.update({f"PIPELINE:L{d}": 2, f"UNROLL:L{d}": 1})
+        last.update({f"PIPELINE:L{d}": 8, f"UNROLL:L{d}": 64})
+    for name in ("a", "b"):
+        first.update({f"ARRAY_PARTITION:{name}": "block:dim1", f"BIND_STORAGE:{name}": "bram"})
+        last.update({f"ARRAY_PARTITION:{name}": "complete:dim3", f"BIND_STORAGE:{name}": "uram"})
+    assert combos[0] == first
+    assert combos[-1] == last
+    assert elapsed < 5.0, f"sampling 9 combinations took {elapsed:.2f}s"
+
+
+# The bench and the tests draw their instances from these generators, so a
+# change may not re-draw them.  sha256 of device.json, design.json and
+# qor.json, in that order, as `fado gen` writes them (the stress preset at
+# 400 functions, 10 points; the toy preset ignores its seed)
+GEN_DIGESTS = {
+    ("toy", 0): "8a1d5229ae0255a9f885d463635978a0ecb6cc8ae812755241ffa92d19db7f5b",
+    ("mixed", 0): "9105d5c9419f9563f744e9374c515c8377d00acce6f2afbe2995995b20afd296",
+    ("mixed", 1): "5525989b3296907eaa58a08780aa06d8ba88c03677e0b99cced0cc8673f97b2b",
+    ("mixed", 2): "a78dca82fbbec9b7ea81edb3329cf5ba98172b476cf7d63836aa48da26a1625f",
+    ("monotone", 0): "782bf7848d160d3f3aa48bc5f181cbf630185359b0b000b9ee6811756dcfb563",
+    ("monotone", 1): "bd605f41ac47b9fb0a81d347c777e7cbb28682bb2a1b2f2f2b5da8dc7abce714",
+    ("monotone", 2): "164864d47cded411a1de47a776c49d4501fb0425d6ffb4b29c9c38372d91bb58",
+    ("small", 0): "316cf1ef094fd435d702d94ad180470152f35469c3fc61a52327112f55dff632",
+    ("small", 1): "bace395d5dfb5428f97b6daa319cebe59f04d4c0eef1a7a57c9f7e06839c485e",
+    ("small", 2): "ec627c7305116ba3386e3e8f7af538b7f8d4d5db60c5eaf0228a1586cf237881",
+    ("stress", 0): "1f20848c514ee6c4cf787cb35f5ae657a0284812dd0dbc0397df8d01135c9cb7",
+    ("stress", 1): "172d1bcb5cd88b32101183817dc77235536cda2c9526d57dfe477183e02ac0a2",
+    ("stress", 2): "dcdd886fd2861775762ed8c7afc94c90592af801ef431af31c4595ce26938f7a",
+}
+
+# sha256 of json.dumps(gen_stress(seed, 200, 10)), key order as generated
+GEN_STRESS_DIGESTS = {
+    0: "c362192eb7873d8f5123a2d6b3b32909946ea7f0446bb6a2d634db2531b6dea5",
+    1: "64ddce511c6bc2f79159a8331c2620e027a7efd4ecc1702bbd9db6e674a44675",
+    2: "653a45a6807868cd3fd3809ae2ad3c740ffdde831f944bcabcaf8c4feef14fe6",
+}
+
+
+@pytest.mark.parametrize("preset,seed", sorted(GEN_DIGESTS))
+def test_gen_output_is_pinned(tmp_path, preset, seed):
+    out = tmp_path / "gen"
+    assert main(["gen", "--preset", preset, "--seed", str(seed), "--functions", "400",
+                 "--points", "10", "--out", str(out)]) == 0
+    digest = hashlib.sha256()
+    for name in ("device.json", "design.json", "qor.json"):
+        digest.update((out / name).read_bytes())
+    assert digest.hexdigest() == GEN_DIGESTS[preset, seed]
+
+
+@pytest.mark.parametrize("seed", sorted(GEN_STRESS_DIGESTS))
+def test_gen_stress_is_pinned(seed):
+    docs = json.dumps(gen_stress(seed, 200, 10))
+    assert hashlib.sha256(docs.encode()).hexdigest() == GEN_STRESS_DIGESTS[seed]
 
 
 def test_genspec_validation():

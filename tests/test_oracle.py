@@ -39,7 +39,7 @@ from helpers import design_doc, device_doc, parse, qor_doc, slot_at, template_do
 def test_assign_slots_colocates_groups(toy):
     device, graph, lib = toy
     config = {"A": "baseline", "B": "fast", "C": "fast", "D": "fast", "E": "fast"}
-    placement = assign_slots(device, graph, lib, config)
+    placement = assign_slots(device, graph, lib, config, ram_groups(graph))
     assert placement is not None
     assert len({placement[m] for m in ("B", "C", "D")}) == 1
     assert certify(device, graph, lib, config, placement) == []
@@ -48,7 +48,7 @@ def test_assign_slots_colocates_groups(toy):
 def test_assign_slots_detects_infeasible_configs(toy):
     device, graph, lib = toy
     all_fast = {f: "fast" for f in graph.functions}
-    assert assign_slots(device, graph, lib, all_fast) is None
+    assert assign_slots(device, graph, lib, all_fast, ram_groups(graph)) is None
 
 
 def test_exact_half_assignment_beats_the_greedy_fold():
