@@ -23,12 +23,12 @@ from .model import (
     _entry,
     _number_entry,
     design_from_dict,
+    design_latency,
     device_from_dict,
     qor_from_dict,
     validate_configuration,
 )
 from .packer import PackState
-from .pipeliner import recompute_all
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -233,19 +233,25 @@ def cmd_check(args) -> int:
     state = PackState(device, graph, lib, config, placement)
     problems = state.check_legal()
 
-    fresh = recompute_all(device, graph, placement)
+    recorded = _number_entry(doc, "design_latency", RESULT_DOC)
+    latency = design_latency(graph, lib, config)
+    if recorded != latency:
+        problems.append(
+            f"recorded design latency {recorded} does not match {latency}"
+            " recomputed from the configuration")
+
     tables = _dict_entry(doc, "sll", RESULT_DOC, {})
     recorded_sll = {
         int(y): {int(x): used for x, used in _dict_entry(tables, y, "result 'sll'").items()}
         for y in tables
     }
-    fresh_sll = {y: dict(loads) for y, loads in fresh.boundary_loads.items()}
+    fresh_sll = state.sll.boundary_loads
     if {y: {x: u for x, u in t.items() if u} for y, t in fresh_sll.items()} != \
        {y: {x: u for x, u in t.items() if u} for y, t in recorded_sll.items()}:
         problems.append("recorded SLL table does not match a recompute from scratch")
     recorded_regs = {
         int(i): n for i, n in _dict_entry(doc, "register_groups", RESULT_DOC, {}).items()}
-    fresh_regs = {i: n for i, n in fresh.reg_groups.items() if n}
+    fresh_regs = {i: n for i, n in state.sll.reg_groups.items() if n}
     if fresh_regs != recorded_regs:
         problems.append("recorded register groups do not match a recompute from scratch")
 

@@ -21,6 +21,8 @@ from .model import LoopInfo, RESOURCE_KINDS
 
 PARTITION_TYPES = ("block", "cyclic", "complete")
 STORAGE_IMPLS = ("bram", "uram")
+FIFO_WIDTHS = (4, 8, 16, 32)  # generated edge widths
+NEST_DEPTH_RANGE = (1, 2)  # loops per generated template, inclusive
 
 
 @dataclass
@@ -29,10 +31,8 @@ class GenSpec:
     dataflow_kernels: int = 3
     non_dataflow_kernels: int = 1
     functions_per_dataflow: tuple = (2, 4)
-    nest_depth_range: tuple = (1, 2)
     mode: str = "non_monotone"  # monotone | non_monotone
     device: str = "pair"  # toy | pair | quad
-    fifo_widths: tuple = (4, 8, 16, 32)
 
     def __post_init__(self) -> None:
         if self.mode not in ("monotone", "non_monotone"):
@@ -262,7 +262,7 @@ def _skeleton(spec: GenSpec, rng: random.Random) -> tuple[dict, list]:
         dst = rng.choice(b["functions"])["name"]
         kind = "ram" if (a["kind"] == "non_dataflow" or b["kind"] == "non_dataflow") else "fifo"
         edges.append({"src": src, "dst": dst, "kind": kind,
-                      "width": rng.choice(spec.fifo_widths)})
+                      "width": rng.choice(FIFO_WIDTHS)})
     for k in kernels:
         if k["kind"] != "dataflow":
             continue
@@ -270,12 +270,12 @@ def _skeleton(spec: GenSpec, rng: random.Random) -> tuple[dict, list]:
         for a, b in zip(members, members[1:]):
             if rng.random() < 0.7:
                 edges.append({"src": a, "dst": b, "kind": "fifo",
-                              "width": rng.choice(spec.fifo_widths)})
+                              "width": rng.choice(FIFO_WIDTHS)})
     return {"kernels": kernels, "edges": edges}, functions
 
 
-def _rand_loops(spec: GenSpec, rng: random.Random, label_prefix: str) -> list[dict]:
-    depth = rng.randint(*spec.nest_depth_range)
+def _rand_loops(rng: random.Random, label_prefix: str) -> list[dict]:
+    depth = rng.randint(*NEST_DEPTH_RANGE)
     loops = []
     for d in range(1, depth + 1):
         bound = rng.choice([2, 4, 8, 16, 32, 64, 128])
@@ -298,13 +298,13 @@ def gen_instance(spec: GenSpec) -> tuple[dict, dict, dict]:
     design, functions = _skeleton(spec, rng)
 
     if spec.mode == "monotone":
-        qor = _monotone_qor(spec, rng, device, functions)
+        qor = _monotone_qor(rng, device, functions)
     else:
-        qor = _non_monotone_qor(spec, rng, device, design, functions)
+        qor = _non_monotone_qor(rng, device, functions)
     return device, design, qor
 
 
-def _monotone_qor(spec: GenSpec, rng: random.Random, device: dict, functions: list) -> dict:
+def _monotone_qor(rng: random.Random, device: dict, functions: list) -> dict:
     """Globally distinct descending latency ladder, dealt round-robin.
 
     Every function's next-faster point is always strictly faster than the
@@ -339,8 +339,7 @@ def _monotone_qor(spec: GenSpec, rng: random.Random, device: dict, functions: li
     return {"templates": templates, "name_rules": []}
 
 
-def _non_monotone_qor(spec: GenSpec, rng: random.Random, device: dict,
-                      design: dict, functions: list) -> dict:
+def _non_monotone_qor(rng: random.Random, device: dict, functions: list) -> dict:
     """Random QoR curves with at least one non-monotone adjacent pair,
     sized so the baseline boots but ambitious points collide."""
     slot_cap = device["slots"][0]["capacity"]
@@ -371,7 +370,7 @@ def _non_monotone_qor(spec: GenSpec, rng: random.Random, device: dict,
                     "dsp": rng.randint(0, 64),
                 },
             })
-        templates[f"t_{fn}"] = {"loops": _rand_loops(spec, rng, fn), "points": points}
+        templates[f"t_{fn}"] = {"loops": _rand_loops(rng, fn), "points": points}
 
     # Guarantee a non-monotone wrinkle: one function where stepping down in
     # latency REDUCES area next to a pair where it explodes.

@@ -6,14 +6,11 @@ floorplan feasibility by exhaustive group-to-slot assignment.  Its node
 budget is the only bound on a solve: past it the answer is
 ``budget_exceeded``, whatever the instance's size.
 
-SLL feasibility here is more permissive than the search's: a placement
-counts as routable if the pipeliner's half-selection fold (the very check
-the search uses) keeps every half within budget, or, failing that, if any
-assignment of crossing edges to halves does.  A stricter reference could
-only under-report the optimum.
-verify_optimal, by contrast, certifies counterexamples against the exact
-system semantics (PackState.check_legal), so anything it returns is a
-state the search itself would accept as legal.
+A placement counts as routable only when the pipeliner's half-selection
+fold, the one wire rule the search and ``fado check`` apply, keeps every
+die-boundary half within budget.  So every witness ``solve`` or
+``verify_optimal`` returns is a state the search itself would accept as
+legal (``PackState.check_legal``).
 """
 
 from __future__ import annotations
@@ -54,48 +51,16 @@ class OracleResult:
     nodes: int
 
 
-def _exact_half_assignment(budget: tuple, edges: list) -> bool:
-    """True when ``edges``, (width, column span) pairs crossing one
-    boundary, fit some assignment to halves of the given budgets."""
-    edges = sorted(edges, key=lambda item: -item[0])  # widest first
-
-    def place(i: int, loads: dict) -> bool:
-        if i == len(edges):
-            return True
-        width, allowed = edges[i]
-        for x in allowed:
-            if loads.get(x, 0) + width <= budget[x]:
-                loads[x] = loads.get(x, 0) + width
-                if place(i + 1, loads):
-                    return True
-                loads[x] -= width
-        return False
-
-    return place(0, {})
-
-
-def _sll_feasible(device: DeviceModel, graph: DesignGraph, placement: dict,
-                  exact_fallback: bool) -> bool:
-    """The pipeliner's fold, optionally retried exhaustively where it overflows."""
-    state = recompute_all(device, graph, placement)
-    for y in sorted({y for y, _, _, _ in state.over_budget()}):
-        if not exact_fallback:
-            return False
-        items = [(graph.edges[eid].width, state.route_of[eid][1]) for eid in state.crossing[y]]
-        if not _exact_half_assignment(state.budget[y], items):
-            return False
-    return True
-
-
 def assign_slots(device: DeviceModel, graph: DesignGraph, lib: QoRLibrary, config: dict,
-                 groups: list[Group], tick=None, exact_sll: bool = True) -> dict | None:
+                 groups: list[Group], tick=None) -> dict | None:
     """First feasible placement of RAM groups onto slots, or None.
 
     ``groups`` is ``ram_groups(graph)``, derived once by the caller for
     every configuration it assigns.  Groups are placed largest-first; slots
     are tried in id order, skipping capacity-equivalent repeats only via the
-    load check.  ``tick``, when given, is called once per explored node
-    (budget accounting).
+    load check.  A full placement is accepted only when the pipeliner's
+    fold leaves no half over budget.  ``tick``, when given, is called once
+    per explored node (budget accounting).
     """
     sizes = {g.gid: group_resources(g, lib, config) for g in groups}
     order = sorted(groups, key=lambda g: (-max(sizes[g.gid]), g.gid))
@@ -111,9 +76,9 @@ def assign_slots(device: DeviceModel, graph: DesignGraph, lib: QoRLibrary, confi
             placement = {
                 m: chosen[g.gid] for g in groups for m in g.members
             }
-            if _sll_feasible(device, graph, placement, exact_fallback=exact_sll):
-                return placement
-            return None
+            if recompute_all(device, graph, placement).over_budget():
+                return None
+            return placement
         g = order[i]
         for s in slots:
             post = loads[s.id] + sizes[g.gid]
@@ -259,7 +224,7 @@ def verify_optimal(device: DeviceModel, graph: DesignGraph, lib: QoRLibrary,
     checked = 0
     for _, cand in sorted(reservoir, key=lambda item: item[0]):
         checked += 1
-        placement = assign_slots(device, graph, lib, cand, groups, exact_sll=False)
+        placement = assign_slots(device, graph, lib, cand, groups)
         if placement is None:
             continue
         issues = certify(device, graph, lib, cand, placement)

@@ -277,8 +277,7 @@ def test_08_legalization_beats_full_reassignment_tenfold(capsys):
 
         t0 = time.perf_counter()
         try:
-            placement = assign_slots(device, graph, lib, config, ram_groups(graph),
-                                     tick=tick, exact_sll=False)
+            placement = assign_slots(device, graph, lib, config, ram_groups(graph), tick=tick)
             assert placement is not None
         except _Budget:
             aborted += 1

@@ -275,6 +275,19 @@ def test_check_rejects_a_tampered_wire_table(toy_files, tmp_path, capsys):
     assert "recompute" in capsys.readouterr().err
 
 
+def test_check_rejects_a_tampered_design_latency(toy_files, tmp_path, capsys):
+    _, run_dir = _optimize(toy_files, tmp_path)
+    path = run_dir / "result.json"
+    doc = json.loads(path.read_text())
+    assert doc["design_latency"] == 13
+    doc["design_latency"] = 5
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["check", "--result", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err == "recorded design latency 5 does not match 13 recomputed from the configuration\n"
+
+
 def test_oracle_exit_codes(toy_files, tmp_path):
     args = [
         "--device", str(toy_files / "device.json"),

@@ -21,13 +21,7 @@ from fado.model import (
     qor_from_dict,
     within_budget,
 )
-from fado.oracle import (
-    _sll_feasible,
-    assign_slots,
-    certify,
-    solve,
-    verify_optimal,
-)
+from fado.oracle import assign_slots, certify, solve, verify_optimal
 
 from helpers import design_doc, device_doc, parse, qor_doc, slot_at, template_doc
 
@@ -51,24 +45,75 @@ def test_assign_slots_detects_infeasible_configs(toy):
     assert assign_slots(device, graph, lib, all_fast, ram_groups(graph)) is None
 
 
-def test_exact_half_assignment_beats_the_greedy_fold():
-    # widths 4,4,3,3,2 over two 8-wide halves: arrival-order folding strands
-    # the last edge, the exhaustive split packs {4,4} and {3,3,2}
+def test_the_oracle_refuses_what_the_fold_refuses():
+    # widths 4,4,3,3,2 over two 8-wire halves: the fold strands the last
+    # edge, though the split {4,4} and {3,3,2} would fit.  Only slot (0,0)
+    # has the sources' DSPs and only (1,1) the sinks' URAM, so that is the
+    # one placement, and the fold's verdict is the oracle's.
     names = [f"s{i}" for i in range(5)] + [f"d{i}" for i in range(5)]
     design = design_doc(
         [(f"K_{n}", "dataflow", [n]) for n in names],
         [(f"s{i}", f"d{i}", "fifo", w) for i, w in enumerate((4, 4, 3, 3, 2))],
     )
-    qor = qor_doc({f"t_{n}": template_doc([("baseline", 5, {"lut": 1})]) for n in names})
-    device, graph, lib = parse(
-        device_doc(width=2, height=2, cap={"lut": 100}, sll=8, sll_limit=1.0),
-        design, qor)
-    placement = {}
-    for i in range(5):
-        placement[f"s{i}"] = slot_at(device, 0, 0).id
-        placement[f"d{i}"] = slot_at(device, 1, 1).id
-    assert not _sll_feasible(device, graph, placement, exact_fallback=False)
-    assert _sll_feasible(device, graph, placement, exact_fallback=True)
+    qor = qor_doc({
+        f"t_{n}": template_doc([("baseline", 5, {"lut": 1, kind: 1})])
+        for n, kind in zip(names, ["dsp"] * 5 + ["uram"] * 5)
+    })
+    ddoc = device_doc(width=2, height=2, cap={"lut": 100}, sll=8, sll_limit=1.0)
+    ddoc["slots"][0]["capacity"]["dsp"] = 10
+    ddoc["slots"][3]["capacity"]["uram"] = 10
+    device, graph, lib = parse(ddoc, design, qor)
+    assert (slot_at(device, 0, 0).id, slot_at(device, 1, 1).id) == (0, 3)
+    config = baseline_configuration(graph)
+    placement = {n: 0 if n.startswith("s") else 3 for n in names}
+    assert certify(device, graph, lib, config, placement) != []
+    assert assign_slots(device, graph, lib, config, ram_groups(graph)) is None
+    assert solve(device, graph, lib).status == "infeasible"
+
+
+@st.composite
+def _wire_bound_instances(draw):
+    """A design of 4-5 single-function kernels, edges running forward, on a
+    2x2 or 2x3 device whose die-boundary halves hold 1-8 wires, with one
+    configuration of it.  The functions rarely all fit the bottom row, so
+    most placements cross a boundary."""
+    names = [f"f{i}" for i in range(draw(st.integers(4, 5)))]
+    forward = [(a, b) for i, a in enumerate(names) for b in names[i + 1:]]
+    edges = draw(st.lists(
+        st.tuples(st.sampled_from(forward), st.sampled_from(("fifo", "fifo", "ram")),
+                  st.integers(1, 8)),
+        min_size=1, max_size=8,
+    ))
+    design = design_doc([(f"K_{n}", "dataflow", [n]) for n in names],
+                        [(a, b, kind, w) for (a, b), kind, w in edges])
+    qor = qor_doc({
+        f"t_{n}": template_doc([("baseline", 10, {"lut": draw(st.integers(20, 55))}),
+                                ("fast", 5, {"lut": draw(st.integers(30, 65))})])
+        for n in names
+    })
+    device = device_doc(width=2, height=draw(st.sampled_from((2, 3))), cap={"lut": 100},
+                        sll=draw(st.integers(1, 8)), sll_limit=1.0)
+    config = {n: draw(st.sampled_from(("baseline", "fast"))) for n in names}
+    return parse(device, design, qor), config
+
+
+@settings(max_examples=60, deadline=None)
+@given(_wire_bound_instances())
+def test_the_oracle_places_exactly_when_check_would_pass_a_placement(instance):
+    # every placement assign_slots returns certifies, and it returns one
+    # whenever some group-respecting placement certifies
+    (device, graph, lib), config = instance
+    groups = ram_groups(graph)
+    placement = assign_slots(device, graph, lib, config, groups)
+    if placement is not None:
+        assert certify(device, graph, lib, config, placement) == []
+    slots = [s.id for s in device.slots]
+    legal = any(
+        certify(device, graph, lib, config,
+                {m: sid for g, sid in zip(groups, sides) for m in g.members}) == []
+        for sides in itertools.product(slots, repeat=len(groups))
+    )
+    assert (placement is not None) == legal
 
 
 # ---------------------------------------------------------------------------
