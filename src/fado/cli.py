@@ -223,22 +223,30 @@ def cmd_optimize(args) -> int:
     return EXIT_OK
 
 
-def cmd_check(args) -> int:
-    doc, device, graph, lib = _load_result(args.result)
+def _result_latency(doc, graph, lib):
+    """A result's configuration, validated, its design latency recomputed,
+    and a message when the recorded ``design_latency`` differs (else None)."""
     config = _dict_entry(doc, "configuration", RESULT_DOC)
     validate_configuration(graph, lib, config)
+    recorded = _number_entry(doc, "design_latency", RESULT_DOC)
+    latency = design_latency(graph, lib, config)
+    mismatch = None
+    if recorded != latency:
+        mismatch = (f"recorded design latency {recorded} does not match {latency}"
+                    " recomputed from the configuration")
+    return config, latency, mismatch
+
+
+def cmd_check(args) -> int:
+    doc, device, graph, lib = _load_result(args.result)
+    config, _, mismatch = _result_latency(doc, graph, lib)
     slots = _dict_entry(doc, "placement", RESULT_DOC)
     placement = {f: _number_entry(slots, f, "result 'placement'") for f in slots}
 
     state = PackState(device, graph, lib, config, placement)
     problems = state.check_legal()
-
-    recorded = _number_entry(doc, "design_latency", RESULT_DOC)
-    latency = design_latency(graph, lib, config)
-    if recorded != latency:
-        problems.append(
-            f"recorded design latency {recorded} does not match {latency}"
-            " recomputed from the configuration")
+    if mismatch:
+        problems.append(mismatch)
 
     tables = _dict_entry(doc, "sll", RESULT_DOC, {})
     recorded_sll = {
@@ -282,10 +290,11 @@ def cmd_oracle(args) -> int:
 
 def cmd_verify_optimal(args) -> int:
     doc, device, graph, lib = _load_result(args.result)
-    verdict = oracle.verify_optimal(
-        device, graph, lib, _number_entry(doc, "design_latency", RESULT_DOC),
-        sample=args.sample, enum_cap=args.enum_cap, seed=args.seed,
-    )
+    _, latency, mismatch = _result_latency(doc, graph, lib)
+    if mismatch:
+        print(f"error: {mismatch}", file=sys.stderr)
+        return EXIT_USAGE
+    verdict = oracle.verify_optimal(device, graph, lib, latency, node_budget=args.node_budget)
     print(json.dumps(verdict, indent=2))
     if verdict["verdict"] == "optimal":
         return EXIT_OK
@@ -339,6 +348,10 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--design", required=True, help="design graph JSON")
         sp.add_argument("--qor", required=True, help="QoR library JSON")
 
+    def add_node_budget(sp):
+        sp.add_argument("--node-budget", type=_count, default=oracle.DEFAULT_NODE_BUDGET,
+                        help="search nodes before the run stops with exit 3")
+
     sp = sub.add_parser("optimize", help="run the co-optimization loop")
     add_inputs(sp)
     sp.add_argument("--out", required=True, help="output directory")
@@ -364,15 +377,13 @@ def build_parser() -> argparse.ArgumentParser:
     add_inputs(sp)
     sp.add_argument("--util-limit", type=float, default=None)
     sp.add_argument("--sll-limit", type=float, default=None)
-    sp.add_argument("--node-budget", type=_count, default=oracle.DEFAULT_NODE_BUDGET,
-                    help="search nodes before the run stops with exit 3")
+    add_node_budget(sp)
     sp.set_defaults(func=cmd_oracle)
 
-    sp = sub.add_parser("verify-optimal", help="search for a faster legal configuration")
+    sp = sub.add_parser("verify-optimal", help="search for a faster legal configuration,"
+                                               " bounded by --node-budget")
     sp.add_argument("--result", required=True)
-    sp.add_argument("--sample", type=_count, default=oracle.DEFAULT_SAMPLE)
-    sp.add_argument("--enum-cap", type=_count, default=oracle.DEFAULT_ENUM_CAP)
-    sp.add_argument("--seed", type=int, default=0)
+    add_node_budget(sp)
     sp.set_defaults(func=cmd_verify_optimal)
 
     sp = sub.add_parser("gen", help="emit a synthetic instance")

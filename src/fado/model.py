@@ -539,7 +539,6 @@ class Template:
 class QoRLibrary:
     templates: dict[str, Template]
     template_of: dict[str, str]  # function -> template name
-    warnings: list[str] = field(default_factory=list)
 
     def template_for(self, function: str) -> Template:
         return self.templates[self.template_of[function]]
@@ -604,8 +603,6 @@ def qor_from_dict(doc: dict, graph: DesignGraph) -> QoRLibrary:
         except re.error as exc:
             raise ModelError(f"bad name rule regex {pat!r}: {exc}") from exc
 
-    warnings: list[str] = []
-
     # Candidate normalization for sort tie-breaks: explicit vector from the
     # file, else the per-kind maximum over every point in the library.
     points_seen: list[ResourceVector] = []
@@ -645,12 +642,8 @@ def qor_from_dict(doc: dict, graph: DesignGraph) -> QoRLibrary:
         )
         baseline = next(p for p in pts_sorted if p.id == BASELINE_POINT_ID)
         if baseline.latency < pts_sorted[-1].latency:
-            msg = (
-                f"template {name!r}: baseline latency {baseline.latency} is below the"
-                f" slowest point ({pts_sorted[-1].latency})"
-            )
-            warnings.append(msg)
-            log.warning(msg)
+            log.warning("template %r: baseline latency %s is below the slowest point (%s)",
+                        name, baseline.latency, pts_sorted[-1].latency)
         templates[name] = Template(name=name, loops=loops, points=pts_sorted)
 
     template_of: dict[str, str] = {}
@@ -666,7 +659,6 @@ def qor_from_dict(doc: dict, graph: DesignGraph) -> QoRLibrary:
     return QoRLibrary(
         templates=templates,
         template_of=template_of,
-        warnings=warnings,
     )
 
 

@@ -4,7 +4,11 @@ The solver enumerates configurations branch-and-bound style (points in
 latency order, bounded by a padded longest-path lower bound) and decides
 floorplan feasibility by exhaustive group-to-slot assignment.  Its node
 budget is the only bound on a solve: past it the answer is
-``budget_exceeded``, whatever the instance's size.
+``budget_exceeded``, whatever the instance's size.  Verification is the
+same solve under a latency bound: ``verify_optimal`` prunes every node not
+faster than the result it checks, so any witness it returns is a legal
+configuration faster than that result, and the fastest one when the search
+finishes within its budget.
 
 A placement counts as routable only when the pipeliner's half-selection
 fold, the one wire rule the search and ``fado check`` apply, keeps every
@@ -15,7 +19,7 @@ legal (``PackState.check_legal``).
 
 from __future__ import annotations
 
-import random
+import math
 from dataclasses import dataclass
 
 from .floorplan import Group, group_resources, ram_groups
@@ -34,12 +38,10 @@ from .packer import PackState
 from .pipeliner import recompute_all
 
 DEFAULT_NODE_BUDGET = 1_000_000
-DEFAULT_SAMPLE = 2000
-DEFAULT_ENUM_CAP = 20_000
 
 
 class _Stop(Exception):
-    """Ends a configuration walk early: a node budget or enumeration cap ran out."""
+    """Ends a configuration walk early: the node budget ran out."""
 
 
 @dataclass
@@ -49,6 +51,8 @@ class OracleResult:
     config: dict | None
     placement: dict | None
     nodes: int
+    candidates: int  # full configurations reached
+    checked: int  # configurations whose placement was searched
 
 
 def assign_slots(device: DeviceModel, graph: DesignGraph, lib: QoRLibrary, config: dict,
@@ -131,9 +135,20 @@ def solve(device: DeviceModel, graph: DesignGraph, lib: QoRLibrary,
     configuration among ties), or infeasible; past it, the best found so
     far with status budget_exceeded.
     """
+    return _search(device, graph, lib, node_budget, math.inf)
+
+
+def _search(device: DeviceModel, graph: DesignGraph, lib: QoRLibrary,
+            node_budget: int, below: float) -> OracleResult:
+    """``solve``'s branch and bound, pruning every node whose lower bound is
+    not below ``below`` (``math.inf`` prunes none).
+
+    ``verify_optimal`` calls this rather than ``solve``, so a span wrapped
+    around either public name times and counts only its own command's search.
+    """
     fns = sorted(graph.functions)
     groups = ram_groups(graph)
-    spent = 0
+    spent = candidates = checked = 0
 
     def tick():
         nonlocal spent
@@ -144,14 +159,19 @@ def solve(device: DeviceModel, graph: DesignGraph, lib: QoRLibrary,
     best: dict = {"latency": None, "config": None, "placement": None}
 
     def visit(i: int, lb: int, partial: dict) -> bool:
+        nonlocal candidates, checked
         tick()
         if best["latency"] is not None and lb > best["latency"]:
             return False
+        if lb >= below:
+            return False
         if i == len(fns):
+            candidates += 1
             # a tie replaces the witness only with a lexicographically smaller one
             tie = lb == best["latency"]
             if tie and [partial[f] for f in fns] >= [best["config"][f] for f in fns]:
                 return False
+            checked += 1
             placement = assign_slots(device, graph, lib, partial, groups, tick=tick)
             if placement is not None:
                 best.update(latency=lb, config=dict(partial), placement=placement)
@@ -168,6 +188,8 @@ def solve(device: DeviceModel, graph: DesignGraph, lib: QoRLibrary,
         config=best["config"],
         placement=best["placement"],
         nodes=spent,
+        candidates=candidates,
+        checked=checked,
     )
 
 
@@ -178,78 +200,35 @@ def certify(device: DeviceModel, graph: DesignGraph, lib: QoRLibrary,
 
 
 def verify_optimal(device: DeviceModel, graph: DesignGraph, lib: QoRLibrary,
-                   final_latency: int, *, sample: int = DEFAULT_SAMPLE,
-                   enum_cap: int = DEFAULT_ENUM_CAP, seed: int = 0) -> dict:
+                   final_latency: int, node_budget: int = DEFAULT_NODE_BUDGET) -> dict:
     """Search for a legal configuration strictly faster than a result.
 
-    Enumerates (bounded by ``enum_cap``) every configuration whose design
-    latency is below ``final_latency``; feasibility is then checked on all
-    of them, or on a seeded uniform sample of ``sample`` when there are
-    more.  Any counterexample returned is certified legal under the exact
-    system semantics.
-
-    Verdicts: "counterexample" (with the certified witness), "optimal"
-    (every faster configuration was enumerated and checked, none legal), or
-    "inconclusive" (enumeration hit the cap, or only a sample was checked),
-    always with a coverage fraction.
+    This is ``solve`` bounded below ``final_latency``.  Verdicts:
+    "counterexample" with the fastest witness the walk found, certified
+    legal; "optimal" when the walk finished without one, so no legal
+    configuration is faster; "inconclusive" when the node budget ran out
+    first.  ``candidates`` counts the configurations reached below the
+    bound, ``checked`` those whose placement was searched.
     """
-    fns = sorted(graph.functions)
-    cap = max(sample, enum_cap)
-    rng = random.Random(seed)
-    reservoir: list[tuple[int, dict]] = []  # (design latency, configuration)
-    total = 0
-
-    def visit(i: int, lat: int, partial: dict) -> bool:
-        nonlocal total
-        if lat >= final_latency:
-            return False
-        if i == len(fns):
-            total += 1
-            if total > cap:
-                raise _Stop
-            if len(reservoir) < sample:
-                reservoir.append((lat, dict(partial)))
-            else:
-                j = rng.randrange(total)
-                if j < sample:
-                    reservoir[j] = (lat, dict(partial))
-        return True
-
-    try:
-        _walk(graph, lib, fns, visit)
-    except _Stop:
-        pass
-
-    groups = ram_groups(graph)
-    checked = 0
-    for _, cand in sorted(reservoir, key=lambda item: item[0]):
-        checked += 1
-        placement = assign_slots(device, graph, lib, cand, groups)
-        if placement is None:
-            continue
-        issues = certify(device, graph, lib, cand, placement)
-        if issues:
-            continue
-        return {
-            "verdict": "counterexample",
-            "counterexample": {
-                "config": cand,
-                "placement": placement,
-                "latency": design_latency(graph, lib, cand),
-            },
-            "candidates": total,
-            "checked": checked,
-            "coverage": checked / total if total else 1.0,
-            "final_latency": final_latency,
+    res = _search(device, graph, lib, node_budget, final_latency)
+    counterexample = None
+    if res.config is not None:
+        problems = certify(device, graph, lib, res.config, res.placement)
+        if problems:
+            raise RuntimeError(f"oracle witness fails the legality check: {problems}")
+        counterexample = {
+            "config": res.config,
+            "placement": res.placement,
+            "latency": design_latency(graph, lib, res.config),
         }
-
-    # A capped enumeration leaves total at cap + 1, above any sample size.
-    verdict = "optimal" if checked == total else "inconclusive"
+        verdict = "counterexample"
+    else:
+        verdict = "inconclusive" if res.status == "budget_exceeded" else "optimal"
     return {
         "verdict": verdict,
-        "counterexample": None,
-        "candidates": total,
-        "checked": checked,
-        "coverage": (checked / total) if total else 1.0,
+        "counterexample": counterexample,
+        "candidates": res.candidates,
+        "checked": res.checked,
+        "nodes": res.nodes,
         "final_latency": final_latency,
     }

@@ -138,15 +138,19 @@ class _Levels:
 
 
 def prune(template, current_latency: int, l1: int, l2: int):
-    """(DS, DP) for one bottleneck function.
+    """DP for one bottleneck function, or None when DS is empty.
 
-    DS keeps the points strictly faster than L2 (faster than L1 in the
+    DS is the points strictly faster than L2 (faster than L1 in the
     degenerate case where L2 ties the function's own latency), latency
-    ascending; DP is its last element.
+    ascending; DP is its last element, the slowest of them.
     """
     threshold = l1 if l2 == current_latency else l2
-    ds = [p for p in template.points if p.latency < threshold]
-    return ds, (ds[-1] if ds else None)
+    dp = None
+    for p in template.points:
+        if p.latency >= threshold:
+            break
+        dp = p
+    return dp
 
 
 @dataclass
@@ -255,7 +259,7 @@ def run(
 
         dps = {}
         for f in batch:
-            _, dp = prune(lib.template_for(f), latencies[f], l1, l2)
+            dp = prune(lib.template_for(f), latencies[f], l1, l2)
             if dp is None:
                 break
             dps[f] = dp

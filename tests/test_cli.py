@@ -88,8 +88,7 @@ def test_optimize_iter_cap_zero_reports_the_baseline(toy_files, tmp_path):
 @pytest.mark.parametrize("flag", [
     "--iter-cap", "--lookahead-n",
     pytest.param("oracle --node-budget", id="--node-budget"),
-    pytest.param("verify-optimal --sample", id="--sample"),
-    pytest.param("verify-optimal --enum-cap", id="--enum-cap"),
+    pytest.param("verify-optimal --node-budget", id="verify-optimal--node-budget"),
 ])
 def test_optimize_refuses_a_negative_count(toy_files, tmp_path, capsys, flag):
     command, _, flag = flag.rpartition(" ")
@@ -288,6 +287,22 @@ def test_check_rejects_a_tampered_design_latency(toy_files, tmp_path, capsys):
     assert err == "recorded design latency 5 does not match 13 recomputed from the configuration\n"
 
 
+def test_verify_optimal_refuses_a_tampered_design_latency(toy_files, tmp_path, capsys):
+    # bounded by the recorded 5, the search would find nothing faster and
+    # answer "optimal" for a result whose configuration runs at 13
+    _, run_dir = _optimize(toy_files, tmp_path)
+    path = run_dir / "result.json"
+    doc = json.loads(path.read_text())
+    doc["design_latency"] = 5
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["verify-optimal", "--result", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("error: recorded design latency 5 does not match 13"
+                   " recomputed from the configuration\n")
+
+
 def test_oracle_exit_codes(toy_files, tmp_path):
     args = [
         "--device", str(toy_files / "device.json"),
@@ -323,6 +338,9 @@ def test_verify_optimal_cli(toy_files, tmp_path, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["verdict"] == "counterexample"
     assert doc["counterexample"]["latency"] == 13
+    assert main(["verify-optimal", "--result", str(partial_dir / "result.json"),
+                 "--node-budget", "1"]) == 3
+    assert json.loads(capsys.readouterr().out)["verdict"] == "inconclusive"
 
 
 def test_usage_errors_exit_one(tmp_path, capsys):

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import copy
 import json
+import logging
 import pickle
 import random
 
@@ -315,15 +316,16 @@ def test_qor_requires_baseline_without_directives():
         qor_from_dict(doc, graph)
 
 
-def test_qor_warns_when_baseline_not_slowest():
+def test_qor_warns_when_baseline_not_slowest(caplog):
     graph = design_from_dict(design_doc([("K", "dataflow", ["a"])]))
     doc = qor_doc({"t_a": template_doc([
         ("baseline", 5, {"lut": 1}),
         ("p1", 9, {"lut": 1}),
     ])})
-    lib = qor_from_dict(doc, graph)
-    assert len(lib.warnings) == 1
-    assert "baseline" in lib.warnings[0]
+    with caplog.at_level(logging.WARNING, logger="fado.model"):
+        qor_from_dict(doc, graph)
+    assert [r.getMessage() for r in caplog.records] == [
+        "template 't_a': baseline latency 5 is below the slowest point (9)"]
 
 
 def test_qor_unknown_template_reference():

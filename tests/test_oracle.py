@@ -283,8 +283,7 @@ def test_verify_optimal_confirms_the_toy_result(toy):
     device, graph, lib = toy
     out = verify_optimal(device, graph, lib, 13)
     assert out["verdict"] == "optimal"
-    assert out["candidates"] == 3
-    assert out["coverage"] == 1.0
+    assert (out["candidates"], out["checked"], out["nodes"]) == (3, 3, 32)
 
 
 def test_verify_finds_a_counterexample_for_a_truncated_run(toy):
@@ -300,7 +299,8 @@ def test_verify_finds_a_counterexample_for_a_truncated_run(toy):
 
 def test_verify_checks_the_fastest_candidates_first():
     # a feeds b, so latencies add; (fast, fast) at 2 overflows the slot, and
-    # enumeration meets (fast, mid) at 5 before the faster (mid, fast) at 4
+    # the walk meets the legal (fast, mid) at 5 before the faster (mid, fast)
+    # at 4: the witness is the faster one, and the bound it sets prunes the rest
     design = design_doc([("K0", "dataflow", ["a"]), ("K1", "dataflow", ["b"])],
                         [("a", "b", "fifo", 8)])
     qor = qor_doc({
@@ -313,12 +313,15 @@ def test_verify_checks_the_fastest_candidates_first():
         device_doc(width=1, height=1, cap={"lut": 100}, util_limit=1.0), design, qor)
     out = verify_optimal(device, graph, lib, 20)
     assert out["verdict"] == "counterexample"
-    assert out["candidates"] == 8 and out["checked"] == 2
+    assert out["candidates"] == 3 and out["checked"] == 3
     assert out["counterexample"]["config"] == {"a": "mid", "b": "fast"}
     assert out["counterexample"]["latency"] == 4
 
 
-def test_verify_inconclusive_when_the_candidate_space_overflows():
+def test_verify_is_inconclusive_when_the_node_budget_runs_out(toy):
+    # 1024 configurations beat latency 100, and every one overflows the slot:
+    # a walk through all of them proves the result optimal, a shorter one
+    # proves nothing
     fns = [f"f{i}" for i in range(10)]
     design = design_doc([("K", "dataflow", fns)])
     qor = qor_doc({
@@ -330,29 +333,19 @@ def test_verify_inconclusive_when_the_candidate_space_overflows():
     })
     device, graph, lib = parse(
         device_doc(width=1, height=1, cap={"lut": 100}, util_limit=1.0), design, qor)
-    out = verify_optimal(device, graph, lib, 100, sample=1, enum_cap=1)
-    assert out["verdict"] == "inconclusive"
-    assert out["counterexample"] is None
-    assert 0 < out["coverage"] < 1
+    full = verify_optimal(device, graph, lib, 100)
+    assert (full["verdict"], full["candidates"], full["nodes"]) == ("optimal", 1024, 4094)
+    out = verify_optimal(device, graph, lib, 100, node_budget=4093)
+    assert (out["verdict"], out["counterexample"], out["nodes"]) == ("inconclusive", None, 4094)
 
-
-def test_verify_is_inconclusive_when_only_a_sample_was_checked():
-    # 21 faster configurations, one of them legal (a=fast, b=fast at 5)
-    design = design_doc([("K", "dataflow", ["a", "b"])])
-    slow = [(f"p{i}", 5, {"lut": 200}) for i in range(1, 21)]
-    qor = qor_doc({
-        "t_a": template_doc([("baseline", 10, {"lut": 10}), ("fast", 5, {"lut": 10}), *slow]),
-        "t_b": template_doc([("baseline", 10, {"lut": 10}), ("fast", 5, {"lut": 10})]),
-    })
-    device, graph, lib = parse(
-        device_doc(width=1, height=1, cap={"lut": 100}, util_limit=1.0), design, qor)
-    for seed in range(5):
-        out = verify_optimal(device, graph, lib, 10, sample=1, seed=seed)
-        assert out["candidates"] == 21 and out["checked"] == 1
-        assert out["verdict"] == "inconclusive", (seed, out)
-    full = verify_optimal(device, graph, lib, 10)
-    assert full["verdict"] == "counterexample"
-    assert full["counterexample"]["latency"] == 5
+    # a witness found before the budget runs out still beats the result
+    device, graph, lib = toy
+    assert verify_optimal(device, graph, lib, 18, node_budget=15)["verdict"] == "inconclusive"
+    out = verify_optimal(device, graph, lib, 18, node_budget=16)
+    assert (out["verdict"], out["nodes"]) == ("counterexample", 17)
+    witness = out["counterexample"]
+    assert witness["latency"] == 13
+    assert certify(device, graph, lib, witness["config"], witness["placement"]) == []
 
 
 def test_verify_agrees_with_solve_on_generated_instances():
@@ -370,6 +363,31 @@ def test_verify_agrees_with_solve_on_generated_instances():
         assert res.design_latency == exact.latency
         out = verify_optimal(device, graph, lib, res.design_latency)
         assert out["verdict"] == "optimal"
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 10**6), st.integers(-2, 3))
+def test_verify_beats_a_bound_exactly_when_the_optimum_does(seed, offset):
+    # the small preset's shape: verify under a bound near the optimum finds
+    # a counterexample exactly when the optimum is below it, and that
+    # counterexample is solve's own witness
+    spec = GenSpec(seed=seed, device="pair", dataflow_kernels=2, non_dataflow_kernels=1,
+                   functions_per_dataflow=(1, 3))
+    ddoc, gdoc, qdoc = gen_instance(spec)
+    graph = design_from_dict(gdoc)
+    device, lib = device_from_dict(ddoc), qor_from_dict(qdoc, graph)
+    exact = solve(device, graph, lib)
+    assume(exact.status == "optimal")
+    bound = exact.latency + offset
+    out = verify_optimal(device, graph, lib, bound)
+    if exact.latency < bound:
+        assert out["verdict"] == "counterexample"
+        witness = out["counterexample"]
+        assert witness["latency"] == exact.latency
+        assert witness["config"] == exact.config
+        assert certify(device, graph, lib, witness["config"], witness["placement"]) == []
+    else:
+        assert (out["verdict"], out["counterexample"]) == ("optimal", None)
 
 
 # ---------------------------------------------------------------------------
@@ -391,7 +409,7 @@ def test_search_solve_and_verify_agree_on_generated_designs(seed):
     exact = solve(device, graph, lib, node_budget=20_000)
     if exact.config is not None:
         assert certify(device, graph, lib, exact.config, exact.placement) == []
-    out = verify_optimal(device, graph, lib, found, sample=100, enum_cap=500)
+    out = verify_optimal(device, graph, lib, found, node_budget=20_000)
     if out["verdict"] == "counterexample":
         witness = out["counterexample"]
         assert witness["latency"] < found

@@ -148,20 +148,15 @@ def _points(lats):
 
 def test_prune_keeps_points_below_the_second_tier():
     tmpl = _points([15, 20, 30, 45, 60, 80])
-    ds, dp = prune(tmpl, 80, 80, 40)
-    assert [p.latency for p in ds] == [15, 20, 30]
-    assert dp.latency == 30
+    assert prune(tmpl, 80, 80, 40).latency == 30
+    assert prune(tmpl, 80, 80, 45).latency == 30
 
 
 def test_prune_degenerate_tie_uses_the_top_tier():
     tmpl = _points([15, 20, 30, 45, 60, 80])
     # a second function shares latency 80: L2 == this function's own latency
-    ds, dp = prune(tmpl, 80, 90, 80)
-    assert [p.latency for p in ds] == [15, 20, 30, 45, 60, 80]
-    assert dp.latency == 80
-    ds, dp = prune(tmpl, 80, 80, 15)
-    assert [p.latency for p in ds] == []
-    assert dp is None
+    assert prune(tmpl, 80, 90, 80).latency == 80
+    assert prune(tmpl, 80, 80, 15) is None
 
 
 def test_window_vectors_lockstep_with_fallback():
