@@ -7,6 +7,7 @@ from .model import (
     RESOURCE_KINDS,
     DesignGraph,
     DeviceModel,
+    Group,
     ModelError,
     QoRLibrary,
     ResourceVector,
@@ -16,7 +17,7 @@ from .model import (
     device_from_dict,
     qor_from_dict,
 )
-from .floorplan import FloorplanError, Group, balanced_initial, min_cut_initial, ram_groups
+from .floorplan import FloorplanError, balanced_initial, min_cut_initial
 from .packer import PackState, offline_repack, online_pack
 from .pipeliner import SllState, recompute_all
 from .oracle import solve, verify_optimal
@@ -45,7 +46,6 @@ __all__ = [
     "offline_repack",
     "online_pack",
     "qor_from_dict",
-    "ram_groups",
     "recompute_all",
     "run",
     "solve",

@@ -45,25 +45,34 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _read_json(path: str) -> dict:
-    with open(path) as fh:
-        return json.load(fh)
+def _read_text(path: str) -> str:
+    """A file's text, decoded as UTF-8 whatever the locale, with every line
+    break read as ``\\n``."""
+    with open(path, encoding="utf-8") as fh:
+        return fh.read()
 
 
 def _load_inputs(args):
-    """The device, design and QoR library, and the three documents they
-    were parsed from, with the CLI limit overrides applied to the device's."""
-    docs = {"device": _read_json(args.device)}
+    """The device, design and QoR library, and the JSON texts of the three
+    documents they were parsed from (see ``_result_pieces``): the device
+    document encoded with the CLI limit overrides applied, the design and
+    QoR documents as read."""
+    device_doc = json.loads(_read_text(args.device))
     for key in ("util_limit", "sll_limit"):
         value = getattr(args, key, None)
-        if value is not None and isinstance(docs["device"], dict):
-            docs["device"][key] = value
-    device = device_from_dict(docs["device"])
-    docs["design"] = _read_json(args.design)
-    graph = design_from_dict(docs["design"])
-    docs["qor"] = _read_json(args.qor)
-    lib = qor_from_dict(docs["qor"], graph)
-    return device, graph, lib, docs
+        if value is not None and isinstance(device_doc, dict):
+            device_doc[key] = value
+    device = device_from_dict(device_doc)
+    design_text = _read_text(args.design)
+    graph = design_from_dict(json.loads(design_text))
+    qor_text = _read_text(args.qor)
+    lib = qor_from_dict(json.loads(qor_text), graph)
+    return device, graph, lib, (_compact(device_doc), design_text, qor_text)
+
+
+def _compact(doc) -> str:
+    # Without an indent the json module encodes in C.
+    return json.dumps(doc, separators=(",", ":"))
 
 
 RESULT_DOC = "result document"
@@ -71,7 +80,7 @@ RESULT_DOC = "result document"
 
 def _load_result(path: str):
     """A result document and the device, design and QoR library it embeds."""
-    doc = _read_json(path)
+    doc = json.loads(_read_text(path))
     inputs = _entry(doc, "inputs", RESULT_DOC)
     device = device_from_dict(_entry(inputs, "device", "result 'inputs'"))
     graph = design_from_dict(_entry(inputs, "design", "result 'inputs'"))
@@ -79,8 +88,9 @@ def _load_result(path: str):
     return doc, device, graph, lib
 
 
-def _write_text(path: Path, text: str) -> None:
-    """Write ``text`` to ``path``, overwriting an existing file in place.
+def _write_text(path: Path, *pieces: str) -> None:
+    """Write the concatenated ``pieces`` to ``path`` as UTF-8, overwriting
+    an existing file in place.
 
     The file is opened without ``O_TRUNC`` and cut to the new length after
     the write.  Truncating a written file to zero makes ext4 start writeback
@@ -88,8 +98,8 @@ def _write_text(path: Path, text: str) -> None:
     existing output directory.
     """
     fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
-    with open(fd, "w", newline="") as fh:
-        fh.write(text)
+    with open(fd, "w", encoding="utf-8", newline="") as fh:
+        fh.writelines(pieces)
         fh.truncate()
 
 
@@ -131,7 +141,8 @@ def _write_tcl_stub(path: Path, graph, lib, config, placement) -> None:
     _write_text(path, "\n".join(lines) + "\n")
 
 
-def _result_document(graph, lib, docs, result, wall_seconds, flags) -> dict:
+def _result_document(graph, lib, result, wall_seconds, flags) -> dict:
+    """Everything ``result.json`` records but the input documents."""
     state = result.state
     return {
         "design_latency": result.design_latency,
@@ -160,12 +171,26 @@ def _result_document(graph, lib, docs, result, wall_seconds, flags) -> dict:
             "wall_seconds": wall_seconds,
             "flags": flags,
         },
-        "inputs": docs,
     }
 
 
+def _result_pieces(doc: dict, texts: tuple) -> list[str]:
+    """``result.json`` as pieces to write in turn: ``doc`` in compact JSON,
+    then, as its last entry ``inputs``, the device, design and QoR JSON
+    texts from ``_load_inputs`` with their line breaks removed, so the file
+    is one line.
+
+    JSON allows no raw line break inside a string, so a line break in a
+    valid JSON text is whitespace between tokens, and removing it leaves
+    the document it encodes unchanged.
+    """
+    device, design, qor = (text.replace("\n", "") for text in texts)
+    return [_compact(doc)[:-1], ',"inputs":{"device":', device, ',"design":', design,
+            ',"qor":', qor, "}}\n"]
+
+
 def cmd_optimize(args) -> int:
-    device, graph, lib, docs = _load_inputs(args)
+    device, graph, lib, texts = _load_inputs(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -192,9 +217,8 @@ def cmd_optimize(args) -> int:
         "design": args.design,
         "qor": args.qor,
     }
-    doc = _result_document(graph, lib, docs, result, wall, flags)
-    # Compact: without an indent the json module encodes in C.
-    _write_text(out / "result.json", json.dumps(doc, separators=(",", ":")) + "\n")
+    doc = _result_document(graph, lib, result, wall, flags)
+    _write_text(out / "result.json", *_result_pieces(doc, texts))
     _write_trace_csv(out / "trace.csv", result.trace)
     _write_directives(out / "directives.txt", graph, lib, result.config)
     state = result.state

@@ -1,9 +1,16 @@
-"""Grouping and initial slot assignment.
+"""Initial slot assignment.
 
 Functions wired through shared RAM must land on one slot, so the unit of
-placement is the RAM-connected group.  Two boot strategies produce the
-starting floorplan: recursive min-cut bisection of the slot grid, and a
-plain balance-driven fill.
+placement is the RAM-connected group (``DesignGraph.ram_groups``, derived
+once per design).  Two boot strategies produce the starting floorplan:
+recursive min-cut bisection of the slot grid, and a plain balance-driven
+fill.
+
+Loads are whole units, so a load fits a fit budget exactly when it fits
+that budget rounded down.  The greedy split compares plain integer tuples
+against each side's rounded-down budget, computed once per split, and
+carries each side's load after adding a unit from the fit test into the
+ratio and the update.
 
 A split of at most ``EXACT_BISECTION_LIMIT`` units is solved exactly by
 branch and bound (``_exact_split``).  Its bound: a unit not yet placed will
@@ -16,12 +23,13 @@ vector tie-breaks and the split found is the one exhaustive search finds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from operator import add, le, sub
 
 from .model import (
     DesignGraph,
     DeviceModel,
-    NON_DATAFLOW,
+    Group,
     QoRLibrary,
     ResourceVector,
     fit_budget,
@@ -40,56 +48,13 @@ class FloorplanError(ValueError):
     """No legal slot assignment under the active limits."""
 
 
-@dataclass(frozen=True)
-class Group:
-    """A set of functions that must share a slot.
-
-    ``pinned`` groups contain a function outside any dataflow region; their
-    placement is supposed to stay put during offline re-packing.
-    """
-
-    gid: str
-    members: tuple
-    pinned: bool
-
-
-def ram_groups(graph: DesignGraph) -> list[Group]:
-    parent = {f: f for f in graph.functions}
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for e in graph.ram_edges():
-        ra, rb = find(e.src), find(e.dst)
-        if ra != rb:
-            parent[ra] = rb
-
-    buckets: dict[str, list] = {}
-    for f in graph.functions:
-        buckets.setdefault(find(f), []).append(f)
-
-    groups = []
-    for members in buckets.values():
-        members = tuple(sorted(members))
-        pinned = any(graph.functions[m].kernel_kind == NON_DATAFLOW for m in members)
-        groups.append(Group(gid=members[0], members=members, pinned=pinned))
-    return sorted(groups, key=lambda g: g.gid)
-
-
-def group_of_map(groups: list[Group]) -> dict[str, Group]:
-    return {m: g for g in groups for m in g.members}
-
-
 def group_resources(group: Group, lib: QoRLibrary, config: dict) -> ResourceVector:
     return ResourceVector.sum(lib.point(m, config[m]).resources for m in group.members)
 
 
-def _group_fifo_weights(groups: list[Group], graph: DesignGraph) -> dict[tuple[str, str], int]:
+def _group_fifo_weights(graph: DesignGraph) -> dict[tuple[str, str], int]:
     """Total FIFO width between each unordered pair of distinct groups."""
-    gof = group_of_map(groups)
+    gof = graph.group_of
     weights: dict[tuple[str, str], int] = {}
     for e in graph.fifo_edges():
         ga, gb = gof[e.src].gid, gof[e.dst].gid
@@ -117,57 +82,68 @@ def _split_region(slots) -> tuple[list, list]:
     return side_a, side_b
 
 
-def _touching(units, weights) -> dict[str, list]:
-    """Each unit's (neighbour, FIFO width) pairs under ``weights``."""
-    touching: dict[str, list] = {u: [] for u in units}
-    for (a, b), w in weights.items():
-        touching[a].append((b, w))
-        touching[b].append((a, w))
-    return touching
-
-
 def _greedy_split(units, sizes, weights, budget_a, budget_b, cap_a, cap_b):
     """Balance-driven split with cut-reducing refinement passes.
 
     Returns (assignment dict unit->0/1, cut) or None when even this cannot
-    satisfy both budgets.
+    satisfy both budgets.  Loads are plain int tuples checked against the
+    budgets rounded down (see the module docstring).
     """
     order = sorted(units, key=lambda u: (-max(sizes[u]), u))
     side = {}
-    load = [ResourceVector.zero(), ResourceVector.zero()]
-    budgets = [budget_a, budget_b]
-    caps = [cap_a, cap_b]
+    ceilings = (tuple(map(math.floor, budget_a)), tuple(map(math.floor, budget_b)))
+    caps = (cap_a, cap_b)
+    load = [tuple(ResourceVector.zero())] * 2
     for u in order:
-        choices = []
+        size = sizes[u]
+        choice = None  # (ratio, side, load after) of the emptier side that fits
         for s in (0, 1):
-            if within_budget(load[s], budgets[s], sizes[u]):
-                choices.append((utilization_ratio(load[s] + sizes[u], caps[s]), s))
-        if not choices:
+            post = tuple(map(add, load[s], size))
+            if all(map(le, post, ceilings[s])):
+                ratio = utilization_ratio(post, caps[s])
+                if choice is None or ratio < choice[0]:
+                    choice = (ratio, s, post)
+        if choice is None:
             return None
-        side[u] = min(choices)[1]
-        load[side[u]] = load[side[u]] + sizes[u]
+        _, s, load[s] = choice
+        side[u] = s
 
-    def cut_of(assign):
-        return sum(w for (a, b), w in weights.items() if assign[a] != assign[b])
-
-    touching = _touching(order, weights)
+    # Each unit's (neighbour, FIFO width) pairs, the cut width, and the cut
+    # width each unit's move to the other side would save, kept current as
+    # units move.
+    touching: dict[str, list] = {u: [] for u in order}
+    gain = dict.fromkeys(order, 0)
+    cut = 0
+    for (a, b), w in weights.items():
+        touching[a].append((b, w))
+        touching[b].append((a, w))
+        if side[a] != side[b]:
+            cut += w
+        else:
+            w = -w
+        gain[a] += w
+        gain[b] += w
     for _ in range(REFINE_PASSES):
         improved = False
         for u in order:
+            # most units gain nothing by moving: test the fit only for those that do
+            if gain[u] <= 0:
+                continue
             s = side[u]
             t = 1 - s
-            gain = 0
-            for other, w in touching[u]:
-                gain += w if side[other] == t else -w
-            # most units gain nothing by moving: test the fit only for those that do
-            if gain > 0 and within_budget(load[t], budgets[t], sizes[u]):
+            post = tuple(map(add, load[t], sizes[u]))
+            if all(map(le, post, ceilings[t])):
                 side[u] = t
-                load[s] = load[s] - sizes[u]
-                load[t] = load[t] + sizes[u]
+                load[s] = tuple(map(sub, load[s], sizes[u]))
+                load[t] = post
+                cut -= gain[u]
+                gain[u] = -gain[u]
+                for v, w in touching[u]:
+                    gain[v] += 2 * w if side[v] == s else -2 * w
                 improved = True
         if not improved:
             break
-    return side, cut_of(side)
+    return side, cut
 
 
 class _NodeCap(Exception):
@@ -282,16 +258,16 @@ def min_cut_initial(
     Minimizes FIFO width crossing each split while keeping both sides within
     the utilization limit; raises ``FloorplanError`` when some split cannot.
     """
-    groups = ram_groups(graph)
+    groups = graph.ram_groups
     sizes = {g.gid: group_resources(g, lib, config) for g in groups}
-    weights = _group_fifo_weights(groups, graph)
+    weights = _group_fifo_weights(graph)
     unit_ids = [g.gid for g in groups]
 
     placement_g: dict[str, int] = {}
     slots = sorted(device.slots, key=lambda s: (s.y, s.x))
     _bisect(slots, unit_ids, sizes, weights, device.util_limit, placement_g)
 
-    gof = group_of_map(groups)
+    gof = graph.group_of
     return {f: placement_g[gof[f].gid] for f in graph.functions}
 
 
@@ -301,7 +277,7 @@ def balanced_initial(
     """Largest groups first, each to the least-utilized slot that fits
     within the utilization limit; raises ``FloorplanError`` when a group
     fits no slot."""
-    groups = ram_groups(graph)
+    groups = graph.ram_groups
     sizes = {g.gid: group_resources(g, lib, config) for g in groups}
     load = {s.id: ResourceVector.zero() for s in device.slots}
     out: dict[str, int] = {}

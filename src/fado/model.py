@@ -5,8 +5,23 @@ types defined here.  Inputs are plain JSON documents; the loaders validate
 them and build immutable-ish model objects.  Latency is always an integer
 cycle count, resources are integer unit counts in five dimensions.  A
 resource vector (``ResourceVector``) is a tuple of those five counts in
-``RESOURCE_KINDS`` order, validated when built, so fit tests and ratios
-zip it with budgets and capacities as it is.
+``RESOURCE_KINDS`` order, so fit tests and ratios zip it with budgets and
+capacities as it is.
+
+Validation happens once, at parse: each document entry is checked once
+where it is read, and a loaded resource dict in one pass, after which the
+vector is built without going through the checks again.  The names in an
+error message (which slot, point or edge) are put together only when an
+error is raised.  Nothing downstream re-validates: arithmetic on valid
+vectors stays valid (see ``ResourceVector``).  The zero-capacity rule of
+every ratio lives in ``kind_ratio``; ``utilization_ratio`` and
+``kind_ratios`` divide directly and fall back to it only when some
+capacity is zero.
+
+A design's RAM groups, the functions that share a RAM and so must share a
+slot, are derived once per ``DesignGraph`` (``ram_groups`` and
+``group_of``), as its ``latency_plan`` is; the initial floorplan, the
+packing state and the exact oracle all read that one derivation.
 """
 
 from __future__ import annotations
@@ -16,7 +31,8 @@ import math
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
-from operator import itemgetter
+from operator import itemgetter, truediv
+from typing import NamedTuple
 
 log = logging.getLogger(__name__)
 
@@ -38,12 +54,14 @@ class ResourceVector(tuple):
     """Non-negative usage or capacity counts: a tuple of five ints in
     ``RESOURCE_KINDS`` order, each also readable by its kind's name.
 
-    The counts are validated once, when a vector is built from them.  Sums
-    of valid vectors are valid by construction and ``-`` checks its one
-    failure itself, so arithmetic builds its results without re-validating,
-    and fit tests and ratios read a vector's items in place.  Equality and
-    hashing are the plain tuple's.  Repetition and ordering are switched off:
-    ``v * 2`` and ``v < w`` raise ``TypeError`` rather than act on the tuple.
+    ``ResourceVector(lut=...)`` validates its counts; ``from_dict``
+    validates a document's counts in its own single pass and builds the
+    vector without checking them again.  Sums of valid vectors are valid by
+    construction and ``-`` checks its one failure itself, so arithmetic
+    builds its results without re-validating, and fit tests and ratios read
+    a vector's items in place.  Equality and hashing are the plain tuple's.
+    Repetition and ordering are switched off: ``v * 2`` and ``v < w`` raise
+    ``TypeError`` rather than act on the tuple.
     """
 
     __slots__ = ()
@@ -94,22 +112,41 @@ class ResourceVector(tuple):
         return _ZERO
 
     @classmethod
-    def from_dict(cls, d: dict, where: str = "resource vector") -> "ResourceVector":
-        counts = [_number_entry(d, k, where, 0) for k in RESOURCE_KINDS]
-        unknown = set(d) - set(RESOURCE_KINDS)
-        if unknown:
-            raise ModelError(f"unknown resource kinds {sorted(unknown)}")
-        return cls(*counts)
+    def from_dict(cls, d: dict, where="resource vector") -> "ResourceVector":
+        """The vector of a document's resource dict, each absent kind 0.
+
+        One pass over the kinds: a plain int is taken as it is, and any
+        other entry goes through ``_number_entry``, which turns a whole
+        float such as ``4.0`` into 4 and refuses a bool, a string or a
+        fraction.  Then unknown kinds and negative counts are refused.
+        ``where`` names the dict in error messages (see ``_context``).
+        """
+        if not isinstance(d, dict):
+            raise ModelError(f"{_context(where)} must be an object, got {d!r}")
+        counts = []
+        for kind in RESOURCE_KINDS:
+            v = d.get(kind, 0)
+            if type(v) is not int:
+                v = _number_entry(d, kind, where, 0)
+            counts.append(v)
+        if not d.keys() <= _KIND_SET:
+            raise ModelError(f"unknown resource kinds {sorted(d.keys() - _KIND_SET)}")
+        if min(counts) < 0:
+            return cls(*counts)  # raises, naming the negative kind
+        return tuple.__new__(cls, counts)
 
     @classmethod
     def sum(cls, vectors) -> "ResourceVector":
-        total = _ZERO
+        """The sum of ``vectors``, the zero vector when there are none."""
+        vectors = iter(vectors)
+        total = next(vectors, _ZERO)
         for v in vectors:
             total = total + v
         return total
 
 
 _ZERO = ResourceVector()
+_KIND_SET = frozenset(RESOURCE_KINDS)
 
 
 def kind_ratio(used: int, capacity: int) -> float:
@@ -117,17 +154,31 @@ def kind_ratio(used: int, capacity: int) -> float:
 
     A kind (or half) with zero capacity has ratio 0 when unused and inf when
     used: there is nowhere the usage could go.  This is the one place that
-    rule lives; every resource ratio and every wire fill ratio in the
-    package goes through it.
+    rule lives: every resource ratio and every wire fill ratio in the
+    package is either computed here or, where no capacity is zero, a plain
+    division that gives the same value.
     """
     if capacity > 0:
         return used / capacity
     return math.inf if used else 0.0
 
 
+def kind_ratios(used: ResourceVector, capacity: ResourceVector) -> list[float]:
+    """used/capacity per resource kind: a plain division, unless some
+    capacity is zero, and then ``kind_ratio`` kind by kind."""
+    try:
+        return list(map(truediv, used, capacity))
+    except ZeroDivisionError:
+        return list(map(kind_ratio, used, capacity))
+
+
 def utilization_ratio(used: ResourceVector, capacity: ResourceVector) -> float:
-    """Max over resource kinds of used/capacity (see ``kind_ratio``)."""
-    return max(map(kind_ratio, used, capacity))
+    """Max over resource kinds of used/capacity: the largest of
+    ``kind_ratios``, without building the list."""
+    try:
+        return max(map(truediv, used, capacity))
+    except ZeroDivisionError:
+        return max(map(kind_ratio, used, capacity))
 
 
 def fit_budget(capacity: tuple, limit: float) -> tuple:
@@ -211,50 +262,61 @@ class DeviceModel:
 _REQUIRED = object()
 
 
-def _entry(raw, key: str, where: str, default=_REQUIRED):
-    """``raw[key]`` of one document object, else a ModelError naming it.
+def _context(where) -> str:
+    """The name of a document object in an error message: ``where`` itself,
+    or, when it is a callable, what it returns.  Loops over many objects
+    pass a callable, so a name is put together only when an error is
+    raised."""
+    return where() if callable(where) else where
+
+
+def _entry(raw, key: str, where, default=_REQUIRED):
+    """``raw[key]`` of one document object, else a ModelError naming it
+    (``where``, see ``_context``).
 
     A missing entry takes ``default`` when one is given.
     """
     if not isinstance(raw, dict):
-        raise ModelError(f"{where} must be an object, got {raw!r}")
+        raise ModelError(f"{_context(where)} must be an object, got {raw!r}")
     if key in raw:
         return raw[key]
     if default is _REQUIRED:
-        raise ModelError(f"{where} has no {key!r} entry")
+        raise ModelError(f"{_context(where)} has no {key!r} entry")
     return default
 
 
-def _number_entry(raw, key: str, where: str, default=_REQUIRED, kind=int):
+def _number_entry(raw, key: str, where, default=_REQUIRED, kind=int):
     """``kind(raw[key])`` (see ``_entry``), else a ModelError naming it.
 
     Only a JSON number is taken: a bool or a string is an error, never
     converted.  An int entry also refuses a fraction rather than truncate it.
     """
+    if type(raw) is dict:
+        value = raw.get(key, default)
+        if type(value) is kind:  # the common case: nothing to check or convert
+            return value
     value = _entry(raw, key, where, default)
-    if type(value) is kind:  # the common case: nothing to check or convert
-        return value
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         noun = "an integer" if kind is int else "a number"
-        raise ModelError(f"{where}: {key!r} must be {noun}, got {value!r}")
+        raise ModelError(f"{_context(where)}: {key!r} must be {noun}, got {value!r}")
     if kind is int:
         if isinstance(value, float) and not value.is_integer():
-            raise ModelError(f"{where}: {key!r} must be an integer, got {value!r}")
+            raise ModelError(f"{_context(where)}: {key!r} must be an integer, got {value!r}")
         return int(value)
     return float(value)
 
 
-def _list_entry(raw, key: str, where: str, default=_REQUIRED) -> list:
+def _list_entry(raw, key: str, where, default=_REQUIRED) -> list:
     value = _entry(raw, key, where, default)
     if not isinstance(value, (list, tuple)):
-        raise ModelError(f"{where}: {key!r} must be a list, got {value!r}")
+        raise ModelError(f"{_context(where)}: {key!r} must be a list, got {value!r}")
     return value
 
 
-def _dict_entry(raw, key: str, where: str, default=_REQUIRED) -> dict:
+def _dict_entry(raw, key: str, where, default=_REQUIRED) -> dict:
     value = _entry(raw, key, where, default)
     if not isinstance(value, dict):
-        raise ModelError(f"{where}: {key!r} must be an object, got {value!r}")
+        raise ModelError(f"{_context(where)}: {key!r} must be an object, got {value!r}")
     return value
 
 
@@ -267,8 +329,9 @@ def device_from_dict(doc: dict) -> DeviceModel:
 
     slots = []
     for i, raw in enumerate(raw_slots):
-        where = f"device slot #{i}"
-        cap = ResourceVector.from_dict(_entry(raw, "capacity", where, {}), f"{where} capacity")
+        where = lambda: f"device slot #{i}"
+        cap = ResourceVector.from_dict(_entry(raw, "capacity", where, {}),
+                                       lambda: f"{where()} capacity")
         if sum(cap) <= 0:
             raise ModelError(f"slot {raw.get('id')} has non-positive capacity")
         slots.append(Slot(
@@ -289,12 +352,12 @@ def device_from_dict(doc: dict) -> DeviceModel:
 
     boundaries = []
     for i, raw in enumerate(_list_entry(doc, "die_boundaries", "device document", [])):
-        y = _number_entry(raw, "y", f"die boundary #{i}")
+        y = _number_entry(raw, "y", lambda: f"die boundary #{i}")
         if not 0 <= y <= height - 2:
             raise ModelError(f"die boundary y={y} outside row gaps")
         halves = {}
-        for j, h in enumerate(_list_entry(raw, "halves", f"die boundary y={y}", [])):
-            where = f"die boundary y={y} half #{j}"
+        for j, h in enumerate(_list_entry(raw, "halves", lambda: f"die boundary y={y}", [])):
+            where = lambda: f"die boundary y={y} half #{j}"
             hx = _number_entry(h, "x", where)
             cap = _number_entry(h, "sll_capacity", where)
             if cap < 0:
@@ -309,7 +372,8 @@ def device_from_dict(doc: dict) -> DeviceModel:
 
     io_cols = []
     for i, raw in enumerate(_list_entry(doc, "io_boundaries", "device document", [])):
-        x = _number_entry(raw if isinstance(raw, dict) else {"x": raw}, "x", f"io boundary #{i}")
+        x = _number_entry(raw if isinstance(raw, dict) else {"x": raw}, "x",
+                          lambda: f"io boundary #{i}")
         if not 0 <= x <= width - 2:
             raise ModelError(f"io boundary x={x} outside column gaps")
         io_cols.append(x)
@@ -341,21 +405,32 @@ FIFO = "fifo"
 RAM = "ram"
 
 
-@dataclass(frozen=True)
-class Function:
+class Function(NamedTuple):
     name: str
     template: str
     kernel: str
     kernel_kind: str
 
 
-@dataclass(frozen=True)
-class Edge:
+class Edge(NamedTuple):
     index: int
     src: str
     dst: str
     kind: str
     width: int
+
+
+class Group(NamedTuple):
+    """A set of functions that must share a slot: those wired through
+    shared RAM.
+
+    ``pinned`` groups contain a function outside any dataflow region; their
+    placement is supposed to stay put during offline re-packing.
+    """
+
+    gid: str
+    members: tuple
+    pinned: bool
 
 
 @dataclass
@@ -365,6 +440,40 @@ class DesignGraph:
     edges: list[Edge]
     kernel_order: list[str] = field(default_factory=list)
     kernel_preds: dict[str, set] = field(default_factory=dict)
+
+    @cached_property
+    def ram_groups(self) -> tuple[Group, ...]:
+        """The RAM-connected groups of functions, the unit of placement,
+        built on first use: sorted by id, each group's id its smallest
+        member name."""
+        parent = {f: f for f in self.functions}
+
+        def find(a):
+            while parent[a] != a:
+                parent[a] = parent[parent[a]]
+                a = parent[a]
+            return a
+
+        for e in self.ram_edges():
+            ra, rb = find(e.src), find(e.dst)
+            if ra != rb:
+                parent[ra] = rb
+
+        buckets: dict[str, list] = {}
+        for f in self.functions:
+            buckets.setdefault(find(f), []).append(f)
+
+        groups = []
+        for members in buckets.values():
+            members = tuple(sorted(members))
+            pinned = any(self.functions[m].kernel_kind == NON_DATAFLOW for m in members)
+            groups.append(Group(members[0], members, pinned))
+        return tuple(sorted(groups))  # by gid: no two groups share one
+
+    @cached_property
+    def group_of(self) -> dict[str, Group]:
+        """Each function's group in ``ram_groups``, built on first use."""
+        return {m: g for g in self.ram_groups for m in g.members}
 
     @cached_property
     def latency_plan(self) -> tuple:
@@ -404,9 +513,9 @@ def _toposort_kernels(names: list[str], succs: dict[str, set]) -> list[str]:
     return order
 
 
-def _name_entry(raw, key: str, where: str):
+def _name_entry(raw, key: str, where):
     """``raw[key]`` (see ``_entry``) when it is a non-empty string, else None."""
-    value = _entry(raw, key, where, None)
+    value = raw.get(key) if type(raw) is dict else _entry(raw, key, where, None)
     return value if isinstance(value, str) and value else None
 
 
@@ -418,26 +527,27 @@ def design_from_dict(doc: dict) -> DesignGraph:
     kernels = []
     functions: dict[str, Function] = {}
     for i, raw in enumerate(raw_kernels):
-        name = _name_entry(raw, "name", f"design kernel #{i}")
+        where = lambda: f"design kernel #{i}"
+        name = _name_entry(raw, "name", where)
         if not name:
             raise ModelError(f"design kernel #{i} needs a name")
-        kind = _entry(raw, "kind", f"design kernel #{i}", None)
+        kind = _entry(raw, "kind", where, None)
         if kind not in (DATAFLOW, NON_DATAFLOW):
             raise ModelError(f"kernel {name!r} must have kind dataflow or non_dataflow")
-        fns = _list_entry(raw, "functions", f"kernel {name!r}", [])
+        fns = _list_entry(raw, "functions", lambda: f"kernel {name!r}", [])
         if not fns:
             raise ModelError(f"kernel {name!r} has no functions")
         if kind == NON_DATAFLOW and len(fns) != 1:
             raise ModelError(f"non-dataflow kernel {name!r} must have exactly one function")
         members = []
         for j, f in enumerate(fns):
-            where = f"kernel {name!r} function #{j}"
+            where = lambda: f"kernel {name!r} function #{j}"
             fname, tmpl = _name_entry(f, "name", where), _name_entry(f, "template", where)
             if not fname or not tmpl:
                 raise ModelError(f"function entries need name and template (kernel {name!r})")
             if fname in functions:
                 raise ModelError(f"duplicate function name {fname!r}")
-            functions[fname] = Function(name=fname, template=tmpl, kernel=name, kernel_kind=kind)
+            functions[fname] = Function(fname, tmpl, name, kind)
             members.append({"name": fname, "template": tmpl})
         kernels.append({"name": name, "kind": kind, "functions": members})
     knames = [k["name"] for k in kernels]
@@ -448,7 +558,7 @@ def design_from_dict(doc: dict) -> DesignGraph:
     succs: dict[str, set] = {k: set() for k in knames}
     preds: dict[str, set] = {k: set() for k in knames}
     for i, raw in enumerate(_list_entry(doc, "edges", "design document", [])):
-        where = f"design edge #{i}"
+        where = lambda: f"design edge #{i}"
         src, dst = _name_entry(raw, "src", where), _name_entry(raw, "dst", where)
         kind = _entry(raw, "kind", where, None)
         if src not in functions or dst not in functions:
@@ -458,7 +568,7 @@ def design_from_dict(doc: dict) -> DesignGraph:
         width = _number_entry(raw, "width", where)
         if width <= 0:
             raise ModelError(f"edge {src!r}->{dst!r} needs a positive integer width")
-        edges.append(Edge(index=i, src=src, dst=dst, kind=kind, width=width))
+        edges.append(Edge(i, src, dst, kind, width))
         ks, kd = functions[src].kernel, functions[dst].kernel
         if ks != kd:
             succs[ks].add(kd)
@@ -497,8 +607,7 @@ class LoopInfo:
             raise ModelError(f"loop {self.label!r}: iter_latency must be >= min_ii")
 
 
-@dataclass(frozen=True)
-class QoRPoint:
+class QoRPoint(NamedTuple):
     id: str
     directives: tuple  # sorted (name, value) pairs
     latency: int
@@ -540,14 +649,24 @@ class QoRLibrary:
     templates: dict[str, Template]
     template_of: dict[str, str]  # function -> template name
 
+    @cached_property
+    def _points_of(self) -> dict[str, dict[str, QoRPoint]]:
+        """Each function's points by id (its template's ``by_id``), built on
+        first use."""
+        return {f: self.templates[t].by_id for f, t in self.template_of.items()}
+
     def template_for(self, function: str) -> Template:
         return self.templates[self.template_of[function]]
 
     def point(self, function: str, point_id: str) -> QoRPoint:
-        return self.template_for(function).point(point_id)
+        try:
+            return self._points_of[function][point_id]
+        except KeyError:
+            # raises what the lookup through the template raises
+            return self.template_for(function).point(point_id)
 
 
-def _parse_loop(raw: dict, where: str, idx: int) -> LoopInfo:
+def _parse_loop(raw: dict, where, idx: int) -> LoopInfo:
     min_ii = _number_entry(raw, "min_ii", where, 1)
     return LoopInfo(
         label=raw.get("label", f"L{idx}"),
@@ -559,26 +678,24 @@ def _parse_loop(raw: dict, where: str, idx: int) -> LoopInfo:
 
 
 def _parse_point(raw: dict, template: str) -> QoRPoint:
-    pid = _entry(raw, "id", f"template {template!r} point", None)
+    if type(raw) is dict:  # the common case: the checks below do the rest
+        pid = raw.get("id")
+    else:
+        pid = _entry(raw, "id", lambda: f"template {template!r} point", None)
     if not pid or not isinstance(pid, str):
         raise ModelError(f"template {template!r}: point without string id")
-    where = f"template {template!r} point {pid!r}"
+    where = lambda: f"template {template!r} point {pid!r}"
     latency = _number_entry(raw, "latency", where)
     if latency < 1:
-        raise ModelError(f"{where}: latency must be a positive int")
+        raise ModelError(f"{where()}: latency must be a positive int")
     directives = raw.get("directives", {})
     if not isinstance(directives, dict):
-        raise ModelError(f"{where}: directives must be an object")
+        raise ModelError(f"{where()}: directives must be an object")
     for k, v in directives.items():
         if isinstance(v, (dict, list)):
-            raise ModelError(f"{where}: directive {k!r} needs a scalar value")
-    res = ResourceVector.from_dict(raw.get("resources", {}), f"{where} resources")
-    return QoRPoint(
-        id=pid,
-        directives=tuple(sorted(directives.items())),
-        latency=latency,
-        resources=res,
-    )
+            raise ModelError(f"{where()}: directive {k!r} needs a scalar value")
+    res = ResourceVector.from_dict(raw.get("resources", {}), lambda: f"{where()} resources")
+    return QoRPoint(pid, tuple(sorted(directives.items())), latency, res)
 
 
 def qor_from_dict(doc: dict, graph: DesignGraph) -> QoRLibrary:
@@ -608,9 +725,9 @@ def qor_from_dict(doc: dict, graph: DesignGraph) -> QoRLibrary:
     points_seen: list[ResourceVector] = []
     parsed: dict[str, tuple[list[LoopInfo], list[QoRPoint]]] = {}
     for name, raw in raw_templates.items():
-        where = f"template {name!r}"
+        where = lambda: f"template {name!r}"
         loops = [
-            _parse_loop(l, f"{where} loop #{idx}", idx)
+            _parse_loop(l, lambda: f"{where()} loop #{idx}", idx)
             for idx, l in enumerate(_list_entry(raw, "loops", where, []))
         ]
         raw_points = _list_entry(raw, "points", where, [])

@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .floorplan import Group, group_resources, ram_groups
+from .floorplan import group_resources
 from .model import (
     DesignGraph,
     DeviceModel,
@@ -56,16 +56,17 @@ class OracleResult:
 
 
 def assign_slots(device: DeviceModel, graph: DesignGraph, lib: QoRLibrary, config: dict,
-                 groups: list[Group], tick=None) -> dict | None:
+                 tick=None) -> dict | None:
     """First feasible placement of RAM groups onto slots, or None.
 
-    ``groups`` is ``ram_groups(graph)``, derived once by the caller for
-    every configuration it assigns.  Groups are placed largest-first; slots
+    The groups are ``graph.ram_groups``, derived once per design for every
+    configuration assigned.  Groups are placed largest-first; slots
     are tried in id order, skipping capacity-equivalent repeats only via the
     load check.  A full placement is accepted only when the pipeliner's
     fold leaves no half over budget.  ``tick``, when given, is called once
     per explored node (budget accounting).
     """
+    groups = graph.ram_groups
     sizes = {g.gid: group_resources(g, lib, config) for g in groups}
     order = sorted(groups, key=lambda g: (-max(sizes[g.gid]), g.gid))
     slots = sorted(device.slots, key=lambda s: s.id)
@@ -147,7 +148,6 @@ def _search(device: DeviceModel, graph: DesignGraph, lib: QoRLibrary,
     around either public name times and counts only its own command's search.
     """
     fns = sorted(graph.functions)
-    groups = ram_groups(graph)
     spent = candidates = checked = 0
 
     def tick():
@@ -172,7 +172,7 @@ def _search(device: DeviceModel, graph: DesignGraph, lib: QoRLibrary,
             if tie and [partial[f] for f in fns] >= [best["config"][f] for f in fns]:
                 return False
             checked += 1
-            placement = assign_slots(device, graph, lib, partial, groups, tick=tick)
+            placement = assign_slots(device, graph, lib, partial, tick=tick)
             if placement is not None:
                 best.update(latency=lb, config=dict(partial), placement=placement)
         return True

@@ -36,9 +36,16 @@ source with none open is skipped (see ``offline_repack``).
 A trial costs what it touches.  Each slot's fit budget (``fit_budget``) is
 computed once and compared through ``within_budget``, and every RAM group's
 resource vector is kept current as points change, so the fit test and the
-repack schedule re-sum nothing.  Resource vectors are tuples in
-``RESOURCE_KINDS`` order, so loads, extras and capacities go to
-``within_budget`` and ``kind_ratio`` as they are, with no conversion.
+repack schedule re-sum nothing.  The groups themselves are the design's
+(``DesignGraph.ram_groups``), derived once per design.  Resource vectors are
+tuples in ``RESOURCE_KINDS`` order, so loads, extras and capacities go to
+``within_budget`` and the ratio functions as they are, with no conversion.
+
+Nothing here validates its inputs again: documents are validated once, when
+they are parsed (see ``model``).  Nor does the packer have a zero-capacity
+rule of its own: slot ratios (``utilization_ratio``, and ``kind_ratios`` in
+``_candidate_slots``) divide directly, and only where some capacity is zero
+do they fall back to ``model.kind_ratio``, where that rule lives.
 ``PackState.trial_move`` computes the move's FIFO route changes once
 (``SllState.route_changes``) and first asks the routing state whether they
 would push some die boundary's total crossing width past the sum of its
@@ -58,7 +65,7 @@ from __future__ import annotations
 import itertools
 from operator import sub
 
-from .floorplan import group_of_map, group_resources, ram_groups
+from .floorplan import group_resources
 from .model import (
     DesignGraph,
     DeviceModel,
@@ -69,6 +76,7 @@ from .model import (
     fit_budget,
     floored_total,
     kind_ratio,
+    kind_ratios,
     utilization_ratio,
     within_budget,
 )
@@ -105,8 +113,8 @@ class PackState:
         self.lib = lib
         self.config = dict(config)
         self.placement = dict(placement)
-        self.groups = ram_groups(graph)
-        self.group_of = group_of_map(self.groups)
+        self.groups = graph.ram_groups
+        self.group_of = graph.group_of
         self.budget = {s.id: fit_budget(s.capacity, device.util_limit) for s in device.slots}
         # per kind, the most the slots can hold together (see ``fits_device``)
         self.device_bound = tuple(map(floored_total, zip(*self.budget.values())))
@@ -290,7 +298,7 @@ def _candidate_slots(state: PackState, exclude: int, extra: ResourceVector) -> l
         if s.id == exclude:
             continue
         post = state.slot_load[s.id] + extra
-        ratios = list(map(kind_ratio, post, s.capacity))
+        ratios = kind_ratios(post, s.capacity)
         worst = max(ratios)
         crit = ratios.index(worst)
         rest = [r for i, r in enumerate(ratios) if i != crit]

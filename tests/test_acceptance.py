@@ -14,7 +14,6 @@ import statistics
 import time
 
 from fado import cli
-from fado.floorplan import ram_groups
 from fado.instancegen import GenSpec, gen_instance, gen_stress, toy_instance
 from fado.model import (
     ResourceVector,
@@ -277,7 +276,7 @@ def test_08_legalization_beats_full_reassignment_tenfold(capsys):
 
         t0 = time.perf_counter()
         try:
-            placement = assign_slots(device, graph, lib, config, ram_groups(graph), tick=tick)
+            placement = assign_slots(device, graph, lib, config, tick=tick)
             assert placement is not None
         except _Budget:
             aborted += 1

@@ -1,11 +1,18 @@
 from __future__ import annotations
 
+import copy
 import csv
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, event, given, settings
+from hypothesis import strategies as st
 
+from fado import instancegen
 from fado.cli import main
 
 from helpers import design_doc, device_doc, qor_doc, stress_grid, template_doc
@@ -252,6 +259,43 @@ def test_result_embeds_the_inputs_as_given(toy_files, tmp_path, capsys):
     assert capsys.readouterr().out == "legal\n"
     assert main(["verify-optimal", "--result", str(result)]) == 0
     assert json.loads(capsys.readouterr().out)["verdict"] == "optimal"
+
+
+def _rename(node, old, new):
+    """``node`` with every string equal to ``old``, dict keys included,
+    replaced by ``new``."""
+    if isinstance(node, dict):
+        return {_rename(k, old, new): _rename(v, old, new) for k, v in node.items()}
+    if isinstance(node, list):
+        return [_rename(v, old, new) for v in node]
+    return new if node == old else node
+
+
+def test_result_embeds_crlf_non_ascii_inputs_whatever_the_locale(toy_docs, tmp_path):
+    # CRLF files naming a function outside ASCII, read and written under a
+    # locale whose default encoding is ASCII; the device carries an override
+    device, design, qor = copy.deepcopy(toy_docs)
+    design = _rename(design, "A", "Äbtast_函数")
+    inputs = tmp_path / "in"
+    inputs.mkdir()
+    for name, doc in (("device", device), ("design", design), ("qor", qor)):
+        text = json.dumps(doc, indent=2, ensure_ascii=False).replace("\n", "\r\n")
+        (inputs / f"{name}.json").write_bytes(text.encode("utf-8"))
+    env = dict(os.environ, LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0")
+    result = tmp_path / "run" / "result.json"
+    optimize = [sys.executable, "-m", "fado.cli", "optimize", "--util-limit", "0.6",
+                *(f"--{n}={inputs / n}.json" for n in ("device", "design", "qor")),
+                "--out", str(tmp_path / "run")]
+    check = [sys.executable, "-m", "fado.cli", "check", "--result", str(result)]
+    for argv in (optimize, check):
+        done = subprocess.run(argv, env=env, capture_output=True)
+        assert done.returncode == 0, done.stderr
+    data = result.read_bytes()
+    assert data.count(b"\n") == 1 and b"\r" not in data
+    assert "Äbtast_函数".encode("utf-8") in data
+    device["util_limit"] = 0.6
+    assert json.loads(data.decode("utf-8"))["inputs"] == {
+        "device": device, "design": design, "qor": qor}
 
 
 def test_check_rejects_a_split_ram_group(toy_files, tmp_path, capsys):
@@ -556,6 +600,97 @@ def test_result_embedding_a_malformed_document_is_a_usage_error(
     capsys.readouterr()
     assert main([command, "--result", str(path)]) == 1
     _assert_one_line_error(capsys, needle)
+
+
+# Values a fuzzed entry takes: nested nulls, and every JSON type including
+# a whole float, bools and a name outside ASCII.
+_NULLS = (None, [None], [[None]], {"x": None})
+_SWAPS = (*_NULLS, True, False, 0, -1, 4.0, 2.5, "", "x", "é名", [], {})
+
+
+def _slots_of(node):
+    """Every (container, key) pair in a JSON tree, parents first."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return []
+    found = []
+    for key, value in items:
+        found.append((node, key))
+        found.extend(_slots_of(value))
+    return found
+
+
+def _names_of(node):
+    """Every string value in a JSON tree, and the keys of its templates."""
+    if isinstance(node, dict):
+        keys = list(node["templates"]) if isinstance(node.get("templates"), dict) else []
+        return keys + [s for v in node.values() for s in _names_of(v)]
+    if isinstance(node, list):
+        return [s for v in node for s in _names_of(v)]
+    return [node] if isinstance(node, str) else []
+
+
+def _mutate(docs, data):
+    """One random change to one of ``docs``: a value swapped for another
+    type, a key or item dropped, a value replaced by nested nulls, an int
+    written as a whole float or a bool, or a string renamed outside ASCII
+    wherever it occurs in the three documents (a name: a string value or a
+    template's key)."""
+    name = data.draw(st.sampled_from(sorted(docs)))
+    op = data.draw(st.sampled_from(("swap", "drop", "null", "float", "bool", "rename")))
+    if op == "rename":
+        old = data.draw(st.sampled_from(sorted(set(_names_of(docs[name])) or {""})))
+        for n in docs:
+            docs[n] = _rename(docs[n], old, old + "_é名")
+        return
+    slots = _slots_of(docs[name])
+    if op == "float":
+        slots = [(c, k) for c, k in slots if type(c[k]) is int]
+    if not slots:
+        return
+    container, key = data.draw(st.sampled_from(slots))
+    if op == "swap":
+        container[key] = copy.deepcopy(data.draw(st.sampled_from(_SWAPS)))
+    elif op == "drop":
+        del container[key]
+    elif op == "null":
+        container[key] = copy.deepcopy(data.draw(st.sampled_from(_NULLS)))
+    elif op == "float":
+        container[key] = float(container[key])
+    else:
+        container[key] = data.draw(st.booleans())
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_fuzzed_documents_end_in_an_exit_code_never_a_traceback(tmp_path, capsys, data):
+    # seeded from the malformed cases above, then changed at random; exit 0
+    # must also leave a result that check accepts
+    docs = dict(zip(("device", "design", "qor"), instancegen.toy_instance()))
+    case = data.draw(st.none() | st.sampled_from(sorted(MALFORMED)))
+    if case is not None:
+        name, damage, _ = MALFORMED[case]
+        damage(docs[name])
+    for _ in range(data.draw(st.integers(0, 3))):
+        _mutate(docs, data)
+    indent = data.draw(st.sampled_from((None, 2)))
+    for name, doc in docs.items():
+        text = json.dumps(doc, indent=indent, ensure_ascii=False)
+        (tmp_path / f"{name}.json").write_text(text, encoding="utf-8")
+    capsys.readouterr()
+    code, run_dir = _optimize(tmp_path, tmp_path)
+    err = capsys.readouterr().err
+    event(f"optimize exit {code}")
+    assert code in (0, 1, 2, 3) and "Traceback" not in err
+    if code == 1:
+        assert err.startswith("error:") and len(err.strip().splitlines()) == 1, err
+    if code == 0:
+        assert main(["check", "--result", str(run_dir / "result.json")]) == 0, \
+            capsys.readouterr().err
 
 
 def _placement_list(doc):

@@ -15,10 +15,8 @@ from fado.floorplan import (
     FloorplanError,
     _exact_split,
     balanced_initial,
-    group_of_map,
     group_resources,
     min_cut_initial,
-    ram_groups,
 )
 from fado.model import (
     ResourceVector,
@@ -54,13 +52,13 @@ def _singleton_instance(luts, edges=(), *, cap_lut=1000, util_limit=0.65):
 
 def test_toy_groups(toy):
     _, graph, _ = toy
-    groups = ram_groups(graph)
+    groups = graph.ram_groups
     assert [(g.gid, g.members, g.pinned) for g in groups] == [
         ("A", ("A",), False),
         ("B", ("B", "C", "D"), True),
         ("E", ("E",), False),
     ]
-    gof = group_of_map(groups)
+    gof = graph.group_of
     assert gof["C"].gid == "B"
 
 
@@ -70,13 +68,13 @@ def test_group_pinned_only_with_non_dataflow_member():
         [("a", "b", "ram", 8), ("b", "c", "fifo", 8)],
     )
     graph = design_from_dict(design)
-    groups = ram_groups(graph)
+    groups = graph.ram_groups
     assert [(g.gid, g.pinned) for g in groups] == [("a", False), ("c", False)]
 
 
 def test_group_resources_tracks_configuration(toy):
     _, graph, lib = toy
-    groups = ram_groups(graph)
+    groups = graph.ram_groups
     bcd = next(g for g in groups if g.gid == "B")
     config = baseline_configuration(graph)
     assert group_resources(bcd, lib, config).lut == 20 + 4 + 16
@@ -245,7 +243,7 @@ GREEDY_MIN_CUT = {
 def test_greedy_min_cut_placement_is_pinned(name):
     make, digest = GREEDY_MIN_CUT[name]
     device, graph, lib = parse(*make())
-    assert len(ram_groups(graph)) > EXACT_BISECTION_LIMIT
+    assert len(graph.ram_groups) > EXACT_BISECTION_LIMIT
     placement = min_cut_initial(device, graph, lib, baseline_configuration(graph))
     assert hashlib.sha256(json.dumps(placement, sort_keys=True).encode()).hexdigest() == digest
 

@@ -7,7 +7,7 @@ import pickle
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fado.model import (
@@ -22,6 +22,8 @@ from fado.model import (
     fit_budget,
     floored_total,
     function_latencies,
+    kind_ratio,
+    kind_ratios,
     path_latency,
     qor_from_dict,
     utilization_ratio,
@@ -113,6 +115,23 @@ def test_utilization_ratio_zero_capacity():
     # usage on a kind the slot lacks can never fit: the ratio is infinite
     assert utilization_ratio(ResourceVector(uram=1), cap) == float("inf")
     assert utilization_ratio(ResourceVector(lut=10, uram=1), cap) == float("inf")
+
+
+# one resource kind: a count and a capacity, often zero on either side
+_KIND_PAIRS = st.tuples(st.just(0) | st.integers(0, 10**7), st.just(0) | st.integers(1, 10**7))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_KIND_PAIRS, min_size=5, max_size=5))
+@example([(0, 0), (1, 0), (3, 7), (0, 5), (2, 2)])
+@example([(4, 9), (1, 3), (3, 7), (10**7, 1), (0, 2)])
+def test_ratios_are_kind_ratio_kind_by_kind(pairs):
+    # the plain division and its zero-capacity fallback give exactly what
+    # kind_ratio gives, used and unused zero-capacity kinds included
+    used, cap = (ResourceVector(*column) for column in zip(*pairs))
+    expected = [kind_ratio(u, c) for u, c in pairs]
+    assert kind_ratios(used, cap) == expected
+    assert utilization_ratio(used, cap) == max(expected)
 
 
 def test_fit_budget_allows_exact_budget():

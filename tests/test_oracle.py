@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from fado import search
 from fado.cli import main
-from fado.floorplan import FloorplanError, ram_groups
+from fado.floorplan import FloorplanError
 from fado.instancegen import GenSpec, gen_instance
 from fado.model import (
     baseline_configuration,
@@ -33,7 +33,7 @@ from helpers import design_doc, device_doc, parse, qor_doc, slot_at, template_do
 def test_assign_slots_colocates_groups(toy):
     device, graph, lib = toy
     config = {"A": "baseline", "B": "fast", "C": "fast", "D": "fast", "E": "fast"}
-    placement = assign_slots(device, graph, lib, config, ram_groups(graph))
+    placement = assign_slots(device, graph, lib, config)
     assert placement is not None
     assert len({placement[m] for m in ("B", "C", "D")}) == 1
     assert certify(device, graph, lib, config, placement) == []
@@ -42,7 +42,7 @@ def test_assign_slots_colocates_groups(toy):
 def test_assign_slots_detects_infeasible_configs(toy):
     device, graph, lib = toy
     all_fast = {f: "fast" for f in graph.functions}
-    assert assign_slots(device, graph, lib, all_fast, ram_groups(graph)) is None
+    assert assign_slots(device, graph, lib, all_fast) is None
 
 
 def test_the_oracle_refuses_what_the_fold_refuses():
@@ -67,7 +67,7 @@ def test_the_oracle_refuses_what_the_fold_refuses():
     config = baseline_configuration(graph)
     placement = {n: 0 if n.startswith("s") else 3 for n in names}
     assert certify(device, graph, lib, config, placement) != []
-    assert assign_slots(device, graph, lib, config, ram_groups(graph)) is None
+    assert assign_slots(device, graph, lib, config) is None
     assert solve(device, graph, lib).status == "infeasible"
 
 
@@ -103,8 +103,8 @@ def test_the_oracle_places_exactly_when_check_would_pass_a_placement(instance):
     # every placement assign_slots returns certifies, and it returns one
     # whenever some group-respecting placement certifies
     (device, graph, lib), config = instance
-    groups = ram_groups(graph)
-    placement = assign_slots(device, graph, lib, config, groups)
+    groups = graph.ram_groups
+    placement = assign_slots(device, graph, lib, config)
     if placement is not None:
         assert certify(device, graph, lib, config, placement) == []
     slots = [s.id for s in device.slots]
@@ -146,7 +146,7 @@ def test_solve_single_function():
 def _naive_minimum(device, graph, lib):
     """Full enumeration over configurations and group-respecting placements."""
     fns = sorted(graph.functions)
-    groups = ram_groups(graph)
+    groups = graph.ram_groups
     best = None
     for choice in itertools.product(*(lib.template_for(f).points for f in fns)):
         config = {f: p.id for f, p in zip(fns, choice)}

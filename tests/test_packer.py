@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from fado.floorplan import group_resources, min_cut_initial, ram_groups
+from fado.floorplan import group_resources, min_cut_initial
 from fado.model import (
     RESOURCE_KINDS,
     ModelError,
@@ -99,6 +99,36 @@ def test_critical_resource_matches_naive_recompute():
             if s.id:
                 ranked.append((worst, sum(ratios) / 4, s.id))
         assert _candidate_slots(state, 0, extra) == [sid for _, _, sid in sorted(ranked)]
+
+
+_COUNTS = st.lists(st.integers(0, 30), min_size=5, max_size=5)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.lists(st.just(0) | st.integers(1, 50), min_size=5, max_size=5),
+                min_size=3, max_size=3),
+       st.lists(_COUNTS, min_size=3, max_size=3), _COUNTS)
+def test_candidate_slots_rank_by_kind_ratio(caps, loads, extra):
+    # slots lacking kinds, with and without demand for them, rank exactly as
+    # kind_ratio applied kind by kind ranks them
+    assume(all(any(cap) for cap in caps))
+    device_json = device_doc(width=1, height=3, die_rows=[])
+    for slot, cap in zip(device_json["slots"], caps):
+        slot["capacity"] = dict(zip(RESOURCE_KINDS, cap))
+    design = design_doc([("K", "dataflow", ["a"])])
+    qor = qor_doc({"t_a": template_doc([("baseline", 5, {})])})
+    device, graph, lib = parse(device_json, design, qor)
+    state = PackState(device, graph, lib, baseline_configuration(graph), {"a": 0})
+    extra = ResourceVector(*extra)
+    ranked = []
+    for s, load in zip(device.slots, loads):
+        state.slot_load[s.id] = ResourceVector(*load)
+        ratios = [kind_ratio(u, c) for u, c in zip(state.slot_load[s.id] + extra, s.capacity)]
+        worst = max(ratios)
+        ratios.remove(worst)
+        if s.id:
+            ranked.append((worst, sum(ratios) / 4, s.id))
+    assert _candidate_slots(state, 0, extra) == [sid for _, _, sid in sorted(ranked)]
 
 
 # ---------------------------------------------------------------------------
@@ -346,7 +376,7 @@ def _bound_instance(draw):
     budget = {s.id: fit_budget(s.capacity, device.util_limit) for s in device.slots}
     load = {s.id: ResourceVector.zero() for s in device.slots}
     placement = {}
-    for g in ram_groups(graph):
+    for g in graph.ram_groups:
         need = group_resources(g, lib, config)
         room = [sid for sid in load if within_budget(load[sid] + need, budget[sid])]
         assume(room)
