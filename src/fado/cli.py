@@ -53,10 +53,9 @@ def _read_text(path: str) -> str:
 
 
 def _load_inputs(args):
-    """The device, design and QoR library, and the JSON texts of the three
-    documents they were parsed from (see ``_result_pieces``): the device
-    document encoded with the CLI limit overrides applied, the design and
-    QoR documents as read."""
+    """The device, design and QoR library, and what they were parsed from
+    (see ``_result_pieces``): the device document with the CLI limit
+    overrides applied, and the design and QoR documents' texts as read."""
     device_doc = json.loads(_read_text(args.device))
     for key in ("util_limit", "sll_limit"):
         value = getattr(args, key, None)
@@ -67,7 +66,7 @@ def _load_inputs(args):
     graph = design_from_dict(json.loads(design_text))
     qor_text = _read_text(args.qor)
     lib = qor_from_dict(json.loads(qor_text), graph)
-    return device, graph, lib, (_compact(device_doc), design_text, qor_text)
+    return device, graph, lib, (device_doc, design_text, qor_text)
 
 
 def _compact(doc) -> str:
@@ -174,23 +173,24 @@ def _result_document(graph, lib, result, wall_seconds, flags) -> dict:
     }
 
 
-def _result_pieces(doc: dict, texts: tuple) -> list[str]:
+def _result_pieces(doc: dict, inputs: tuple) -> list[str]:
     """``result.json`` as pieces to write in turn: ``doc`` in compact JSON,
-    then, as its last entry ``inputs``, the device, design and QoR JSON
-    texts from ``_load_inputs`` with their line breaks removed, so the file
-    is one line.
+    then, as its last entry ``inputs``, the device document in compact JSON
+    and the design and QoR texts from ``_load_inputs`` with their line
+    breaks removed, so the file is one line.
 
     JSON allows no raw line break inside a string, so a line break in a
     valid JSON text is whitespace between tokens, and removing it leaves
     the document it encodes unchanged.
     """
-    device, design, qor = (text.replace("\n", "") for text in texts)
-    return [_compact(doc)[:-1], ',"inputs":{"device":', device, ',"design":', design,
-            ',"qor":', qor, "}}\n"]
+    device_doc, design_text, qor_text = inputs
+    return [_compact(doc)[:-1], ',"inputs":{"device":', _compact(device_doc),
+            ',"design":', design_text.replace("\n", ""),
+            ',"qor":', qor_text.replace("\n", ""), "}}\n"]
 
 
 def cmd_optimize(args) -> int:
-    device, graph, lib, texts = _load_inputs(args)
+    device, graph, lib, inputs = _load_inputs(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -218,7 +218,7 @@ def cmd_optimize(args) -> int:
         "qor": args.qor,
     }
     doc = _result_document(graph, lib, result, wall, flags)
-    _write_text(out / "result.json", *_result_pieces(doc, texts))
+    _write_text(out / "result.json", *_result_pieces(doc, inputs))
     _write_trace_csv(out / "trace.csv", result.trace)
     _write_directives(out / "directives.txt", graph, lib, result.config)
     state = result.state
