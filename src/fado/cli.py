@@ -3,6 +3,11 @@
 Subcommands: optimize, check, oracle, verify-optimal, gen.  Exit codes are
 stable: 0 success / legal / optimal, 1 usage or schema errors, 2 infeasible
 (or counterexample / legality violations), 3 budget exceeded.
+
+Each call builds the parser of only the command it runs (see
+``build_parser``): the optimizer is meant to be called many times from a
+design-space exploration loop, and building all five subparsers cost about
+a fifth of a small ``fado optimize`` call.
 """
 
 from __future__ import annotations
@@ -34,6 +39,10 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_INFEASIBLE = 2
 EXIT_BUDGET = 3
+
+# ``fado --help`` shows the module docstring but its last paragraph (none
+# under ``python -OO``, which strips docstrings).
+_DESCRIPTION = (__doc__ or "").rsplit("\n\n", 1)[0] or None
 
 
 class _Parser(argparse.ArgumentParser):
@@ -362,22 +371,23 @@ def _count(text: str) -> int:
     return value
 
 
-def build_parser() -> argparse.ArgumentParser:
-    p = _Parser(prog="fado", description=__doc__)
-    p.add_argument("--version", action="version", version=__version__)
-    sub = p.add_subparsers(dest="command", required=True, parser_class=_Parser)
+# argparse names the type function in "invalid <name> value" errors.
+_count.__name__ = "count"
 
-    def add_inputs(sp):
-        sp.add_argument("--device", required=True, help="device JSON")
-        sp.add_argument("--design", required=True, help="design graph JSON")
-        sp.add_argument("--qor", required=True, help="QoR library JSON")
 
-    def add_node_budget(sp):
-        sp.add_argument("--node-budget", type=_count, default=oracle.DEFAULT_NODE_BUDGET,
-                        help="search nodes before the run stops with exit 3")
+def _add_inputs(sp):
+    sp.add_argument("--device", required=True, help="device JSON")
+    sp.add_argument("--design", required=True, help="design graph JSON")
+    sp.add_argument("--qor", required=True, help="QoR library JSON")
 
-    sp = sub.add_parser("optimize", help="run the co-optimization loop")
-    add_inputs(sp)
+
+def _add_node_budget(sp):
+    sp.add_argument("--node-budget", type=_count, default=oracle.DEFAULT_NODE_BUDGET,
+                    help="search nodes before the run stops with exit 3")
+
+
+def _optimize_arguments(sp):
+    _add_inputs(sp)
     sp.add_argument("--out", required=True, help="output directory")
     sp.add_argument("--initial", choices=("mincut", "balanced"), default="mincut",
                     help="initial floorplan; balanced ignores die-boundary wire"
@@ -391,38 +401,77 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--lookahead-mode", choices=("min", "max"), default="min")
     sp.add_argument("--iter-cap", type=_count, default=None)
     sp.add_argument("--tcl-stub", action="store_true")
-    sp.set_defaults(func=cmd_optimize)
 
-    sp = sub.add_parser("check", help="re-validate an emitted result")
+
+def _check_arguments(sp):
     sp.add_argument("--result", required=True, help="result.json from optimize")
-    sp.set_defaults(func=cmd_check)
 
-    sp = sub.add_parser("oracle", help="exact reference optimum, bounded by --node-budget")
-    add_inputs(sp)
+
+def _oracle_arguments(sp):
+    _add_inputs(sp)
     sp.add_argument("--util-limit", type=float, default=None)
     sp.add_argument("--sll-limit", type=float, default=None)
-    add_node_budget(sp)
-    sp.set_defaults(func=cmd_oracle)
+    _add_node_budget(sp)
 
-    sp = sub.add_parser("verify-optimal", help="search for a faster legal configuration,"
-                                               " bounded by --node-budget")
+
+def _verify_optimal_arguments(sp):
     sp.add_argument("--result", required=True)
-    add_node_budget(sp)
-    sp.set_defaults(func=cmd_verify_optimal)
+    _add_node_budget(sp)
 
-    sp = sub.add_parser("gen", help="emit a synthetic instance")
+
+def _gen_arguments(sp):
     sp.add_argument("--preset", choices=("toy", "mixed", "monotone", "small", "stress"),
                     default="mixed")
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--out", required=True)
     sp.add_argument("--functions", type=int, default=400, help="stress preset size")
     sp.add_argument("--points", type=int, default=10, help="stress points per template")
-    sp.set_defaults(func=cmd_gen)
+
+
+# name -> (help line, function adding the arguments, handler), in help order
+COMMANDS = {
+    "optimize": ("run the co-optimization loop", _optimize_arguments, cmd_optimize),
+    "check": ("re-validate an emitted result", _check_arguments, cmd_check),
+    "oracle": ("exact reference optimum, bounded by --node-budget",
+               _oracle_arguments, cmd_oracle),
+    "verify-optimal": ("search for a faster legal configuration, bounded by --node-budget",
+                       _verify_optimal_arguments, cmd_verify_optimal),
+    "gen": ("emit a synthetic instance", _gen_arguments, cmd_gen),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The ``fado`` parser with the subparser of ``command`` alone when it
+    names one of ``COMMANDS``, and with every subparser otherwise.
+
+    A call runs one command, and each ``add_argument`` builds an argparse
+    help formatter, which asks for the terminal size; registering only the
+    command's subparser makes the build about four times cheaper.  Help,
+    usage and error text are the same either way: the subparser's prog is
+    ``fado <command>``, and a single-command build names every command in
+    the top-level usage line, which argparse prints for arguments the
+    subparser leaves unrecognized.
+    """
+    names = [command] if command in COMMANDS else list(COMMANDS)
+    p = _Parser(prog="fado", description=_DESCRIPTION)
+    p.add_argument("--version", action="version", version=__version__)
+    # A metavar would also rename the action in the full build's "argument
+    # command" errors, which only a full build can raise.
+    metavar = "{" + ",".join(COMMANDS) + "}" if len(names) == 1 else None
+    sub = p.add_subparsers(dest="command", required=True, parser_class=_Parser,
+                           metavar=metavar)
+    for name in names:
+        help_line, add_arguments, handler = COMMANDS[name]
+        sp = sub.add_parser(name, help=help_line)
+        add_arguments(sp)
+        sp.set_defaults(func=handler)
     return p
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    parser = build_parser(argv[0] if argv else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

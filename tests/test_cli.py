@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import argparse
 import copy
 import csv
 import json
@@ -12,8 +13,8 @@ import pytest
 from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
-from fado import instancegen
-from fado.cli import main
+from fado import __version__, instancegen
+from fado.cli import COMMANDS, build_parser, main
 
 from helpers import design_doc, device_doc, qor_doc, stress_grid, template_doc
 
@@ -112,6 +113,30 @@ def test_optimize_refuses_a_negative_count(toy_files, tmp_path, capsys, flag):
     assert code == 1
     out, err = capsys.readouterr()
     assert f"argument {flag}: must be 0 or more, got -3" in err
+    assert out == ""
+
+
+_IN = ["--device", "d.json", "--design", "g.json", "--qor", "q.json"]
+
+# Each command's arguments up to a count flag; parsing fails before any
+# file is read.
+_COUNTED = {
+    "optimize": ["optimize", *_IN, "--out", "o"],
+    "oracle": ["oracle", *_IN],
+    "verify-optimal": ["verify-optimal", "--result", "r.json"],
+}
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    ("optimize", "--iter-cap", "1.5"),
+    ("optimize", "--lookahead-n", "x"),
+    ("oracle", "--node-budget", "x"),
+    ("verify-optimal", "--node-budget", "x"),
+])
+def test_a_count_that_is_not_a_whole_number_names_the_count_type(capsys, command, flag, value):
+    assert main([*_COUNTED[command], flag, value]) == 1
+    out, err = capsys.readouterr()
+    assert err.endswith(f"fado {command}: error: argument {flag}: invalid count value: '{value}'\n")
     assert out == ""
 
 
@@ -395,6 +420,119 @@ def test_usage_errors_exit_one(tmp_path, capsys):
     bad.write_text("{not json")
     assert main(["check", "--result", str(bad)]) == 1
     capsys.readouterr()
+
+
+def test_top_level_help_version_and_usage_errors(capsys):
+    assert main(["--help"]) == 0
+    out, err = capsys.readouterr()
+    assert out.startswith(
+        "usage: fado [-h] [--version] {optimize,check,oracle,verify-optimal,gen} ...\n")
+    words = " ".join(out.split())
+    assert all(help_line in words for help_line, _, _ in COMMANDS.values())
+    assert "Exit codes are stable" in words and "Each call builds" not in words
+    assert err == ""
+    assert main(["--version"]) == 0
+    assert capsys.readouterr() == (f"{__version__}\n", "")
+    assert main([]) == 1
+    out, err = capsys.readouterr()
+    assert err.endswith("fado: error: the following arguments are required: command\n")
+    assert main(["no-such-command"]) == 1
+    out, err = capsys.readouterr()
+    assert "fado: error: argument command: invalid choice: 'no-such-command'" in err
+    assert out == ""
+
+
+def _registered(parser):
+    """The names of the subcommands ``parser`` registers, in order."""
+    (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return list(action.choices)
+
+
+def test_a_call_builds_only_the_parser_of_its_command(monkeypatch, capsys):
+    for name in COMMANDS:
+        assert _registered(build_parser(name)) == [name]
+    for command in (None, "--help", "no-such-command"):
+        assert _registered(build_parser(command)) == list(COMMANDS)
+    built = []
+
+    def spy(command=None):
+        built.append(command)
+        return build_parser(command)
+
+    monkeypatch.setattr("fado.cli.build_parser", spy)
+    main(["check", "--help"])
+    monkeypatch.setattr(sys, "argv", ["fado", "gen", "--help"])
+    main()
+    main([])
+    capsys.readouterr()
+    assert built == ["check", "gen", None]
+
+
+# Argument lists that parse: per command, its required options alone and,
+# where it has others, every option given.
+PARSED = [
+    ["optimize", *_IN, "--out", "o"],
+    ["optimize", *_IN, "--out", "o", "--initial", "balanced", "--freeze-floorplan",
+     "--util-limit", "0.6", "--sll-limit", "0.5", "--lookahead-n", "2",
+     "--lookahead-mode", "max", "--iter-cap", "0", "--tcl-stub"],
+    ["check", "--result", "r.json"],
+    ["oracle", *_IN],
+    ["oracle", *_IN, "--util-limit", "0.6", "--sll-limit", "0.5", "--node-budget", "7"],
+    ["verify-optimal", "--result", "r.json"],
+    ["verify-optimal", "--result", "r.json", "--node-budget", "7"],
+    ["gen", "--out", "o"],
+    ["gen", "--preset", "stress", "--seed", "3", "--out", "o", "--functions", "9",
+     "--points", "2"],
+]
+
+# Argument lists that exit: help, then usage errors (a missing required
+# option, a bad choice, an unknown option, a bad count, a stray argument
+# the top-level parser reports with its own usage line).
+EXITED = [
+    *([name, "--help"] for name in COMMANDS),
+    ["optimize", *_IN],
+    ["optimize", *_IN, "--out", "o", "--initial", "bogus"],
+    ["optimize", *_IN, "--out", "o", "--unknown"],
+    ["optimize", *_IN, "--out", "o", "--iter-cap", "1.5"],
+    ["optimize", *_IN, "--out", "o", "extra"],
+    ["check"],
+    ["check", "--result", "r.json", "--unknown"],
+    ["check", "--result", "r.json", "--version"],
+    ["oracle", "--device", "d.json"],
+    ["oracle", *_IN, "--unknown"],
+    ["oracle", *_IN, "--node-budget", "x"],
+    ["verify-optimal", "--node-budget", "1"],
+    ["verify-optimal", "--result", "r.json", "--unknown"],
+    ["verify-optimal", "--result", "r.json", "--node-budget", "-1"],
+    ["gen"],
+    ["gen", "--out", "o", "--preset", "bogus"],
+    ["gen", "--out", "o", "--unknown"],
+    ["gen", "--out", "o", "--seed", "1.5"],
+]
+
+
+def _parse(parser, argv, capsys):
+    """What parsing ``argv`` gives: (namespace or None, exit code, stdout,
+    stderr)."""
+    try:
+        args, code = parser.parse_args(argv), None
+    except SystemExit as exc:
+        args, code = None, exc.code
+    return (args, code, *capsys.readouterr())
+
+
+@pytest.mark.parametrize("argv", PARSED, ids=" ".join)
+def test_a_command_parses_as_in_the_full_parser(capsys, argv):
+    full = _parse(build_parser(), argv, capsys)
+    assert full[0].func is COMMANDS[argv[0]][2]
+    assert _parse(build_parser(argv[0]), argv, capsys) == full
+
+
+@pytest.mark.parametrize("argv", EXITED, ids=" ".join)
+def test_a_command_exits_as_in_the_full_parser(capsys, argv):
+    full = _parse(build_parser(), argv, capsys)
+    assert full[1] == (0 if "--help" in argv else 1)
+    assert _parse(build_parser(argv[0]), argv, capsys) == full
 
 
 def test_optimize_moves_a_function_to_the_only_slot_with_its_resource(tmp_path, capsys):
@@ -764,6 +902,37 @@ def test_malformed_result_entry_is_a_usage_error(toy_files, tmp_path, capsys, ca
     capsys.readouterr()
     assert main([command, "--result", str(path)]) == 1
     _assert_one_line_error(capsys, needle)
+
+
+@pytest.fixture
+def toy_result(toy_files, tmp_path):
+    code, run_dir = _optimize(toy_files, tmp_path)
+    assert code == 0
+    return json.loads((run_dir / "result.json").read_text())
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_fuzzed_results_end_in_an_exit_code_never_a_traceback(toy_result, tmp_path, capsys, data):
+    # seeded from the malformed result entries above, then changed at random
+    # as the fuzzed input documents are, the embedded inputs included
+    docs = {"result": copy.deepcopy(toy_result)}
+    case = data.draw(st.none() | st.sampled_from(sorted(MALFORMED_RESULT)))
+    if case is not None:
+        MALFORMED_RESULT[case][1](docs["result"])
+    for _ in range(data.draw(st.integers(0, 3))):
+        _mutate(docs, data)
+    path = tmp_path / "fuzzed.json"
+    path.write_text(json.dumps(docs["result"], ensure_ascii=False), encoding="utf-8")
+    capsys.readouterr()
+    for command in (["check"], ["verify-optimal", "--node-budget", "200"]):
+        code = main([*command, "--result", str(path)])
+        err = capsys.readouterr().err
+        event(f"{command[0]} exit {code}")
+        assert code in (0, 1, 2, 3) and "Traceback" not in err
+        if code == 1:
+            assert err.startswith("error:") and len(err.strip().splitlines()) == 1, err
 
 
 def test_limit_override_on_a_device_list_is_a_usage_error(toy_files, tmp_path, capsys):
