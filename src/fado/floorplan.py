@@ -6,11 +6,11 @@ once per design).  Two boot strategies produce the starting floorplan:
 recursive min-cut bisection of the slot grid, and a plain balance-driven
 fill.
 
-Loads are whole units, so a load fits a fit budget exactly when it fits
-that budget rounded down.  The greedy split compares plain integer tuples
-against each side's rounded-down budget, computed once per split, and
-carries each side's load after adding a unit from the fit test into the
-ratio and the update.
+Each side of a split is bounded by what its slots hold together
+(``DeviceModel.holds``, the rule of the device-wide bound), so a region is
+never given more than its slots can take.  The greedy split compares plain
+integer tuples against those whole-unit bounds and carries each side's
+load after adding a unit from the fit test into the ratio and the update.
 
 A split of at most ``EXACT_BISECTION_LIMIT`` units is solved exactly by
 branch and bound (``_exact_split``).  Its bound: a unit not yet placed will
@@ -23,7 +23,6 @@ vector tie-breaks and the split found is the one exhaustive search finds.
 
 from __future__ import annotations
 
-import math
 from operator import add, le, sub
 
 from .model import (
@@ -32,7 +31,6 @@ from .model import (
     Group,
     QoRLibrary,
     ResourceVector,
-    fit_budget,
     utilization_ratio,
     within_budget,
 )
@@ -65,10 +63,6 @@ def _group_fifo_weights(graph: DesignGraph) -> dict[tuple[str, str], int]:
     return weights
 
 
-def _budget(slots, limit: float) -> tuple:
-    return fit_budget(ResourceVector.sum(s.capacity for s in slots), limit)
-
-
 def _split_region(slots) -> tuple[list, list]:
     ys = sorted({s.y for s in slots})
     if len(ys) > 1:
@@ -87,11 +81,11 @@ def _greedy_split(units, sizes, weights, budget_a, budget_b, cap_a, cap_b):
 
     Returns (assignment dict unit->0/1, cut) or None when even this cannot
     satisfy both budgets.  Loads are plain int tuples checked against the
-    budgets rounded down (see the module docstring).
+    budgets (see the module docstring).
     """
     order = sorted(units, key=lambda u: (-max(sizes[u]), u))
     side = {}
-    ceilings = (tuple(map(math.floor, budget_a)), tuple(map(math.floor, budget_b)))
+    ceilings = (budget_a, budget_b)
     caps = (cap_a, cap_b)
     load = [tuple(ResourceVector.zero())] * 2
     for u in order:
@@ -222,14 +216,13 @@ def _exact_split(units, sizes, weights, budget_a, budget_b, cap_a, cap_b):
     return dict(zip(names, best[2])), best[0]
 
 
-def _bisect(slots, units, sizes, weights, limit, placement):
+def _bisect(device, slots, units, sizes, weights, placement):
     if len(slots) == 1:
         for u in units:
             placement[u] = slots[0].id
         return
     side_a, side_b = _split_region(slots)
-    budget_a = _budget(side_a, limit)
-    budget_b = _budget(side_b, limit)
+    budget_a, budget_b = device.holds(side_a), device.holds(side_b)
     cap_a = ResourceVector.sum(s.capacity for s in side_a)
     cap_b = ResourceVector.sum(s.capacity for s in side_b)
 
@@ -246,8 +239,8 @@ def _bisect(slots, units, sizes, weights, limit, placement):
             f"group {biggest!r} cannot be placed: no split of {len(units)} groups fits"
         )
     side, _ = result
-    _bisect(side_a, [u for u in units if side[u] == 0], sizes, weights, limit, placement)
-    _bisect(side_b, [u for u in units if side[u] == 1], sizes, weights, limit, placement)
+    _bisect(device, side_a, [u for u in units if side[u] == 0], sizes, weights, placement)
+    _bisect(device, side_b, [u for u in units if side[u] == 1], sizes, weights, placement)
 
 
 def min_cut_initial(
@@ -265,7 +258,7 @@ def min_cut_initial(
 
     placement_g: dict[str, int] = {}
     slots = sorted(device.slots, key=lambda s: (s.y, s.x))
-    _bisect(slots, unit_ids, sizes, weights, device.util_limit, placement_g)
+    _bisect(device, slots, unit_ids, sizes, weights, placement_g)
 
     gof = graph.group_of
     return {f: placement_g[gof[f].gid] for f in graph.functions}
@@ -285,7 +278,7 @@ def balanced_initial(
         choices = []
         for s in device.slots:
             new = load[s.id] + sizes[g.gid]
-            if within_budget(new, _budget([s], device.util_limit)):
+            if within_budget(new, device.slot_budget[s.id]):
                 choices.append((utilization_ratio(load[s.id], s.capacity), s.id))
         if not choices:
             raise FloorplanError(

@@ -21,7 +21,9 @@ capacity is zero.
 A design's RAM groups, the functions that share a RAM and so must share a
 slot, are derived once per ``DesignGraph`` (``ram_groups`` and
 ``group_of``), as its ``latency_plan`` is; the initial floorplan, the
-packing state and the exact oracle all read that one derivation.
+packing state and the exact oracle all read that one derivation.  So are
+a device's slot budgets, once per ``DeviceModel`` (``slot_budget``), with
+``holds`` the one rule for what a set of slots holds together.
 """
 
 from __future__ import annotations
@@ -258,6 +260,16 @@ class DeviceModel:
     def boundary(self, y: int) -> DieBoundary:
         return self._boundary_by_y[y]
 
+    @cached_property
+    def slot_budget(self) -> dict[int, tuple]:
+        """Each slot's ``fit_budget`` at ``util_limit``, by id: built on first use."""
+        return {s.id: fit_budget(s.capacity, self.util_limit) for s in self.slots}
+
+    def holds(self, slots) -> tuple:
+        """Per kind, the most ``slots`` hold together: each slot's budget
+        rounded down to whole units, summed (``floored_total``)."""
+        return tuple(map(floored_total, zip(*(self.slot_budget[s.id] for s in slots))))
+
 
 _REQUIRED = object()
 
@@ -362,6 +374,8 @@ def device_from_dict(doc: dict) -> DeviceModel:
             cap = _number_entry(h, "sll_capacity", where)
             if cap < 0:
                 raise ModelError(f"negative SLL capacity at boundary y={y} x={hx}")
+            if hx in halves:
+                raise ModelError(f"die boundary y={y} lists column x={hx} twice")
             halves[hx] = cap
         if sorted(halves) != list(range(width)):
             raise ModelError(f"die boundary y={y} must define one half per column")

@@ -29,7 +29,6 @@ from .model import (
     QoRLibrary,
     ResourceVector,
     design_latency,
-    fit_budget,
     function_latencies,
     path_latency,
     within_budget,
@@ -69,9 +68,8 @@ def assign_slots(device: DeviceModel, graph: DesignGraph, lib: QoRLibrary, confi
     groups = graph.ram_groups
     sizes = {g.gid: group_resources(g, lib, config) for g in groups}
     order = sorted(groups, key=lambda g: (-max(sizes[g.gid]), g.gid))
-    slots = sorted(device.slots, key=lambda s: s.id)
-    budget = {s.id: fit_budget(s.capacity, device.util_limit) for s in slots}
-    loads = {s.id: ResourceVector.zero() for s in slots}
+    budget = device.slot_budget
+    loads = {s.id: ResourceVector.zero() for s in device.slots}
     chosen: dict[str, int] = {}
 
     def place(i: int) -> dict | None:
@@ -85,7 +83,7 @@ def assign_slots(device: DeviceModel, graph: DesignGraph, lib: QoRLibrary, confi
                 return None
             return placement
         g = order[i]
-        for s in slots:
+        for s in device.slots:  # in id order: parsing sorts them
             post = loads[s.id] + sizes[g.gid]
             if not within_budget(post, budget[s.id]):
                 continue

@@ -8,15 +8,15 @@ slots into fuller ones to open up contiguous headroom, without touching any
 chosen point.
 
 No packing can place a batch whose total demand exceeds, in some resource
-kind, what the slots hold together: the sum of the slots' fit budgets, each
-rounded down to whole units (``PackState.device_bound``, the slot-side twin
-of the wires' reject bound).  ``fits_device`` is the one test of that
-bound, and the search makes it once per vector, before any packing work;
-online packing itself does not check the bound.  The test adds a vector's
-target resources to a remainder, ``device_rest``: the device total less
-the current resources of the vector's functions.  Moves and rolled-back
-packs leave the remainder as it is, so the search takes it once per batch
-and each vector's test costs one add per member.
+kind, what the slots hold together (``PackState.device_bound``, the
+device's ``holds`` of all its slots: the slot-side twin of the wires'
+reject bound).  ``fits_device`` is the one test of that bound, and the
+search makes it once per vector, before any packing work; online packing
+itself does not check the bound.  The test adds a vector's target
+resources to a remainder, ``device_rest``: the device total less the
+current resources of the vector's functions.  Moves and rolled-back packs
+leave the remainder as it is, so the search takes it once per batch and
+each vector's test costs one add per member.
 
 Offline re-packing is a deterministic function of the packing state, so
 re-running it on a state where it last moved nothing would move nothing
@@ -33,12 +33,12 @@ source's turn, a fuller slot that is empty or fails the floor can take none
 of them, so the source's groups try only the fuller slots still open, and a
 source with none open is skipped (see ``offline_repack``).
 
-A trial costs what it touches.  Each slot's fit budget (``fit_budget``) is
-computed once and compared through ``within_budget``, and every RAM group's
-resource vector is kept current as points change, so the fit test and the
-repack schedule re-sum nothing.  The groups themselves are the design's
-(``DesignGraph.ram_groups``), derived once per design.  Resource vectors are
-tuples in ``RESOURCE_KINDS`` order, so loads, extras and capacities go to
+A trial costs what it touches.  Slot fit budgets are the device's
+(``DeviceModel.slot_budget``) and every RAM group's resource vector is
+kept current as points change, so the fit test and the repack schedule
+re-sum nothing.  The groups are the design's (``DesignGraph.ram_groups``),
+derived once per design.  Resource vectors are tuples in
+``RESOURCE_KINDS`` order, so loads, extras and capacities go to
 ``within_budget`` and the ratio functions as they are, with no conversion.
 
 Nothing here validates its inputs again: documents are validated once, when
@@ -73,8 +73,6 @@ from .model import (
     QoRLibrary,
     RESOURCE_KINDS,
     ResourceVector,
-    fit_budget,
-    floored_total,
     kind_ratio,
     kind_ratios,
     utilization_ratio,
@@ -115,9 +113,8 @@ class PackState:
         self.placement = dict(placement)
         self.groups = graph.ram_groups
         self.group_of = graph.group_of
-        self.budget = {s.id: fit_budget(s.capacity, device.util_limit) for s in device.slots}
-        # per kind, the most the slots can hold together (see ``fits_device``)
-        self.device_bound = tuple(map(floored_total, zip(*self.budget.values())))
+        self.budget = device.slot_budget
+        self.device_bound = device.holds(device.slots)  # see ``fits_device``
         self.slot_load = {s.id: ResourceVector.zero() for s in device.slots}
         for f in graph.functions:
             sid = self.placement[f]
@@ -273,7 +270,7 @@ def device_rest(state: PackState, fns) -> ResourceVector:
 def fits_device(state: PackState, targets: dict, rest: ResourceVector) -> bool:
     """True when the device's total load, with each function of ``targets``
     moved to its target point, stays within ``state.device_bound``: per
-    kind, the sum of the slots' fit budgets rounded down (``floored_total``).
+    kind, what the slots hold together (``DeviceModel.holds``).
 
     ``rest`` is ``device_rest(state, targets)``.  Moves and rolled-back
     packs change neither the total nor any point, so one remainder serves

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from operator import sub
+from operator import le, sub
 
 from fado import instancegen
 from fado.model import (
@@ -100,6 +100,31 @@ def stress_grid(seed, n_functions, points_per_template, *, sll):
     return device, design, qor
 
 
+def loop_doc(label, depth, bound, il):
+    return {"label": label, "depth": depth, "bound": bound,
+            "min_ii": 1, "iter_latency": il}
+
+
+def lib_with_loops(loops):
+    """A one-function design whose template has ``loops``: (QoR library, graph)."""
+    graph = design_from_dict(design_doc([("K", "dataflow", ["a"])]))
+    doc = qor_doc({"t_a": template_doc([("baseline", 9, {"lut": 1})], loops=loops)})
+    return qor_from_dict(doc, graph), graph
+
+
+def reference_lookahead_depth(nests, mode):
+    """The look-ahead window size of ``nests`` by the three tier sums, from
+    scratch.  ``search.compute_lookahead_N`` must match it exactly."""
+    def leveled(values, cap):
+        chosen = values if mode == "max" else values[:cap]
+        return sum(int(math.log2(min(64, v))) if v > 1 else 0 for v in chosen)
+
+    n1 = max(leveled([l.iter_latency for l in nest], 3) for nest in nests)
+    n2 = max(leveled([l.bound for l in nest], 3) for nest in nests)
+    n3 = max(leveled([l.bound for l in nest], 2) for nest in nests)
+    return n1 + n2 + n3
+
+
 def reference_directive_space(loops, arrays, limit=None):
     """Every directive combination built first, loops then arrays with the
     last axis varying fastest, then stride-sampled.
@@ -185,17 +210,23 @@ def reference_online_pack(state, targets, allow_moves=True):
     return True, moves
 
 
-def within_device_bound(state, targets):
-    """Whether the design's total demand with ``targets`` applied stays, in
-    every resource kind, within the sum over slots of each slot's whole
-    units under its limit, computed from scratch."""
-    config = {**state.config, **targets}
-    total = ResourceVector.sum(state.lib.point(f, p).resources for f, p in config.items())
-    limit = state.device.util_limit
-    return all(
-        total[k] <= sum(math.floor(limit * s.capacity[k] + LIMIT_EPS) for s in state.device.slots)
+def reference_holds(device, slots):
+    """Per kind, the sum over ``slots`` of each slot's whole units under the
+    device's limit, computed from scratch."""
+    limit = device.util_limit
+    return tuple(
+        sum(math.floor(limit * s.capacity[k] + LIMIT_EPS) for s in slots)
         for k in range(len(RESOURCE_KINDS))
     )
+
+
+def within_device_bound(state, targets):
+    """Whether the design's total demand with ``targets`` applied stays, in
+    every resource kind, within what the slots hold together
+    (``reference_holds``)."""
+    config = {**state.config, **targets}
+    total = ResourceVector.sum(state.lib.point(f, p).resources for f, p in config.items())
+    return all(map(le, total, reference_holds(state.device, state.device.slots)))
 
 
 def reference_fold(device, graph, placement, y):

@@ -8,7 +8,6 @@ integer comparisons, wall-clock budgets are hard limits.
 from __future__ import annotations
 
 import json
-import math
 import random
 import statistics
 import time
@@ -30,7 +29,17 @@ from fado.search import compute_lookahead_N, run
 
 import pytest
 
-from helpers import design_doc, device_doc, parse, qor_doc, sll_fingerprint, template_doc
+from helpers import (
+    design_doc,
+    device_doc,
+    lib_with_loops,
+    loop_doc,
+    parse,
+    qor_doc,
+    reference_lookahead_depth,
+    sll_fingerprint,
+    template_doc,
+)
 
 
 def _parse_docs(docs):
@@ -159,36 +168,14 @@ def test_05_every_iteration_stays_legal_and_latency_never_rises(replay_corpus):
 #    nests against a direct re-evaluation.
 
 
-def _loop(label, depth, bound, il):
-    return {"label": label, "depth": depth, "bound": bound,
-            "min_ii": 1, "iter_latency": il}
-
-
-def _lib_for_loops(loops):
-    graph = design_from_dict(design_doc([("K", "dataflow", ["a"])]))
-    doc = qor_doc({"t_a": template_doc([("baseline", 9, {"lut": 1})], loops=loops)})
-    return qor_from_dict(doc, graph), graph
-
-
-def _window_reference(nests, mode):
-    def leveled(values, cap):
-        chosen = values if mode == "max" else values[:cap]
-        return sum(int(math.log2(min(64, v))) if v > 1 else 0 for v in chosen)
-
-    n1 = max(leveled([l.iter_latency for l in nest], 3) for nest in nests)
-    n2 = max(leveled([l.bound for l in nest], 3) for nest in nests)
-    n3 = max(leveled([l.bound for l in nest], 2) for nest in nests)
-    return n1 + n2 + n3
-
-
 def test_06_lookahead_window_formula():
-    lib, graph = _lib_for_loops([_loop("L1", 1, 64, 64)])
+    lib, graph = lib_with_loops([loop_doc("L1", 1, 64, 64)])
     assert compute_lookahead_N(lib, graph) == 18
 
-    lib, graph = _lib_for_loops([_loop("L1", 1, 2, 2)])
+    lib, graph = lib_with_loops([loop_doc("L1", 1, 2, 2)])
     assert compute_lookahead_N(lib, graph) == 3
 
-    lib, graph = _lib_for_loops([])
+    lib, graph = lib_with_loops([])
     assert compute_lookahead_N(lib, graph) == 8
 
     rng = random.Random(1106)
@@ -196,13 +183,13 @@ def test_06_lookahead_window_formula():
         loops = []
         for _ in range(rng.randint(1, 3)):
             for depth in range(1, rng.randint(1, 4) + 1):
-                loops.append(_loop(f"L{len(loops)}", depth,
+                loops.append(loop_doc(f"L{len(loops)}", depth,
                                    rng.choice((1, 2, 4, 8, 64, 100)),
                                    rng.choice((1, 2, 16, 64, 4000))))
-        lib, graph = _lib_for_loops(loops)
+        lib, graph = lib_with_loops(loops)
         for mode in ("min", "max"):
             got = compute_lookahead_N(lib, graph, mode)
-            assert got == _window_reference(lib.templates["t_a"].nests(), mode), loops
+            assert got == reference_lookahead_depth(lib.templates["t_a"].nests(), mode), loops
 
 
 # ---------------------------------------------------------------------------

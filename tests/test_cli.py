@@ -598,6 +598,11 @@ def _drop_half_capacity(doc):
     del doc["die_boundaries"][0]["halves"][0]["sll_capacity"]
 
 
+def _repeat_half(doc):
+    halves = doc["die_boundaries"][0]["halves"]
+    halves.append(dict(halves[0], sll_capacity=7))
+
+
 def _null_slot_id(doc):
     doc["slots"][1]["id"] = None
 
@@ -674,6 +679,7 @@ def _string_resource_count(doc):
 MALFORMED = {
     "slot-without-x": ("device", _drop_slot_x, "'x'"),
     "half-without-sll-capacity": ("device", _drop_half_capacity, "'sll_capacity'"),
+    "half-listed-twice": ("device", _repeat_half, "y=0 lists column x=0 twice"),
     "slot-with-null-id": ("device", _null_slot_id, "'id'"),
     "null-util-limit": ("device", _null_util_limit, "'util_limit'"),
     "util-limit-bool": ("device", _bool_util_limit, "'util_limit'"),

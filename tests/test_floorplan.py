@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fado import instancegen
+from fado.cli import main
 from fado.floorplan import (
     EXACT_BISECTION_LIMIT,
     FloorplanError,
@@ -19,6 +20,7 @@ from fado.floorplan import (
     min_cut_initial,
 )
 from fado.model import (
+    RESOURCE_KINDS,
     ResourceVector,
     baseline_configuration,
     design_from_dict,
@@ -28,8 +30,17 @@ from fado.model import (
     utilization_ratio,
     within_budget,
 )
+from fado.packer import PackState
 
-from helpers import design_doc, device_doc, parse, qor_doc, stress_grid, template_doc
+from helpers import (
+    design_doc,
+    device_doc,
+    parse,
+    qor_doc,
+    reference_holds,
+    stress_grid,
+    template_doc,
+)
 
 
 def _singleton_instance(luts, edges=(), *, cap_lut=1000, util_limit=0.65):
@@ -246,6 +257,71 @@ def test_greedy_min_cut_placement_is_pinned(name):
     assert len(graph.ram_groups) > EXACT_BISECTION_LIMIT
     placement = min_cut_initial(device, graph, lib, baseline_configuration(graph))
     assert hashlib.sha256(json.dumps(placement, sort_keys=True).encode()).hexdigest() == digest
+
+
+# ---------------------------------------------------------------------------
+# Region bounds
+
+
+def _chain_docs(width, height):
+    """Four 1-BRAM functions in one dataflow kernel, chained a-b-c-d by FIFO
+    widths 100, 100, 1, on slots that each hold one BRAM (3 at limit 0.5).
+
+    Two slots hold two BRAM together, though the budget of their summed
+    capacity would take three: a region bounded that way takes a, b and c
+    and then cannot split them."""
+    names = "abcd"
+    design = design_doc([("K", "dataflow", list(names))],
+                        [("a", "b", "fifo", 100), ("b", "c", "fifo", 100), ("c", "d", "fifo", 1)])
+    qor = qor_doc({f"t_{n}": template_doc([("baseline", 10, {"bram": 1})]) for n in names})
+    device = device_doc(width=width, height=height, cap={"bram": 3, "lut": 100}, util_limit=0.5)
+    return device, design, qor
+
+
+@pytest.mark.parametrize("width, height", [(2, 2), (4, 1)])
+def test_min_cut_gives_a_region_only_what_its_slots_hold(width, height):
+    device, graph, lib = parse(*_chain_docs(width, height))
+    placement = min_cut_initial(device, graph, lib, baseline_configuration(graph))
+    assert sorted(placement.values()) == [0, 1, 2, 3]
+
+
+def test_optimize_starts_and_checks_where_a_region_holds_whole_units(tmp_path):
+    paths = []
+    for name, doc in zip(("device", "design", "qor"), _chain_docs(2, 2)):
+        paths += [f"--{name}", str(tmp_path / f"{name}.json")]
+        (tmp_path / f"{name}.json").write_text(json.dumps(doc))
+    assert main(["optimize", *paths, "--out", str(tmp_path / "run")]) == 0
+    assert main(["check", "--result", str(tmp_path / "run" / "result.json")]) == 0
+
+
+@st.composite
+def _device_and_subset(draw):
+    """A 1-4 by 1-4 grid at a fractional limit whose slots may lack some
+    kinds, and a random non-empty subset of its slots."""
+    width, height = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    doc = device_doc(width=width, height=height,
+                     util_limit=draw(st.floats(0.01, 1.0, allow_nan=False)))
+    counts = st.sampled_from((0, 0, 1, 3, 7, 100, 164880))
+    for slot in doc["slots"]:
+        slot["capacity"] = {k: draw(counts) for k in RESOURCE_KINDS}
+        slot["capacity"]["lut"] += 1  # no slot may be empty
+    device = device_from_dict(doc)
+    return device, draw(st.lists(st.sampled_from(device.slots), min_size=1,
+                                 unique_by=lambda s: s.id))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_device_and_subset())
+def test_holds_sums_each_slots_whole_units(case):
+    device, subset = case
+    assert device.holds(subset) == reference_holds(device, subset)
+    design = design_doc([("K", "dataflow", ["a"])])
+    qor = qor_doc({"t_a": template_doc([("baseline", 10, {"lut": 1})])})
+    graph = design_from_dict(design)
+    state = PackState(device, graph, qor_from_dict(qor, graph), baseline_configuration(graph),
+                      {"a": device.slots[0].id})
+    assert state.device_bound == device.holds(device.slots) == reference_holds(
+        device, device.slots)
 
 
 # ---------------------------------------------------------------------------

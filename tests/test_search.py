@@ -3,7 +3,6 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-import math
 import random
 from types import SimpleNamespace
 
@@ -15,10 +14,8 @@ from fado import instancegen, search
 from fado.floorplan import FloorplanError
 from fado.model import (
     baseline_configuration,
-    design_from_dict,
     function_latencies,
     path_latency,
-    qor_from_dict,
 )
 from fado.packer import PackState
 from fado.search import (
@@ -33,8 +30,11 @@ from fado.search import (
 from helpers import (
     design_doc,
     device_doc,
+    lib_with_loops,
+    loop_doc,
     parse,
     qor_doc,
+    reference_lookahead_depth,
     reference_path_latency,
     select_bottleneck,
     stress_grid,
@@ -43,28 +43,17 @@ from helpers import (
 )
 
 
-def _loop(label, depth, bound, il):
-    return {"label": label, "depth": depth, "bound": bound,
-            "min_ii": 1, "iter_latency": il}
-
-
-def _lib_with_loops(loops):
-    graph = design_from_dict(design_doc([("K", "dataflow", ["a"])]))
-    doc = qor_doc({"t_a": template_doc([("baseline", 9, {"lut": 1})], loops=loops)})
-    return qor_from_dict(doc, graph), graph
-
-
 # ---------------------------------------------------------------------------
 # Look-ahead window size
 
 
 def test_lookahead_depth_single_full_loop():
-    lib, graph = _lib_with_loops([_loop("L1", 1, 64, 64)])
+    lib, graph = lib_with_loops([loop_doc("L1", 1, 64, 64)])
     assert compute_lookahead_N(lib, graph) == 18
 
 
 def test_lookahead_depth_tiny_loop():
-    lib, graph = _lib_with_loops([_loop("L1", 1, 2, 2)])
+    lib, graph = lib_with_loops([loop_doc("L1", 1, 2, 2)])
     assert compute_lookahead_N(lib, graph) == 3
 
 
@@ -74,26 +63,15 @@ def test_lookahead_depth_without_loops(toy):
 
 
 def test_lookahead_mode_widens_deep_nests():
-    nest = [_loop("L1", 1, 8, 512), _loop("L2", 2, 8, 64),
-            _loop("L3", 3, 8, 8), _loop("L4", 4, 8, 8)]
-    lib, graph = _lib_with_loops(nest)
+    nest = [loop_doc("L1", 1, 8, 512), loop_doc("L2", 2, 8, 64),
+            loop_doc("L3", 3, 8, 8), loop_doc("L4", 4, 8, 8)]
+    lib, graph = lib_with_loops(nest)
     # min mode: IL tier 6+6+3, bound tier 3+3+3, short bound tier 3+3
     assert compute_lookahead_N(lib, graph, "min") == 15 + 9 + 6
     # max mode adds the fourth level to every tier
     assert compute_lookahead_N(lib, graph, "max") == 18 + 12 + 12
     with pytest.raises(ValueError):
         compute_lookahead_N(lib, graph, "cap")
-
-
-def _reference_depth(nests, mode):
-    def leveled(values, cap):
-        chosen = values if mode == "max" else values[:cap]
-        return sum(int(math.log2(min(64, v))) if v > 1 else 0 for v in chosen)
-
-    n1 = max(leveled([l.iter_latency for l in nest], 3) for nest in nests)
-    n2 = max(leveled([l.bound for l in nest], 3) for nest in nests)
-    n3 = max(leveled([l.bound for l in nest], 2) for nest in nests)
-    return n1 + n2 + n3
 
 
 def test_lookahead_depth_matches_reference_on_random_nests():
@@ -104,12 +82,12 @@ def test_lookahead_depth_matches_reference_on_random_nests():
         for _ in range(n_nests):
             depth = rng.randint(1, 4)
             for d in range(1, depth + 1):
-                loops.append(_loop(f"L{len(loops)}", d, rng.choice((1, 2, 4, 8, 64, 100)),
+                loops.append(loop_doc(f"L{len(loops)}", d, rng.choice((1, 2, 4, 8, 64, 100)),
                                    rng.choice((1, 2, 16, 64, 4000))))
-        lib, graph = _lib_with_loops(loops)
+        lib, graph = lib_with_loops(loops)
         for mode in ("min", "max"):
             got = compute_lookahead_N(lib, graph, mode)
-            want = _reference_depth(lib.templates["t_a"].nests(), mode)
+            want = reference_lookahead_depth(lib.templates["t_a"].nests(), mode)
             assert got == want, (loops, mode)
 
 
