@@ -24,6 +24,7 @@ from pathlib import Path
 from . import __version__, instancegen, oracle, search
 from .floorplan import FloorplanError
 from .model import (
+    ModelError,
     _dict_entry,
     _entry,
     _number_entry,
@@ -166,7 +167,7 @@ def _result_document(graph, lib, result, wall_seconds, flags) -> dict:
             for fn in sorted(graph.functions)
         },
         "max_utilization": state.max_utilization(),
-        "max_sll_utilization": state.max_sll_utilization(),
+        "max_sll_utilization": state.sll.max_utilization(),
         "sll": {
             str(y): {str(x): used for x, used in sorted(loads.items())}
             for y, loads in sorted(state.sll.boundary_loads.items())
@@ -270,6 +271,15 @@ def _result_latency(doc, graph, lib):
     return config, latency, mismatch
 
 
+def _int_key(key: str, where: str) -> int:
+    """A result table's key as the integer it names, else a ModelError
+    naming the table (``where``)."""
+    try:
+        return int(key)
+    except ValueError:
+        raise ModelError(f"{where}: key {key!r} is not an integer") from None
+
+
 def cmd_check(args) -> int:
     doc, device, graph, lib = _load_result(args.result)
     config, _, mismatch = _result_latency(doc, graph, lib)
@@ -283,7 +293,10 @@ def cmd_check(args) -> int:
 
     tables = _dict_entry(doc, "sll", RESULT_DOC, {})
     recorded_sll = {
-        int(y): {int(x): used for x, used in _dict_entry(tables, y, "result 'sll'").items()}
+        _int_key(y, "result 'sll'"): {
+            _int_key(x, f"result 'sll' row {y!r}"): used
+            for x, used in _dict_entry(tables, y, "result 'sll'").items()
+        }
         for y in tables
     }
     fresh_sll = state.sll.boundary_loads
@@ -291,7 +304,8 @@ def cmd_check(args) -> int:
        {y: {x: u for x, u in t.items() if u} for y, t in recorded_sll.items()}:
         problems.append("recorded SLL table does not match a recompute from scratch")
     recorded_regs = {
-        int(i): n for i, n in _dict_entry(doc, "register_groups", RESULT_DOC, {}).items()}
+        _int_key(i, "result 'register_groups'"): n
+        for i, n in _dict_entry(doc, "register_groups", RESULT_DOC, {}).items()}
     fresh_regs = {i: n for i, n in state.sll.reg_groups.items() if n}
     if fresh_regs != recorded_regs:
         problems.append("recorded register groups do not match a recompute from scratch")

@@ -252,13 +252,9 @@ class DeviceModel:
 
     def __post_init__(self) -> None:
         self._by_id = {s.id: s for s in self.slots}
-        self._boundary_by_y = {b.y: b for b in self.die_boundaries}
 
     def slot(self, slot_id: int) -> Slot:
         return self._by_id[slot_id]
-
-    def boundary(self, y: int) -> DieBoundary:
-        return self._boundary_by_y[y]
 
     @cached_property
     def slot_budget(self) -> dict[int, tuple]:

@@ -18,15 +18,7 @@ current resources of the vector's functions.  Moves and rolled-back packs
 leave the remainder as it is, so the search takes it once per batch and
 each vector's test costs one add per member.
 
-Offline re-packing is a deterministic function of the packing state, so
-re-running it on a state where it last moved nothing would move nothing
-again.  Every ``PackState`` carries a generation stamp, drawn fresh from
-one process-wide counter on each mutation and carried by snapshots, so a
-rolled-back state gets its old stamp back and a stamp never names two
-different states.  A repack that moves nothing marks its stamp settled,
-and a repack on a settled stamp returns at once.
-
-A repack that does run tests only what could move.  It buckets the unpinned
+Offline re-packing tests only what could move.  It buckets the unpinned
 groups by slot once, and gives each source slot a fit floor, the per-kind
 minimum of its groups' loads: since destination loads only grow during the
 source's turn, a fuller slot that is empty or fails the floor can take none
@@ -56,13 +48,12 @@ and asks ``SllState.feasible``, which decides most boundaries from the same
 reject bound and an accept bound, the narrowest half's budget, and folds
 only the boundaries left in between.  On rejection it puts back only the
 entries the trial changed: the members' placements, the touched slot
-loads, the point's configuration entry, the group load, the routing
-snapshot and the stamp.
+loads, the point's configuration entry, the group load and the routing
+snapshot.
 """
 
 from __future__ import annotations
 
-import itertools
 from operator import sub
 
 from .floorplan import group_resources
@@ -73,25 +64,20 @@ from .model import (
     QoRLibrary,
     RESOURCE_KINDS,
     ResourceVector,
-    kind_ratio,
     kind_ratios,
     utilization_ratio,
     within_budget,
 )
 from .pipeliner import SllState
 
-# Generation stamps of every PackState in the process: one counter, so a
-# stamp value is never handed out twice, not even across restores.
-_stamps = itertools.count()
-
 
 class PackState:
     """Mutable aggregate of configuration, placement, loads, and routing.
 
     Mutate it only through ``apply_point``, ``move_group``,
-    ``trial_move`` and ``restore``: they keep ``stamp`` naming the state and
-    ``group_load`` mapping each RAM group id to its members' summed
-    resources (see the module docstring).
+    ``trial_move`` and ``restore``: they keep ``group_load`` mapping each
+    RAM group id to its members' summed resources (see the module
+    docstring).
     """
 
     def __init__(self, device: DeviceModel, graph: DesignGraph, lib: QoRLibrary,
@@ -122,8 +108,6 @@ class PackState:
         self.group_load = {g.gid: group_resources(g, lib, self.config) for g in self.groups}
         self.sll = SllState(device, graph)
         self.sll.refresh(self.placement)
-        self.stamp = next(_stamps)
-        self.settled_stamp = None  # stamp of the last repack that moved nothing
 
     # -- accessors -----------------------------------------------------------
 
@@ -136,16 +120,6 @@ class PackState:
     def max_utilization(self) -> float:
         return max(self.utilization(s.id) for s in self.device.slots)
 
-    def max_sll_utilization(self) -> float:
-        return max(
-            (
-                kind_ratio(used, self.device.boundary(y).halves[x])
-                for y, loads in self.sll.boundary_loads.items()
-                for x, used in loads.items()
-            ),
-            default=0.0,
-        )
-
     # -- mutation ------------------------------------------------------------
 
     def apply_point(self, fn: str, point_id: str) -> None:
@@ -156,7 +130,6 @@ class PackState:
         self.slot_load[sid] = (self.slot_load[sid] - old) + new
         self.group_load[gid] = (self.group_load[gid] - old) + new
         self.config[fn] = point_id
-        self.stamp = next(_stamps)
 
     def move_group(self, group, dest: int, routes: dict | None = None) -> None:
         """Relocate every member of ``group`` to ``dest`` and hand the
@@ -172,7 +145,6 @@ class PackState:
             self.slot_load[src] = self.slot_load[src] - res
             self.slot_load[dest] = self.slot_load[dest] + res
             self.placement[m] = dest
-        self.stamp = next(_stamps)
         self.sll.update(routes)
 
     def trial_move(self, group, dest: int, point: tuple | None = None) -> bool:
@@ -183,7 +155,7 @@ class PackState:
         A move that the wires' reject bound rules out (``SllState.rejects``)
         is refused before anything changes; any other rejected trial puts
         back just the entries it changed.  Either way the state ends exactly
-        as it was, stamp included.
+        as it was.
         """
         placed = {m: self.placement[m] for m in group.members}
         moving = {m: dest for m, sid in placed.items() if sid != dest}
@@ -192,7 +164,7 @@ class PackState:
             return False
         loads = {sid: self.slot_load[sid] for sid in {dest, *placed.values()}}
         group_load = self.group_load[group.gid]
-        sll, stamp = self.sll.snapshot(), self.stamp
+        sll = self.sll.snapshot()
         if point:
             fn, point_id = point
             old_point = self.config[fn]
@@ -206,7 +178,6 @@ class PackState:
         if point:
             self.config[fn] = old_point
         self.sll.restore(sll)
-        self.stamp = stamp
         return False
 
     def snapshot(self) -> tuple:
@@ -216,17 +187,15 @@ class PackState:
             dict(self.slot_load),
             dict(self.group_load),
             self.sll.snapshot(),
-            self.stamp,
         )
 
     def restore(self, snap: tuple) -> None:
-        config, placement, slot_load, group_load, sll_snap, stamp = snap
+        config, placement, slot_load, group_load, sll_snap = snap
         self.config = dict(config)
         self.placement = dict(placement)
         self.slot_load = dict(slot_load)
         self.group_load = dict(group_load)
         self.sll.restore(sll_snap)
-        self.stamp = stamp
 
     # -- legality --------------------------------------------------------------
 
@@ -314,10 +283,9 @@ def online_pack(state: PackState, targets: dict, allow_moves: bool = True) -> tu
     The device-wide bound is not checked here: on a state whose slots are
     all within budget, as the search keeps them, a batch over the bound
     (``fits_device``) fails whatever is tried and leaves the state as it
-    was, stamp included, so callers screen it out beforehand.  A failed
-    pack restores every point and slot load, so a remainder taken before it
-    (``device_rest``) still holds for the next vector over the same
-    functions.
+    was, so callers screen it out beforehand.  A failed pack restores every
+    point and slot load, so a remainder taken before it (``device_rest``)
+    still holds for the next vector over the same functions.
     """
     for fn, pid in targets.items():
         if fn not in state.graph.functions:
@@ -383,13 +351,7 @@ def offline_repack(state: PackState) -> list:
       or fails the floor stays unable to take any of them.  The source's
       groups try only the open slots, a slot that a move makes fail the
       floor is closed, and the turn ends when none is open.
-
-    A repack that moves nothing marks the state's stamp settled; called
-    again on that stamp it returns ``[]`` at once, since the schedule would
-    replay exactly.
     """
-    if state.stamp == state.settled_stamp:
-        return []
     ranks = sorted(state.device.slots, key=lambda s: (-state.utilization(s.id), s.id))
     group_load = state.group_load
     buckets: dict[int, list] = {s.id: [] for s in ranks}
@@ -421,6 +383,4 @@ def offline_repack(state: PackState) -> list:
                     break
             if not open_:
                 break
-    if not moves:
-        state.settled_stamp = state.stamp
     return moves

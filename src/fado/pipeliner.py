@@ -321,6 +321,14 @@ class SllState:
                     return False
         return True
 
+    def max_utilization(self) -> float:
+        """The largest fill ratio (``kind_ratio``) of any half a wire uses,
+        0.0 when no wire crosses a die boundary."""
+        caps = self._caps
+        return max((kind_ratio(used, caps[y][x])
+                    for y, loads in self.boundary_loads.items() for x, used in loads.items()),
+                   default=0.0)
+
     def total_register_groups(self) -> int:
         return sum(route[2] for route in self.route_of.values())
 

@@ -237,10 +237,6 @@ def run(
     weights = [kernel_weight(members, latencies) for members, _ in plan]
     dist = [0] * len(plan)
     current_lat = longest_path(plan, weights, dist)
-    # A trace row's maxima change only with the state, and a stamp names one
-    # state (restores bring back a state's own stamp, and no stamp is drawn
-    # twice), so they are recomputed only when the stamp moved.
-    stamp = max_util = max_sll_util = None
     excluded: set = set()
     trace: list[TraceRow] = []
     it = 0
@@ -351,9 +347,6 @@ def run(
             if changed:
                 current_lat = longest_path(plan, weights, dist, min(changed))
 
-        if state.stamp != stamp:
-            stamp = state.stamp
-            max_util, max_sll_util = state.max_utilization(), state.max_sll_utilization()
         row = TraceRow(
             iteration=it,
             l1=l1,
@@ -362,8 +355,8 @@ def run(
             stage=stage,
             accepted=accepted,
             design_latency=current_lat,
-            max_util=max_util,
-            max_sll_util=max_sll_util,
+            max_util=state.max_utilization(),
+            max_sll_util=state.sll.max_utilization(),
             moves=moves,
             legalize_seconds=t_legalize,
         )

@@ -5,6 +5,8 @@ from __future__ import annotations
 import math
 from operator import le, sub
 
+from hypothesis import strategies as st
+
 from fado import instancegen
 from fado.model import (
     LIMIT_EPS,
@@ -100,6 +102,59 @@ def stress_grid(seed, n_functions, points_per_template, *, sll):
     return device, design, qor
 
 
+@st.composite
+def grid_documents(draw):
+    """(device, design, qor) documents of a small multi-die grid: 2-3
+    columns with an io column after x=0, 1-3 die boundaries whose halves
+    hold 0-48 wires each, and one resource kind no slot has (and no point
+    uses).  1-3 dataflow kernels of 1-4 functions, and maybe a
+    non-dataflow one, are chained by FIFO edges, with random FIFO and RAM
+    edges inside each kernel; every template has 2-4 points of falling
+    latency, the faster ones mostly larger, so the search accepts, moves
+    groups and excludes."""
+    width = draw(st.integers(2, 3))
+    n_rows = draw(st.integers(1, 3))
+    height = draw(st.integers(n_rows + 1, 4))
+    die_rows = sorted(draw(st.lists(st.integers(0, height - 2), min_size=n_rows,
+                                    max_size=n_rows, unique=True)))
+    absent = draw(st.sampled_from(RESOURCE_KINDS))
+    cap = {"bram": 8, "dsp": 12, "ff": 200, "lut": 100, "uram": 4, absent: 0}
+    device = device_doc(width, height, cap=cap, util_limit=draw(st.sampled_from((0.65, 0.8, 1.0))),
+                        io_cols=(0,), die_rows=die_rows)
+    for boundary in device["die_boundaries"]:
+        for half in boundary["halves"]:
+            half["sll_capacity"] = draw(st.sampled_from((0, 6, 12, 24, 48)))
+
+    kernels, edges, names = [], [], []
+    for k in range(draw(st.integers(1, 3))):
+        fns = [f"k{k}f{i}" for i in range(draw(st.integers(1, 4)))]
+        fn = st.sampled_from(fns)
+        edges.extend(draw(st.lists(
+            st.tuples(fn, fn, st.sampled_from(("fifo", "fifo", "ram")), st.integers(1, 8)),
+            max_size=4)))
+        if names:
+            edges.append((names[-1], fns[0], "fifo", draw(st.integers(1, 8))))
+        kernels.append((f"K{k}", "dataflow", fns))
+        names.extend(fns)
+    if draw(st.booleans()):
+        edges.append((names[-1], "tail", "fifo", draw(st.integers(1, 8))))
+        kernels.append(("N", "non_dataflow", ["tail"]))
+        names.append("tail")
+
+    amount = {"bram": st.integers(0, 2), "dsp": st.integers(0, 3), "ff": st.integers(0, 40),
+              "lut": st.integers(1, 20), "uram": st.integers(0, 1)}
+    templates = {}
+    for f in names:
+        lats = sorted(draw(st.lists(st.integers(1, 60), min_size=2, max_size=4, unique=True)),
+                      reverse=True)
+        templates[f"t_{f}"] = template_doc([
+            ("baseline" if i == 0 else f"p{i}", lat,
+             {kind: draw(a) * (1 + i) for kind, a in amount.items() if kind != absent})
+            for i, lat in enumerate(lats)
+        ])
+    return device, design_doc(kernels, edges), qor_doc(templates)
+
+
 def loop_doc(label, depth, bound, il):
     return {"label": label, "depth": depth, "bound": bound,
             "min_ii": 1, "iter_latency": il}
@@ -142,8 +197,6 @@ def reference_repack(state):
     """The plain offline repack schedule: every unpinned group of every
     ranked source tries every non-empty fuller slot, rescanning the groups
     per source.  ``packer.offline_repack`` must match it exactly."""
-    if state.stamp == state.settled_stamp:
-        return []
     ranks = sorted(state.device.slots, key=lambda s: (-state.utilization(s.id), s.id))
     group_load = state.group_load
     moves = []
@@ -161,8 +214,6 @@ def reference_repack(state):
                         and state.trial_move(g, dest.id)):
                     moves.extend((fn, src.id, dest.id) for fn in g.members)
                     break
-    if not moves:
-        state.settled_stamp = state.stamp
     return moves
 
 
@@ -234,7 +285,7 @@ def reference_fold(device, graph, placement, y):
     each FIFO edge crossing y, in ascending id order, takes the column of its
     endpoint span with the lowest post-add fill ratio, the first such column
     on a tie.  ``SllState.boundary_loads`` must match it exactly."""
-    caps = device.boundary(y).halves
+    caps = next(b.halves for b in device.die_boundaries if b.y == y)
     loads = {}
     for edge in sorted(graph.fifo_edges(), key=lambda e: e.index):
         src, dst = device.slot(placement[edge.src]), device.slot(placement[edge.dst])

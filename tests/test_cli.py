@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 from fado import __version__, instancegen
 from fado.cli import COMMANDS, build_parser, main
 
-from helpers import design_doc, device_doc, qor_doc, stress_grid, template_doc
+from helpers import design_doc, device_doc, grid_documents, qor_doc, stress_grid, template_doc
 
 
 @pytest.fixture
@@ -246,6 +247,19 @@ def test_optimize_exits_zero_only_with_a_result_check_accepts(tmp_path, capsys):
                 assert code == 2
             codes.add((initial, code))
     assert codes == {("mincut", 0), ("mincut", 2), ("balanced", 2)}
+
+
+@settings(max_examples=60, deadline=None)
+@given(grid_documents())
+def test_optimize_on_generated_grids_exits_zero_only_with_a_result_check_accepts(docs):
+    with tempfile.TemporaryDirectory() as tmp:
+        inputs = _write_inputs(Path(tmp) / "in", *docs)
+        code, run_dir = _optimize(inputs, Path(tmp))
+        event(f"optimize exit {code}")
+        if code == 0:
+            assert main(["check", "--result", str(run_dir / "result.json")]) == 0
+        else:
+            assert code == 2
 
 
 def test_optimize_refuses_a_wire_illegal_start_in_one_line(tmp_path, capsys):
@@ -873,8 +887,20 @@ def _sll_table_number(doc):
     doc["sll"]["0"] = 5
 
 
+def _sll_row_key_a_name(doc):
+    doc["sll"]["a"] = {}
+
+
+def _sll_half_key_a_name(doc):
+    doc["sll"]["0"] = {"b": 3}
+
+
 def _register_groups_string(doc):
     doc["register_groups"] = "x"
+
+
+def _register_groups_key_a_name(doc):
+    doc["register_groups"]["c"] = 1
 
 
 def _string_design_latency(doc):
@@ -892,7 +918,11 @@ MALFORMED_RESULT = {
     "configuration-point-a-list": ("check", _list_configuration_point, "'A'"),
     "sll-not-an-object": ("check", _sll_list, "'sll'"),
     "sll-table-not-an-object": ("check", _sll_table_number, "'0'"),
+    "sll-row-key-not-an-integer": ("check", _sll_row_key_a_name, "'sll'"),
+    "sll-half-key-not-an-integer": ("check", _sll_half_key_a_name, "'sll' row '0'"),
     "register-groups-not-an-object": ("check", _register_groups_string, "'register_groups'"),
+    "register-groups-key-not-an-integer":
+        ("check", _register_groups_key_a_name, "'register_groups'"),
     "design-latency-not-a-number": ("verify-optimal", _string_design_latency, "'design_latency'"),
 }
 

@@ -175,7 +175,7 @@ def test_device_round_trip():
     # it parses to the same model
     assert device_from_dict(json.loads(json.dumps(doc))) == dev
     assert slot_at(dev, 1, 1).id == 3
-    assert dev.boundary(0).halves == {0: 5000, 1: 5000}
+    assert [(b.y, b.halves) for b in dev.die_boundaries] == [(0, {0: 5000, 1: 5000})]
     assert dev.io_boundaries == [0]
 
 

@@ -399,10 +399,10 @@ def test_online_pack_matches_the_bound_free_schedule(instance):
     assert _fits(state, targets) == (not over)
     got = online_pack(state, targets, allow_moves)
     assert got == reference_online_pack(ref, targets, allow_moves)
-    assert _entries(state)[:4] == _entries(ref)[:4]
+    assert _entries(state) == _entries(ref)
     assert sll_fingerprint(state.sll) == sll_fingerprint(ref.sll)
     if not got[0]:
-        assert state.stamp == entries[-1]
+        assert _entries(state) == entries
     if over:
         # what the search's screen rests on: a batch over the bound fails
         # and leaves the state exactly as it was
@@ -603,9 +603,7 @@ def _repack_instance(draw):
 
 def _repack_outcome(state, repack):
     """What one repack does: its moves, its ``(group id, slot)`` trials in
-    call order, the state it leaves, and whether it changed or settled the
-    stamp."""
-    entry = state.stamp
+    call order, and the state it leaves."""
     trials = []
     trial_move = state.trial_move
     state.trial_move = lambda g, dest: trials.append((g.gid, dest)) or trial_move(g, dest)
@@ -614,19 +612,17 @@ def _repack_outcome(state, repack):
     finally:
         del state.trial_move
     return (moves, trials, dict(state.placement), dict(state.slot_load),
-            dict(state.group_load), sll_fingerprint(state.sll),
-            state.stamp == entry, state.settled_stamp == state.stamp)
+            dict(state.group_load), sll_fingerprint(state.sll))
 
 
 @settings(max_examples=300, deadline=None)
 @given(_repack_instance())
 def test_offline_repack_matches_the_plain_schedule(state):
-    # two repacks in a row, so a settled second call is compared too
+    # two repacks in a row, so a call on what a repack left is compared too
     snap = state.snapshot()
     runs = {}
     for repack in (reference_repack, offline_repack):
         state.restore(snap)
-        state.settled_stamp = None
         runs[repack] = [_repack_outcome(state, repack) for _ in range(2)]
     assert runs[offline_repack] == runs[reference_repack]
 
@@ -654,20 +650,16 @@ def test_a_source_no_fuller_slot_can_take_is_skipped(spies):
 
 
 # ---------------------------------------------------------------------------
-# Settled-stamp skip
+# Repacks in a row
 
 
-def test_offline_repack_on_a_settled_state_tests_nothing(spies):
+def test_a_repack_after_a_moving_one_runs_the_schedule_again(spies):
     state = _repack_fixture()
-    trials, fits = spies
+    _, fits = spies
     assert offline_repack(state) == [("F31", 2, 0)]
     fits.clear()
     assert offline_repack(state) == []
     assert fits  # the schedule ran and moved nothing
-    fits.clear()
-    trials.clear()
-    assert offline_repack(state) == []
-    assert (trials, fits) == ([], [])
 
 
 @pytest.mark.parametrize("mutation", ["apply_point", "move_group"])
@@ -691,8 +683,8 @@ def test_restore_then_diverge_still_repacks(spies):
     state = _repack_fixture()
     offline_repack(state)
     at_a = state.snapshot()
-    state.apply_point("F41", "baseline")  # B: same loads, a new generation
-    assert offline_repack(state) == []  # settles B
+    state.apply_point("F41", "baseline")  # B: same loads as A
+    assert offline_repack(state) == []
     state.restore(at_a)
     state.move_group(state.group_of["F31"], 2)  # C: differs from B
     trials, _ = spies
@@ -738,7 +730,7 @@ def _pack_instance(draw):
 
 def _entries(state):
     return (dict(state.config), dict(state.placement), dict(state.slot_load),
-            dict(state.group_load), state.stamp)
+            dict(state.group_load))
 
 
 @settings(max_examples=150, deadline=None)
