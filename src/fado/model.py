@@ -207,8 +207,12 @@ def within_budget(counts: tuple, budget: tuple, extra: tuple = _NO_EXTRA) -> boo
     """True when each kind's count plus its ``extra`` (per-kind, possibly
     negative) stays at or below its ceiling in ``budget``.
 
-    This is the one fit comparison: every fit test and legality check in
-    the package goes through it.
+    This is the one resource fit comparison: every fit test and legality
+    check of slot, region or device resources in the package goes through
+    it, with one exception.  ``floorplan._greedy_split`` tests each side's
+    load against its whole-unit bound with the same comparison written out
+    on plain tuples (``all(map(le, load, bound))``).  Wire halves hold one
+    count each, and ``pipeliner`` compares those directly.
     """
     for u, e, b in zip(counts, extra, budget):
         if u + e > b:

@@ -14,7 +14,7 @@ reject bound).  ``fits_device`` is the one test of that bound, and the
 search makes it once per vector, before any packing work; online packing
 itself does not check the bound.  The test adds a vector's target
 resources to a remainder, ``device_rest``: the device total less the
-current resources of the vector's functions.  Moves and rolled-back packs
+current resources of the vector's functions.  Moves and failed packs
 leave the remainder as it is, so the search takes it once per batch and
 each vector's test costs one add per member.
 
@@ -38,18 +38,18 @@ they are parsed (see ``model``).  Nor does the packer have a zero-capacity
 rule of its own: slot ratios (``utilization_ratio``, and ``kind_ratios`` in
 ``_candidate_slots``) divide directly, and only where some capacity is zero
 do they fall back to ``model.kind_ratio``, where that rule lives.
-``PackState.trial_move`` computes the move's FIFO route changes once
-(``SllState.route_changes``) and first asks the routing state whether they
-would push some die boundary's total crossing width past the sum of its
-half budgets (``SllState.rejects``); then no fold could fit the wires, and
-the trial is refused before anything is applied.  Otherwise it applies the
-point and the move, hands the same route changes to ``SllState.update``,
-and asks ``SllState.feasible``, which decides most boundaries from the same
-reject bound and an accept bound, the narrowest half's budget, and folds
-only the boundaries left in between.  On rejection it puts back only the
-entries the trial changed: the members' placements, the touched slot
-loads, the point's configuration entry, the group load and the routing
-snapshot.
+
+Every trial is decided before it is applied.  ``PackState.trial_move``
+computes the move's FIFO route changes once (``SllState.route_changes``)
+and refuses the move at once when they would push some die boundary's
+total crossing width past the sum of its half budgets
+(``SllState.rejects``).  Otherwise it asks ``feasible`` of the routing
+state after the move (``SllState.after``, a new object sharing all that is
+unchanged), which decides most boundaries from the same reject bound and
+an accept bound, the narrowest half's budget, and folds only the
+boundaries left in between.  Only a move that passes is applied, so a
+refused trial has nothing to put back.  A failed ``online_pack`` takes
+back the steps it kept from its own record.
 """
 
 from __future__ import annotations
@@ -74,10 +74,9 @@ from .pipeliner import SllState
 class PackState:
     """Mutable aggregate of configuration, placement, loads, and routing.
 
-    Mutate it only through ``apply_point``, ``move_group``,
-    ``trial_move`` and ``restore``: they keep ``group_load`` mapping each
-    RAM group id to its members' summed resources (see the module
-    docstring).
+    Mutate it only through ``apply_point`` and ``trial_move``: they keep
+    ``group_load`` mapping each RAM group id to its members' summed
+    resources (see the module docstring), and a kept move replaces ``sll``.
     """
 
     def __init__(self, device: DeviceModel, graph: DesignGraph, lib: QoRLibrary,
@@ -131,71 +130,37 @@ class PackState:
         self.group_load[gid] = (self.group_load[gid] - old) + new
         self.config[fn] = point_id
 
-    def move_group(self, group, dest: int, routes: dict | None = None) -> None:
-        """Relocate every member of ``group`` to ``dest`` and hand the
-        routing state the FIFO route changes this makes: ``routes`` when the
-        caller already has them from ``SllState.route_changes``, else
-        computed here."""
-        moving = [m for m in group.members if self.placement[m] != dest]
-        if routes is None:
-            routes = self.sll.route_changes(self.placement, dict.fromkeys(moving, dest))
-        for m in moving:
-            src = self.placement[m]
-            res = self.fn_resources(m)
-            self.slot_load[src] = self.slot_load[src] - res
-            self.slot_load[dest] = self.slot_load[dest] + res
-            self.placement[m] = dest
-        self.sll.update(routes)
-
     def trial_move(self, group, dest: int, point: tuple | None = None) -> bool:
         """Move ``group`` to ``dest``, first applying ``point``, a (member of
-        the group, new point id) pair, when given; keep the result only if
-        every SLL half stays within budget.
-
-        A move that the wires' reject bound rules out (``SllState.rejects``)
-        is refused before anything changes; any other rejected trial puts
-        back just the entries it changed.  Either way the state ends exactly
-        as it was.
+        the group, new point id) pair, when given, if every SLL half stays
+        within budget after the move.  The wires are decided before anything
+        is applied (see the module docstring): a refused trial changes
+        nothing.
         """
-        placed = {m: self.placement[m] for m in group.members}
-        moving = {m: dest for m, sid in placed.items() if sid != dest}
-        routes = self.sll.route_changes(self.placement, moving)
+        placement = self.placement
+        routes = self.sll.route_changes(
+            placement, {m: dest for m in group.members if placement[m] != dest})
         if self.sll.rejects(routes):
             return False
-        loads = {sid: self.slot_load[sid] for sid in {dest, *placed.values()}}
-        group_load = self.group_load[group.gid]
-        sll = self.sll.snapshot()
+        sll = self.sll.after(routes)
+        if not sll.feasible():
+            return False
         if point:
-            fn, point_id = point
-            old_point = self.config[fn]
-            self.apply_point(fn, point_id)
-        self.move_group(group, dest, routes)
-        if self.sll.feasible():
-            return True
-        self.placement.update(placed)
-        self.slot_load.update(loads)
-        self.group_load[group.gid] = group_load
-        if point:
-            self.config[fn] = old_point
-        self.sll.restore(sll)
-        return False
+            self.apply_point(*point)
+        self._place(group, dest)
+        self.sll = sll
+        return True
 
-    def snapshot(self) -> tuple:
-        return (
-            dict(self.config),
-            dict(self.placement),
-            dict(self.slot_load),
-            dict(self.group_load),
-            self.sll.snapshot(),
-        )
-
-    def restore(self, snap: tuple) -> None:
-        config, placement, slot_load, group_load, sll_snap = snap
-        self.config = dict(config)
-        self.placement = dict(placement)
-        self.slot_load = dict(slot_load)
-        self.group_load = dict(group_load)
-        self.sll.restore(sll_snap)
+    def _place(self, group, dest: int) -> None:
+        """Put every member of ``group`` on ``dest`` and move its slot load
+        along; the routing state is the caller's to set."""
+        for m in group.members:
+            src = self.placement[m]
+            if src != dest:
+                res = self.fn_resources(m)
+                self.slot_load[src] = self.slot_load[src] - res
+                self.slot_load[dest] = self.slot_load[dest] + res
+                self.placement[m] = dest
 
     # -- legality --------------------------------------------------------------
 
@@ -241,8 +206,8 @@ def fits_device(state: PackState, targets: dict, rest: ResourceVector) -> bool:
     moved to its target point, stays within ``state.device_bound``: per
     kind, what the slots hold together (``DeviceModel.holds``).
 
-    ``rest`` is ``device_rest(state, targets)``.  Moves and rolled-back
-    packs change neither the total nor any point, so one remainder serves
+    ``rest`` is ``device_rest(state, targets)``.  Moves and failed packs
+    change neither the total nor any point, so one remainder serves
     every vector over the same functions until one of them is applied.  For
     the same reason a batch over the bound has no legal packing at all, and
     neither online packing nor a repack can place it.
@@ -277,22 +242,24 @@ def online_pack(state: PackState, targets: dict, allow_moves: bool = True) -> tu
     """Apply one target point per function, repairing the floorplan on demand.
 
     Transactional over the whole batch: if any function fits neither in
-    place nor (with its RAM group) on any other slot, the state rolls back
+    place nor (with its RAM group) on any other slot, the state goes back
     to entry and fit is False.  Returned moves are (function, from, to).
 
     The device-wide bound is not checked here: on a state whose slots are
     all within budget, as the search keeps them, a batch over the bound
     (``fits_device``) fails whatever is tried and leaves the state as it
-    was, so callers screen it out beforehand.  A failed pack restores every
-    point and slot load, so a remainder taken before it (``device_rest``)
-    still holds for the next vector over the same functions.
+    was, so callers screen it out beforehand.  A failed pack puts back
+    every point and slot load, so a remainder taken before it
+    (``device_rest``) still holds for the next vector over the same
+    functions.
     """
     for fn, pid in targets.items():
         if fn not in state.graph.functions:
             raise ModelError(f"unknown function {fn!r}")
         state.lib.point(fn, pid)
 
-    snap = state.snapshot()
+    sll = state.sll
+    done: list[tuple] = []  # (function, old point, moved group or None, slot it left)
     moves: list[tuple[str, int, int]] = []
     order = sorted(
         targets,
@@ -308,25 +275,36 @@ def online_pack(state: PackState, targets: dict, allow_moves: bool = True) -> tu
         pid = targets[fn]
         new = state.lib.point(fn, pid).resources
         old = state.fn_resources(fn)
+        old_pid = state.config[fn]
         sid = state.placement[fn]
         if _fits_slot(state, sid, tuple(map(sub, new, old))):
             state.apply_point(fn, pid)
+            done.append((fn, old_pid, None, sid))
             continue
         if not allow_moves:
-            state.restore(snap)
-            return False, []
+            return _undo(state, done, sll)
         group = state.group_of[fn]
         extra = (state.group_load[group.gid] - old) + new
-        placed = False
         for dest in _candidate_slots(state, sid, extra):
             if _fits_slot(state, dest, extra) and state.trial_move(group, dest, (fn, pid)):
+                done.append((fn, old_pid, group, sid))
                 moves.extend((m, sid, dest) for m in group.members)
-                placed = True
                 break
-        if not placed:
-            state.restore(snap)
-            return False, []
+        else:
+            return _undo(state, done, sll)
     return True, moves
+
+
+def _undo(state: PackState, done: list, sll) -> tuple[bool, list]:
+    """Take back a failed online pack's steps, last first (each moved group
+    to the slot it left, each point to the old one), and reinstate the
+    routing state the pack started with."""
+    for fn, old_pid, group, sid in reversed(done):
+        if group is not None:
+            state._place(group, sid)
+        state.apply_point(fn, old_pid)
+    state.sll = sll
+    return False, []
 
 
 def offline_repack(state: PackState) -> list:

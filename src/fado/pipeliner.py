@@ -9,17 +9,18 @@ Half selection is deliberately history-free: the halves used on a boundary
 are a pure function of the set of edges crossing it, folded in ascending
 edge id order.  That makes an incremental update (refold only the
 boundaries whose crossing set changed) land bit-for-bit on the same state
-as a full recompute, which the packer relies on when it trials and rolls
-back moves.
+as a full recompute, which the packer relies on when it tests moves on
+new states and goes back to old ones.
 
 The state costs what a move changes, not what the design holds.  It is
 five objects: each FIFO edge's route (die rows crossed, column span,
 register groups), and per die boundary its sorted crossing list, total
 crossing width and folded loads, plus the set of boundaries pending a
-fold.  Each is replaced whole, never changed in place, so ``snapshot`` and
-``restore`` share them by reference.  Register groups are read from the
-routes.  A move is described once, by ``route_changes``: the moved
-functions' FIFO edges whose route changes, with their new routes.
+fold.  Each is replaced whole, never changed in place, so ``after`` can
+return the state after a move as a new object that shares every unchanged
+one with its source, which it leaves as it was.  Register groups are read
+from the routes.  A move is described once, by ``route_changes``: the
+moved functions' FIFO edges whose route changes, with their new routes.
 ``update`` takes that description and touches only the boundaries in those
 edges' old and new die rows.  It does not fold: it keeps each boundary's
 crossing list and total width current and marks the boundary pending.  A
@@ -44,8 +45,8 @@ width exactly for any fold:
 if pending, and checks only the boundaries left in between, one at a time,
 returning False at the first one over budget.  Every fold is stored,
 whether or not it fits.  ``rejects`` asks the reject bound about a move
-before it is made, from the same ``route_changes`` that ``update`` then
-takes, so a doomed trial changes nothing and a trial computes its route
+before it is made, from the same ``route_changes`` that ``after`` then
+takes, so a doomed trial copies nothing and a trial computes its route
 changes once.  ``boundary_loads`` and ``over_budget`` fold every pending
 boundary first.
 """
@@ -84,8 +85,8 @@ class SllState:
     """Per-boundary SLL loads and per-edge register groups for a placement.
 
     ``refresh`` rebuilds everything; ``update`` rebuilds only the boundaries
-    touched by a set of moved functions.  Both end in identical state for
-    the same placement.
+    touched by a set of moved functions, and ``after`` does so on a new
+    object.  All end in identical state for the same placement.
 
     Every state object, the per-boundary dicts and lists inside them
     included, is replaced rather than changed in place (see the module
@@ -218,6 +219,15 @@ class SllState:
                     changed[e.index] = route
         return changed
 
+    def after(self, changed: dict[int, tuple]) -> "SllState":
+        """The state after the route changes ``changed`` (``route_changes``),
+        as a new object that shares every unchanged state object, and the
+        slot-pair route memo, with this one, which stays as it was."""
+        new = object.__new__(SllState)  # a shallow copy, without copy.copy's cost
+        new.__dict__.update(self.__dict__)
+        new.update(changed)
+        return new
+
     def update(self, changed: dict[int, tuple]) -> None:
         """Re-derive state after functions changed slots, from the route
         changes of their FIFO edges (``route_changes``).
@@ -331,10 +341,3 @@ class SllState:
 
     def total_register_groups(self) -> int:
         return sum(route[2] for route in self.route_of.values())
-
-    def snapshot(self) -> tuple:
-        """The current state objects, shared: none is ever changed in place."""
-        return self._loads, self.crossing, self._total, self._pending, self.route_of
-
-    def restore(self, snap: tuple) -> None:
-        self._loads, self.crossing, self._total, self._pending, self.route_of = snap

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import math
 from operator import le, sub
 
@@ -226,7 +227,7 @@ def reference_online_pack(state, targets, allow_moves=True):
         if fn not in state.graph.functions:
             raise ModelError(f"unknown function {fn!r}")
         state.lib.point(fn, pid)
-    snap = state.snapshot()
+    saved = copy_state(state)
     moves = []
     order = sorted(
         targets,
@@ -247,7 +248,7 @@ def reference_online_pack(state, targets, allow_moves=True):
             state.apply_point(fn, pid)
             continue
         if not allow_moves:
-            state.restore(snap)
+            restore_state(state, saved)
             return False, []
         group = state.group_of[fn]
         extra = (state.group_load[group.gid] - old) + new
@@ -256,9 +257,31 @@ def reference_online_pack(state, targets, allow_moves=True):
                 moves.extend((m, sid, dest) for m in group.members)
                 break
         else:
-            state.restore(snap)
+            restore_state(state, saved)
             return False, []
     return True, moves
+
+
+STATE_ENTRIES = ("config", "placement", "slot_load", "group_load")
+
+
+def copy_state(state):
+    """A copy of a ``PackState`` whose entries and routing state are its
+    own: each of ``STATE_ENTRIES`` copied, and the routing state a new
+    object."""
+    twin = copy.copy(state)
+    for name in STATE_ENTRIES:
+        setattr(twin, name, dict(getattr(state, name)))
+    twin.sll = copy.copy(state.sll)
+    return twin
+
+
+def restore_state(state, saved):
+    """Put a ``copy_state`` copy's entries and routing state back into
+    ``state``, copied again, so ``saved`` stays as it is."""
+    twin = copy_state(saved)
+    for name in (*STATE_ENTRIES, "sll"):
+        setattr(state, name, getattr(twin, name))
 
 
 def reference_holds(device, slots):

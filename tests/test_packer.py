@@ -26,11 +26,14 @@ from fado.packer import (
     offline_repack,
     online_pack,
 )
-from fado.pipeliner import recompute_all
+from fado.pipeliner import SllState, recompute_all
 
 from helpers import (
+    STATE_ENTRIES,
+    copy_state,
     design_doc,
     device_doc,
+    grid_documents,
     parse,
     qor_doc,
     reference_online_pack,
@@ -149,10 +152,10 @@ def test_apply_point_moves_load(toy):
     assert state.config["B"] == "fast"
 
 
-def test_move_group_carries_every_member(toy):
+def test_a_kept_trial_carries_every_member(toy):
     state = _toy_state(toy)
     bcd = state.group_of["B"]
-    state.move_group(bcd, 1)
+    assert state.trial_move(bcd, 1)
     assert {state.placement[m] for m in ("B", "C", "D")} == {1}
     assert state.slot_load[0].lut == 22
     assert state.slot_load[1].lut == 9 + 40
@@ -593,12 +596,12 @@ def _repack_instance(draw):
     })
     device, graph, lib = parse(doc, design_doc(kernels, edges), qor)
     config = {n: draw(st.sampled_from(("baseline", "p1"))) for n in names}
-    state = PackState(device, graph, lib, config, {n: 0 for n in names})
     used = draw(st.lists(st.sampled_from([s.id for s in device.slots]),
                          min_size=2, max_size=6, unique=True))
-    for g in state.groups:
-        state.move_group(g, draw(st.sampled_from(used)))
-    return state
+    placement = {}
+    for g in graph.ram_groups:
+        placement.update(dict.fromkeys(g.members, draw(st.sampled_from(used))))
+    return PackState(device, graph, lib, config, placement)
 
 
 def _repack_outcome(state, repack):
@@ -619,11 +622,10 @@ def _repack_outcome(state, repack):
 @given(_repack_instance())
 def test_offline_repack_matches_the_plain_schedule(state):
     # two repacks in a row, so a call on what a repack left is compared too
-    snap = state.snapshot()
     runs = {}
     for repack in (reference_repack, offline_repack):
-        state.restore(snap)
-        runs[repack] = [_repack_outcome(state, repack) for _ in range(2)]
+        twin = copy_state(state)
+        runs[repack] = [_repack_outcome(twin, repack) for _ in range(2)]
     assert runs[offline_repack] == runs[reference_repack]
 
 
@@ -662,7 +664,7 @@ def test_a_repack_after_a_moving_one_runs_the_schedule_again(spies):
     assert fits  # the schedule ran and moved nothing
 
 
-@pytest.mark.parametrize("mutation", ["apply_point", "move_group"])
+@pytest.mark.parametrize("mutation", ["apply_point", "trial_move"])
 def test_a_mutation_after_a_noop_repack_makes_it_run_again(mutation, spies):
     state = _repack_fixture()
     offline_repack(state)
@@ -671,7 +673,7 @@ def test_a_mutation_after_a_noop_repack_makes_it_run_again(mutation, spies):
         state.apply_point("F41", "baseline")
         expected = []
     else:
-        state.move_group(state.group_of["F31"], 2)
+        assert state.trial_move(state.group_of["F31"], 2)  # no die row: always kept
         expected = [("F31", 2, 0)]
     _, fits = spies
     fits.clear()
@@ -682,11 +684,11 @@ def test_a_mutation_after_a_noop_repack_makes_it_run_again(mutation, spies):
 def test_restore_then_diverge_still_repacks(spies):
     state = _repack_fixture()
     offline_repack(state)
-    at_a = state.snapshot()
+    at_a = copy_state(state)
     state.apply_point("F41", "baseline")  # B: same loads as A
     assert offline_repack(state) == []
-    state.restore(at_a)
-    state.move_group(state.group_of["F31"], 2)  # C: differs from B
+    state = at_a
+    assert state.trial_move(state.group_of["F31"], 2)  # C: differs from B
     trials, _ = spies
     trials.clear()
     assert offline_repack(state) == [("F31", 2, 0)]
@@ -721,16 +723,16 @@ def _pack_instance(draw):
         for n in names
     })
     device, graph, lib = parse(doc, design_doc([("K", "dataflow", names)], edges), qor)
-    state = PackState(device, graph, lib, baseline_configuration(graph),
-                      {n: 0 for n in names})
-    for g in state.groups:
-        state.move_group(g, draw(st.sampled_from([s.id for s in device.slots])))
-    return state
+    slot = st.sampled_from([s.id for s in device.slots])
+    placement = {}
+    for g in graph.ram_groups:
+        placement.update(dict.fromkeys(g.members, draw(slot)))
+    return PackState(device, graph, lib, baseline_configuration(graph), placement)
 
 
 def _entries(state):
-    return (dict(state.config), dict(state.placement), dict(state.slot_load),
-            dict(state.group_load))
+    """Each of ``STATE_ENTRIES`` as its list of items, so key order counts."""
+    return [list(getattr(state, name).items()) for name in STATE_ENTRIES]
 
 
 @settings(max_examples=150, deadline=None)
@@ -742,15 +744,17 @@ def test_trials_roll_back_exactly_and_group_loads_stay_current(state, data):
     point = st.sampled_from(("baseline", "p1", "p2"))
     saved = []
     for _ in range(data.draw(st.integers(1, 12))):
-        op = data.draw(st.sampled_from(("point", "move", "trial", "trial", "snapshot", "restore")))
+        op = data.draw(st.sampled_from(("point", "move", "trial", "trial", "copy", "back")))
         if op == "point":
             state.apply_point(data.draw(st.sampled_from(sorted(graph.functions))), data.draw(point))
         elif op == "move":
-            state.move_group(data.draw(group), data.draw(slot))
-        elif op == "snapshot":
-            saved.append(state.snapshot())
-        elif op == "restore" and saved:
-            state.restore(saved[data.draw(st.integers(0, len(saved) - 1))])
+            # a forced move, wires over budget or not: a state built there
+            moved = dict.fromkeys(data.draw(group).members, data.draw(slot))
+            state = PackState(device, graph, lib, state.config, {**state.placement, **moved})
+        elif op == "copy":
+            saved.append(copy_state(state))
+        elif op == "back" and saved:
+            state = copy_state(saved[data.draw(st.integers(0, len(saved) - 1))])
         elif op == "trial":
             g = data.draw(group)
             change = None
@@ -782,20 +786,29 @@ def test_trials_roll_back_exactly_and_group_loads_stay_current(state, data):
 def test_a_trial_computes_its_route_changes_once(state, data):
     device, graph = state.device, state.graph
     calls = []
-    route_changes = state.sll.route_changes
-    state.sll.route_changes = lambda *args: calls.append(route_changes(*args)) or calls[-1]
-    for _ in range(data.draw(st.integers(1, 8))):
-        g = data.draw(st.sampled_from(state.groups))
-        dest = data.draw(st.sampled_from([s.id for s in device.slots]))
-        before = recompute_all(device, graph, state.placement).route_of
-        after = {**state.placement, **{m: dest for m in g.members}}
-        want = {eid: route for eid, route in recompute_all(device, graph, after).route_of.items()
-                if route != before[eid]}
-        calls.clear()
-        state.trial_move(g, dest)
-        # one computation, covering every member's edges, for both the
-        # reject test and the update
-        assert calls == [want]
+    route_changes = SllState.route_changes
+
+    def spy(sll, *args):
+        calls.append(route_changes(sll, *args))
+        return calls[-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        # on the class: each kept move replaces ``state.sll``, so a spy on
+        # the instance would stop seeing the trials after the first one
+        patch.setattr(SllState, "route_changes", spy)
+        for _ in range(data.draw(st.integers(1, 8))):
+            g = data.draw(st.sampled_from(state.groups))
+            dest = data.draw(st.sampled_from([s.id for s in device.slots]))
+            before = recompute_all(device, graph, state.placement).route_of
+            after = {**state.placement, **{m: dest for m in g.members}}
+            want = {eid: route
+                    for eid, route in recompute_all(device, graph, after).route_of.items()
+                    if route != before[eid]}
+            calls.clear()
+            state.trial_move(g, dest)
+            # one computation, covering every member's edges, for both the
+            # reject test and the routing state after the move
+            assert calls == [want]
 
 
 def _one_column_state(edges):
@@ -809,12 +822,12 @@ def _one_column_state(edges):
 
 def test_a_move_past_the_reject_bound_is_refused_before_it_is_applied(monkeypatch):
     state = _one_column_state([("a", "b", "fifo", 16)])  # 16 wires can never cross
-    before, wires = _entries(state), state.sll.snapshot()
-    for name in ("update", "feasible"):
-        monkeypatch.setattr(state.sll, name, lambda *a: pytest.fail("the move was applied"))
+    before, sll, wires = _entries(state), state.sll, sll_fingerprint(state.sll)
+    for name in ("after", "update", "feasible"):
+        monkeypatch.setattr(SllState, name, lambda *a: pytest.fail("the move was tested"))
     assert not state.trial_move(state.group_of["b"], 1, ("b", "p1"))
     assert _entries(state) == before
-    assert all(now is then for now, then in zip(state.sll.snapshot(), wires))
+    assert state.sll is sll and sll_fingerprint(sll) == wires
 
 
 def test_a_move_that_fills_the_reject_bound_exactly_is_applied():
@@ -823,3 +836,81 @@ def test_a_move_that_fills_the_reject_bound_exactly_is_applied():
     state = _one_column_state([("a", "b", "fifo", 9), ("b", "c", "ram", 1), ("b", "c", "fifo", 4)])
     assert state.trial_move(state.group_of["b"], 1)
     assert state.sll.boundary_loads[0] == {0: 9}
+
+
+# ---------------------------------------------------------------------------
+# Checked before applied: what a refusal leaves
+
+
+def _point(lib, fn):
+    """Any of ``fn``'s point ids."""
+    return st.sampled_from([p.id for p in lib.template_for(fn).points])
+
+
+@st.composite
+def _grid_state(draw):
+    """A state on a ``grid_documents`` device (1-3 die boundaries, an io
+    column, a zero-capacity kind): each function at a random point and
+    each RAM group on a random slot, so slots and wire halves may start
+    over budget."""
+    device, graph, lib = parse(*draw(grid_documents()))
+    config = {f: draw(_point(lib, f)) for f in graph.functions}
+    slot = st.sampled_from([s.id for s in device.slots])
+    placement = {}
+    for g in graph.ram_groups:
+        placement.update(dict.fromkeys(g.members, draw(slot)))
+    return PackState(device, graph, lib, config, placement)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_grid_state(), st.data())
+def test_a_refused_trial_changes_nothing(state, data):
+    for _ in range(data.draw(st.integers(1, 10))):
+        g = data.draw(st.sampled_from(state.groups))
+        dest = data.draw(st.sampled_from([s.id for s in state.device.slots]))
+        point = None
+        if data.draw(st.booleans()):
+            fn = data.draw(st.sampled_from(g.members))
+            point = (fn, data.draw(_point(state.lib, fn)))
+        before, sll = _entries(state), state.sll
+        if not state.trial_move(g, dest, point):
+            assert _entries(state) == before
+            assert state.sll is sll
+
+
+def test_a_failed_pack_takes_back_the_move_it_kept():
+    # a column of three slots, each row its own die: a's 50-LUT point
+    # overflows slot 0 and moves to slot 1, across the boundary from x;
+    # then b's 60-LUT point overflows slot 2 and fits nowhere, so the batch
+    # fails after a move was kept
+    fns = {"a": (30, 50), "b": (30, 60), "x": (60,), "y": (40,), "z": (150,)}
+    design = design_doc([("K", "dataflow", sorted(fns))], [("a", "x", "fifo", 8)])
+    qor = qor_doc({f"t_{f}": template_doc([(pid, 10 - i, {"lut": lut}) for i, (pid, lut)
+                                           in enumerate(zip(("baseline", "p1"), luts))])
+                   for f, luts in fns.items()})
+    doc = device_doc(width=1, height=3, cap={"lut": 100}, util_limit=1.0)
+    doc["slots"][2]["capacity"] = {"lut": 200}
+    device, graph, lib = parse(doc, design, qor)
+    state = PackState(device, graph, lib, baseline_configuration(graph),
+                      {"a": 0, "x": 0, "y": 1, "b": 2, "z": 2})
+    assert online_pack(copy_state(state), {"a": "p1"}) == (True, [("a", 0, 1)])
+    before, sll, wires = _entries(state), state.sll, sll_fingerprint(state.sll)
+    assert online_pack(state, {"a": "p1", "b": "p1"}) == (False, [])
+    assert _entries(state) == before
+    assert state.sll is sll and sll_fingerprint(sll) == wires
+
+
+@settings(max_examples=150, deadline=None)
+@given(_grid_state(), st.data())
+def test_a_failed_online_pack_changes_nothing(state, data):
+    names = sorted(state.graph.functions)
+    for _ in range(data.draw(st.integers(1, 4))):
+        batch = data.draw(st.lists(st.sampled_from(names), min_size=1, max_size=4, unique=True))
+        targets = {f: data.draw(_point(state.lib, f)) for f in batch}
+        allow_moves = data.draw(st.sampled_from((True, True, True, False)))
+        before, sll = _entries(state), state.sll
+        ok, moves = online_pack(state, targets, allow_moves)
+        if not ok:
+            assert moves == []
+            assert _entries(state) == before
+            assert state.sll is sll

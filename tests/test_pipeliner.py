@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from copy import copy
 
 import pytest
 from hypothesis import given, settings
@@ -15,7 +16,15 @@ from fado.pipeliner import (
     recompute_all,
 )
 
-from helpers import design_doc, device_doc, reference_fold, sll_fingerprint, slot_at
+from helpers import (
+    design_doc,
+    device_doc,
+    grid_documents,
+    parse,
+    reference_fold,
+    sll_fingerprint,
+    slot_at,
+)
 
 
 def _grid(width, height, *, sll=1000, io_cols=(), sll_limit=0.9):
@@ -202,17 +211,15 @@ def test_incremental_update_equals_recompute(moves):
         assert sll_fingerprint(state) == sll_fingerprint(fresh)
 
 
-def test_snapshot_restore_round_trip():
+def test_after_leaves_its_source_as_it_was():
     dev = _grid(2, 2, io_cols=[0])
     graph = _chain_graph(3, [8, 8])
     placement = {"f0": 0, "f1": 3, "f2": 1}
     state = recompute_all(dev, graph, placement)
-    snap = state.snapshot()
     fp = sll_fingerprint(state)
-    placement["f1"] = 0
-    _update(state, placement, {"f1"})
-    assert sll_fingerprint(state) != fp
-    state.restore(snap)
+    moved = state.after(state.route_changes(placement, {"f1": 0}))
+    assert sll_fingerprint(moved) == sll_fingerprint(recompute_all(dev, graph, {**placement, "f1": 0}))
+    assert sll_fingerprint(moved) != fp
     assert sll_fingerprint(state) == fp
 
 
@@ -240,43 +247,67 @@ def _wired_instance(draw):
 
 
 def _pending_fingerprint(state):
-    """The state's fingerprint, read without keeping the fold it forces:
-    pending boundaries stay pending, so later steps still meet them."""
-    snap = state.snapshot()
-    fp = sll_fingerprint(state)
-    state.restore(snap)
-    return fp
+    """The state's fingerprint, read from a copy so that the fold it forces
+    is not kept: pending boundaries stay pending, and later steps still
+    meet them."""
+    return sll_fingerprint(copy(state))
 
 
 @settings(max_examples=200, deadline=None)
 @given(_wired_instance(), st.data())
-def test_update_snapshot_restore_match_recompute(instance, data):
+def test_update_and_after_match_recompute(instance, data):
     dev, graph = instance
     names = sorted(graph.functions)
     slot = st.sampled_from([s.id for s in dev.slots])
     placement = {f: data.draw(slot) for f in names}
     state = recompute_all(dev, graph, placement)
-    saved = []  # (snapshot, fingerprint, placement) stack
+    saved = []  # (state, fingerprint, placement) of each state left behind
     for _ in range(data.draw(st.integers(1, 12))):
-        op = data.draw(st.sampled_from(("move", "move", "snapshot", "restore")))
-        if op == "snapshot":
-            saved.append((state.snapshot(), _pending_fingerprint(state), dict(placement)))
-        elif op == "restore" and saved:
-            # any open snapshot, the outer ones after inner updates included
-            snap, fp, at = saved[data.draw(st.integers(0, len(saved) - 1))]
-            state.restore(snap)
-            placement = dict(at)
-            assert _pending_fingerprint(state) == fp
+        op = data.draw(st.sampled_from(("update", "after", "after", "back")))
+        if op == "back" and saved:
+            # any state left behind, the older ones after later moves
+            # included; a copy, since "update" changes the state in place
+            source, fp, at = saved[data.draw(st.integers(0, len(saved) - 1))]
+            assert _pending_fingerprint(source) == fp
+            state, placement = copy(source), dict(at)
         else:
             moves = data.draw(st.dictionaries(st.sampled_from(names), slot, min_size=1, max_size=3))
-            placement.update(moves)
-            _update(state, placement, set(moves))
+            changed = state.route_changes(placement, moves)
+            if op == "update":
+                state.update(changed)
+            else:
+                source, fp = state, _pending_fingerprint(state)
+                saved.append((source, fp, placement))
+                state = state.after(changed)
+                assert _pending_fingerprint(source) == fp
+            placement = {**placement, **moves}
         fresh = recompute_all(dev, graph, placement)
         # feasible() first, while boundaries may still be pending
         assert state.feasible() == (not fresh.over_budget())
         assert state.crossing == fresh.crossing
         assert _pending_fingerprint(state) == sll_fingerprint(fresh)
     assert sll_fingerprint(state) == sll_fingerprint(recompute_all(dev, graph, placement))
+
+
+@settings(max_examples=150, deadline=None)
+@given(grid_documents(), st.data())
+def test_after_leaves_its_source_and_matches_recompute(docs, data):
+    dev, graph, _ = parse(*docs)
+    names = sorted(graph.functions)
+    slot = st.sampled_from([s.id for s in dev.slots])
+    placement = {f: data.draw(slot) for f in names}
+    state = recompute_all(dev, graph, placement)
+    for _ in range(data.draw(st.integers(1, 8))):
+        moves = data.draw(st.dictionaries(st.sampled_from(names), slot, min_size=1, max_size=3))
+        fp = _pending_fingerprint(state)
+        moved = state.after(state.route_changes(placement, moves))
+        assert _pending_fingerprint(state) == fp
+        placement = {**placement, **moves}
+        fresh = recompute_all(dev, graph, placement)
+        assert moved.feasible() == (not fresh.over_budget())
+        assert _pending_fingerprint(state) == fp  # folds on the new state stay there
+        assert sll_fingerprint(moved) == sll_fingerprint(fresh)
+        state = moved
 
 
 def test_width_bound_fails_on_a_zero_capacity_half():
