@@ -1,14 +1,16 @@
 """Exact reference solver and optimality verification.
 
-The solver enumerates configurations branch-and-bound style (points in
-latency order, bounded by a padded longest-path lower bound) and decides
-floorplan feasibility by exhaustive group-to-slot assignment.  Its node
-budget is the only bound on a solve: past it the answer is
-``budget_exceeded``, whatever the instance's size.  Verification is the
-same solve under a latency bound: ``verify_optimal`` prunes every node not
-faster than the result it checks, so any witness it returns is a legal
-configuration faster than that result, and the fastest one when the search
-finishes within its budget.
+The solver is one depth-first walk over configurations, branch and bound:
+functions in name order, each one's points in latency order, every node
+bounded below by its design latency with the functions not yet chosen at
+their fastest points.  A full configuration that survives the bound is
+placed by exhaustive group-to-slot assignment.  The node budget is the
+only bound on a solve: past it the answer is ``budget_exceeded``, whatever
+the instance's size.  Verification is the same solve under a latency
+bound: ``verify_optimal`` prunes every node not faster than the result it
+checks, so any witness it returns is a legal configuration faster than
+that result, and the fastest one when the search finishes within its
+budget.
 
 A placement counts as routable only when the pipeliner's half-selection
 fold, the one wire rule the search and ``fado check`` apply, keeps every
@@ -99,31 +101,6 @@ def assign_slots(device: DeviceModel, graph: DesignGraph, lib: QoRLibrary, confi
     return place(0)
 
 
-def _walk(graph: DesignGraph, lib: QoRLibrary, fns: list, visit) -> None:
-    """Depth-first over the configurations of ``fns``, points in latency order.
-
-    ``visit(i, lower_bound, partial)`` is called at every node: ``fns[:i]``
-    are chosen in ``partial``, the rest sit at their fastest point, and
-    ``lower_bound`` is the design latency of ``partial``.  A false return
-    prunes the node's subtree; ``i == len(fns)`` is a full configuration.
-    """
-    points = [lib.template_for(f).points for f in fns]
-    partial = {f: pts[0].id for f, pts in zip(fns, points)}  # parsing sorts by latency
-    latency = function_latencies(graph, lib, partial)  # kept equal to partial's
-
-    def descend(i: int) -> None:
-        if not visit(i, path_latency(graph, latency), partial) or i == len(fns):
-            return
-        f = fns[i]
-        kept = partial[f], latency[f]
-        for p in points[i]:
-            partial[f], latency[f] = p.id, p.latency
-            descend(i + 1)
-        partial[f], latency[f] = kept
-
-    descend(0)
-
-
 def solve(device: DeviceModel, graph: DesignGraph, lib: QoRLibrary,
           node_budget: int = DEFAULT_NODE_BUDGET) -> OracleResult:
     """Exact minimum design latency over configurations and placements.
@@ -146,7 +123,11 @@ def _search(device: DeviceModel, graph: DesignGraph, lib: QoRLibrary,
     around either public name times and counts only its own command's search.
     """
     fns = sorted(graph.functions)
+    points = [lib.template_for(f).points for f in fns]
+    partial = {f: pts[0].id for f, pts in zip(fns, points)}  # parsing sorts by latency
+    latency = function_latencies(graph, lib, partial)  # kept equal to partial's
     spent = candidates = checked = 0
+    best_latency = best_config = best_placement = None
 
     def tick():
         nonlocal spent
@@ -154,37 +135,41 @@ def _search(device: DeviceModel, graph: DesignGraph, lib: QoRLibrary,
         if spent > node_budget:
             raise _Stop
 
-    best: dict = {"latency": None, "config": None, "placement": None}
-
-    def visit(i: int, lb: int, partial: dict) -> bool:
-        nonlocal candidates, checked
+    def descend(i: int) -> None:
+        """The node where ``fns[:i]`` are chosen in ``partial`` and the rest
+        sit at their fastest points; ``i == len(fns)`` is a full configuration."""
+        nonlocal candidates, checked, best_latency, best_config, best_placement
         tick()
-        if best["latency"] is not None and lb > best["latency"]:
-            return False
-        if lb >= below:
-            return False
+        lb = path_latency(graph, latency)
+        if (best_latency is not None and lb > best_latency) or lb >= below:
+            return
         if i == len(fns):
             candidates += 1
             # a tie replaces the witness only with a lexicographically smaller one
-            tie = lb == best["latency"]
-            if tie and [partial[f] for f in fns] >= [best["config"][f] for f in fns]:
-                return False
+            if lb == best_latency and [partial[f] for f in fns] >= [best_config[f] for f in fns]:
+                return
             checked += 1
             placement = assign_slots(device, graph, lib, partial, tick=tick)
             if placement is not None:
-                best.update(latency=lb, config=dict(partial), placement=placement)
-        return True
+                best_latency, best_config, best_placement = lb, dict(partial), placement
+            return
+        f = fns[i]
+        kept = partial[f], latency[f]
+        for p in points[i]:
+            partial[f], latency[f] = p.id, p.latency
+            descend(i + 1)
+        partial[f], latency[f] = kept
 
     try:
-        _walk(graph, lib, fns, visit)
-        status = "infeasible" if best["latency"] is None else "optimal"
+        descend(0)
+        status = "infeasible" if best_latency is None else "optimal"
     except _Stop:
         status = "budget_exceeded"
     return OracleResult(
         status=status,
-        latency=best["latency"],
-        config=best["config"],
-        placement=best["placement"],
+        latency=best_latency,
+        config=best_config,
+        placement=best_placement,
         nodes=spent,
         candidates=candidates,
         checked=checked,

@@ -3,20 +3,21 @@
 Each iteration retargets the current latency bottleneck (all non-excluded
 functions tied at the maximum latency) to its descent point DP: the slowest
 point strictly faster than the second latency level, so one acceptance
-hands the bottleneck role to a different function.  Legalization escalates
-through four stages: online packing, offline re-packing plus an online
-retry, a bounded look-ahead below DP, and a look-back between DP and the
-current latency.  The retry after a repack runs only when the repack moved
-something: online packing is deterministic, so on an unchanged state it
-would fail again.  Each vector is first checked, once, against the
-device-wide bound (per kind, the sum of the slots' floored fit budgets,
+hands the bottleneck role to a different function.  An iteration tries one
+ordered stream of target vectors (``_candidates``) until one packs: the DP
+vector, at most N look-ahead vectors below DP, then every look-back vector
+between DP and the current latency.  Each vector is first checked against
+the device-wide bound (per kind, the sum of the slots' floored fit budgets,
 ``fits_device``): no floorplan can hold a vector over it, so it is refused
 before online packing or a repack touches the state.  The check adds the
 vector's target resources to the batch's remainder, the device total less
 the batch's current resources, taken once per iteration: until a vector is
 applied, repacks only move groups and failed packs roll back, so neither
-changes the remainder.  A batch that survives no stage is excluded from
-future selection and the search moves on; it stops when nothing is left to
+changes the remainder.  A vector within the bound is packed online; if that
+fails, any but a look-back vector repacks offline and, when the repack
+moved something, retries online packing (which is deterministic, so on an
+unchanged state it would fail again).  A batch that no vector legalizes is
+excluded from future selection; the search stops when nothing is left to
 select.
 
 Selection reads latency levels kept current as the search goes: the
@@ -137,17 +138,15 @@ class _Levels:
         self.members[lat].add(f)
 
 
-def prune(template, current_latency: int, l1: int, l2: int):
+def prune(template, l2: int):
     """DP for one bottleneck function, or None when DS is empty.
 
-    DS is the points strictly faster than L2 (faster than L1 in the
-    degenerate case where L2 ties the function's own latency), latency
-    ascending; DP is its last element, the slowest of them.
+    DS is the points strictly faster than L2, latency ascending; DP is its
+    last element, the slowest of them.
     """
-    threshold = l1 if l2 == current_latency else l2
     dp = None
     for p in template.points:
-        if p.latency >= threshold:
+        if p.latency >= l2:
             break
         dp = p
     return dp
@@ -190,6 +189,46 @@ def _window_vectors(batch, alts, fallback, limit):
         if all(k >= len(alts[f]) for f in batch):
             return
         yield {f: (alts[f][k].id if k < len(alts[f]) else fallback[f].id) for f in batch}
+
+
+def _candidates(lib: QoRLibrary, batch: list, dps: dict, l1: int, n: int):
+    """An iteration's target vectors in the order they are tried, as
+    ``(stage, vector, may_repack)``; the DP vector's stage is None, to be
+    named by the packing that places it.  Lazy: a window is built only
+    once every vector before it has failed."""
+    yield None, {f: dps[f].id for f in batch}, True
+    ahead = {f: [p for p in lib.template_for(f).points if p.latency < dps[f].latency][::-1]
+             for f in batch}
+    for vec in _window_vectors(batch, ahead, dps, n):
+        yield STAGE_LOOK_AHEAD, vec, True
+    back = {f: [p for p in lib.template_for(f).points if dps[f].latency < p.latency < l1]
+            for f in batch}
+    for vec in _window_vectors(batch, back, dps, max(map(len, back.values()), default=0)):
+        yield STAGE_LOOK_BACK, vec, False
+
+
+def _attempt(state: PackState, vec: dict, rest, moves: list, allow_moves: bool,
+             repack: bool) -> str | None:
+    """The stage that packed ``vec``, online or offline, or None; every move
+    made is kept in ``moves``.  ``rest`` is the batch's ``device_rest``.
+    The offline repack and the online retry after it run only when both
+    ``repack`` and ``allow_moves`` hold."""
+    if not fits_device(state, vec, rest):
+        return None
+    ok, m = online_pack(state, vec, allow_moves=allow_moves)
+    if ok:
+        moves.extend(m)
+        return STAGE_ONLINE
+    if not (repack and allow_moves):
+        return None
+    repacked = offline_repack(state)
+    moves.extend(repacked)
+    if repacked:
+        ok, m = online_pack(state, vec)
+        if ok:
+            moves.extend(m)
+            return STAGE_OFFLINE
+    return None
 
 
 def run(
@@ -255,85 +294,28 @@ def run(
 
         dps = {}
         for f in batch:
-            dp = prune(lib.template_for(f), latencies[f], l1, l2)
+            dp = prune(lib.template_for(f), l2)
             if dp is None:
                 break
             dps[f] = dp
 
         moves: list = []
-
-        def attempt(vec: dict, repack: bool) -> str | None:
-            """Refuse ``vec`` if it is over the device-wide bound
-            (``fits_device``); else pack it online and, when that fails,
-            ``repack`` holds and the floorplan may move, repack offline
-            and, if that moved groups, pack once more.  Every move made is
-            kept in ``moves``.  Returns the stage that packed ``vec``
-            (online or offline), or None.
-
-            Every slot is within budget at every attempt, so a vector over
-            the bound would fail online packing with the state untouched:
-            the early refusal changes no outcome.  Until a vector is
-            applied, packs that fail roll back and repacks only move
-            groups, so the batch's remainder ``rest`` stays exact for
-            every vector of the iteration."""
-            if not fits_device(state, vec, rest):
-                return None
-            ok, m = online_pack(state, vec, allow_moves=not freeze_floorplan)
-            if ok:
-                moves.extend(m)
-                return STAGE_ONLINE
-            if not repack or freeze_floorplan:
-                return None
-            repacked = offline_repack(state)
-            moves.extend(repacked)
-            if repacked:
-                ok, m = online_pack(state, vec)
-                if ok:
-                    moves.extend(m)
-                    return STAGE_OFFLINE
-            return None
-
-        stage = None
-        accepted: dict = {}
+        stage, accepted = STAGE_EXCLUDED, {}
         t_legalize = time.perf_counter()
         if len(dps) == len(batch):
             rest = device_rest(state, batch)
-            targets = {f: dps[f].id for f in batch}
-            stage = attempt(targets, repack=True)
-            if stage is not None:
-                accepted = targets
-            else:
-                ahead = {
-                    f: [p for p in lib.template_for(f).points if p.latency < dps[f].latency][::-1]
-                    for f in batch
-                }
-                for vec in _window_vectors(batch, ahead, dps, n):
-                    if attempt(vec, repack=True):
-                        stage, accepted = STAGE_LOOK_AHEAD, vec
-                        break
-            if stage is None:
-                back = {
-                    f: [
-                        p
-                        for p in lib.template_for(f).points
-                        if dps[f].latency < p.latency < l1
-                    ]
-                    for f in batch
-                }
-                for vec in _window_vectors(batch, back, dps, max(map(len, back.values()), default=0)):
-                    if attempt(vec, repack=False):
-                        stage, accepted = STAGE_LOOK_BACK, vec
-                        break
-        if stage is None:
-            stage = STAGE_EXCLUDED
-
+            for named, vec, may_repack in _candidates(lib, batch, dps, l1, n):
+                packed = _attempt(state, vec, rest, moves, not freeze_floorplan, may_repack)
+                if packed is not None:
+                    stage, accepted = named or packed, vec
+                    break
         t_legalize = time.perf_counter() - t_legalize
 
-        if stage == STAGE_EXCLUDED:
+        if not accepted:
             excluded.update(batch)
             for f in batch:
                 levels.remove(f, l1)
-        if accepted:
+        else:
             for f, pid in accepted.items():
                 levels.remove(f, latencies[f])
                 latencies[f] = lib.point(f, pid).latency
@@ -365,7 +347,7 @@ def run(
             on_iteration(state, row)
 
     return SearchResult(
-        design_latency=design_latency(graph, lib, state.config),
+        design_latency=current_lat,
         baseline_latency=baseline_lat,
         config=dict(state.config),
         placement=dict(state.placement),

@@ -22,6 +22,7 @@ from fado.packer import PackState
 from fado.pipeliner import recompute_all
 from fado.search import (
     DEFAULT_LOOKAHEAD_N,
+    _candidates,
     _Levels,
     _window_vectors,
     compute_lookahead_N,
@@ -130,15 +131,13 @@ def _points(lats):
 
 def test_prune_keeps_points_below_the_second_tier():
     tmpl = _points([15, 20, 30, 45, 60, 80])
-    assert prune(tmpl, 80, 80, 40).latency == 30
-    assert prune(tmpl, 80, 80, 45).latency == 30
+    assert prune(tmpl, 40).latency == 30
+    assert prune(tmpl, 45).latency == 30
 
 
-def test_prune_degenerate_tie_uses_the_top_tier():
+def test_prune_finds_nothing_below_the_fastest_point():
     tmpl = _points([15, 20, 30, 45, 60, 80])
-    # a second function shares latency 80: L2 == this function's own latency
-    assert prune(tmpl, 80, 90, 80).latency == 80
-    assert prune(tmpl, 80, 80, 15) is None
+    assert prune(tmpl, 15) is None
 
 
 def test_window_vectors_lockstep_with_fallback():
@@ -149,6 +148,20 @@ def test_window_vectors_lockstep_with_fallback():
     assert vecs == [
         {"a": "a1", "b": "b1"},
         {"a": "a2", "b": "bDP"},
+    ]
+
+
+def test_candidates_run_dp_then_look_ahead_then_look_back():
+    # a has two look-ahead points, so a window of one cuts the second; the
+    # look-back vectors alone may not repack
+    tmpls = {"a": _points([10, 20, 30, 45, 60, 80]), "b": _points([15, 25, 35, 80])}
+    lib = SimpleNamespace(template_for=tmpls.__getitem__)
+    dps = {f: prune(t, 40) for f, t in tmpls.items()}
+    assert list(_candidates(lib, ["a", "b"], dps, 80, 1)) == [
+        (None, {"a": "p30", "b": "p35"}, True),
+        ("look_ahead", {"a": "p20", "b": "p25"}, True),
+        ("look_back", {"a": "p45", "b": "p35"}, False),
+        ("look_back", {"a": "p60", "b": "p35"}, False),
     ]
 
 
@@ -417,6 +430,38 @@ def test_a_failed_vector_is_repacked_for_only_within_the_device_bound(monkeypatc
     firsts = [i for i in starts[:-1] if events[i:i + 1] == [("vector", True)]]
     failed = [i for i in firsts if events[i + 1] == ("pack", True, False)]
     assert failed and all(events[i + 2] == ("repack",) for i in failed)
+
+
+def test_a_look_back_vector_is_never_repacked_for(monkeypatch):
+    # ("vector", stage), ("pack", ok) or ("repack",), in call order
+    events = []
+    candidates, pack, repack = search._candidates, search.online_pack, search.offline_repack
+
+    def spy_candidates(*args):
+        for stage, vec, may_repack in candidates(*args):
+            events.append(("vector", stage))
+            yield stage, vec, may_repack
+
+    def spy_pack(state, vec, allow_moves=True):
+        ok, moves = pack(state, vec, allow_moves)
+        events.append(("pack", ok))
+        return ok, moves
+
+    monkeypatch.setattr(search, "_candidates", spy_candidates)
+    monkeypatch.setattr(search, "online_pack", spy_pack)
+    monkeypatch.setattr(search, "offline_repack", lambda state: events.append(("repack",))
+                        or repack(state))
+    run(*parse(*instancegen.gen_stress(5, 150, 6)))
+    stage, after_look_back = None, []
+    for e in events:
+        if e[0] == "vector":
+            stage = e[1]
+        elif stage == "look_back":
+            after_look_back.append(e)
+    # look-back vectors fail online packing, yet none is repacked for
+    assert ("pack", False) in after_look_back
+    assert ("repack",) not in after_look_back
+    assert ("repack",) in events
 
 
 # ---------------------------------------------------------------------------
