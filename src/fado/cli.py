@@ -153,6 +153,7 @@ def _write_tcl_stub(path: Path, graph, lib, config, placement) -> None:
 def _result_document(graph, lib, result, wall_seconds, flags) -> dict:
     """Everything ``result.json`` records but the input documents."""
     state = result.state
+    register_groups = {str(i): n for i, n in sorted(state.sll.reg_groups.items()) if n}
     return {
         "design_latency": result.design_latency,
         "baseline_latency": result.baseline_latency,
@@ -172,8 +173,8 @@ def _result_document(graph, lib, result, wall_seconds, flags) -> dict:
             str(y): {str(x): used for x, used in sorted(loads.items())}
             for y, loads in sorted(state.sll.boundary_loads.items())
         },
-        "register_groups": {str(i): n for i, n in sorted(state.sll.reg_groups.items()) if n},
-        "total_register_groups": state.sll.total_register_groups(),
+        "register_groups": register_groups,
+        "total_register_groups": sum(register_groups.values()),
         "manifest": {
             "tool_version": __version__,
             "created_unix": time.time(),

@@ -32,7 +32,8 @@ from .model import (
     ResourceVector,
     design_latency,
     function_latencies,
-    path_latency,
+    kernel_weight,
+    longest_path,
     within_budget,
 )
 from .packer import PackState
@@ -126,6 +127,14 @@ def _search(device: DeviceModel, graph: DesignGraph, lib: QoRLibrary,
     points = [lib.template_for(f).points for f in fns]
     partial = {f: pts[0].id for f, pts in zip(fns, points)}  # parsing sorts by latency
     latency = function_latencies(graph, lib, partial)  # kept equal to partial's
+    # A child differs from its node in one function's latency, so it
+    # re-weighs that function's kernel alone, and where the weight changes
+    # the longest-path walk restarts there, into the child depth's own
+    # path lengths.
+    plan = graph.latency_plan
+    kernel_at = {f: k for k, (members, _) in enumerate(plan) for f in members}
+    weights = [kernel_weight(members, latency) for members, _ in plan]
+    dists = [[0] * len(plan) for _ in range(len(fns) + 1)]  # one per depth
     spent = candidates = checked = 0
     best_latency = best_config = best_placement = None
 
@@ -135,12 +144,12 @@ def _search(device: DeviceModel, graph: DesignGraph, lib: QoRLibrary,
         if spent > node_budget:
             raise _Stop
 
-    def descend(i: int) -> None:
+    def descend(i: int, lb: int, dist: list) -> None:
         """The node where ``fns[:i]`` are chosen in ``partial`` and the rest
-        sit at their fastest points; ``i == len(fns)`` is a full configuration."""
+        sit at their fastest points, with design latency ``lb`` and kernel
+        path lengths ``dist``; ``i == len(fns)`` is a full configuration."""
         nonlocal candidates, checked, best_latency, best_config, best_placement
         tick()
-        lb = path_latency(graph, latency)
         if (best_latency is not None and lb > best_latency) or lb >= below:
             return
         if i == len(fns):
@@ -154,14 +163,21 @@ def _search(device: DeviceModel, graph: DesignGraph, lib: QoRLibrary,
                 best_latency, best_config, best_placement = lb, dict(partial), placement
             return
         f = fns[i]
-        kept = partial[f], latency[f]
+        k = kernel_at[f]
+        members, child = plan[k][0], dists[i + 1]
+        kept = partial[f], latency[f], weights[k]
         for p in points[i]:
             partial[f], latency[f] = p.id, p.latency
-            descend(i + 1)
-        partial[f], latency[f] = kept
+            weights[k] = kernel_weight(members, latency)
+            if weights[k] == kept[2]:
+                descend(i + 1, lb, dist)
+            else:
+                child[:k] = dist[:k]
+                descend(i + 1, longest_path(plan, weights, child, k), child)
+        partial[f], latency[f], weights[k] = kept
 
     try:
-        descend(0)
+        descend(0, longest_path(plan, weights, dists[0]), dists[0])
         status = "infeasible" if best_latency is None else "optimal"
     except _Stop:
         status = "budget_exceeded"

@@ -50,6 +50,11 @@ an accept bound, the narrowest half's budget, and folds only the
 boundaries left in between.  Only a move that passes is applied, so a
 refused trial has nothing to put back.  A failed ``online_pack`` takes
 back the steps it kept from its own record.
+
+``PackState.check_legal`` words every legality message in one place: each
+slot kind over its budget, each RAM group split across slots, then each
+die-boundary half over its wire budget, as ``SllState.over_budget``, the
+routing state's one overflow report, lists them.
 """
 
 from __future__ import annotations
@@ -68,7 +73,7 @@ from .model import (
     utilization_ratio,
     within_budget,
 )
-from .pipeliner import SllState
+from .pipeliner import recompute_all
 
 
 class PackState:
@@ -105,8 +110,7 @@ class PackState:
             sid = self.placement[f]
             self.slot_load[sid] = self.slot_load[sid] + self.fn_resources(f)
         self.group_load = {g.gid: group_resources(g, lib, self.config) for g in self.groups}
-        self.sll = SllState(device, graph)
-        self.sll.refresh(self.placement)
+        self.sll = recompute_all(device, graph, self.placement)
 
     # -- accessors -----------------------------------------------------------
 
@@ -183,7 +187,8 @@ class PackState:
                     f"functions sharing RAM must share a slot:"
                     f" group {{{members}}} spans slots {slots}"
                 )
-        report.extend(self.sll.violations())
+        report.extend(f"boundary y={y} half x={x}: {used} wires exceed budget {budget:.1f}"
+                      for y, x, used, budget in self.sll.over_budget())
         return report
 
 

@@ -19,17 +19,19 @@ crossing width and folded loads, plus the set of boundaries pending a
 fold.  Each is replaced whole, never changed in place, so ``after`` can
 return the state after a move as a new object that shares every unchanged
 one with its source, which it leaves as it was.  Register groups are read
-from the routes.  A move is described once, by ``route_changes``: the
-moved functions' FIFO edges whose route changes, with their new routes.
-``update`` takes that description and touches only the boundaries in those
-edges' old and new die rows.  It does not fold: it keeps each boundary's
-crossing list and total width current and marks the boundary pending.  A
-pending boundary is later folded whole from its crossing list, in one
-walk: an edge whose span is one column adds its width there directly, and
-only a wider span compares the fill ratios of its columns.
+from the routes.  A state is built in one way, ``recompute_all``, which
+routes every FIFO edge and leaves every boundary pending.  A move is
+described once, by ``route_changes``: the moved functions' FIFO edges whose
+route changes, with their new routes.  ``update`` takes that description
+and touches only the boundaries in those edges' old and new die rows.
+Neither folds: they keep each boundary's crossing list and total width
+current and mark the boundary pending.  A pending boundary is later folded
+whole from its crossing list, in one walk: an edge whose span is one column
+adds its width there directly, and only a wider span compares the fill
+ratios of its columns.
 
-The fold is deferred until something needs it, and most questions are
-decided without it.  A half's budget (``fit_budget``) is ``sll_limit``
+The fold waits until a query needs it, and most questions are decided
+without it.  A half's budget (``fit_budget``) is ``sll_limit``
 times its capacity plus ``LIMIT_EPS``, and the fold puts every edge on one
 column of its span, so two constants per boundary bound its total crossing
 width exactly for any fold:
@@ -48,7 +50,8 @@ whether or not it fits.  ``rejects`` asks the reject bound about a move
 before it is made, from the same ``route_changes`` that ``after`` then
 takes, so a doomed trial copies nothing and a trial computes its route
 changes once.  ``boundary_loads`` and ``over_budget`` fold every pending
-boundary first.
+boundary first; ``over_budget`` is the one report of halves over budget,
+which ``PackState.check_legal`` words and the exact oracle reads.
 """
 
 from __future__ import annotations
@@ -75,18 +78,33 @@ def allowed_halves(xs: int, xd: int) -> range:
 
 
 def recompute_all(device: DeviceModel, graph: DesignGraph, placement: dict) -> "SllState":
-    """Fresh routing state built from scratch for a placement."""
+    """The routing state of a placement, built from scratch: the one way to
+    build one.  Every boundary is left pending, as ``update`` leaves the
+    boundaries it touches, so no fold runs until a query needs it."""
     state = SllState(device, graph)
-    state.refresh(placement)
+    crossing: dict[int, list[int]] = {y: [] for y in state._caps}
+    route_of = {}
+    for e in graph.edges:
+        if e.kind == FIFO:
+            route = route_of[e.index] = state._route(placement[e.src], placement[e.dst])
+            for y in route[0]:
+                crossing[y].append(e.index)
+    width = state._width
+    state.route_of = route_of  # FIFO edge id -> its route
+    state.crossing = crossing
+    # boundary row -> total crossing width
+    state._total = {y: sum(width[eid] for eid in eids) for y, eids in crossing.items()}
+    state._pending = frozenset(crossing)  # boundary rows not yet folded
     return state
 
 
 class SllState:
     """Per-boundary SLL loads and per-edge register groups for a placement.
 
-    ``refresh`` rebuilds everything; ``update`` rebuilds only the boundaries
-    touched by a set of moved functions, and ``after`` does so on a new
-    object.  All end in identical state for the same placement.
+    ``recompute_all`` builds one from scratch; ``update`` rebuilds only the
+    boundaries touched by a set of moved functions, and ``after`` does so
+    on a new object.  All end in identical state for the same placement,
+    once the pending boundaries are folded.
 
     Every state object, the per-boundary dicts and lists inside them
     included, is replaced rather than changed in place (see the module
@@ -118,11 +136,8 @@ class SllState:
         # cannot overflow any half, however the fold splits the edges.
         self._accept_bound = {y: min(budget) for y, budget in self.budget.items()}
         self._routes: dict[tuple, tuple] = {}  # slot pair -> route, filled on first use
-        self._loads: dict[int, dict[int, int]] = {}
-        self.crossing: dict[int, list[int]] = {}
-        self._total: dict[int, int] = {}  # boundary row -> total crossing width
-        self._pending: frozenset[int] = frozenset()  # boundary rows not yet folded
-        self.route_of: dict[int, tuple] = {}  # FIFO edge id -> its route
+        self._loads: dict[int, dict[int, int]] = {}  # folded boundary row -> its loads
+        # ``recompute_all`` sets route_of, crossing, _total and _pending
 
     @property
     def boundary_loads(self) -> dict[int, dict[int, int]]:
@@ -183,23 +198,6 @@ class SllState:
         """Fold every pending boundary."""
         for y in self._pending:
             self._fold_pending(y)
-
-    # -- full rebuild --------------------------------------------------------
-
-    def refresh(self, placement: dict) -> None:
-        crossing: dict[int, list[int]] = {y: [] for y in self._caps}
-        route_of = {}
-        for e in self.graph.edges:
-            if e.kind == FIFO:
-                route = route_of[e.index] = self._route(placement[e.src], placement[e.dst])
-                for y in route[0]:
-                    crossing[y].append(e.index)
-        width = self._width
-        self.route_of = route_of
-        self.crossing = crossing
-        self._total = {y: sum(width[eid] for eid in eids) for y, eids in crossing.items()}
-        self._pending = frozenset()
-        self._loads = {y: self._fold(y, eids) for y, eids in crossing.items()}
 
     # -- incremental rebuild --------------------------------------------------
 
@@ -275,24 +273,17 @@ class SllState:
 
     # -- queries ---------------------------------------------------------------
 
-    def _over(self, y: int) -> list[tuple[int, int, int, float]]:
-        halves, budget, limit = self._caps[y], self.budget[y], self.device.sll_limit
-        return [(y, x, used, limit * halves[x])
-                for x, used in sorted(self._loads[y].items()) if used > budget[x]]
-
     def over_budget(self) -> list[tuple[int, int, int, float]]:
-        """Halves whose wire load exceeds the SLL budget, in (y, x) order.
+        """Halves whose wire load exceeds the SLL budget, in (y, x) order: the
+        one overflow report, folding every pending boundary first.
 
         Each entry is (boundary y, half x, wires used, budget).
         """
-        self._settle()
-        return [over for y in sorted(self._loads) for over in self._over(y)]
-
-    def violations(self) -> list[str]:
-        return [
-            f"boundary y={y} half x={x}: {used} wires exceed budget {budget:.1f}"
-            for y, x, used, budget in self.over_budget()
-        ]
+        loads, caps, budget = self.boundary_loads, self._caps, self.budget
+        limit = self.device.sll_limit
+        return [(y, x, used, limit * caps[y][x])
+                for y in sorted(loads) for x, used in sorted(loads[y].items())
+                if used > budget[y][x]]
 
     def rejects(self, changed: dict[int, tuple]) -> bool:
         """True when the route changes ``changed`` (``route_changes``) would
@@ -338,6 +329,3 @@ class SllState:
         return max((kind_ratio(used, caps[y][x])
                     for y, loads in self.boundary_loads.items() for x, used in loads.items()),
                    default=0.0)
-
-    def total_register_groups(self) -> int:
-        return sum(route[2] for route in self.route_of.values())

@@ -16,10 +16,13 @@ from fado.model import (
     ResourceVector,
     design_from_dict,
     device_from_dict,
+    function_latencies,
     kind_ratio,
+    path_latency,
     qor_from_dict,
     utilization_ratio,
 )
+from fado.oracle import OracleResult, assign_slots
 from fado.packer import _candidate_slots, _fits_slot
 
 
@@ -347,6 +350,62 @@ def reference_path_latency(graph, latency_of):
     for k in graph.kernel_order:
         dist[k] = weights[k] + max((dist[p] for p in graph.kernel_preds[k]), default=0)
     return max(dist.values())
+
+
+def reference_search(device, graph, lib, node_budget, below=math.inf):
+    """The exact oracle's branch and bound with each node's design latency
+    walked from scratch (``path_latency``): functions in name order, each
+    one's points in latency order, a node pruned when its latency is above
+    the best found or not below ``below``, a tie replacing the witness only
+    with a lexicographically smaller configuration, and every configuration
+    and slot-assignment node counted against ``node_budget``.
+    ``oracle.solve`` (``below`` infinite) and ``verify_optimal`` must walk
+    the same nodes and return the same answer."""
+    fns = sorted(graph.functions)
+    points = [lib.template_for(f).points for f in fns]
+    partial = {f: pts[0].id for f, pts in zip(fns, points)}
+    latency = function_latencies(graph, lib, partial)
+    spent = candidates = checked = 0
+    best = None  # (latency, configuration, placement)
+
+    class Stop(Exception):
+        pass
+
+    def tick():
+        nonlocal spent
+        spent += 1
+        if spent > node_budget:
+            raise Stop
+
+    def descend(i):
+        nonlocal candidates, checked, best
+        tick()
+        lb = path_latency(graph, latency)
+        if (best is not None and lb > best[0]) or lb >= below:
+            return
+        if i == len(fns):
+            candidates += 1
+            config = [partial[f] for f in fns]
+            if best is not None and lb == best[0] and config >= [best[1][f] for f in fns]:
+                return
+            checked += 1
+            placement = assign_slots(device, graph, lib, partial, tick=tick)
+            if placement is not None:
+                best = lb, dict(partial), placement
+            return
+        f = fns[i]
+        kept = partial[f], latency[f]
+        for p in points[i]:
+            partial[f], latency[f] = p.id, p.latency
+            descend(i + 1)
+        partial[f], latency[f] = kept
+
+    try:
+        descend(0)
+        status = "infeasible" if best is None else "optimal"
+    except Stop:
+        status = "budget_exceeded"
+    return OracleResult(status, *(best or (None, None, None)), spent, candidates, checked)
 
 
 def sll_fingerprint(sll):

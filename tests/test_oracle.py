@@ -23,7 +23,16 @@ from fado.model import (
 )
 from fado.oracle import assign_slots, certify, solve, verify_optimal
 
-from helpers import design_doc, device_doc, parse, qor_doc, slot_at, template_doc
+from helpers import (
+    design_doc,
+    device_doc,
+    grid_documents,
+    parse,
+    qor_doc,
+    reference_search,
+    slot_at,
+    template_doc,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -388,6 +397,30 @@ def test_verify_beats_a_bound_exactly_when_the_optimum_does(seed, offset):
         assert certify(device, graph, lib, witness["config"], witness["placement"]) == []
     else:
         assert (out["verdict"], out["counterexample"]) == ("optimal", None)
+
+
+@settings(max_examples=80, deadline=None)
+@given(grid_documents(), st.sampled_from((30, 300, 3000)), st.sampled_from((-2, 0, 1, 3)))
+def test_the_walk_matches_one_that_recomputes_every_latency(docs, budget, offset):
+    # the walk restarts the longest path at the changed kernel; a walk that
+    # recomputes it whole at every node must meet the same nodes, so every
+    # answer and count agrees, cut by the node budget or not
+    device, graph, lib = parse(*docs)
+    want = reference_search(device, graph, lib, budget)
+    assert solve(device, graph, lib, node_budget=budget) == want
+    bound = offset + (want.latency if want.latency is not None
+                      else design_latency(graph, lib, baseline_configuration(graph)))
+    want = reference_search(device, graph, lib, budget, bound)
+    out = verify_optimal(device, graph, lib, bound, node_budget=budget)
+    assert (out["nodes"], out["candidates"], out["checked"]) == (
+        want.nodes, want.candidates, want.checked)
+    if want.config is None:
+        assert out["counterexample"] is None
+        assert out["verdict"] == ("inconclusive" if want.status == "budget_exceeded" else "optimal")
+    else:
+        assert out["verdict"] == "counterexample"
+        assert out["counterexample"] == {
+            "config": want.config, "placement": want.placement, "latency": want.latency}
 
 
 # ---------------------------------------------------------------------------

@@ -181,8 +181,7 @@ def test_check_legal_flags_sll_overload():
     qor = qor_doc({t: template_doc([("baseline", 5, {"lut": 10})]) for t in ("t_a", "t_b")})
     device, graph, lib = parse(device_doc(sll=10), design, qor)
     state = PackState(device, graph, lib, baseline_configuration(graph), {"a": 0, "b": 1})
-    msgs = state.check_legal()
-    assert len(msgs) == 1 and msgs[0].startswith("boundary")
+    assert state.check_legal() == ["boundary y=0 half x=0: 16 wires exceed budget 9.0"]
 
 
 # ---------------------------------------------------------------------------

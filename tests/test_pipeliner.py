@@ -107,7 +107,6 @@ def test_route_rejects_an_over_budget_half():
     dev = _grid(1, 2, sll=10, sll_limit=0.9)
     wide = recompute_all(dev, _chain_graph(2, [16]), {"f0": 0, "f1": 1})
     assert wide.over_budget() == [(0, 0, 16, 9.0)]
-    assert wide.violations() == ["boundary y=0 half x=0: 16 wires exceed budget 9.0"]
     assert not wide.feasible()
     fits = recompute_all(dev, _chain_graph(2, [9]), {"f0": 0, "f1": 1})
     assert fits.over_budget() == []
@@ -140,7 +139,6 @@ def test_colocated_then_moved_edge_gains_register_groups():
     _update(state, placement, {"f1"})
     assert state.reg_groups == {0: 2}
     assert state.boundary_loads[0] == {0: 12}
-    assert state.total_register_groups() == 2
 
 
 def test_move_away_and_back_is_bit_identical():
@@ -163,7 +161,7 @@ def test_non_fifo_edges_carry_no_wires():
     state = recompute_all(dev, graph, {"f0": 0, "f1": 1})
     assert state.boundary_loads.get(0, {}) == {}
     assert state.reg_groups[0] == 0
-    assert state.violations() == []
+    assert state.over_budget() == []
 
 
 def test_sll_loads_conserve_total_crossing_width():
@@ -183,15 +181,34 @@ def test_sll_loads_conserve_total_crossing_width():
             assert sum(state.boundary_loads.get(b.y, {}).values()) == want
 
 
-def test_violations_report_overloaded_halves():
-    dev = _grid(1, 2, sll=10, sll_limit=0.9)
-    graph = _chain_graph(2, [16])
-    state = recompute_all(dev, graph, {"f0": 0, "f1": 1})
-    out = state.violations()
-    assert len(out) == 1
-    assert out[0].startswith("boundary")
-    assert "16" in out[0]
-    assert not state.feasible()
+def test_a_fresh_build_folds_only_what_a_query_needs(monkeypatch):
+    # 2x4 grid of 9-wire halves (accept bound 9, reject bound 18): 4 wires
+    # cross y=0 in column 0, 10 wires cross y=1 over both columns, and
+    # nothing crosses y=2
+    dev = _grid(2, 4, sll=10)
+    graph = _pairs_graph([4, 5, 5])
+    placement = {"s0": 0, "d0": 2, "s1": 2, "d1": 5, "s2": 2, "d2": 5}
+    real_fold = SllState._fold
+    folded = []
+
+    def record(self, y, *args):
+        folded.append(y)
+        return real_fold(self, y, *args)
+
+    monkeypatch.setattr(SllState, "_fold", record)
+    state = recompute_all(dev, graph, placement)
+    assert folded == []
+    assert state.boundary_loads == {0: {0: 4}, 1: {0: 5, 1: 5}, 2: {}}
+    assert sorted(folded) == [0, 1, 2]
+    assert state.boundary_loads[1] == {0: 5, 1: 5}  # folded once, kept
+    assert sorted(folded) == [0, 1, 2]
+
+    folded.clear()
+    state = recompute_all(dev, graph, placement)
+    assert state.feasible()
+    assert folded == [1]  # the one boundary between the bounds
+    assert state.over_budget() == []
+    assert sorted(folded) == [0, 1, 2]
 
 
 _GRAPH = _chain_graph(6, [8, 16, 4, 32, 8])
