@@ -4,19 +4,24 @@ Subcommands: optimize, check, oracle, verify-optimal, gen.  Exit codes are
 stable: 0 success / legal / optimal, 1 usage or schema errors, 2 infeasible
 (or counterexample / legality violations), 3 budget exceeded.
 
-Each call builds the parser of only the command it runs (see
-``build_parser``): the optimizer is meant to be called many times from a
-design-space exploration loop, and building all five subparsers cost about
-a fifth of a small ``fado optimize`` call.
+A call that names a command is parsed by that command's parser alone, and
+the whole ``fado`` parser (``build_parser``) is built only when the call
+needs its wording: no command, a top-level option or an unknown command
+first, or arguments the command leaves over.  The optimizer is meant to be
+called many times from a design-space exploration loop, and building the
+top-level parser beside the command's cost about a tenth of a small
+``fado optimize`` call.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
+import shutil
 import sys
 import time
 from pathlib import Path
@@ -101,14 +106,17 @@ def _write_text(path: Path, *pieces: str) -> None:
     """Write the concatenated ``pieces`` to ``path`` as UTF-8, overwriting
     an existing file in place.
 
-    The file is opened without ``O_TRUNC`` and cut to the new length after
-    the write.  Truncating a written file to zero makes ext4 start writeback
-    when it is closed (``auto_da_alloc``), which dominates a re-run into an
-    existing output directory.
+    Each piece's bytes go to a binary file in turn, with no text layer, no
+    line-break translation and no joined copy.  The file is opened without
+    ``O_TRUNC`` and cut to the new length after the write.  Truncating a
+    written file to zero makes ext4 start writeback when it is closed
+    (``auto_da_alloc``), which dominates a re-run into an existing output
+    directory.
     """
     fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
-    with open(fd, "w", encoding="utf-8", newline="") as fh:
-        fh.writelines(pieces)
+    with open(fd, "wb") as fh:
+        for piece in pieces:
+            fh.write(piece.encode())
         fh.truncate()
 
 
@@ -455,40 +463,61 @@ COMMANDS = {
 }
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The ``fado`` parser with the subparser of ``command`` alone when it
-    names one of ``COMMANDS``, and with every subparser otherwise.
+def _formatter_class():
+    """A help formatter class for every parser of one build: argparse's
+    own, bound to the width it would compute for itself, looked up once
+    rather than once per formatter (one per ``add_argument``)."""
+    return functools.partial(argparse.HelpFormatter,
+                             width=shutil.get_terminal_size().columns - 2)
 
-    A call runs one command, and each ``add_argument`` builds an argparse
-    help formatter, which asks for the terminal size; registering only the
-    command's subparser makes the build about four times cheaper.  Help,
-    usage and error text are the same either way: the subparser's prog is
-    ``fado <command>``, and a single-command build names every command in
-    the top-level usage line, which argparse prints for arguments the
-    subparser leaves unrecognized.
+
+def _command(parser: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
+    """``parser`` given the arguments and handler of command ``name``."""
+    _, add_arguments, handler = COMMANDS[name]
+    add_arguments(parser)
+    parser.set_defaults(func=handler)
+    return parser
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The whole ``fado`` parser: the top-level options and a subparser,
+    with prog ``fado <command>``, for each of ``COMMANDS``.
+
+    ``main`` builds it only for the calls whose wording is its own (see the
+    module docstring); a call that names a command is parsed by a parser
+    equal to that command's subparser.
     """
-    names = [command] if command in COMMANDS else list(COMMANDS)
-    p = _Parser(prog="fado", description=_DESCRIPTION)
+    formatter_class = _formatter_class()
+    p = _Parser(prog="fado", description=_DESCRIPTION, formatter_class=formatter_class)
     p.add_argument("--version", action="version", version=__version__)
-    # A metavar would also rename the action in the full build's "argument
-    # command" errors, which only a full build can raise.
-    metavar = "{" + ",".join(COMMANDS) + "}" if len(names) == 1 else None
-    sub = p.add_subparsers(dest="command", required=True, parser_class=_Parser,
-                           metavar=metavar)
-    for name in names:
-        help_line, add_arguments, handler = COMMANDS[name]
-        sp = sub.add_parser(name, help=help_line)
-        add_arguments(sp)
-        sp.set_defaults(func=handler)
+    sub = p.add_subparsers(dest="command", required=True, parser_class=_Parser)
+    for name, (help_line, _, _) in COMMANDS.items():
+        _command(sub.add_parser(name, help=help_line, formatter_class=formatter_class), name)
     return p
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """The arguments of a call, as the whole parser reads them (less its
+    ``command`` entry when the command's parser reads them alone).
+
+    The whole parser may refuse a ``--=`` token anywhere in a call as an
+    ambiguous abbreviation of its own options, so such a call goes to it.
+    """
+    name = argv[0] if argv else None
+    if name in COMMANDS and not any(a.startswith("--=") for a in argv):
+        parser = _Parser(prog=f"fado {name}", formatter_class=_formatter_class())
+        args, rest = _command(parser, name).parse_known_args(argv[1:])
+        if not rest:
+            return args
+    # The whole parser words "unrecognized arguments" with its own usage.
+    return build_parser().parse_args(argv)
 
 
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    parser = build_parser(argv[0] if argv else None)
     try:
-        args = parser.parse_args(argv)
+        args = _parse(argv)
     except SystemExit as exc:
         # argparse exits for --help and usage errors; keep main() returnable.
         return int(exc.code or 0)

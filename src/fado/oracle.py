@@ -65,8 +65,10 @@ def assign_slots(device: DeviceModel, graph: DesignGraph, lib: QoRLibrary, confi
     configuration assigned.  Groups are placed largest-first; slots
     are tried in id order, skipping capacity-equivalent repeats only via the
     load check.  A full placement is accepted only when the pipeliner's
-    fold leaves no half over budget.  ``tick``, when given, is called once
-    per explored node (budget accounting).
+    fold leaves no half over budget, asked as the search asks it
+    (``SllState.feasible``, which folds only the boundaries its bounds
+    leave in doubt).  ``tick``, when given, is called once per explored
+    node (budget accounting).
     """
     groups = graph.ram_groups
     sizes = {g.gid: group_resources(g, lib, config) for g in groups}
@@ -82,7 +84,7 @@ def assign_slots(device: DeviceModel, graph: DesignGraph, lib: QoRLibrary, confi
             placement = {
                 m: chosen[g.gid] for g in groups for m in g.members
             }
-            if recompute_all(device, graph, placement).over_budget():
+            if not recompute_all(device, graph, placement).feasible():
                 return None
             return placement
         g = order[i]

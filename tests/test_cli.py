@@ -5,6 +5,7 @@ import copy
 import csv
 import json
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
-from fado import __version__, instancegen
+from fado import __version__, cli, instancegen
 from fado.cli import COMMANDS, build_parser, main
 
 from helpers import design_doc, device_doc, grid_documents, qor_doc, stress_grid, template_doc
@@ -217,6 +218,14 @@ def test_a_rerun_overwrites_every_longer_output_to_its_new_length(toy_files, tmp
     toy = _files(toy_files)
     assert all(len(generated[name]) > len(data) for name, data in toy.items())
     assert _files(stress) == toy
+
+
+def test_write_text_overwrites_a_longer_file_with_the_pieces_utf8_bytes(tmp_path):
+    path = tmp_path / "out.txt"
+    path.write_bytes(b"x" * 200)
+    pieces = ["début\n", "", "路由\r\n", "fin µs\r", "\n"]
+    cli._write_text(path, *pieces)
+    assert path.read_bytes() == "".join(pieces).encode("utf-8")
 
 
 def test_optimize_util_limit_override_can_make_the_start_infeasible(
@@ -443,7 +452,7 @@ def test_top_level_help_version_and_usage_errors(capsys):
         "usage: fado [-h] [--version] {optimize,check,oracle,verify-optimal,gen} ...\n")
     words = " ".join(out.split())
     assert all(help_line in words for help_line, _, _ in COMMANDS.values())
-    assert "Exit codes are stable" in words and "Each call builds" not in words
+    assert "Exit codes are stable" in words and "A call that names" not in words
     assert err == ""
     assert main(["--version"]) == 0
     assert capsys.readouterr() == (f"{__version__}\n", "")
@@ -456,30 +465,38 @@ def test_top_level_help_version_and_usage_errors(capsys):
     assert out == ""
 
 
-def _registered(parser):
-    """The names of the subcommands ``parser`` registers, in order."""
-    (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-    return list(action.choices)
+def _whole_parser():
+    """``build_parser()`` with argparse's own help formatter, which looks
+    up the terminal width itself, on each of its parsers: the reference for
+    what a call parses and prints."""
+    parser = build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    for p in (parser, *sub.choices.values()):
+        p.formatter_class = argparse.HelpFormatter
+    return parser
 
 
-def test_a_call_builds_only_the_parser_of_its_command(monkeypatch, capsys):
-    for name in COMMANDS:
-        assert _registered(build_parser(name)) == [name]
-    for command in (None, "--help", "no-such-command"):
-        assert _registered(build_parser(command)) == list(COMMANDS)
-    built = []
+def test_a_call_builds_its_commands_parser_and_the_whole_one_only_for_leftovers(
+        toy_files, tmp_path, monkeypatch, capsys):
+    built, widths = [], []
 
-    def spy(command=None):
-        built.append(command)
-        return build_parser(command)
+    class Spy(cli._Parser):
+        def __init__(self, **kwargs):
+            built.append(kwargs["prog"])
+            super().__init__(**kwargs)
 
-    monkeypatch.setattr("fado.cli.build_parser", spy)
-    main(["check", "--help"])
-    monkeypatch.setattr(sys, "argv", ["fado", "gen", "--help"])
-    main()
-    main([])
-    capsys.readouterr()
-    assert built == ["check", "gen", None]
+    real = shutil.get_terminal_size
+    monkeypatch.setattr(shutil, "get_terminal_size", lambda *a: widths.append(1) or real(*a))
+    monkeypatch.setattr(cli, "_Parser", Spy)
+    code, _ = _optimize(toy_files, tmp_path)
+    assert code == 0
+    assert (built, len(widths)) == (["fado optimize"], 1)
+    built.clear()
+    widths.clear()
+    monkeypatch.setattr(sys, "argv", ["fado", "check", "--result", "r.json", "extra"])
+    assert main() == 1
+    assert (built, len(widths)) == (["fado check", "fado", *(f"fado {n}" for n in COMMANDS)], 2)
+    assert capsys.readouterr().err.endswith("fado: error: unrecognized arguments: extra\n")
 
 
 # Argument lists that parse: per command, its required options alone and,
@@ -499,11 +516,18 @@ PARSED = [
      "--points", "2"],
 ]
 
-# Argument lists that exit: help, then usage errors (a missing required
-# option, a bad choice, an unknown option, a bad count, a stray argument
-# the top-level parser reports with its own usage line).
+# Argument lists that exit: the top-level parser's own (no command, help,
+# version, an unknown command), each command's help, then usage errors (a
+# missing required option, a bad choice, an unknown option, a bad count, a
+# stray argument the top-level parser reports with its own usage line, and
+# a token the top-level parser may read as an ambiguous abbreviation).
 EXITED = [
+    [],
+    ["--help"],
+    ["--version"],
+    ["no-such-command"],
     *([name, "--help"] for name in COMMANDS),
+    ["optimize", "--help", "--bogus"],
     ["optimize", *_IN],
     ["optimize", *_IN, "--out", "o", "--initial", "bogus"],
     ["optimize", *_IN, "--out", "o", "--unknown"],
@@ -512,6 +536,7 @@ EXITED = [
     ["check"],
     ["check", "--result", "r.json", "--unknown"],
     ["check", "--result", "r.json", "--version"],
+    ["check", "--result", "r.json", "--=x"],
     ["oracle", "--device", "d.json"],
     ["oracle", *_IN, "--unknown"],
     ["oracle", *_IN, "--node-budget", "x"],
@@ -525,28 +550,29 @@ EXITED = [
 ]
 
 
-def _parse(parser, argv, capsys):
-    """What parsing ``argv`` gives: (namespace or None, exit code, stdout,
-    stderr)."""
-    try:
-        args, code = parser.parse_args(argv), None
-    except SystemExit as exc:
-        args, code = None, exc.code
-    return (args, code, *capsys.readouterr())
-
-
 @pytest.mark.parametrize("argv", PARSED, ids=" ".join)
-def test_a_command_parses_as_in_the_full_parser(capsys, argv):
-    full = _parse(build_parser(), argv, capsys)
-    assert full[0].func is COMMANDS[argv[0]][2]
-    assert _parse(build_parser(argv[0]), argv, capsys) == full
+def test_a_command_parses_as_in_the_whole_parser(monkeypatch, argv):
+    seen = []
+    help_line, add_arguments, _ = COMMANDS[argv[0]]
+    monkeypatch.setitem(COMMANDS, argv[0], (help_line, add_arguments, seen.append))
+    whole = vars(_whole_parser().parse_args(argv))
+    assert whole.pop("command") == argv[0]
+    assert whole["func"] == seen.append
+    main(argv)
+    (args,) = seen
+    assert vars(args) == whole
 
 
+@pytest.mark.parametrize("columns", ["50", "150"])
 @pytest.mark.parametrize("argv", EXITED, ids=" ".join)
-def test_a_command_exits_as_in_the_full_parser(capsys, argv):
-    full = _parse(build_parser(), argv, capsys)
-    assert full[1] == (0 if "--help" in argv else 1)
-    assert _parse(build_parser(argv[0]), argv, capsys) == full
+def test_a_call_exits_as_in_the_whole_parser(monkeypatch, capsys, argv, columns):
+    monkeypatch.setenv("COLUMNS", columns)
+    try:
+        _whole_parser().parse_args(argv)
+    except SystemExit as exc:
+        whole = (exc.code, *capsys.readouterr())
+    assert whole[0] == (0 if "--help" in argv or "--version" in argv[:1] else 1)
+    assert (main(argv), *capsys.readouterr()) == whole
 
 
 def test_optimize_moves_a_function_to_the_only_slot_with_its_resource(tmp_path, capsys):

@@ -301,6 +301,8 @@ def test_update_and_after_match_recompute(instance, data):
         fresh = recompute_all(dev, graph, placement)
         # feasible() first, while boundaries may still be pending
         assert state.feasible() == (not fresh.over_budget())
+        # as the oracle asks it, of a fresh build with every boundary pending
+        assert recompute_all(dev, graph, placement).feasible() == state.feasible()
         assert state.crossing == fresh.crossing
         assert _pending_fingerprint(state) == sll_fingerprint(fresh)
     assert sll_fingerprint(state) == sll_fingerprint(recompute_all(dev, graph, placement))
