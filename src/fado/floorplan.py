@@ -155,6 +155,14 @@ def _exact_split(units, sizes, weights, budget_a, budget_b, cap_a, cap_b):
     bound in the module docstring.  Returns None when no assignment
     satisfies both budgets, or when the node cap trips (caller falls back
     to the greedy split).
+
+    When both sides hold the same (equal ``holds`` budgets and equal summed
+    capacities), mirroring an assignment keeps its cut and its gap and only
+    flips its vector, so of each mirrored pair the one with ``names[0]``
+    (the first unit of the vector) on side 0 wins the tie-break: that unit
+    is tried on side 0 alone.  The split found is the one the full search
+    finds, in fewer nodes, so a split that used to trip the node cap may
+    now finish.
     """
     order = sorted(units, key=lambda u: (-max(sizes[u]), u))
     n = len(order)
@@ -168,6 +176,10 @@ def _exact_split(units, sizes, weights, budget_a, budget_b, cap_a, cap_b):
     budgets = (budget_a, budget_b)
     names = sorted(units)
     vec_at = [at[u] for u in names]
+    # per position: the sides tried, side 0 only for names[0] on mirror sides
+    sides = [(0, 1)] * n
+    if budget_a == budget_b and cap_a == cap_b:
+        sides[vec_at[0]] = (0,)
     side = [0] * n
     load = [ResourceVector.zero(), ResourceVector.zero()]
     best = None  # (cut, gap, vec) of the best leaf so far
@@ -189,7 +201,7 @@ def _exact_split(units, sizes, weights, budget_a, budget_b, cap_a, cap_b):
             return
         mine = toward[i]
         rest = bound - min(mine)
-        for s in (0, 1):
+        for s in sides[i]:
             saved = load[s]
             new_load = saved + size[i]
             if not within_budget(new_load, budgets[s]):

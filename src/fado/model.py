@@ -24,6 +24,15 @@ slot, are derived once per ``DesignGraph`` (``ram_groups`` and
 packing state and the exact oracle all read that one derivation.  So are
 a device's slot budgets, once per ``DeviceModel`` (``slot_budget``), with
 ``holds`` the one rule for what a set of slots holds together.
+
+The latency plan lists, per kernel in topological order, its member
+functions, its predecessors' plan positions and the end of its chain run:
+a chain run is a stretch of the plan where each kernel's only predecessor
+is the kernel just before it.  ``longest_path`` walks the plan one run at
+a time, applying the longest-path rule at a run's first kernel and taking
+the rest of the run as one running sum of the weights (``accumulate``),
+so a design made of long kernel chains is walked in a few C-level steps.
+The run ends live on the plan, built with it, and on nothing else.
 """
 
 from __future__ import annotations
@@ -33,6 +42,7 @@ import math
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import accumulate
 from operator import itemgetter, truediv
 from typing import NamedTuple
 
@@ -492,12 +502,22 @@ class DesignGraph:
     @cached_property
     def latency_plan(self) -> tuple:
         """The kernel DAG as ``longest_path`` walks it, built on first use:
-        per kernel in ``kernel_order``, its member function names and the
-        plan positions of its predecessor kernels."""
+        per kernel in ``kernel_order``, its member function names, the plan
+        positions of its predecessor kernels and the end of its chain run.
+
+        A chain run is a stretch of the plan where each kernel's only
+        predecessor is the kernel just before it.  A kernel's run end is the
+        plan position after the last kernel of the run it belongs to, so the
+        kernels from it up to its run end each extend the path of the one
+        before.
+        """
         members = {k["name"]: tuple(f["name"] for f in k["functions"]) for k in self.kernels}
         at = {k: i for i, k in enumerate(self.kernel_order)}
-        return tuple((members[k], tuple(at[p] for p in self.kernel_preds[k]))
-                     for k in self.kernel_order)
+        preds = [tuple(at[p] for p in self.kernel_preds[k]) for k in self.kernel_order]
+        ends = [len(preds)] * len(preds)
+        for i in range(len(preds) - 2, -1, -1):
+            ends[i] = ends[i + 1] if preds[i + 1] == (i,) else i + 1
+        return tuple(zip((members[k] for k in self.kernel_order), preds, ends))
 
     def fifo_edges(self) -> list[Edge]:
         return [e for e in self.edges if e.kind == FIFO]
@@ -834,10 +854,21 @@ def longest_path(plan: tuple, weights: list, dist: list, start: int = 0) -> int:
 
     Predecessors come earlier in the plan, so after a change to
     ``weights`` starting at ``start`` this walk alone makes ``dist`` exact.
+    It goes one chain run at a time: at ``start`` and at each run's first
+    kernel the rule is applied as stated, and through the rest of the run,
+    where the only predecessor is the kernel just before, the path lengths
+    are one running sum of the weights.
     """
     at = dist.__getitem__
-    for i, (_, preds) in enumerate(plan[start:], start):
-        dist[i] = weights[i] + max(map(at, preds), default=0)
+    i, n = start, len(plan)
+    while i < n:
+        _, preds, end = plan[i]
+        first = weights[i] + max(map(at, preds), default=0)
+        if end > i + 1:
+            dist[i:end] = accumulate(weights[i + 1:end], initial=first)
+        else:  # a one-kernel run: cheaper without the running sum's set-up
+            dist[i] = first
+        i = end
     return max(dist)
 
 
@@ -846,7 +877,7 @@ def path_latency(graph: DesignGraph, latency_of: dict[str, int]) -> int:
     functions' latencies in ``latency_of``, over the graph's
     ``latency_plan``."""
     plan = graph.latency_plan
-    weights = [kernel_weight(members, latency_of) for members, _ in plan]
+    weights = [kernel_weight(members, latency_of) for members, _, _ in plan]
     return longest_path(plan, weights, [0] * len(plan))
 
 

@@ -134,8 +134,8 @@ def _search(device: DeviceModel, graph: DesignGraph, lib: QoRLibrary,
     # the longest-path walk restarts there, into the child depth's own
     # path lengths.
     plan = graph.latency_plan
-    kernel_at = {f: k for k, (members, _) in enumerate(plan) for f in members}
-    weights = [kernel_weight(members, latency) for members, _ in plan]
+    kernel_at = {f: k for k, (members, _, _) in enumerate(plan) for f in members}
+    weights = [kernel_weight(members, latency) for members, _, _ in plan]
     dists = [[0] * len(plan) for _ in range(len(fns) + 1)]  # one per depth
     spent = candidates = checked = 0
     best_latency = best_config = best_placement = None

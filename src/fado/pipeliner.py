@@ -12,15 +12,18 @@ boundaries whose crossing set changed) land bit-for-bit on the same state
 as a full recompute, which the packer relies on when it tests moves on
 new states and goes back to old ones.
 
-The state costs what a move changes, not what the design holds.  It is
-five objects: each FIFO edge's route (die rows crossed, column span,
-register groups), and per die boundary its sorted crossing list, total
-crossing width and folded loads, plus the set of boundaries pending a
-fold.  Each is replaced whole, never changed in place, so ``after`` can
-return the state after a move as a new object that shares every unchanged
-one with its source, which it leaves as it was.  Register groups are read
-from the routes.  A state is built in one way, ``recompute_all``, which
-routes every FIFO edge and leaves every boundary pending.  A move is
+The state costs what a move changes, not what the design holds, apart
+from one flat copy.  It is five objects: the routes, a list indexed by
+edge id holding each FIFO edge's route (die rows crossed, column span,
+register groups) and None for a RAM edge, and per die boundary its sorted
+crossing list, total crossing width and folded loads, plus the set of
+boundaries pending a fold.  Each is replaced whole, never changed in
+place, so ``after`` can return the state after a move as a new object that
+shares every unchanged one with its source, which it leaves as it was.  A
+move's new route list is a ``list.copy()`` of the old one with the changed
+entries set: one C-level copy of a pointer per edge.  Register groups are
+read from the routes.  A state is built in one way, ``recompute_all``,
+which routes every FIFO edge and leaves every boundary pending.  A move is
 described once, by ``route_changes``: the moved functions' FIFO edges whose
 route changes, with their new routes.  ``update`` takes that description
 and touches only the boundaries in those edges' old and new die rows.
@@ -83,14 +86,14 @@ def recompute_all(device: DeviceModel, graph: DesignGraph, placement: dict) -> "
     boundaries it touches, so no fold runs until a query needs it."""
     state = SllState(device, graph)
     crossing: dict[int, list[int]] = {y: [] for y in state._caps}
-    route_of = {}
+    route_of = [None] * len(graph.edges)
     for e in graph.edges:
         if e.kind == FIFO:
             route = route_of[e.index] = state._route(placement[e.src], placement[e.dst])
             for y in route[0]:
                 crossing[y].append(e.index)
     width = state._width
-    state.route_of = route_of  # FIFO edge id -> its route
+    state.route_of = route_of  # by edge id: a FIFO edge's route, None for a RAM edge
     state.crossing = crossing
     # boundary row -> total crossing width
     state._total = {y: sum(width[eid] for eid in eids) for y, eids in crossing.items()}
@@ -146,9 +149,7 @@ class SllState:
 
     @property
     def reg_groups(self) -> dict[int, int]:
-        route_of = self.route_of
-        return {e.index: route_of[e.index][2] if e.index in route_of else 0
-                for e in self.graph.edges}
+        return {eid: 0 if route is None else route[2] for eid, route in enumerate(self.route_of)}
 
     # -- core fold ---------------------------------------------------------
 
@@ -256,7 +257,9 @@ class SllState:
                 elif same_span:
                     continue
                 dirty.add(y)
-        self.route_of = {**route_of, **changed}
+        route_of = self.route_of = route_of.copy()
+        for eid, route in changed.items():
+            route_of[eid] = route
         if not dirty:
             return
         crossing, total = dict(self.crossing), dict(self._total)

@@ -29,7 +29,9 @@ the same way, as each kernel's weight (its functions' largest latency) and
 longest path over the graph's ``latency_plan``.  An accepted vector
 re-weighs only its functions' kernels, and ``model.longest_path`` walks
 the plan again only from the first kernel whose weight changed, or not at
-all when none did.
+all when none did.  The walk goes one chain run at a time, so on designs
+whose kernels form long chains the kernels after a change cost one running
+sum per run rather than one step each.
 """
 
 from __future__ import annotations
@@ -71,11 +73,12 @@ def compute_lookahead_N(lib: QoRLibrary, graph: DesignGraph, mode: str = "min") 
     """Look-ahead window size from loop structure.
 
     Sums floor(log2(min(64, value))) over the innermost levels of each nest,
-    taking the max across all nests of all templates in use: three levels of
-    iteration latency, three of loop bound, then two more of loop bound.
+    taking the max across all nests of all templates in use, in three
+    tiers: the first three levels' iteration latencies, the first three
+    levels' loop bounds, then the first two levels' loop bounds again.
     Mode "min" caps the levels considered per nest at those counts; "max"
-    takes every level of the nest.  Designs without loop data fall back to
-    a fixed default.
+    takes every level of the nest in every tier.  Designs without loop data
+    fall back to a fixed default.
     """
     if mode not in ("min", "max"):
         raise ValueError(f"lookahead mode must be 'min' or 'max', got {mode!r}")
@@ -272,8 +275,8 @@ def run(
     latencies = function_latencies(graph, lib, state.config)
     levels = _Levels(latencies)
     plan = graph.latency_plan
-    kernel_at = {f: i for i, (members, _) in enumerate(plan) for f in members}
-    weights = [kernel_weight(members, latencies) for members, _ in plan]
+    kernel_at = {f: i for i, (members, _, _) in enumerate(plan) for f in members}
+    weights = [kernel_weight(members, latencies) for members, _, _ in plan]
     dist = [0] * len(plan)
     current_lat = longest_path(plan, weights, dist)
     excluded: set = set()

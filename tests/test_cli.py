@@ -3,6 +3,7 @@ from __future__ import annotations
 import argparse
 import copy
 import csv
+import gc
 import json
 import os
 import shutil
@@ -240,6 +241,22 @@ def _write_inputs(out, device, design, qor):
     for name, doc in (("device", device), ("design", design), ("qor", qor)):
         (out / f"{name}.json").write_text(json.dumps(doc))
     return out
+
+
+def test_repeated_optimize_calls_in_one_process_leave_no_objects_behind(tmp_path, capsys):
+    # a cache kept across calls, such as one keyed by a plan's id, grows
+    # with every call; after three warm-up calls every lazy set-up is done
+    files = _write_inputs(tmp_path / "in", *instancegen.gen_stress(3, 60, 4))
+    argv = ["optimize", *(f"--{name}={files / name}.json" for name in ("device", "design", "qor")),
+            "--out", str(tmp_path / "run")]
+    for _ in range(3):
+        assert main(argv) == 0
+    gc.collect()
+    before = len(gc.get_objects())
+    for _ in range(10):
+        assert main(argv) == 0
+    gc.collect()
+    assert len(gc.get_objects()) <= before
 
 
 def test_optimize_exits_zero_only_with_a_result_check_accepts(tmp_path, capsys):

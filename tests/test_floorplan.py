@@ -6,7 +6,7 @@ import json
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fado import instancegen
@@ -176,24 +176,41 @@ def _reference_split(units, sizes, weights, budget_a, budget_b, cap_a, cap_b):
 def _split_instance(draw):
     """1-11 units whose sizes and FIFO widths come from a few values, so
     cuts and gaps tie, on two sides whose kinds may have zero capacity and
-    whose budgets may leave no assignment at all."""
+    whose budgets may leave no assignment at all.  Some instances split two
+    equal sides; others give both sides one budget over different
+    capacities, where mirrored assignments do not tie on gap, or one
+    capacity under different budgets, where a mirrored assignment may not
+    fit."""
     units = [f"u{i}" for i in range(draw(st.integers(1, 11)))]
     count = st.sampled_from((0, 0, 0, 1, 5, 10))
     sizes = {u: ResourceVector(*(draw(count) for _ in range(5))) for u in units}
     capacity = st.sampled_from((0, 20, 60, 100, 100))
     caps = [ResourceVector(*(draw(capacity) for _ in range(5))) for _ in range(2)]
+    sides = draw(st.sampled_from(("apart", "equal", "one budget", "one capacity")))
+    if sides in ("equal", "one capacity"):
+        caps[1] = caps[0]
     limit = draw(st.sampled_from((0.5, 0.8, 1.0)))
+    budgets = [fit_budget(cap, limit) for cap in caps]
+    if sides == "one budget":
+        budgets[1] = budgets[0]
+    elif sides == "one capacity":
+        budgets[1] = fit_budget(caps[1], draw(st.sampled_from((0.5, 0.8, 1.0))))
     weights = {}
     for a, b in itertools.combinations(units, 2):
         w = draw(st.sampled_from((0, 0, 0, 1, 2, 4)))
         if w:
             weights[a, b] = w
-    return (units, sizes, weights,
-            fit_budget(caps[0], limit), fit_budget(caps[1], limit), caps[0], caps[1])
+    return units, sizes, weights, budgets[0], budgets[1], caps[0], caps[1]
 
 
 @settings(max_examples=300, deadline=None)
 @given(_split_instance())
+# one capacity under two budgets: u0 fits side 1 alone, so the first unit
+# may not be held to side 0
+@example((["u0", "u1"], {"u0": ResourceVector(lut=60), "u1": ResourceVector(lut=10)},
+          {("u0", "u1"): 1}, fit_budget(ResourceVector(lut=100), 0.5),
+          fit_budget(ResourceVector(lut=100), 1.0), ResourceVector(lut=100),
+          ResourceVector(lut=100)))
 def test_exact_split_matches_an_exhaustive_search(instance):
     assert _exact_split(*instance) == _reference_split(*instance)
 

@@ -24,6 +24,7 @@ from fado.model import (
     function_latencies,
     kind_ratio,
     kind_ratios,
+    longest_path,
     path_latency,
     qor_from_dict,
     utilization_ratio,
@@ -412,3 +413,64 @@ def test_design_latency_matches_brute_force():
         }), graph)
         got = design_latency(graph, lib, baseline_configuration(graph))
         assert got == _longest_path_brute(n, edges, weights)
+
+
+@st.composite
+def _chain_heavy_dag(draw):
+    """A kernel DAG on positions 0..n-1, mostly chains: each kernel after the
+    first extends the kernel just before it, forks from one earlier kernel,
+    merges several earlier ones, or starts with no predecessor.  Returns
+    the graph (kernel names sort in position order, so the plan keeps it),
+    each position's predecessors and the weights."""
+    n = draw(st.integers(1, 40))
+    preds = [set()]
+    for j in range(1, n):
+        shape = draw(st.sampled_from(("chain", "chain", "chain", "fork", "merge", "root")))
+        if shape == "chain":
+            preds.append({j - 1})
+        elif shape == "fork":
+            preds.append({draw(st.integers(0, j - 1))})
+        elif shape == "merge":
+            preds.append(set(draw(st.lists(st.integers(0, j - 1), min_size=2, max_size=4))))
+        else:
+            preds.append(set())
+    graph = design_from_dict(design_doc(
+        [(f"K{i:02d}", "dataflow", [f"f{i:02d}"]) for i in range(n)],
+        [(f"f{i:02d}", f"f{j:02d}", "fifo", 8) for j in range(n) for i in sorted(preds[j])],
+    ))
+    weights = draw(st.lists(st.integers(1, 60), min_size=n, max_size=n))
+    return graph, preds, weights
+
+
+def _reference_dist(preds, weights):
+    """Each kernel's path length, one kernel at a time."""
+    dist = []
+    for j, w in enumerate(weights):
+        dist.append(w + max((dist[i] for i in preds[j]), default=0))
+    return dist
+
+
+@settings(max_examples=200, deadline=None)
+@given(_chain_heavy_dag(), st.data())
+def test_longest_path_by_chain_runs_matches_a_per_kernel_walk(dag, data):
+    graph, preds, weights = dag
+    plan = graph.latency_plan
+    n = len(plan)
+    assert [members for members, _, _ in plan] == [(f"f{i:02d}",) for i in range(n)]
+    for i, (_, _, end) in enumerate(plan):
+        # the run end: the first later kernel that does not extend the one before
+        assert end == next((j for j in range(i + 1, n) if preds[j] != {j - 1}), n)
+
+    dist = [0] * n
+    assert longest_path(plan, weights, dist) == max(_reference_dist(preds, weights))
+    assert dist == _reference_dist(preds, weights)
+    # as the search does: weights fall from some kernel on, and the walk
+    # restarts there, reading the path lengths before it as they stand
+    for start in range(n):
+        lowered = data.draw(st.lists(st.integers(start + 1, n - 1), max_size=3)
+                            if start < n - 1 else st.just([]))
+        for i in (start, *lowered):
+            weights[i] = data.draw(st.integers(1, weights[i]))
+        want = _reference_dist(preds, weights)
+        assert longest_path(plan, weights, dist, start) == max(want)
+        assert dist == want

@@ -801,7 +801,7 @@ def test_a_trial_computes_its_route_changes_once(state, data):
             before = recompute_all(device, graph, state.placement).route_of
             after = {**state.placement, **{m: dest for m in g.members}}
             want = {eid: route
-                    for eid, route in recompute_all(device, graph, after).route_of.items()
+                    for eid, route in enumerate(recompute_all(device, graph, after).route_of)
                     if route != before[eid]}
             calls.clear()
             state.trial_move(g, dest)

@@ -155,6 +155,18 @@ def test_move_away_and_back_is_bit_identical():
     assert sll_fingerprint(state) == before
 
 
+def test_register_groups_map_every_edge_and_ram_edges_to_zero():
+    dev = _grid(2, 2, io_cols=[0])
+    graph = _chain_graph(4, [8, 32, 4], kinds=["fifo", "ram", "fifo"])
+    placement = {"f0": 0, "f1": 3, "f2": 3, "f3": 3}
+    state = recompute_all(dev, graph, placement)
+    assert state.reg_groups == {0: 2, 1: 0, 2: 0}
+
+    placement["f3"] = 0  # back across the die row and the io column
+    _update(state, placement, {"f3"})
+    assert state.reg_groups == {0: 2, 1: 0, 2: 2}
+
+
 def test_non_fifo_edges_carry_no_wires():
     dev = _grid(1, 2)
     graph = _chain_graph(2, [32], kinds=["ram"])
