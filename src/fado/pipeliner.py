@@ -12,12 +12,12 @@ boundaries whose crossing set changed) land bit-for-bit on the same state
 as a full recompute, which the packer relies on when it tests moves on
 new states and goes back to old ones.
 
-The state costs what a move changes, not what the design holds, apart
-from one flat copy.  It is five objects: the routes, a list indexed by
-edge id holding each FIFO edge's route (die rows crossed, column span,
-register groups) and None for a RAM edge, and per die boundary its sorted
-crossing list, total crossing width and folded loads, plus the set of
-boundaries pending a fold.  Each is replaced whole, never changed in
+The state costs what a move changes, not what the design holds, apart from
+one flat copy.  It is five objects: the routes, a list indexed by edge id
+holding each FIFO edge's route (die rows crossed, lowest and highest
+column, register groups) and None for a RAM edge, and per die boundary its
+sorted crossing list, total crossing width and folded loads, plus the set
+of boundaries pending a fold.  Each is replaced whole, never changed in
 place, so ``after`` can return the state after a move as a new object that
 shares every unchanged one with its source, which it leaves as it was.  A
 move's new route list is a ``list.copy()`` of the old one with the changed
@@ -30,8 +30,9 @@ and touches only the boundaries in those edges' old and new die rows.
 Neither folds: they keep each boundary's crossing list and total width
 current and mark the boundary pending.  A pending boundary is later folded
 whole from its crossing list, in one walk: an edge whose span is one column
-adds its width there directly, and only a wider span compares the fill
-ratios of its columns.
+adds its width there directly.  A wider span compares its columns' loads on
+an even boundary, one whose halves share one positive capacity, and their
+fill ratios on any other; both choose the same column (see ``_fold``).
 
 The fold waits until a query needs it, and most questions are decided
 without it.  A half's budget (``fit_budget``) is ``sll_limit``
@@ -75,11 +76,6 @@ def crossed_io_cols(device: DeviceModel, xs: int, xd: int) -> list[int]:
     return [x for x in device.io_boundaries if lo <= x < hi]
 
 
-def allowed_halves(xs: int, xd: int) -> range:
-    """Columns an edge may use to cross a boundary: the endpoint column span."""
-    return range(min(xs, xd), max(xs, xd) + 1)
-
-
 def recompute_all(device: DeviceModel, graph: DesignGraph, placement: dict) -> "SllState":
     """The routing state of a placement, built from scratch: the one way to
     build one.  Every boundary is left pending, as ``update`` leaves the
@@ -120,24 +116,29 @@ class SllState:
     def __init__(self, device: DeviceModel, graph: DesignGraph):
         self.device = device
         self.graph = graph
-        self._width = {e.index: e.width for e in graph.edges if e.kind == FIFO}
+        # by edge id, as route_of: a FIFO edge's width, 0 for a RAM edge
+        self._width = [e.width if e.kind == FIFO else 0 for e in graph.edges]
         self._fifo_of: dict[str, list] = {f: [] for f in graph.functions}
         for e in graph.edges:
             if e.kind == FIFO:
                 self._fifo_of[e.src].append(e)
                 self._fifo_of[e.dst].append(e)
-        self._caps = {  # boundary row -> per-column half capacities
-            b.y: tuple(b.halves[x] for x in range(device.width)) for b in device.die_boundaries
-        }
-        self.budget = {  # boundary row -> per-column half budgets
-            y: fit_budget(halves, device.sll_limit) for y, halves in self._caps.items()
-        }
-        # A boundary whose total exceeds its halves' floored budget sum
-        # overflows some half.
-        self._reject_bound = {y: floored_total(budget) for y, budget in self.budget.items()}
-        # A boundary whose total is within its narrowest half's budget
-        # cannot overflow any half, however the fold splits the edges.
-        self._accept_bound = {y: min(budget) for y, budget in self.budget.items()}
+        # Per boundary row, in one walk over the boundaries: its per-column
+        # half capacities and budgets; its reject bound, since a total above
+        # the halves' floored budget sum overflows some half; its accept
+        # bound, since a total within the narrowest half's budget cannot
+        # overflow any half, however the fold splits the edges; and whether
+        # it is even, its halves sharing one positive capacity while loads
+        # stay below 2**52, so that ``_fold`` may compare loads.
+        self._caps, self.budget, self._reject_bound, self._accept_bound, self._even = (
+            {}, {}, {}, {}, {})
+        exact = sum(self._width) < 2**52
+        for b in device.die_boundaries:
+            caps = self._caps[b.y] = tuple(b.halves[x] for x in range(device.width))
+            budget = self.budget[b.y] = fit_budget(caps, device.sll_limit)
+            self._reject_bound[b.y] = floored_total(budget)
+            self._accept_bound[b.y] = min(budget)
+            self._even[b.y] = exact and min(caps) == max(caps) > 0
         self._routes: dict[tuple, tuple] = {}  # slot pair -> route, filled on first use
         self._loads: dict[int, dict[int, int]] = {}  # folded boundary row -> its loads
         # ``recompute_all`` sets route_of, crossing, _total and _pending
@@ -149,18 +150,19 @@ class SllState:
 
     @property
     def reg_groups(self) -> dict[int, int]:
-        return {eid: 0 if route is None else route[2] for eid, route in enumerate(self.route_of)}
+        return {eid: 0 if route is None else route[3] for eid, route in enumerate(self.route_of)}
 
     # -- core fold ---------------------------------------------------------
 
     def _route(self, src_slot: int, dst_slot: int) -> tuple:
-        """(die rows crossed, column span, register groups)."""
+        """(die rows crossed, lowest and highest column, register groups)."""
         route = self._routes.get((src_slot, dst_slot))
         if route is None:
             ss, sd = self.device.slot(src_slot), self.device.slot(dst_slot)
             rows = tuple(crossed_die_rows(self.device, ss.y, sd.y))
             regs = len(rows) + len(crossed_io_cols(self.device, ss.x, sd.x))
-            route = self._routes[src_slot, dst_slot] = (rows, allowed_halves(ss.x, sd.x), regs)
+            route = self._routes[src_slot, dst_slot] = (
+                rows, min(ss.x, sd.x), max(ss.x, sd.x), regs)
         return route
 
     def _fold(self, y: int, edge_ids: list[int]) -> dict[int, int]:
@@ -172,21 +174,44 @@ class SllState:
         and adds its width directly.  The choice ignores the budget on
         purpose: if even the best column busts it, none would have passed,
         and the loads show it.
+
+        On an even boundary, whose halves share one positive capacity c, the
+        column with the lowest load is taken instead, ties to the lower
+        column, and nothing is divided.  That is the same column:
+        ``(load + w) / c`` keeps the order of integer loads and their ties,
+        since below 2**52 no two distinct loads round to one float ratio, and
+        ``SllState`` takes this path only when the design's summed FIFO width
+        is below that.  Two zero-capacity halves tie on ratio whatever their
+        loads, so they keep the ratio walk, as do unequal halves.
         """
         caps = self._caps[y]
-        width, route_of, ratio = self._width, self.route_of, kind_ratio
+        width, route_of = self._width, self.route_of
         loads = [0] * len(caps)
-        for eid in edge_ids:
-            span, w = route_of[eid][1], width[eid]
-            if len(span) == 1:
-                x = span[0]
-            else:
-                x = best = None
-                for col in span:
-                    r = ratio(loads[col] + w, caps[col])
-                    if best is None or r < best:
-                        x, best = col, r
-            loads[x] += w
+        if self._even[y]:
+            load_of = loads.__getitem__
+            for eid in edge_ids:
+                _, lo, hi, _ = route_of[eid]
+                if lo == hi:
+                    x = lo
+                elif hi == lo + 1:
+                    x = hi if loads[hi] < loads[lo] else lo
+                else:
+                    x = min(range(lo, hi + 1), key=load_of)
+                loads[x] += width[eid]
+        else:
+            ratio = kind_ratio
+            for eid in edge_ids:
+                _, lo, hi, _ = route_of[eid]
+                w = width[eid]
+                if lo == hi:
+                    x = lo
+                else:
+                    x = best = None
+                    for col in range(lo, hi + 1):
+                        r = ratio(loads[col] + w, caps[col])
+                        if best is None or r < best:
+                            x, best = col, r
+                loads[x] += w
         # Widths are positive, so a column still at 0 took no edge.
         return {x: used for x, used in enumerate(loads) if used}
 
@@ -244,7 +269,7 @@ class SllState:
         leaving: dict[int, list[int]] = {}
         for eid, route in changed.items():
             old = route_of[eid]
-            same_span = old[1] == route[1]
+            same_span = old[1] == route[1] and old[2] == route[2]
             for y in old[0]:
                 if y not in route[0]:
                     leaving.setdefault(y, []).append(eid)

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from fado.model import design_from_dict, device_from_dict
 from fado.pipeliner import (
     SllState,
-    allowed_halves,
     crossed_die_rows,
     crossed_io_cols,
     recompute_all,
@@ -72,9 +71,12 @@ def test_crossed_io_cols():
 
 
 def test_allowed_halves_is_the_column_span():
-    assert list(allowed_halves(0, 2)) == [0, 1, 2]
-    assert list(allowed_halves(2, 0)) == [0, 1, 2]
-    assert list(allowed_halves(1, 1)) == [1]
+    # a route's lowest and highest column bound the halves an edge may use
+    dev = _grid(3, 2)
+    state = recompute_all(dev, _chain_graph(2, [8]), {"f0": 0, "f1": 0})
+    for xs, xd, lo, hi in ((0, 2, 0, 2), (2, 0, 0, 2), (1, 1, 1, 1)):
+        rows, *span, _ = state._route(slot_at(dev, xs, 0).id, slot_at(dev, xd, 1).id)
+        assert rows == (0,) and span == [lo, hi]
 
 
 # ---------------------------------------------------------------------------
@@ -255,17 +257,22 @@ def test_after_leaves_its_source_as_it_was():
 @st.composite
 def _wired_instance(draw):
     """A device of 1-3 columns and 1-4 rows with some die rows, io columns
-    and zero-capacity halves, and one dataflow kernel of 2-8 functions with
-    random FIFO and RAM edges (self-loops and parallel edges included)."""
+    and zero-capacity halves, about half its boundaries with one capacity
+    shared by all their halves, and one dataflow kernel of 2-8 functions
+    with random FIFO and RAM edges (self-loops and parallel edges
+    included)."""
     width, height = draw(st.integers(1, 3)), draw(st.integers(1, 4))
     doc = device_doc(
         width, height,
         die_rows=draw(st.lists(st.integers(0, height - 2), unique=True)) if height > 1 else [],
         io_cols=draw(st.lists(st.integers(0, width - 2), unique=True)) if width > 1 else [],
     )
+    capacity = st.sampled_from((0, 8, 24, 64, 256))
     for boundary in doc["die_boundaries"]:
+        # about half the boundaries share one capacity over all their halves
+        shared = draw(capacity) if draw(st.booleans()) else None
         for half in boundary["halves"]:
-            half["sll_capacity"] = draw(st.sampled_from((0, 8, 24, 64, 256)))
+            half["sll_capacity"] = draw(capacity) if shared is None else shared
     names = [f"f{i}" for i in range(draw(st.integers(2, 8)))]
     fn = st.sampled_from(names)
     edges = draw(st.lists(
@@ -388,34 +395,56 @@ def test_a_refold_still_counts_the_unchanged_edges():
     assert state.boundary_loads[0] == {0: 16, 1: 1}
 
 
-# One die boundary on a 2x2 grid; an edge spans column 0 (0), column 1
-# (1) or both (None).  Slots are row-major, so (x, 0) is x and (x, 1) is 2 + x.
-_SPAN_ENDS = {0: (0, 2), 1: (1, 3), None: (0, 3)}
-
-
-@pytest.mark.parametrize("caps, edges, loads", [
-    # equal ratios tie to the lower column
-    ((100, 100), [(8, None)], {0: 8}),
-    # the lowest fill ratio after adding the edge wins, counting earlier edges
-    ((100, 100), [(50, 0), (8, None)], {0: 50, 1: 8}),
-    ((100, 100), [(8, None), (8, None), (8, None)], {0: 16, 1: 8}),
-    # a smaller half loses even when both are empty
-    ((50, 100), [(8, None)], {1: 8}),
-    # a zero-capacity half ranks last while another half has wires...
-    ((0, 10), [(8, None)], {1: 8}),
-    # ...and between two of them the tie goes to the lower column
-    ((0, 0), [(8, None)], {0: 8}),
-])
-def test_fold_takes_the_lowest_post_add_ratio_then_the_lower_column(caps, edges, loads):
-    doc = device_doc(width=2, height=2)
+def _spans_instance(caps, edges):
+    """One die boundary on a grid of len(caps) columns and 2 rows, with
+    halves of capacities ``caps``, and edge i from (xs, 0) to (xd, 1) for
+    its ``(width, (xs, xd))`` in ``edges``."""
+    doc = device_doc(width=len(caps), height=2)
     for half, cap in zip(doc["die_boundaries"][0]["halves"], caps):
         half["sll_capacity"] = cap
     dev = device_from_dict(doc)
     graph = _pairs_graph([w for w, _ in edges])
     placement = {}
-    for i, (_, col) in enumerate(edges):
-        placement[f"s{i}"], placement[f"d{i}"] = _SPAN_ENDS[col]
+    for i, (_, (xs, xd)) in enumerate(edges):
+        placement[f"s{i}"], placement[f"d{i}"] = slot_at(dev, xs, 0).id, slot_at(dev, xd, 1).id
+    return dev, graph, placement
+
+
+@pytest.mark.parametrize("caps, edges, loads", [
+    # equal ratios tie to the lower column
+    ((100, 100), [(8, (0, 1))], {0: 8}),
+    # the lowest fill ratio after adding the edge wins, counting earlier edges
+    ((100, 100), [(50, (0, 0)), (8, (0, 1))], {0: 50, 1: 8}),
+    ((100, 100), [(8, (0, 1)), (8, (0, 1)), (8, (0, 1))], {0: 16, 1: 8}),
+    # a smaller half loses even when both are empty
+    ((50, 100), [(8, (0, 1))], {1: 8}),
+    # a zero-capacity half ranks last while another half has wires...
+    ((0, 10), [(8, (0, 1))], {1: 8}),
+    # ...and between two of them the tie goes to the lower column
+    ((0, 0), [(8, (0, 1))], {0: 8}),
+    # a three-column tie goes to the lowest of the tied columns
+    ((100, 100, 100), [(8, (0, 0)), (4, (0, 2)), (4, (0, 2)), (4, (0, 2))], {0: 8, 1: 8, 2: 4}),
+    # three zero-capacity halves tie on ratio whatever their loads
+    ((0, 0, 0), [(8, (0, 2)), (8, (0, 2)), (4, (1, 2))], {0: 16, 1: 4}),
+])
+def test_fold_takes_the_lowest_post_add_ratio_then_the_lower_column(caps, edges, loads):
+    dev, graph, placement = _spans_instance(caps, edges)
     assert recompute_all(dev, graph, placement).boundary_loads[0] == loads
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda width: st.tuples(
+    st.sampled_from((0, 1, 3, 8, 64)).map(lambda cap: (cap,) * width),
+    st.lists(st.tuples(st.sampled_from((1, 1, 2, 4)),
+                       st.tuples(st.integers(0, width - 1), st.integers(0, width - 1))),
+             min_size=1, max_size=24),
+)))
+def test_an_even_boundary_folds_as_the_reference_rule(boundary):
+    # every half shares one capacity, zero included, edges run over every
+    # sub-span in either direction, and small equal widths keep loads tied
+    dev, graph, placement = _spans_instance(*boundary)
+    assert recompute_all(dev, graph, placement).boundary_loads[0] == reference_fold(
+        dev, graph, placement, 0)
 
 
 @settings(max_examples=200, deadline=None)
