@@ -161,7 +161,7 @@ def _write_tcl_stub(path: Path, graph, lib, config, placement) -> None:
 def _result_document(graph, lib, result, wall_seconds, flags) -> dict:
     """Everything ``result.json`` records but the input documents."""
     state = result.state
-    register_groups = {str(i): n for i, n in sorted(state.sll.reg_groups.items()) if n}
+    register_groups = {str(i): n for i, n in sorted(state.sll.reg_groups.items())}
     return {
         "design_latency": result.design_latency,
         "baseline_latency": result.baseline_latency,
@@ -315,8 +315,7 @@ def cmd_check(args) -> int:
     recorded_regs = {
         _int_key(i, "result 'register_groups'"): n
         for i, n in _dict_entry(doc, "register_groups", RESULT_DOC, {}).items()}
-    fresh_regs = {i: n for i, n in state.sll.reg_groups.items() if n}
-    if fresh_regs != recorded_regs:
+    if state.sll.reg_groups != recorded_regs:
         problems.append("recorded register groups do not match a recompute from scratch")
 
     if problems:

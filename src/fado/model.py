@@ -18,12 +18,12 @@ every ratio lives in ``kind_ratio``; ``utilization_ratio`` and
 ``kind_ratios`` divide directly and fall back to it only when some
 capacity is zero.
 
-A design's RAM groups, the functions that share a RAM and so must share a
-slot, are derived once per ``DesignGraph`` (``ram_groups`` and
-``group_of``), as its ``latency_plan`` is; the initial floorplan, the
-packing state and the exact oracle all read that one derivation.  So are
-a device's slot budgets, once per ``DeviceModel`` (``slot_budget``), with
-``holds`` the one rule for what a set of slots holds together.
+What a design or a device alone fixes is derived once, on first use, and
+every caller reads that one derivation: a ``DesignGraph``'s RAM groups
+(``ram_groups``, ``group_of``: functions that share a RAM, so must share a
+slot), ``latency_plan``, ``kernel_at``, ``fifo_width`` and ``fifo_of``; a
+``DeviceModel``'s ``slot_budget`` (which ``holds`` sums), slot-pair
+``routes`` and ``boundary_table``.
 
 The latency plan lists, per kernel in topological order, its member
 functions, its predecessors' plan positions and the end of its chain run:
@@ -280,6 +280,42 @@ class DeviceModel:
         rounded down to whole units, summed (``floored_total``)."""
         return tuple(map(floored_total, zip(*(self.slot_budget[s.id] for s in slots))))
 
+    @cached_property
+    def routes(self) -> "_Routes":
+        """Slot pair -> route, each worked out on first lookup (``_Routes``)."""
+        return _Routes(self._by_id, [b.y for b in self.die_boundaries], self.io_boundaries)
+
+    @cached_property
+    def boundary_table(self) -> dict[int, tuple]:
+        """Per die boundary row: its halves' capacities by column, their
+        ``fit_budget`` at ``sll_limit``, its reject and accept bounds on the
+        total crossing width (see ``pipeliner``) and whether it is even, its
+        halves sharing one positive capacity."""
+        table = {}
+        for b in self.die_boundaries:
+            caps = tuple(b.halves[x] for x in range(self.width))
+            budget = fit_budget(caps, self.sll_limit)
+            table[b.y] = (caps, budget, floored_total(budget), min(budget),
+                          min(caps) == max(caps) > 0)
+        return table
+
+
+class _Routes(dict):
+    """Slot pair -> route of an edge from the first slot to the second: the
+    die rows it crosses, its lowest and highest column and its register
+    groups, one per die row or io column crossed, worked out on first use."""
+
+    def __init__(self, slot_of: dict, die_rows: list, io_cols: list):
+        self._slot_of, self._die_rows, self._io_cols = slot_of, die_rows, io_cols
+
+    def __missing__(self, pair: tuple) -> tuple:
+        src, dst = self._slot_of[pair[0]], self._slot_of[pair[1]]
+        ylo, yhi = min(src.y, dst.y), max(src.y, dst.y)
+        lo, hi = min(src.x, dst.x), max(src.x, dst.x)
+        rows = tuple(y for y in self._die_rows if ylo <= y < yhi)
+        route = self[pair] = (rows, lo, hi, len(rows) + sum(lo <= x < hi for x in self._io_cols))
+        return route
+
 
 _REQUIRED = object()
 
@@ -518,6 +554,25 @@ class DesignGraph:
         for i in range(len(preds) - 2, -1, -1):
             ends[i] = ends[i + 1] if preds[i + 1] == (i,) else i + 1
         return tuple(zip((members[k] for k in self.kernel_order), preds, ends))
+
+    @cached_property
+    def kernel_at(self) -> dict[str, int]:
+        """Each function's kernel's position in ``latency_plan``."""
+        return {f: i for i, (members, _, _) in enumerate(self.latency_plan) for f in members}
+
+    @cached_property
+    def fifo_width(self) -> list[int]:
+        """By edge id: a FIFO edge's width, 0 for a RAM edge."""
+        return [e.width if e.kind == FIFO else 0 for e in self.edges]
+
+    @cached_property
+    def fifo_of(self) -> dict[str, list[Edge]]:
+        """Each function's FIFO edges, in id order, a self-loop listed twice."""
+        fifo_of = {f: [] for f in self.functions}
+        for e in self.fifo_edges():
+            fifo_of[e.src].append(e)
+            fifo_of[e.dst].append(e)
+        return fifo_of
 
     def fifo_edges(self) -> list[Edge]:
         return [e for e in self.edges if e.kind == FIFO]

@@ -133,8 +133,7 @@ def _search(device: DeviceModel, graph: DesignGraph, lib: QoRLibrary,
     # re-weighs that function's kernel alone, and where the weight changes
     # the longest-path walk restarts there, into the child depth's own
     # path lengths.
-    plan = graph.latency_plan
-    kernel_at = {f: k for k, (members, _, _) in enumerate(plan) for f in members}
+    plan, kernel_at = graph.latency_plan, graph.kernel_at
     weights = [kernel_weight(members, latency) for members, _, _ in plan]
     dists = [[0] * len(plan) for _ in range(len(fns) + 1)]  # one per depth
     spent = candidates = checked = 0

@@ -12,33 +12,37 @@ boundaries whose crossing set changed) land bit-for-bit on the same state
 as a full recompute, which the packer relies on when it tests moves on
 new states and goes back to old ones.
 
-The state costs what a move changes, not what the design holds, apart from
-one flat copy.  It is five objects: the routes, a list indexed by edge id
-holding each FIFO edge's route (die rows crossed, lowest and highest
-column, register groups) and None for a RAM edge, and per die boundary its
-sorted crossing list, total crossing width and folded loads, plus the set
-of boundaries pending a fold.  Each is replaced whole, never changed in
-place, so ``after`` can return the state after a move as a new object that
-shares every unchanged one with its source, which it leaves as it was.  A
-move's new route list is a ``list.copy()`` of the old one with the changed
-entries set: one C-level copy of a pointer per edge.  Register groups are
-read from the routes.  A state is built in one way, ``recompute_all``,
-which routes every FIFO edge and leaves every boundary pending.  A move is
-described once, by ``route_changes``: the moved functions' FIFO edges whose
-route changes, with their new routes.  ``update`` takes that description
-and touches only the boundaries in those edges' old and new die rows.
-Neither folds: they keep each boundary's crossing list and total width
-current and mark the boundary pending.  A pending boundary is later folded
-whole from its crossing list, in one walk: an edge whose span is one column
-adds its width there directly.  A wider span compares its columns' loads on
-an even boundary, one whose halves share one positive capacity, and their
-fill ratios on any other; both choose the same column (see ``_fold``).
+A state holds what a placement determines.  What the device or the design
+alone fixes is derived once, on the model objects: a slot pair's route
+(``DeviceModel.routes``: die rows crossed, lowest and highest column,
+register groups), each die boundary's capacities, budgets and bounds
+(``DeviceModel.boundary_table``), the edge widths by id and each function's
+FIFO edges (``DesignGraph.fifo_width`` and ``fifo_of``).  Besides its
+device and design a state is five objects: the routes, a list indexed by
+edge id holding each FIFO edge's route and None for a RAM edge, and per die
+boundary its sorted crossing list, total crossing width and folded loads,
+plus the set of boundaries pending a fold.  Each is replaced whole, never
+changed in place, so ``after`` can return the state after a move as a new
+object that shares every unchanged one with its source, which it leaves as
+it was: a move costs what it changes, and one ``list.copy()`` of the
+routes.  Register groups are read from the routes.  A state is built in one
+way, ``recompute_all``, which routes every FIFO edge and leaves every
+boundary pending.  A move is described once, by ``route_changes``: the
+moved functions' FIFO edges whose route changes, with their new routes.
+``update`` takes that description and touches only the boundaries in those
+edges' old and new die rows.  Neither folds: they keep each boundary's
+crossing list and total width current and mark the boundary pending.  A
+pending boundary is later folded whole from its crossing list, in one walk:
+an edge whose span is one column adds its width there directly.  A wider
+span compares its columns' loads on an even boundary, one whose halves
+share one positive capacity, and their fill ratios on any other; both
+choose the same column (see ``_fold``).
 
 The fold waits until a query needs it, and most questions are decided
-without it.  A half's budget (``fit_budget``) is ``sll_limit``
-times its capacity plus ``LIMIT_EPS``, and the fold puts every edge on one
-column of its span, so two constants per boundary bound its total crossing
-width exactly for any fold:
+without it.  A half's budget (``fit_budget``) is ``sll_limit`` times its
+capacity plus ``LIMIT_EPS``, and the fold puts every edge on one column of
+its span, so two constants per boundary bound its total crossing width
+exactly for any fold:
 
 - reject: a total above the sum of the half budgets, each rounded down to
   whole wires (``floored_total``, as for the slots' device-wide bound),
@@ -62,111 +66,63 @@ from __future__ import annotations
 
 from bisect import bisect_left, insort
 
-from .model import FIFO, DesignGraph, DeviceModel, fit_budget, floored_total, kind_ratio
-
-
-def crossed_die_rows(device: DeviceModel, ys: int, yd: int) -> list[int]:
-    """Die boundary rows an edge between rows ys and yd passes over."""
-    lo, hi = min(ys, yd), max(ys, yd)
-    return [b.y for b in device.die_boundaries if lo <= b.y < hi]
-
-
-def crossed_io_cols(device: DeviceModel, xs: int, xd: int) -> list[int]:
-    lo, hi = min(xs, xd), max(xs, xd)
-    return [x for x in device.io_boundaries if lo <= x < hi]
+from .model import DesignGraph, DeviceModel, kind_ratio
 
 
 def recompute_all(device: DeviceModel, graph: DesignGraph, placement: dict) -> "SllState":
     """The routing state of a placement, built from scratch: the one way to
     build one.  Every boundary is left pending, as ``update`` leaves the
     boundaries it touches, so no fold runs until a query needs it."""
-    state = SllState(device, graph)
-    crossing: dict[int, list[int]] = {y: [] for y in state._caps}
+    routes, width = device.routes, graph.fifo_width
+    crossing: dict[int, list[int]] = {y: [] for y in device.boundary_table}
     route_of = [None] * len(graph.edges)
-    for e in graph.edges:
-        if e.kind == FIFO:
-            route = route_of[e.index] = state._route(placement[e.src], placement[e.dst])
-            for y in route[0]:
-                crossing[y].append(e.index)
-    width = state._width
-    state.route_of = route_of  # by edge id: a FIFO edge's route, None for a RAM edge
-    state.crossing = crossing
-    # boundary row -> total crossing width
+    for e in graph.fifo_edges():
+        route = route_of[e.index] = routes[placement[e.src], placement[e.dst]]
+        for y in route[0]:
+            crossing[y].append(e.index)
+    state = SllState()
+    state.device, state.graph, state.route_of, state.crossing = device, graph, route_of, crossing
     state._total = {y: sum(width[eid] for eid in eids) for y, eids in crossing.items()}
-    state._pending = frozenset(crossing)  # boundary rows not yet folded
+    state._loads, state._pending = {}, frozenset(crossing)
     return state
 
 
 class SllState:
     """Per-boundary SLL loads and per-edge register groups for a placement.
 
-    ``recompute_all`` builds one from scratch; ``update`` rebuilds only the
-    boundaries touched by a set of moved functions, and ``after`` does so
-    on a new object.  All end in identical state for the same placement,
-    once the pending boundaries are folded.
-
-    Every state object, the per-boundary dicts and lists inside them
-    included, is replaced rather than changed in place (see the module
-    docstring): ``boundary_loads`` maps a boundary row to ``{half: wires}``,
-    folding the pending boundaries before it answers, ``crossing`` maps it
-    to its crossing edge ids in ascending order, and ``reg_groups`` maps
-    every edge id to its register-group count.
+    A state holds only what its placement determines (see the module
+    docstring); the routes, budgets and bounds it reads are its device's
+    (``routes``, ``boundary_table``) and its design's (``fifo_width``,
+    ``fifo_of``).  ``recompute_all`` builds one from scratch; ``update``
+    rebuilds only the boundaries touched by a set of moved functions, and
+    ``after`` does so on a new object.  All end in identical state for the
+    same placement, once the pending boundaries are folded.  No state
+    object is changed in place.  ``boundary_loads`` maps a boundary row to
+    ``{half: wires}``, folding the pending boundaries first, and
+    ``reg_groups`` maps each edge id that carries register groups to their
+    count.
     """
 
-    def __init__(self, device: DeviceModel, graph: DesignGraph):
-        self.device = device
-        self.graph = graph
-        # by edge id, as route_of: a FIFO edge's width, 0 for a RAM edge
-        self._width = [e.width if e.kind == FIFO else 0 for e in graph.edges]
-        self._fifo_of: dict[str, list] = {f: [] for f in graph.functions}
-        for e in graph.edges:
-            if e.kind == FIFO:
-                self._fifo_of[e.src].append(e)
-                self._fifo_of[e.dst].append(e)
-        # Per boundary row, in one walk over the boundaries: its per-column
-        # half capacities and budgets; its reject bound, since a total above
-        # the halves' floored budget sum overflows some half; its accept
-        # bound, since a total within the narrowest half's budget cannot
-        # overflow any half, however the fold splits the edges; and whether
-        # it is even, its halves sharing one positive capacity while loads
-        # stay below 2**52, so that ``_fold`` may compare loads.
-        self._caps, self.budget, self._reject_bound, self._accept_bound, self._even = (
-            {}, {}, {}, {}, {})
-        exact = sum(self._width) < 2**52
-        for b in device.die_boundaries:
-            caps = self._caps[b.y] = tuple(b.halves[x] for x in range(device.width))
-            budget = self.budget[b.y] = fit_budget(caps, device.sll_limit)
-            self._reject_bound[b.y] = floored_total(budget)
-            self._accept_bound[b.y] = min(budget)
-            self._even[b.y] = exact and min(caps) == max(caps) > 0
-        self._routes: dict[tuple, tuple] = {}  # slot pair -> route, filled on first use
-        self._loads: dict[int, dict[int, int]] = {}  # folded boundary row -> its loads
-        # ``recompute_all`` sets route_of, crossing, _total and _pending
+    route_of: list  # by edge id: a FIFO edge's route, None for a RAM edge
+    crossing: dict[int, list[int]]  # boundary row -> crossing edge ids, ascending
+    _total: dict[int, int]  # boundary row -> total crossing width
+    _loads: dict[int, dict[int, int]]  # folded boundary row -> its loads
+    _pending: frozenset  # boundary rows not yet folded
 
     @property
     def boundary_loads(self) -> dict[int, dict[int, int]]:
-        self._settle()
+        for y in self._pending:
+            self._fold(y)
         return self._loads
 
     @property
     def reg_groups(self) -> dict[int, int]:
-        return {eid: 0 if route is None else route[3] for eid, route in enumerate(self.route_of)}
+        return {eid: route[3] for eid, route in enumerate(self.route_of) if route and route[3]}
 
     # -- core fold ---------------------------------------------------------
 
-    def _route(self, src_slot: int, dst_slot: int) -> tuple:
-        """(die rows crossed, lowest and highest column, register groups)."""
-        route = self._routes.get((src_slot, dst_slot))
-        if route is None:
-            ss, sd = self.device.slot(src_slot), self.device.slot(dst_slot)
-            rows = tuple(crossed_die_rows(self.device, ss.y, sd.y))
-            regs = len(rows) + len(crossed_io_cols(self.device, ss.x, sd.x))
-            route = self._routes[src_slot, dst_slot] = (
-                rows, min(ss.x, sd.x), max(ss.x, sd.x), regs)
-        return route
-
-    def _fold(self, y: int, edge_ids: list[int]) -> dict[int, int]:
-        """Fold boundary y's crossing list into a fresh ``{half: wires}``.
+    def _fold(self, y: int) -> None:
+        """Fold pending boundary y into a fresh ``{half: wires}`` and keep it.
 
         Each edge in turn takes the column of its span with the lowest fill
         ratio after adding it (``kind_ratio``), ties to the lower column, so
@@ -180,16 +136,17 @@ class SllState:
         column, and nothing is divided.  That is the same column:
         ``(load + w) / c`` keeps the order of integer loads and their ties,
         since below 2**52 no two distinct loads round to one float ratio, and
-        ``SllState`` takes this path only when the design's summed FIFO width
-        is below that.  Two zero-capacity halves tie on ratio whatever their
-        loads, so they keep the ratio walk, as do unequal halves.
+        this path is taken only when the boundary's total crossing width,
+        which bounds every load, is below that.  Two zero-capacity halves
+        tie on ratio whatever their loads, so they keep the ratio walk, as
+        do unequal halves.
         """
-        caps = self._caps[y]
-        width, route_of = self._width, self.route_of
+        caps, _, _, _, even = self.device.boundary_table[y]
+        width, route_of = self.graph.fifo_width, self.route_of
         loads = [0] * len(caps)
-        if self._even[y]:
+        if even and self._total[y] < 2**52:
             load_of = loads.__getitem__
-            for eid in edge_ids:
+            for eid in self.crossing[y]:
                 _, lo, hi, _ = route_of[eid]
                 if lo == hi:
                     x = lo
@@ -200,7 +157,7 @@ class SllState:
                 loads[x] += width[eid]
         else:
             ratio = kind_ratio
-            for eid in edge_ids:
+            for eid in self.crossing[y]:
                 _, lo, hi, _ = route_of[eid]
                 w = width[eid]
                 if lo == hi:
@@ -213,17 +170,8 @@ class SllState:
                             x, best = col, r
                 loads[x] += w
         # Widths are positive, so a column still at 0 took no edge.
-        return {x: used for x, used in enumerate(loads) if used}
-
-    def _fold_pending(self, y: int) -> None:
-        """Fold pending boundary y and store the result."""
-        self._loads = {**self._loads, y: self._fold(y, self.crossing[y])}
+        self._loads = {**self._loads, y: {x: used for x, used in enumerate(loads) if used}}
         self._pending = self._pending - {y}
-
-    def _settle(self) -> None:
-        """Fold every pending boundary."""
-        for y in self._pending:
-            self._fold_pending(y)
 
     # -- incremental rebuild --------------------------------------------------
 
@@ -234,19 +182,19 @@ class SllState:
         ``placement`` puts it.  Changes nothing: ``rejects`` and ``update``
         both take the result, so a trial computes it once."""
         changed = {}
-        route_of = self.route_of
+        routes, fifo_of, route_of = self.device.routes, self.graph.fifo_of, self.route_of
         for f in moved:
-            for e in self._fifo_of[f]:
-                route = self._route(moved.get(e.src, placement[e.src]),
-                                    moved.get(e.dst, placement[e.dst]))
+            for e in fifo_of[f]:
+                route = routes[moved.get(e.src, placement[e.src]),
+                               moved.get(e.dst, placement[e.dst])]
                 if route != route_of[e.index]:
                     changed[e.index] = route
         return changed
 
     def after(self, changed: dict[int, tuple]) -> "SllState":
         """The state after the route changes ``changed`` (``route_changes``),
-        as a new object that shares every unchanged state object, and the
-        slot-pair route memo, with this one, which stays as it was."""
+        as a new object that shares every unchanged state object with this
+        one, which stays as it was."""
         new = object.__new__(SllState)  # a shallow copy, without copy.copy's cost
         new.__dict__.update(self.__dict__)
         new.update(changed)
@@ -263,7 +211,7 @@ class SllState:
         """
         if not changed:
             return
-        width, route_of = self._width, self.route_of
+        width, route_of = self.graph.fifo_width, self.route_of
         dirty: set[int] = set()
         entering: dict[int, list[int]] = {}
         leaving: dict[int, list[int]] = {}
@@ -307,25 +255,24 @@ class SllState:
 
         Each entry is (boundary y, half x, wires used, budget).
         """
-        loads, caps, budget = self.boundary_loads, self._caps, self.budget
-        limit = self.device.sll_limit
-        return [(y, x, used, limit * caps[y][x])
+        loads, table, limit = self.boundary_loads, self.device.boundary_table, self.device.sll_limit
+        return [(y, x, used, limit * table[y][0][x])
                 for y in sorted(loads) for x, used in sorted(loads[y].items())
-                if used > budget[y][x]]
+                if used > table[y][1][x]]
 
     def rejects(self, changed: dict[int, tuple]) -> bool:
         """True when the route changes ``changed`` (``route_changes``) would
         put some boundary's total crossing width over its reject bound, so
         the move cannot be feasible.  Changes nothing."""
-        total, bound = self._total, self._reject_bound
-        width, route_of = self._width, self.route_of
+        total, table = self._total, self.device.boundary_table
+        width, route_of = self.graph.fifo_width, self.route_of
         delta: dict[int, int] = {}  # boundary row -> change of its total width
         for eid, route in changed.items():
             for y in route_of[eid][0]:
                 delta[y] = delta.get(y, 0) - width[eid]
             for y in route[0]:
                 delta[y] = delta.get(y, 0) + width[eid]
-        return any(total[y] + d > bound[y] for y, d in delta.items())
+        return any(total[y] + d > table[y][2] for y, d in delta.items())
 
     def feasible(self) -> bool:
         """True when no half is over budget.
@@ -334,17 +281,18 @@ class SllState:
         bounds (see the module docstring); only the boundaries left in doubt
         are folded, if pending, and checked, one at a time.
         """
-        reject, accept = self._reject_bound, self._accept_bound
+        table = self.device.boundary_table
         doubt = []
         for y, total in self._total.items():
-            if total > reject[y]:
+            _, _, reject, accept, _ = table[y]
+            if total > reject:
                 return False
-            if total > accept[y]:
+            if total > accept:
                 doubt.append(y)
         for y in doubt:
             if y in self._pending:
-                self._fold_pending(y)
-            budget = self.budget[y]
+                self._fold(y)
+            budget = table[y][1]
             for x, used in self._loads[y].items():
                 if used > budget[x]:
                     return False
@@ -353,7 +301,7 @@ class SllState:
     def max_utilization(self) -> float:
         """The largest fill ratio (``kind_ratio``) of any half a wire uses,
         0.0 when no wire crosses a die boundary."""
-        caps = self._caps
-        return max((kind_ratio(used, caps[y][x])
+        table = self.device.boundary_table
+        return max((kind_ratio(used, table[y][0][x])
                     for y, loads in self.boundary_loads.items() for x, used in loads.items()),
                    default=0.0)

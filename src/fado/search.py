@@ -274,8 +274,7 @@ def run(
     # and the longest-path walk restarts at the first kernel that changed.
     latencies = function_latencies(graph, lib, state.config)
     levels = _Levels(latencies)
-    plan = graph.latency_plan
-    kernel_at = {f: i for i, (members, _, _) in enumerate(plan) for f in members}
+    plan, kernel_at = graph.latency_plan, graph.kernel_at
     weights = [kernel_weight(members, latencies) for members, _, _ in plan]
     dist = [0] * len(plan)
     current_lat = longest_path(plan, weights, dist)

@@ -1,0 +1,127 @@
+"""Mutants of the fado source that the tests must catch.
+
+Each entry names a mutant, a file under ``src/fado``, an exact old text
+that occurs in it once, the new text that replaces it, and the pytest node
+ids expected to fail.  For each entry the runner copies ``src`` and
+``tests`` to a temporary directory, applies the edit to the copy and runs
+the listed tests there against the copied source; the mutant is caught
+when at least one of them fails.  An old text that is missing, or that
+occurs more than once, fails the runner by the mutant's name, so a change
+that makes an entry stale rewrites or deletes it on purpose.  Before any
+mutant, the listed tests must pass on an unchanged copy, so that a failure
+is the mutant's.
+
+Run it from anywhere with pytest and hypothesis installed:
+
+    python tests/mutants.py
+
+It prints one line per mutant and exits 1 when any is stale or not caught.
+Hypothesis runs with seed 0, so a run is repeatable.  The name has no
+``test_`` prefix, so pytest does not collect this file.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+PIPELINER = "tests/test_pipeliner.py::"
+
+
+class Mutant(NamedTuple):
+    name: str
+    file: str  # under src/fado
+    old: str  # must occur in the file exactly once
+    new: str
+    tests: tuple  # pytest node ids, at least one of which must fail
+
+
+MUTANTS = (
+    Mutant("route-low-column-from-the-source", "model.py",
+           "lo, hi = min(src.x, dst.x), max(src.x, dst.x)",
+           "lo, hi = src.x, max(src.x, dst.x)",
+           (PIPELINER + "test_a_route_counts_the_io_columns_it_crosses",
+            PIPELINER + "test_allowed_halves_is_the_column_span",
+            PIPELINER + "test_register_groups_map_only_the_edges_that_carry_them")),
+    Mutant("even-on-zero-capacity-halves", "model.py",
+           "min(caps) == max(caps) > 0", "min(caps) == max(caps)",
+           (PIPELINER + "test_fold_takes_the_lowest_post_add_ratio_then_the_lower_column",
+            PIPELINER + "test_an_even_boundary_folds_as_the_reference_rule")),
+    Mutant("even-on-unequal-halves", "model.py",
+           "min(caps) == max(caps) > 0", "min(caps) > 0",
+           (PIPELINER + "test_an_even_boundary_folds_as_the_reference_rule",)),
+    Mutant("boundary-budgets-ignore-sll-limit", "model.py",
+           "budget = fit_budget(caps, self.sll_limit)", "budget = fit_budget(caps, 1.0)",
+           (PIPELINER + "test_a_fresh_build_folds_only_what_a_query_needs",
+            PIPELINER + "test_feasible_folds_only_above_the_narrowest_half",
+            PIPELINER + "test_the_accept_bound_is_the_narrowest_half")),
+    Mutant("two-column-tie-to-the-higher-column", "pipeliner.py",
+           "x = hi if loads[hi] < loads[lo] else lo",
+           "x = hi if loads[hi] <= loads[lo] else lo",
+           (PIPELINER + "test_colocated_then_moved_edge_gains_register_groups",
+            PIPELINER + "test_fold_takes_the_lowest_post_add_ratio_then_the_lower_column",
+            PIPELINER + "test_an_even_boundary_folds_as_the_reference_rule")),
+)
+
+
+def _pytest(workdir: Path, tests) -> subprocess.CompletedProcess:
+    """The listed tests run in ``workdir`` against its copy of ``src``: seed
+    0, stopping at the first failure, with nothing cached in the checkout."""
+    env = {**os.environ, "PYTHONPATH": str(workdir / "src")}
+    return subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+         "--hypothesis-seed=0", *tests],
+        cwd=workdir, env=env, capture_output=True, text=True)
+
+
+def _copy(workdir: Path) -> None:
+    skip = shutil.ignore_patterns("__pycache__", "*.egg-info", ".hypothesis")
+    for name in ("src", "tests"):
+        shutil.copytree(ROOT / name, workdir / name, ignore=skip)
+    shutil.copy(ROOT / "pyproject.toml", workdir)
+
+
+def _verdict(mutant: Mutant) -> str | None:
+    """None when the mutant is caught, else why it is not."""
+    with tempfile.TemporaryDirectory(prefix="fado-mutant-") as tmp:
+        workdir = Path(tmp)
+        _copy(workdir)
+        path = workdir / "src" / "fado" / mutant.file
+        text = path.read_text(encoding="utf-8")
+        count = text.count(mutant.old)
+        if count != 1:
+            return f"its old text occurs {count} times in src/fado/{mutant.file}, not once"
+        path.write_text(text.replace(mutant.old, mutant.new), encoding="utf-8")
+        proc = _pytest(workdir, mutant.tests)
+    if proc.returncode == 1:
+        return None
+    if proc.returncode == 0:
+        return "every listed test passed"
+    return f"pytest exited {proc.returncode}: {proc.stdout.strip()[-300:]}"
+
+
+def main() -> int:
+    with tempfile.TemporaryDirectory(prefix="fado-mutant-") as tmp:
+        _copy(Path(tmp))
+        tests = sorted({t for m in MUTANTS for t in m.tests})
+        proc = _pytest(Path(tmp), tests)
+    if proc.returncode != 0:
+        print(proc.stdout, proc.stderr, sep="\n")
+        print("the listed tests do not all pass on the unchanged source")
+        return 1
+    missed = 0
+    for mutant in MUTANTS:
+        why = _verdict(mutant)
+        print(f"caught  {mutant.name}" if why is None else f"FAILED  {mutant.name}: {why}")
+        missed += why is not None
+    return 1 if missed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

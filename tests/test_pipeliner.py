@@ -8,12 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fado.model import design_from_dict, device_from_dict
-from fado.pipeliner import (
-    SllState,
-    crossed_die_rows,
-    crossed_io_cols,
-    recompute_all,
-)
+from fado.pipeliner import SllState, recompute_all
 
 from helpers import (
     design_doc,
@@ -52,31 +47,50 @@ def _chain_graph(n, widths, kinds=None):
 
 
 # ---------------------------------------------------------------------------
-# Geometry helpers
+# Routes, as the device looks them up
 
 
-def test_crossed_die_rows_are_strictly_between_endpoints():
+def _route(dev, src, dst):
+    """The device's route from the slot at (x, y) ``src`` to the one at ``dst``."""
+    return dev.routes[slot_at(dev, *src).id, slot_at(dev, *dst).id]
+
+
+def test_a_route_crosses_the_die_rows_strictly_between_its_ends():
     dev = _grid(2, 4, io_cols=[0])
-    assert crossed_die_rows(dev, 3, 0) == [0, 1, 2]
-    assert crossed_die_rows(dev, 0, 3) == [0, 1, 2]
-    assert crossed_die_rows(dev, 1, 2) == [1]
-    assert crossed_die_rows(dev, 2, 2) == []
+    assert _route(dev, (0, 3), (0, 0)) == ((0, 1, 2), 0, 0, 3)
+    assert _route(dev, (0, 0), (0, 3)) == ((0, 1, 2), 0, 0, 3)
+    assert _route(dev, (0, 1), (0, 2)) == ((1,), 0, 0, 1)
+    assert _route(dev, (0, 2), (0, 2)) == ((), 0, 0, 0)
 
 
-def test_crossed_io_cols():
+def test_a_route_counts_the_io_columns_it_crosses():
     dev = _grid(2, 2, io_cols=[0])
-    assert crossed_io_cols(dev, 0, 1) == [0]
-    assert crossed_io_cols(dev, 1, 0) == [0]
-    assert crossed_io_cols(dev, 1, 1) == []
+    assert _route(dev, (0, 0), (1, 0)) == ((), 0, 1, 1)
+    assert _route(dev, (1, 0), (0, 0)) == ((), 0, 1, 1)
+    assert _route(dev, (1, 0), (1, 0)) == ((), 1, 1, 0)
 
 
 def test_allowed_halves_is_the_column_span():
     # a route's lowest and highest column bound the halves an edge may use
     dev = _grid(3, 2)
-    state = recompute_all(dev, _chain_graph(2, [8]), {"f0": 0, "f1": 0})
     for xs, xd, lo, hi in ((0, 2, 0, 2), (2, 0, 0, 2), (1, 1, 1, 1)):
-        rows, *span, _ = state._route(slot_at(dev, xs, 0).id, slot_at(dev, xd, 1).id)
+        rows, *span, _ = _route(dev, (xs, 0), (xd, 1))
         assert rows == (0,) and span == [lo, hi]
+
+
+def test_states_of_one_device_and_design_share_what_they_fix():
+    # a state holds only what its placement determines; routes, boundary
+    # bounds and edge widths are derived once for every state of the pair
+    dev, graph = _grid(2, 2, io_cols=[0]), _chain_graph(3, [8, 8])
+    a = recompute_all(dev, graph, {"f0": 0, "f1": 3, "f2": 1})
+    b = recompute_all(dev, graph, {"f0": 1, "f1": 2, "f2": 0})
+    assert a.device.routes is b.device.routes is dev.routes
+    assert a.device.boundary_table is b.device.boundary_table is dev.boundary_table
+    assert a.graph.fifo_width is b.graph.fifo_width
+    assert a.graph.fifo_of is b.graph.fifo_of
+    assert set(vars(a)) == set(vars(b)) == {
+        "device", "graph", "route_of", "crossing", "_total", "_loads", "_pending"}
+    assert "__init__" not in vars(SllState)
 
 
 # ---------------------------------------------------------------------------
@@ -87,7 +101,7 @@ def test_route_staircase_counts_die_and_io_crossings():
     dev = _grid(2, 4, io_cols=[0])
     graph = _chain_graph(2, [8])
     state = recompute_all(dev, graph, {"f0": slot_at(dev, 0, 3).id, "f1": slot_at(dev, 1, 0).id})
-    assert state.reg_groups[0] == 4  # three die rows and one io column
+    assert state.reg_groups == {0: 4}  # three die rows and one io column
     assert _rows_of(state, 0) == [0, 1, 2]
     for y in (0, 1, 2):
         assert sum(state.boundary_loads[y].values()) == 8
@@ -97,10 +111,10 @@ def test_route_within_one_die_needs_no_sll():
     dev = _grid(2, 4, io_cols=[0])
     graph = _chain_graph(2, [8])
     same = recompute_all(dev, graph, {"f0": slot_at(dev, 0, 1).id, "f1": slot_at(dev, 0, 1).id})
-    assert same.reg_groups[0] == 0
+    assert 0 not in same.reg_groups
     assert _rows_of(same, 0) == []
     io_only = recompute_all(dev, graph, {"f0": slot_at(dev, 0, 1).id, "f1": slot_at(dev, 1, 1).id})
-    assert io_only.reg_groups[0] == 1
+    assert io_only.reg_groups == {0: 1}
     assert _rows_of(io_only, 0) == []
     assert all(not loads for loads in io_only.boundary_loads.values())
 
@@ -120,7 +134,7 @@ def test_route_refuses_ram_edges():
     dev = _grid(2, 2, sll=0, io_cols=[0])
     graph = _chain_graph(2, [32], kinds=["ram"])
     state = recompute_all(dev, graph, {"f0": 0, "f1": 3})  # across die and io
-    assert state.reg_groups[0] == 0
+    assert 0 not in state.reg_groups
     assert _rows_of(state, 0) == []
     assert state.feasible()
 
@@ -134,7 +148,7 @@ def test_colocated_then_moved_edge_gains_register_groups():
     graph = _chain_graph(2, [12])
     placement = {"f0": 0, "f1": 0}
     state = recompute_all(dev, graph, placement)
-    assert state.reg_groups[0] == 0
+    assert 0 not in state.reg_groups
     assert state.boundary_loads.get(0, {}) == {}
 
     placement["f1"] = 3  # (x=1, y=1): one die row and one io column away
@@ -157,16 +171,17 @@ def test_move_away_and_back_is_bit_identical():
     assert sll_fingerprint(state) == before
 
 
-def test_register_groups_map_every_edge_and_ram_edges_to_zero():
+def test_register_groups_map_only_the_edges_that_carry_them():
+    # a RAM edge and a FIFO edge within one slot carry none
     dev = _grid(2, 2, io_cols=[0])
     graph = _chain_graph(4, [8, 32, 4], kinds=["fifo", "ram", "fifo"])
     placement = {"f0": 0, "f1": 3, "f2": 3, "f3": 3}
     state = recompute_all(dev, graph, placement)
-    assert state.reg_groups == {0: 2, 1: 0, 2: 0}
+    assert state.reg_groups == {0: 2}
 
     placement["f3"] = 0  # back across the die row and the io column
     _update(state, placement, {"f3"})
-    assert state.reg_groups == {0: 2, 1: 0, 2: 2}
+    assert state.reg_groups == {0: 2, 2: 2}
 
 
 def test_non_fifo_edges_carry_no_wires():
@@ -174,7 +189,7 @@ def test_non_fifo_edges_carry_no_wires():
     graph = _chain_graph(2, [32], kinds=["ram"])
     state = recompute_all(dev, graph, {"f0": 0, "f1": 1})
     assert state.boundary_loads.get(0, {}) == {}
-    assert state.reg_groups[0] == 0
+    assert 0 not in state.reg_groups
     assert state.over_budget() == []
 
 
@@ -432,16 +447,21 @@ def test_fold_takes_the_lowest_post_add_ratio_then_the_lower_column(caps, edges,
     assert recompute_all(dev, graph, placement).boundary_loads[0] == loads
 
 
+_CAP = st.sampled_from((0, 1, 3, 8, 64))
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.integers(1, 4).flatmap(lambda width: st.tuples(
-    st.sampled_from((0, 1, 3, 8, 64)).map(lambda cap: (cap,) * width),
+    st.one_of(_CAP.map(lambda cap: (cap,) * width), st.tuples(*[_CAP] * width)),
     st.lists(st.tuples(st.sampled_from((1, 1, 2, 4)),
                        st.tuples(st.integers(0, width - 1), st.integers(0, width - 1))),
              min_size=1, max_size=24),
 )))
 def test_an_even_boundary_folds_as_the_reference_rule(boundary):
-    # every half shares one capacity, zero included, edges run over every
-    # sub-span in either direction, and small equal widths keep loads tied
+    # every half shares one capacity, zero included, or each half has its
+    # own, so an even boundary is told apart from an uneven one; edges run
+    # over every sub-span in either direction, and small equal widths keep
+    # loads tied
     dev, graph, placement = _spans_instance(*boundary)
     assert recompute_all(dev, graph, placement).boundary_loads[0] == reference_fold(
         dev, graph, placement, 0)
