@@ -2,9 +2,12 @@
 
 Functions wired through shared RAM must land on one slot, so the unit of
 placement is the RAM-connected group (``DesignGraph.ram_groups``, derived
-once per design).  Two boot strategies produce the starting floorplan:
-recursive min-cut bisection of the slot grid, and a plain balance-driven
-fill.
+once per design), sized by ``model.group_sizes``.  Two boot strategies
+produce the starting floorplan: recursive min-cut bisection of the slot
+grid, and a plain balance-driven fill.  Both place groups largest first,
+in the one packing order ``largest_first``, which the exact oracle's slot
+assignment shares; min-cut orders its groups once, and each split keeps
+that order on both of its sides.
 
 Each side of a split is bounded by what its slots hold together
 (``DeviceModel.holds``, the rule of the device-wide bound), so a region is
@@ -28,9 +31,9 @@ from operator import add, le, sub
 from .model import (
     DesignGraph,
     DeviceModel,
-    Group,
     QoRLibrary,
     ResourceVector,
+    group_sizes,
     utilization_ratio,
     within_budget,
 )
@@ -46,8 +49,10 @@ class FloorplanError(ValueError):
     """No legal slot assignment under the active limits."""
 
 
-def group_resources(group: Group, lib: QoRLibrary, config: dict) -> ResourceVector:
-    return ResourceVector.sum(lib.point(m, config[m]).resources for m in group.members)
+def largest_first(groups, sizes: dict) -> list:
+    """``groups`` in packing order: by the largest single count of their
+    ``sizes`` entry, non-increasing, ties by group id."""
+    return sorted(groups, key=lambda g: (-max(sizes[g.gid]), g.gid))
 
 
 def _group_fifo_weights(graph: DesignGraph) -> dict[tuple[str, str], int]:
@@ -76,14 +81,14 @@ def _split_region(slots) -> tuple[list, list]:
     return side_a, side_b
 
 
-def _greedy_split(units, sizes, weights, budget_a, budget_b, cap_a, cap_b):
-    """Balance-driven split with cut-reducing refinement passes.
+def _greedy_split(order, sizes, weights, budget_a, budget_b, cap_a, cap_b):
+    """Balance-driven split of the units in ``order``, largest first, with
+    cut-reducing refinement passes.
 
     Returns (assignment dict unit->0/1, cut) or None when even this cannot
     satisfy both budgets.  Loads are plain int tuples checked against the
     budgets (see the module docstring).
     """
-    order = sorted(units, key=lambda u: (-max(sizes[u]), u))
     side = {}
     ceilings = (budget_a, budget_b)
     caps = (cap_a, cap_b)
@@ -144,17 +149,17 @@ class _NodeCap(Exception):
     """The exact split passed ``EXACT_BISECTION_NODE_CAP`` nodes."""
 
 
-def _exact_split(units, sizes, weights, budget_a, budget_b, cap_a, cap_b):
+def _exact_split(order, sizes, weights, budget_a, budget_b, cap_a, cap_b):
     """Branch and bound over 2^n unit assignments, minimizing cut width.
 
     Ties on cut width prefer the smaller utilization gap between the two
     sides, then the lexicographically smallest assignment vector (the sides
-    in sorted unit order).  Units are placed largest first.  Each unplaced
-    unit's FIFO widths toward the units placed on either side are kept
-    current as units are placed and removed, and a node is pruned by the
-    bound in the module docstring.  Returns None when no assignment
-    satisfies both budgets, or when the node cap trips (caller falls back
-    to the greedy split).
+    in sorted unit order).  Units are placed as listed in ``order``,
+    largest first.  Each unplaced unit's FIFO widths toward the units
+    placed on either side are kept current as units are placed and
+    removed, and a node is pruned by the bound in the module docstring.
+    Returns None when no assignment satisfies both budgets, or when the
+    node cap trips (caller falls back to the greedy split).
 
     When both sides hold the same (equal ``holds`` budgets and equal summed
     capacities), mirroring an assignment keeps its cut and its gap and only
@@ -164,7 +169,6 @@ def _exact_split(units, sizes, weights, budget_a, budget_b, cap_a, cap_b):
     finds, in fewer nodes, so a split that used to trip the node cap may
     now finish.
     """
-    order = sorted(units, key=lambda u: (-max(sizes[u]), u))
     n = len(order)
     at = {u: i for i, u in enumerate(order)}
     ahead: list[list] = [[] for _ in order]  # per position: (later position, FIFO width)
@@ -174,7 +178,7 @@ def _exact_split(units, sizes, weights, budget_a, budget_b, cap_a, cap_b):
     toward = [[0, 0] for _ in order]  # per position: width to the units placed on side 0, 1
     size = [sizes[u] for u in order]
     budgets = (budget_a, budget_b)
-    names = sorted(units)
+    names = sorted(order)
     vec_at = [at[u] for u in names]
     # per position: the sides tried, side 0 only for names[0] on mirror sides
     sides = [(0, 1)] * n
@@ -229,6 +233,8 @@ def _exact_split(units, sizes, weights, budget_a, budget_b, cap_a, cap_b):
 
 
 def _bisect(device, slots, units, sizes, weights, placement):
+    """Place ``units``, listed largest first, on ``slots``, keeping that
+    order on each side of a split."""
     if len(slots) == 1:
         for u in units:
             placement[u] = slots[0].id
@@ -263,10 +269,9 @@ def min_cut_initial(
     Minimizes FIFO width crossing each split while keeping both sides within
     the utilization limit; raises ``FloorplanError`` when some split cannot.
     """
-    groups = graph.ram_groups
-    sizes = {g.gid: group_resources(g, lib, config) for g in groups}
+    sizes = group_sizes(graph, lib, config)
     weights = _group_fifo_weights(graph)
-    unit_ids = [g.gid for g in groups]
+    unit_ids = [g.gid for g in largest_first(graph.ram_groups, sizes)]
 
     placement_g: dict[str, int] = {}
     slots = sorted(device.slots, key=lambda s: (s.y, s.x))
@@ -282,11 +287,10 @@ def balanced_initial(
     """Largest groups first, each to the least-utilized slot that fits
     within the utilization limit; raises ``FloorplanError`` when a group
     fits no slot."""
-    groups = graph.ram_groups
-    sizes = {g.gid: group_resources(g, lib, config) for g in groups}
+    sizes = group_sizes(graph, lib, config)
     load = {s.id: ResourceVector.zero() for s in device.slots}
     out: dict[str, int] = {}
-    for g in sorted(groups, key=lambda g: (-max(sizes[g.gid]), g.gid)):
+    for g in largest_first(graph.ram_groups, sizes):
         choices = []
         for s in device.slots:
             new = load[s.id] + sizes[g.gid]

@@ -21,18 +21,20 @@ capacity is zero.
 What a design or a device alone fixes is derived once, on first use, and
 every caller reads that one derivation: a ``DesignGraph``'s RAM groups
 (``ram_groups``, ``group_of``: functions that share a RAM, so must share a
-slot), ``latency_plan``, ``kernel_at``, ``fifo_width`` and ``fifo_of``; a
-``DeviceModel``'s ``slot_budget`` (which ``holds`` sums), slot-pair
-``routes`` and ``boundary_table``.
+slot), ``kernel_at``, ``fifo_width`` and ``fifo_of``; a ``DeviceModel``'s
+``slot_budget`` (which ``holds`` sums), ``device_bound``, slot-pair
+``routes`` and ``boundary_table``.  A group's size under a configuration,
+its members' summed resources, is summed in one place, ``group_sizes``.
 
-The latency plan lists, per kernel in topological order, its member
-functions, its predecessors' plan positions and the end of its chain run:
-a chain run is a stretch of the plan where each kernel's only predecessor
-is the kernel just before it.  ``longest_path`` walks the plan one run at
-a time, applying the longest-path rule at a run's first kernel and taking
-the rest of the run as one running sum of the weights (``accumulate``),
-so a design made of long kernel chains is walked in a few C-level steps.
-The run ends live on the plan, built with it, and on nothing else.
+The kernel DAG is held once, as the ``latency_plan`` that
+``design_from_dict`` builds: per kernel in topological order, its member
+functions, its predecessors' plan positions and the end of its chain run
+(the position after the run's last kernel).  A chain run is a stretch of
+the plan where each kernel's only predecessor is the kernel just before
+it.  ``longest_path`` walks the plan one run at a time, applying the
+longest-path rule at a run's first kernel and taking the rest of the run
+as one running sum of the weights (``accumulate``), so a design made of
+long kernel chains is walked in a few C-level steps.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from __future__ import annotations
 import logging
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
 from operator import itemgetter, truediv
@@ -281,6 +283,12 @@ class DeviceModel:
         return tuple(map(floored_total, zip(*(self.slot_budget[s.id] for s in slots))))
 
     @cached_property
+    def device_bound(self) -> tuple:
+        """What all the slots hold together (``holds``): no packing places
+        a total demand over it in some kind."""
+        return self.holds(self.slots)
+
+    @cached_property
     def routes(self) -> "_Routes":
         """Slot pair -> route, each worked out on first lookup (``_Routes``)."""
         return _Routes(self._by_id, [b.y for b in self.die_boundaries], self.io_boundaries)
@@ -495,11 +503,9 @@ class Group(NamedTuple):
 
 @dataclass
 class DesignGraph:
-    kernels: list[dict]
     functions: dict[str, Function]
     edges: list[Edge]
-    kernel_order: list[str] = field(default_factory=list)
-    kernel_preds: dict[str, set] = field(default_factory=dict)
+    latency_plan: tuple
 
     @cached_property
     def ram_groups(self) -> tuple[Group, ...]:
@@ -534,26 +540,6 @@ class DesignGraph:
     def group_of(self) -> dict[str, Group]:
         """Each function's group in ``ram_groups``, built on first use."""
         return {m: g for g in self.ram_groups for m in g.members}
-
-    @cached_property
-    def latency_plan(self) -> tuple:
-        """The kernel DAG as ``longest_path`` walks it, built on first use:
-        per kernel in ``kernel_order``, its member function names, the plan
-        positions of its predecessor kernels and the end of its chain run.
-
-        A chain run is a stretch of the plan where each kernel's only
-        predecessor is the kernel just before it.  A kernel's run end is the
-        plan position after the last kernel of the run it belongs to, so the
-        kernels from it up to its run end each extend the path of the one
-        before.
-        """
-        members = {k["name"]: tuple(f["name"] for f in k["functions"]) for k in self.kernels}
-        at = {k: i for i, k in enumerate(self.kernel_order)}
-        preds = [tuple(at[p] for p in self.kernel_preds[k]) for k in self.kernel_order]
-        ends = [len(preds)] * len(preds)
-        for i in range(len(preds) - 2, -1, -1):
-            ends[i] = ends[i + 1] if preds[i + 1] == (i,) else i + 1
-        return tuple(zip((members[k] for k in self.kernel_order), preds, ends))
 
     @cached_property
     def kernel_at(self) -> dict[str, int]:
@@ -602,6 +588,16 @@ def _toposort_kernels(names: list[str], succs: dict[str, set]) -> list[str]:
     return order
 
 
+def _latency_plan(order: list[str], members: dict[str, list], preds: dict[str, set]) -> tuple:
+    """The ``latency_plan`` of kernels in topological ``order``."""
+    at = {k: i for i, k in enumerate(order)}
+    pred_at = [tuple(sorted(at[p] for p in preds[k])) for k in order]
+    ends = [len(order)] * len(order)
+    for i in range(len(order) - 2, -1, -1):
+        ends[i] = ends[i + 1] if pred_at[i + 1] == (i,) else i + 1
+    return tuple(zip((tuple(members[k]) for k in order), pred_at, ends))
+
+
 def _name_entry(raw, key: str, where):
     """``raw[key]`` (see ``_entry``) when it is a non-empty string, else None."""
     value = raw.get(key) if type(raw) is dict else _entry(raw, key, where, None)
@@ -613,7 +609,7 @@ def design_from_dict(doc: dict) -> DesignGraph:
     if not raw_kernels:
         raise ModelError("design must declare at least one kernel")
 
-    kernels = []
+    members: dict[str, list] = {}  # kernel name -> member function names
     functions: dict[str, Function] = {}
     for i, raw in enumerate(raw_kernels):
         where = lambda: f"design kernel #{i}"
@@ -628,7 +624,7 @@ def design_from_dict(doc: dict) -> DesignGraph:
             raise ModelError(f"kernel {name!r} has no functions")
         if kind == NON_DATAFLOW and len(fns) != 1:
             raise ModelError(f"non-dataflow kernel {name!r} must have exactly one function")
-        members = []
+        fnames = members[name] = []
         for j, f in enumerate(fns):
             where = lambda: f"kernel {name!r} function #{j}"
             fname, tmpl = _name_entry(f, "name", where), _name_entry(f, "template", where)
@@ -637,15 +633,13 @@ def design_from_dict(doc: dict) -> DesignGraph:
             if fname in functions:
                 raise ModelError(f"duplicate function name {fname!r}")
             functions[fname] = Function(fname, tmpl, name, kind)
-            members.append({"name": fname, "template": tmpl})
-        kernels.append({"name": name, "kind": kind, "functions": members})
-    knames = [k["name"] for k in kernels]
-    if len(set(knames)) != len(knames):
+            fnames.append(fname)
+    if len(members) != len(raw_kernels):
         raise ModelError("duplicate kernel names")
 
     edges = []
-    succs: dict[str, set] = {k: set() for k in knames}
-    preds: dict[str, set] = {k: set() for k in knames}
+    succs: dict[str, set] = {k: set() for k in members}
+    preds: dict[str, set] = {k: set() for k in members}
     for i, raw in enumerate(_list_entry(doc, "edges", "design document", [])):
         where = lambda: f"design edge #{i}"
         src, dst = _name_entry(raw, "src", where), _name_entry(raw, "dst", where)
@@ -663,14 +657,8 @@ def design_from_dict(doc: dict) -> DesignGraph:
             succs[ks].add(kd)
             preds[kd].add(ks)
 
-    order = _toposort_kernels(knames, succs)
-    return DesignGraph(
-        kernels=kernels,
-        functions=functions,
-        edges=edges,
-        kernel_order=order,
-        kernel_preds=preds,
-    )
+    order = _toposort_kernels(list(members), succs)
+    return DesignGraph(functions, edges, _latency_plan(order, members, preds))
 
 
 # ---------------------------------------------------------------------------
@@ -712,12 +700,6 @@ class Template:
     def __post_init__(self) -> None:
         self.by_id = {p.id: p for p in self.points}
 
-    def point(self, point_id: str) -> QoRPoint:
-        try:
-            return self.by_id[point_id]
-        except KeyError:
-            raise ModelError(f"template {self.name!r} has no point {point_id!r}") from None
-
     def nests(self) -> list[list[LoopInfo]]:
         """Split the flat loop list into nests.
 
@@ -751,8 +733,8 @@ class QoRLibrary:
         try:
             return self._points_of[function][point_id]
         except KeyError:
-            # raises what the lookup through the template raises
-            return self.template_for(function).point(point_id)
+            tmpl = self.template_of[function]
+            raise ModelError(f"template {tmpl!r} has no point {point_id!r}") from None
 
 
 def _parse_loop(raw: dict, where, idx: int) -> LoopInfo:
@@ -934,6 +916,14 @@ def path_latency(graph: DesignGraph, latency_of: dict[str, int]) -> int:
     plan = graph.latency_plan
     weights = [kernel_weight(members, latency_of) for members, _, _ in plan]
     return longest_path(plan, weights, [0] * len(plan))
+
+
+def group_sizes(graph: DesignGraph, lib: QoRLibrary, config: Configuration) -> dict:
+    """Each RAM group's size under ``config``, by group id: its members'
+    summed resources."""
+    point = lib.point
+    return {g.gid: ResourceVector.sum(point(m, config[m]).resources for m in g.members)
+            for g in graph.ram_groups}
 
 
 def design_latency(graph: DesignGraph, lib: QoRLibrary, config: Configuration) -> int:

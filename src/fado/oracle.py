@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .floorplan import group_resources
+from .floorplan import largest_first
 from .model import (
     DesignGraph,
     DeviceModel,
@@ -32,6 +32,7 @@ from .model import (
     ResourceVector,
     design_latency,
     function_latencies,
+    group_sizes,
     kernel_weight,
     longest_path,
     within_budget,
@@ -62,17 +63,17 @@ def assign_slots(device: DeviceModel, graph: DesignGraph, lib: QoRLibrary, confi
     """First feasible placement of RAM groups onto slots, or None.
 
     The groups are ``graph.ram_groups``, derived once per design for every
-    configuration assigned.  Groups are placed largest-first; slots
-    are tried in id order, skipping capacity-equivalent repeats only via the
-    load check.  A full placement is accepted only when the pipeliner's
+    configuration assigned.  Groups are placed largest first
+    (``floorplan.largest_first``); slots are tried in id order, skipping
+    capacity-equivalent repeats only via the load check.  A full placement is accepted only when the pipeliner's
     fold leaves no half over budget, asked as the search asks it
     (``SllState.feasible``, which folds only the boundaries its bounds
     leave in doubt).  ``tick``, when given, is called once per explored
     node (budget accounting).
     """
     groups = graph.ram_groups
-    sizes = {g.gid: group_resources(g, lib, config) for g in groups}
-    order = sorted(groups, key=lambda g: (-max(sizes[g.gid]), g.gid))
+    sizes = group_sizes(graph, lib, config)
+    order = largest_first(groups, sizes)
     budget = device.slot_budget
     loads = {s.id: ResourceVector.zero() for s in device.slots}
     chosen: dict[str, int] = {}

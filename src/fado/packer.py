@@ -8,7 +8,7 @@ slots into fuller ones to open up contiguous headroom, without touching any
 chosen point.
 
 No packing can place a batch whose total demand exceeds, in some resource
-kind, what the slots hold together (``PackState.device_bound``, the
+kind, what the slots hold together (``DeviceModel.device_bound``, the
 device's ``holds`` of all its slots: the slot-side twin of the wires'
 reject bound).  ``fits_device`` is the one test of that bound, and the
 search makes it once per vector, before any packing work; online packing
@@ -27,11 +27,13 @@ source with none open is skipped (see ``offline_repack``).
 
 A trial costs what it touches.  Slot fit budgets are the device's
 (``DeviceModel.slot_budget``) and every RAM group's resource vector is
-kept current as points change, so the fit test and the repack schedule
-re-sum nothing.  The groups are the design's (``DesignGraph.ram_groups``),
-derived once per design.  Resource vectors are tuples in
-``RESOURCE_KINDS`` order, so loads, extras and capacities go to
-``within_budget`` and the ratio functions as they are, with no conversion.
+summed once (``model.group_sizes``) and kept current as points change, so
+the fit test and the repack schedule re-sum nothing.  The groups are the
+design's (``DesignGraph.ram_groups``, ``group_of``), derived once per
+design: a ``PackState`` holds only configuration and placement state.
+Resource vectors are tuples in ``RESOURCE_KINDS`` order, so loads, extras
+and capacities go to ``within_budget`` and the ratio functions as they
+are, with no conversion.
 
 Nothing here validates its inputs again: documents are validated once, when
 they are parsed (see ``model``).  Nor does the packer have a zero-capacity
@@ -61,7 +63,6 @@ from __future__ import annotations
 
 from operator import sub
 
-from .floorplan import group_resources
 from .model import (
     DesignGraph,
     DeviceModel,
@@ -69,6 +70,7 @@ from .model import (
     QoRLibrary,
     RESOURCE_KINDS,
     ResourceVector,
+    group_sizes,
     kind_ratios,
     utilization_ratio,
     within_budget,
@@ -101,15 +103,11 @@ class PackState:
         self.lib = lib
         self.config = dict(config)
         self.placement = dict(placement)
-        self.groups = graph.ram_groups
-        self.group_of = graph.group_of
-        self.budget = device.slot_budget
-        self.device_bound = device.holds(device.slots)  # see ``fits_device``
         self.slot_load = {s.id: ResourceVector.zero() for s in device.slots}
         for f in graph.functions:
             sid = self.placement[f]
             self.slot_load[sid] = self.slot_load[sid] + self.fn_resources(f)
-        self.group_load = {g.gid: group_resources(g, lib, self.config) for g in self.groups}
+        self.group_load = group_sizes(graph, lib, self.config)
         self.sll = recompute_all(device, graph, self.placement)
 
     # -- accessors -----------------------------------------------------------
@@ -129,7 +127,7 @@ class PackState:
         new = self.lib.point(fn, point_id).resources
         old = self.fn_resources(fn)
         sid = self.placement[fn]
-        gid = self.group_of[fn].gid
+        gid = self.graph.group_of[fn].gid
         self.slot_load[sid] = (self.slot_load[sid] - old) + new
         self.group_load[gid] = (self.group_load[gid] - old) + new
         self.config[fn] = point_id
@@ -173,13 +171,13 @@ class PackState:
         limit = self.device.util_limit
         for s in self.device.slots:
             for kind, u, c, ceiling in zip(RESOURCE_KINDS, self.slot_load[s.id],
-                                           s.capacity, self.budget[s.id]):
+                                           s.capacity, self.device.slot_budget[s.id]):
                 if not within_budget((u,), (ceiling,)):
                     report.append(
                         f"slot {s.id}: {kind} usage {u} exceeds budget {limit * c:.1f}"
                         f" (capacity {c} at limit {limit})"
                     )
-        for g in self.groups:
+        for g in self.graph.ram_groups:
             slots = sorted({self.placement[m] for m in g.members})
             if len(slots) > 1:
                 members = ", ".join(g.members)
@@ -195,7 +193,7 @@ class PackState:
 def _fits_slot(state: PackState, slot_id: int, extra: tuple) -> bool:
     """True when the slot's load plus ``extra`` (per-kind counts, possibly
     negative) stays within the slot's fit budget."""
-    return within_budget(state.slot_load[slot_id], state.budget[slot_id], extra)
+    return within_budget(state.slot_load[slot_id], state.device.slot_budget[slot_id], extra)
 
 
 def device_rest(state: PackState, fns) -> ResourceVector:
@@ -208,8 +206,8 @@ def device_rest(state: PackState, fns) -> ResourceVector:
 
 def fits_device(state: PackState, targets: dict, rest: ResourceVector) -> bool:
     """True when the device's total load, with each function of ``targets``
-    moved to its target point, stays within ``state.device_bound``: per
-    kind, what the slots hold together (``DeviceModel.holds``).
+    moved to its target point, stays within the device's ``device_bound``:
+    per kind, what the slots hold together (``DeviceModel.holds``).
 
     ``rest`` is ``device_rest(state, targets)``.  Moves and failed packs
     change neither the total nor any point, so one remainder serves
@@ -220,7 +218,7 @@ def fits_device(state: PackState, targets: dict, rest: ResourceVector) -> bool:
     total = rest
     for fn, pid in targets.items():
         total = total + state.lib.point(fn, pid).resources
-    return within_budget(total, state.device_bound)
+    return within_budget(total, state.device.device_bound)
 
 
 def _candidate_slots(state: PackState, exclude: int, extra: ResourceVector) -> list[int]:
@@ -288,7 +286,7 @@ def online_pack(state: PackState, targets: dict, allow_moves: bool = True) -> tu
             continue
         if not allow_moves:
             return _undo(state, done, sll)
-        group = state.group_of[fn]
+        group = state.graph.group_of[fn]
         extra = (state.group_load[group.gid] - old) + new
         for dest in _candidate_slots(state, sid, extra):
             if _fits_slot(state, dest, extra) and state.trial_move(group, dest, (fn, pid)):
@@ -338,7 +336,7 @@ def offline_repack(state: PackState) -> list:
     ranks = sorted(state.device.slots, key=lambda s: (-state.utilization(s.id), s.id))
     group_load = state.group_load
     buckets: dict[int, list] = {s.id: [] for s in ranks}
-    for g in state.groups:
+    for g in state.graph.ram_groups:
         if not g.pinned:
             buckets[state.placement[g.members[0]]].append(g)
     moves: list[tuple[str, int, int]] = []

@@ -207,7 +207,7 @@ def reference_repack(state):
     for m in range(1, len(ranks)):
         src = ranks[m]
         movable = sorted(
-            (g for g in state.groups
+            (g for g in state.graph.ram_groups
              if state.placement[g.members[0]] == src.id and not g.pinned),
             key=lambda g: (-utilization_ratio(group_load[g.gid], src.capacity), g.gid),
         )
@@ -253,7 +253,7 @@ def reference_online_pack(state, targets, allow_moves=True):
         if not allow_moves:
             restore_state(state, saved)
             return False, []
-        group = state.group_of[fn]
+        group = state.graph.group_of[fn]
         extra = (state.group_load[group.gid] - old) + new
         for dest in _candidate_slots(state, sid, extra):
             if _fits_slot(state, dest, extra) and state.trial_move(group, dest, (fn, pid)):
@@ -341,14 +341,29 @@ def select_bottleneck(latencies, excluded):
 
 
 def reference_path_latency(graph, latency_of):
-    """Longest kernel-level path from the kernel dicts, each kernel weighted
-    by its largest function latency.  ``model.path_latency`` must match it."""
-    weights = {
-        k["name"]: max(latency_of[f["name"]] for f in k["functions"]) for k in graph.kernels
-    }
+    """Longest kernel-level path worked out from the graph's functions and
+    edges alone, each kernel weighted by its largest function latency and
+    preceded by the kernels with an edge into it.  ``model.path_latency``
+    must match it."""
+    weights, preds = {}, {}
+    for f, fn in graph.functions.items():
+        weights[fn.kernel] = max(weights.get(fn.kernel, 0), latency_of[f])
+        preds.setdefault(fn.kernel, set())
+    for e in graph.edges:
+        src, dst = graph.functions[e.src].kernel, graph.functions[e.dst].kernel
+        if src != dst:
+            preds[dst].add(src)
     dist = {}
-    for k in graph.kernel_order:
-        dist[k] = weights[k] + max((dist[p] for p in graph.kernel_preds[k]), default=0)
+    for k in weights:  # depth first, each kernel after its predecessors
+        todo = [k]
+        while todo:
+            top = todo[-1]
+            waiting = [p for p in preds[top] if p not in dist]
+            if waiting:
+                todo.extend(waiting)
+            else:
+                dist[top] = weights[top] + max((dist[p] for p in preds[top]), default=0)
+                todo.pop()
     return max(dist.values())
 
 

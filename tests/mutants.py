@@ -31,6 +31,11 @@ from pathlib import Path
 from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parent.parent
+ACCEPTANCE = "tests/test_acceptance.py::"
+CLI = "tests/test_cli.py::"
+FLOORPLAN = "tests/test_floorplan.py::"
+MODEL = "tests/test_model.py::"
+PACKER = "tests/test_packer.py::"
 PIPELINER = "tests/test_pipeliner.py::"
 
 
@@ -58,7 +63,8 @@ MUTANTS = (
            (PIPELINER + "test_an_even_boundary_folds_as_the_reference_rule",)),
     Mutant("boundary-budgets-ignore-sll-limit", "model.py",
            "budget = fit_budget(caps, self.sll_limit)", "budget = fit_budget(caps, 1.0)",
-           (PIPELINER + "test_a_fresh_build_folds_only_what_a_query_needs",
+           (ACCEPTANCE + "test_09_wire_budget_blocks_a_capacity_feasible_move",
+            PIPELINER + "test_a_fresh_build_folds_only_what_a_query_needs",
             PIPELINER + "test_feasible_folds_only_above_the_narrowest_half",
             PIPELINER + "test_the_accept_bound_is_the_narrowest_half")),
     Mutant("two-column-tie-to-the-higher-column", "pipeliner.py",
@@ -67,6 +73,29 @@ MUTANTS = (
            (PIPELINER + "test_colocated_then_moved_edge_gains_register_groups",
             PIPELINER + "test_fold_takes_the_lowest_post_add_ratio_then_the_lower_column",
             PIPELINER + "test_an_even_boundary_folds_as_the_reference_rule")),
+    Mutant("failed-pack-leaves-its-moved-group", "packer.py",
+           "state._place(group, sid)", "pass",
+           (PACKER + "test_a_failed_pack_takes_back_the_move_it_kept",)),
+    Mutant("dash-dash-equals-call-to-the-commands-parser", "cli.py",
+           'if name in COMMANDS and not any(a.startswith("--=") for a in argv):',
+           "if name in COMMANDS:",
+           (CLI + "test_a_call_exits_as_in_the_whole_parser[check --result r.json --=x-50]",)),
+    Mutant("fixed-formatter-width", "cli.py",
+           "width=shutil.get_terminal_size().columns - 2)", "width=78)",
+           (CLI + "test_a_call_builds_its_commands_parser_and_the_whole_one_only_for_leftovers",)),
+    Mutant("region-bound-from-unfloored-budgets", "floorplan.py",
+           "budget_a, budget_b = device.holds(side_a), device.holds(side_b)",
+           "budget_a, budget_b = (tuple(map(sum, zip(*(device.slot_budget[s.id] for s in side))))"
+           " for side in (side_a, side_b))",
+           (FLOORPLAN + "test_min_cut_gives_a_region_only_what_its_slots_hold[2-2]",)),
+    Mutant("largest-first-by-summed-resources", "floorplan.py",
+           "key=lambda g: (-max(sizes[g.gid]), g.gid)", "key=lambda g: (-sum(sizes[g.gid]), g.gid)",
+           (FLOORPLAN + "test_largest_first_orders_by_the_largest_single_count",)),
+    Mutant("plan-keeps-only-the-first-predecessor", "model.py",
+           "pred_at = [tuple(sorted(at[p] for p in preds[k])) for k in order]",
+           "pred_at = [tuple(sorted(at[p] for p in preds[k]))[:1] for k in order]",
+           (MODEL + "test_design_latency_matches_brute_force",
+            MODEL + "test_longest_path_by_chain_runs_matches_a_per_kernel_walk")),
 )
 
 

@@ -287,14 +287,15 @@ def test_08_legalization_beats_full_reassignment_tenfold(capsys):
 
 def _wire_bound_instance():
     # One lut-bound resource; boundary capacity 20 at 90% gives budget 18,
-    # below the 32 wires that moving g2 across would require.
+    # below the 19 wires that moving g2 across would require, which the
+    # full capacity would still take.
     cap = {"bram": 10**6, "dsp": 10**6, "ff": 10**6, "lut": 200, "uram": 10**6}
     device = device_doc(width=1, height=2, cap=cap, sll=20,
                         util_limit=0.7, sll_limit=0.9)
     design = design_doc(
         [("kf1", "dataflow", ["f1"]), ("kf2", "dataflow", ["f2"]),
          ("kg1", "dataflow", ["g1"]), ("kg2", "dataflow", ["g2"])],
-        edges=[("f1", "f2", "fifo", 16), ("g1", "g2", "fifo", 16)],
+        edges=[("f1", "f2", "fifo", 10), ("g1", "g2", "fifo", 9)],
     )
     lut = lambda n: {"bram": 0, "dsp": 0, "ff": 0, "lut": n, "uram": 0}
     qor = qor_doc({
@@ -320,8 +321,9 @@ def test_09_wire_budget_blocks_a_capacity_feasible_move():
     fast = lib.point("g2", "fast").resources
     assert within_budget(dst_load + fast, fit_budget(device.slot(dst).capacity, device.util_limit))
 
-    # ...but both fifos would then cross the boundary: 32 wires against a
-    # budget of 0.9 * 20 = 18, so the move must be rejected and g2 given up.
+    # ...and its 10 + 9 = 19 wires would fit the boundary's capacity of 20,
+    # but both fifos would then cross it against a budget of 0.9 * 20 = 18,
+    # so the move must be rejected and g2 given up.
     assert "g2" in result.excluded
     assert result.config == {f: "baseline" for f in sorted(graph.functions)}
     assert result.design_latency == result.baseline_latency == 55
@@ -332,5 +334,6 @@ def test_09_wire_budget_blocks_a_capacity_feasible_move():
     state = result.state
     assert state.check_legal() == []
     load = sum(state.sll.boundary_loads[0].values())
-    assert load == 16
-    assert load <= 0.9 * 20
+    assert load == 10
+    assert load + 9 <= device.die_boundaries[0].halves[0]
+    assert load + 9 > 0.9 * 20

@@ -16,21 +16,21 @@ from fado.floorplan import (
     FloorplanError,
     _exact_split,
     balanced_initial,
-    group_resources,
+    largest_first,
     min_cut_initial,
 )
 from fado.model import (
     RESOURCE_KINDS,
+    Group,
     ResourceVector,
     baseline_configuration,
     design_from_dict,
     device_from_dict,
     fit_budget,
-    qor_from_dict,
+    group_sizes,
     utilization_ratio,
     within_budget,
 )
-from fado.packer import PackState
 
 from helpers import (
     design_doc,
@@ -83,14 +83,21 @@ def test_group_pinned_only_with_non_dataflow_member():
     assert [(g.gid, g.pinned) for g in groups] == [("a", False), ("c", False)]
 
 
-def test_group_resources_tracks_configuration(toy):
+def test_group_sizes_track_configuration(toy):
     _, graph, lib = toy
-    groups = graph.ram_groups
-    bcd = next(g for g in groups if g.gid == "B")
     config = baseline_configuration(graph)
-    assert group_resources(bcd, lib, config).lut == 20 + 4 + 16
+    assert [v.lut for v in group_sizes(graph, lib, config).values()] == [22, 20 + 4 + 16, 9]
     config["C"] = "fast"
-    assert group_resources(bcd, lib, config).lut == 20 + 10 + 16
+    assert group_sizes(graph, lib, config)["B"].lut == 20 + 10 + 16
+
+
+def test_largest_first_orders_by_the_largest_single_count():
+    # b's largest count (30) beats a's (25) though a's sum is larger; equal
+    # largest counts keep group id order
+    groups = [Group(g, (g,), False) for g in ("a", "b", "c", "d")]
+    sizes = {"a": ResourceVector(lut=25, ff=25), "b": ResourceVector(dsp=30),
+             "c": ResourceVector(lut=10), "d": ResourceVector(bram=10)}
+    assert [g.gid for g in largest_first(groups, sizes)] == ["b", "a", "c", "d"]
 
 
 # ---------------------------------------------------------------------------
@@ -332,12 +339,7 @@ def _device_and_subset(draw):
 def test_holds_sums_each_slots_whole_units(case):
     device, subset = case
     assert device.holds(subset) == reference_holds(device, subset)
-    design = design_doc([("K", "dataflow", ["a"])])
-    qor = qor_doc({"t_a": template_doc([("baseline", 10, {"lut": 1})])})
-    graph = design_from_dict(design)
-    state = PackState(device, graph, qor_from_dict(qor, graph), baseline_configuration(graph),
-                      {"a": device.slots[0].id})
-    assert state.device_bound == device.holds(device.slots) == reference_holds(
+    assert device.device_bound == device.holds(device.slots) == reference_holds(
         device, device.slots)
 
 

@@ -211,7 +211,9 @@ def test_design_round_trip_and_groups(toy_docs):
     _, design, _ = toy_docs
     graph = design_from_dict(design)
     assert sorted(graph.functions) == ["A", "B", "C", "D", "E"]
-    assert graph.kernel_order == ["K1", "K2", "K3"]
+    assert graph.latency_plan == (
+        (("A", "B"), (), 3), (("C",), (0,), 3), (("D", "E"), (1,), 3))
+    assert graph.kernel_at == {"A": 0, "B": 0, "C": 1, "D": 2, "E": 2}
     assert [e.kind for e in graph.fifo_edges()] == ["fifo", "fifo"]
     assert len(graph.ram_edges()) == 2
     assert design_from_dict(json.loads(json.dumps(design))) == graph
@@ -261,15 +263,24 @@ def test_design_rejects_kernel_cycles():
 def test_kernel_order_respects_edges(toy_docs):
     _, design, _ = toy_docs
     graph = design_from_dict(design)
-    pos = {k: i for i, k in enumerate(graph.kernel_order)}
-    assert any(graph.kernel_preds.values())
-    for k, ins in graph.kernel_preds.items():
-        for p in ins:
-            assert pos[p] < pos[k]
+    plan, at = graph.latency_plan, graph.kernel_at
+    preds = [set() for _ in plan]
+    for e in graph.edges:
+        if at[e.src] != at[e.dst]:
+            preds[at[e.dst]].add(at[e.src])
+    assert any(preds)
+    assert [set(p) for _, p, _ in plan] == preds
+    assert all(p < i for i, ins in enumerate(preds) for p in ins)
 
 
 # ---------------------------------------------------------------------------
 # QoR library
+
+
+def test_a_missing_point_is_named_with_its_template(toy):
+    _, _, lib = toy
+    with pytest.raises(ModelError, match=r"^template 'tA' has no point 'nope'$"):
+        lib.point("A", "nope")
 
 
 def test_qor_points_sorted_canonically():

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from fado.floorplan import group_resources, min_cut_initial
+from fado.floorplan import min_cut_initial
 from fado.model import (
     RESOURCE_KINDS,
     ModelError,
@@ -138,6 +138,17 @@ def test_candidate_slots_rank_by_kind_ratio(caps, loads, extra):
 # Pack state bookkeeping
 
 
+def test_pack_state_holds_only_configuration_and_placement_state(toy):
+    # groups, slot budgets and the device-wide bound are read from the
+    # design and the device, derived once for every state of the pair
+    a, b = _toy_state(toy), _toy_state(toy)
+    assert set(vars(a)) == set(vars(b)) == {
+        "device", "graph", "lib", "config", "placement", "slot_load", "group_load", "sll"}
+    assert a.device.slot_budget is b.device.slot_budget
+    assert a.device.device_bound is b.device.device_bound
+    assert a.graph.ram_groups is b.graph.ram_groups
+
+
 def test_pack_state_requires_complete_placement(toy):
     device, graph, lib = toy
     with pytest.raises(ModelError):
@@ -154,7 +165,7 @@ def test_apply_point_moves_load(toy):
 
 def test_a_kept_trial_carries_every_member(toy):
     state = _toy_state(toy)
-    bcd = state.group_of["B"]
+    bcd = state.graph.group_of["B"]
     assert state.trial_move(bcd, 1)
     assert {state.placement[m] for m in ("B", "C", "D")} == {1}
     assert state.slot_load[0].lut == 22
@@ -315,7 +326,7 @@ def test_fits_device_refuses_a_batch_over_the_device_bound():
     # a's 70 LUTs fit no slot, and with b's 35 the design needs 105 of 100
     state = _bound_state({"a": [("baseline", 10), ("big", 70)], "b": [("baseline", 35)]},
                          {"a": 0, "b": 1})
-    assert state.device_bound == (0, 0, 0, 100, 0)
+    assert state.device.device_bound == (0, 0, 0, 100, 0)
     before = _entries(state)
     assert not _fits(state, {"a": "big"})
     # online packing, which does not check the bound, fails it just the same
@@ -379,7 +390,7 @@ def _bound_instance(draw):
     load = {s.id: ResourceVector.zero() for s in device.slots}
     placement = {}
     for g in graph.ram_groups:
-        need = group_resources(g, lib, config)
+        need = ResourceVector.sum(lib.point(m, config[m]).resources for m in g.members)
         room = [sid for sid in load if within_budget(load[sid] + need, budget[sid])]
         assume(room)
         sid = draw(st.sampled_from(room))
@@ -552,7 +563,7 @@ def test_offline_repack_keeps_state_legal(toy):
     offline_repack(state)
     assert state.check_legal() == []
     for s in state.device.slots:
-        assert within_budget(state.slot_load[s.id], state.budget[s.id])
+        assert within_budget(state.slot_load[s.id], state.device.slot_budget[s.id])
 
 
 @st.composite
@@ -672,7 +683,7 @@ def test_a_mutation_after_a_noop_repack_makes_it_run_again(mutation, spies):
         state.apply_point("F41", "baseline")
         expected = []
     else:
-        assert state.trial_move(state.group_of["F31"], 2)  # no die row: always kept
+        assert state.trial_move(state.graph.group_of["F31"], 2)  # no die row: always kept
         expected = [("F31", 2, 0)]
     _, fits = spies
     fits.clear()
@@ -687,7 +698,7 @@ def test_restore_then_diverge_still_repacks(spies):
     state.apply_point("F41", "baseline")  # B: same loads as A
     assert offline_repack(state) == []
     state = at_a
-    assert state.trial_move(state.group_of["F31"], 2)  # C: differs from B
+    assert state.trial_move(state.graph.group_of["F31"], 2)  # C: differs from B
     trials, _ = spies
     trials.clear()
     assert offline_repack(state) == [("F31", 2, 0)]
@@ -739,7 +750,7 @@ def _entries(state):
 def test_trials_roll_back_exactly_and_group_loads_stay_current(state, data):
     device, graph, lib = state.device, state.graph, state.lib
     slot = st.sampled_from([s.id for s in device.slots])
-    group = st.sampled_from(state.groups)
+    group = st.sampled_from(state.graph.ram_groups)
     point = st.sampled_from(("baseline", "p1", "p2"))
     saved = []
     for _ in range(data.draw(st.integers(1, 12))):
@@ -769,7 +780,8 @@ def test_trials_roll_back_exactly_and_group_loads_stay_current(state, data):
                 assert _entries(state) == before
                 assert sll_fingerprint(state.sll) == wires
         assert state.group_load == {
-            g.gid: group_resources(g, lib, state.config) for g in state.groups}
+            g.gid: ResourceVector.sum(lib.point(m, state.config[m]).resources for m in g.members)
+            for g in graph.ram_groups}
         loads = {s.id: ResourceVector.zero() for s in device.slots}
         for f, sid in state.placement.items():
             loads[sid] = loads[sid] + lib.point(f, state.config[f]).resources
@@ -796,7 +808,7 @@ def test_a_trial_computes_its_route_changes_once(state, data):
         # the instance would stop seeing the trials after the first one
         patch.setattr(SllState, "route_changes", spy)
         for _ in range(data.draw(st.integers(1, 8))):
-            g = data.draw(st.sampled_from(state.groups))
+            g = data.draw(st.sampled_from(state.graph.ram_groups))
             dest = data.draw(st.sampled_from([s.id for s in device.slots]))
             before = recompute_all(device, graph, state.placement).route_of
             after = {**state.placement, **{m: dest for m in g.members}}
@@ -824,7 +836,7 @@ def test_a_move_past_the_reject_bound_is_refused_before_it_is_applied(monkeypatc
     before, sll, wires = _entries(state), state.sll, sll_fingerprint(state.sll)
     for name in ("after", "update", "feasible"):
         monkeypatch.setattr(SllState, name, lambda *a: pytest.fail("the move was tested"))
-    assert not state.trial_move(state.group_of["b"], 1, ("b", "p1"))
+    assert not state.trial_move(state.graph.group_of["b"], 1, ("b", "p1"))
     assert _entries(state) == before
     assert state.sll is sll and sll_fingerprint(sll) == wires
 
@@ -833,7 +845,7 @@ def test_a_move_that_fills_the_reject_bound_exactly_is_applied():
     # b and c share RAM and move together, so their 4-wire FIFO never
     # crosses; only a->b's 9 wires do, exactly the 9-wire budget
     state = _one_column_state([("a", "b", "fifo", 9), ("b", "c", "ram", 1), ("b", "c", "fifo", 4)])
-    assert state.trial_move(state.group_of["b"], 1)
+    assert state.trial_move(state.graph.group_of["b"], 1)
     assert state.sll.boundary_loads[0] == {0: 9}
 
 
@@ -865,7 +877,7 @@ def _grid_state(draw):
 @given(_grid_state(), st.data())
 def test_a_refused_trial_changes_nothing(state, data):
     for _ in range(data.draw(st.integers(1, 10))):
-        g = data.draw(st.sampled_from(state.groups))
+        g = data.draw(st.sampled_from(state.graph.ram_groups))
         dest = data.draw(st.sampled_from([s.id for s in state.device.slots]))
         point = None
         if data.draw(st.booleans()):
