@@ -41,17 +41,13 @@ rule of its own: slot ratios (``utilization_ratio``, and ``kind_ratios`` in
 ``_candidate_slots``) divide directly, and only where some capacity is zero
 do they fall back to ``model.kind_ratio``, where that rule lives.
 
-Every trial is decided before it is applied.  ``PackState.trial_move``
-computes the move's FIFO route changes once (``SllState.route_changes``)
-and refuses the move at once when they would push some die boundary's
-total crossing width past the sum of its half budgets
-(``SllState.rejects``).  Otherwise it asks ``feasible`` of the routing
-state after the move (``SllState.after``, a new object sharing all that is
-unchanged), which decides most boundaries from the same reject bound and
-an accept bound, the narrowest half's budget, and folds only the
-boundaries left in between.  Only a move that passes is applied, so a
-refused trial has nothing to put back.  A failed ``online_pack`` takes
-back the steps it kept from its own record.
+Every trial is decided before it is applied, in one call:
+``PackState.trial_move`` asks ``SllState.moved`` for the routing state
+after the move, None when some die-boundary half would be over budget.
+Only a move that passes is applied, so a refused trial has nothing to put
+back; online packing applies the function's new point after the move is
+kept.  A failed ``online_pack`` takes back the steps it kept from its own
+record.
 
 ``PackState.check_legal`` words every legality message in one place: each
 slot kind over its budget, each RAM group split across slots, then each
@@ -132,23 +128,13 @@ class PackState:
         self.group_load[gid] = (self.group_load[gid] - old) + new
         self.config[fn] = point_id
 
-    def trial_move(self, group, dest: int, point: tuple | None = None) -> bool:
-        """Move ``group`` to ``dest``, first applying ``point``, a (member of
-        the group, new point id) pair, when given, if every SLL half stays
-        within budget after the move.  The wires are decided before anything
-        is applied (see the module docstring): a refused trial changes
-        nothing.
-        """
-        placement = self.placement
-        routes = self.sll.route_changes(
-            placement, {m: dest for m in group.members if placement[m] != dest})
-        if self.sll.rejects(routes):
+    def trial_move(self, group, dest: int) -> bool:
+        """Move ``group`` to ``dest`` if every SLL half stays within budget
+        after the move.  The wires are decided before anything is applied
+        (``SllState.moved``): a refused trial changes nothing."""
+        sll = self.sll.moved(self.placement, group.members, dest)
+        if sll is None:
             return False
-        sll = self.sll.after(routes)
-        if not sll.feasible():
-            return False
-        if point:
-            self.apply_point(*point)
         self._place(group, dest)
         self.sll = sll
         return True
@@ -289,7 +275,8 @@ def online_pack(state: PackState, targets: dict, allow_moves: bool = True) -> tu
         group = state.graph.group_of[fn]
         extra = (state.group_load[group.gid] - old) + new
         for dest in _candidate_slots(state, sid, extra):
-            if _fits_slot(state, dest, extra) and state.trial_move(group, dest, (fn, pid)):
+            if _fits_slot(state, dest, extra) and state.trial_move(group, dest):
+                state.apply_point(fn, pid)
                 done.append((fn, old_pid, group, sid))
                 moves.extend((m, sid, dest) for m in group.members)
                 break

@@ -22,21 +22,20 @@ device and design a state is five objects: the routes, a list indexed by
 edge id holding each FIFO edge's route and None for a RAM edge, and per die
 boundary its sorted crossing list, total crossing width and folded loads,
 plus the set of boundaries pending a fold.  Each is replaced whole, never
-changed in place, so ``after`` can return the state after a move as a new
+changed in place, so ``moved`` can return the state after a move as a new
 object that shares every unchanged one with its source, which it leaves as
 it was: a move costs what it changes, and one ``list.copy()`` of the
 routes.  Register groups are read from the routes.  A state is built in one
 way, ``recompute_all``, which routes every FIFO edge and leaves every
-boundary pending.  A move is described once, by ``route_changes``: the
-moved functions' FIFO edges whose route changes, with their new routes.
-``update`` takes that description and touches only the boundaries in those
-edges' old and new die rows.  Neither folds: they keep each boundary's
-crossing list and total width current and mark the boundary pending.  A
-pending boundary is later folded whole from its crossing list, in one walk:
-an edge whose span is one column adds its width there directly.  A wider
-span compares its columns' loads on an even boundary, one whose halves
-share one positive capacity, and their fill ratios on any other; both
-choose the same column (see ``_fold``).
+boundary pending.  ``update`` takes a move's route changes, ``{edge id: new
+route}``, and touches only the boundaries in those edges' old and new die
+rows.  Neither folds: they keep each boundary's crossing list and total
+width current and mark the boundary pending.  A pending boundary is later
+folded whole from its crossing list, in one walk: an edge whose span is one
+column adds its width there directly.  A wider span compares its columns'
+loads on an even boundary, one whose halves share one positive capacity,
+and their fill ratios on any other; both choose the same column (see
+``_fold``).
 
 The fold waits until a query needs it, and most questions are decided
 without it.  A half's budget (``fit_budget``) is ``sll_limit`` times its
@@ -54,10 +53,12 @@ exactly for any fold:
 ``feasible`` first checks every boundary against both bounds, then folds,
 if pending, and checks only the boundaries left in between, one at a time,
 returning False at the first one over budget.  Every fold is stored,
-whether or not it fits.  ``rejects`` asks the reject bound about a move
-before it is made, from the same ``route_changes`` that ``after`` then
-takes, so a doomed trial copies nothing and a trial computes its route
-changes once.  ``boundary_loads`` and ``over_budget`` fold every pending
+whether or not it fits.  ``moved`` decides a trial move in one call: one
+pass over the moving functions' FIFO edges finds each changed route and
+each boundary's change of total width, so a move that would put some
+boundary over its reject bound is refused before anything is built;
+otherwise ``update`` builds the state after the move, which is kept only
+if ``feasible``.  ``boundary_loads`` and ``over_budget`` fold every pending
 boundary first; ``over_budget`` is the one report of halves over budget,
 which ``PackState.check_legal`` words and the exact oracle reads.
 """
@@ -94,13 +95,13 @@ class SllState:
     docstring); the routes, budgets and bounds it reads are its device's
     (``routes``, ``boundary_table``) and its design's (``fifo_width``,
     ``fifo_of``).  ``recompute_all`` builds one from scratch; ``update``
-    rebuilds only the boundaries touched by a set of moved functions, and
-    ``after`` does so on a new object.  All end in identical state for the
-    same placement, once the pending boundaries are folded.  No state
-    object is changed in place.  ``boundary_loads`` maps a boundary row to
-    ``{half: wires}``, folding the pending boundaries first, and
-    ``reg_groups`` maps each edge id that carries register groups to their
-    count.
+    rebuilds only the boundaries a set of route changes touches, and
+    ``moved`` does so on a new object, for a move it has decided.  All end
+    in identical state for the same placement, once the pending boundaries
+    are folded.  No state object is changed in place.  ``boundary_loads``
+    maps a boundary row to ``{half: wires}``, folding the pending
+    boundaries first, and ``reg_groups`` maps each edge id that carries
+    register groups to their count.
     """
 
     route_of: list  # by edge id: a FIFO edge's route, None for a RAM edge
@@ -175,34 +176,41 @@ class SllState:
 
     # -- incremental rebuild --------------------------------------------------
 
-    def route_changes(self, placement: dict, moved: dict) -> dict[int, tuple]:
-        """``{edge id: new route}`` for the FIFO edges of the functions in
-        ``moved`` whose route differs from the recorded one.  ``moved`` maps
-        each moved function to its slot; every other function stays where
-        ``placement`` puts it.  Changes nothing: ``rejects`` and ``update``
-        both take the result, so a trial computes it once."""
-        changed = {}
-        routes, fifo_of, route_of = self.device.routes, self.graph.fifo_of, self.route_of
-        for f in moved:
+    def moved(self, placement: dict, members, dest: int) -> "SllState | None":
+        """The state after ``members`` move to slot ``dest``, the others
+        staying where ``placement`` puts them, or None when some half would
+        be over budget, decided in one call (see the module docstring).  The
+        new state shares every unchanged object with this one, which stays
+        as it was."""
+        routes, fifo_of, width = self.device.routes, self.graph.fifo_of, self.graph.fifo_width
+        route_of, at = self.route_of, dict.fromkeys(members, dest)
+        changed: dict[int, tuple] = {}
+        delta: dict[int, int] = {}  # boundary row -> change of its total width
+        for f in members:
             for e in fifo_of[f]:
-                route = routes[moved.get(e.src, placement[e.src]),
-                               moved.get(e.dst, placement[e.dst])]
-                if route != route_of[e.index]:
-                    changed[e.index] = route
-        return changed
-
-    def after(self, changed: dict[int, tuple]) -> "SllState":
-        """The state after the route changes ``changed`` (``route_changes``),
-        as a new object that shares every unchanged state object with this
-        one, which stays as it was."""
+                eid = e.index
+                if eid in changed:
+                    continue  # both ends move, or a self-loop
+                route = routes[at.get(e.src, placement[e.src]), at.get(e.dst, placement[e.dst])]
+                old = route_of[eid]
+                if route != old:
+                    changed[eid] = route
+                    w = width[eid]
+                    for y in old[0]:
+                        delta[y] = delta.get(y, 0) - w
+                    for y in route[0]:
+                        delta[y] = delta.get(y, 0) + w
+        total, table = self._total, self.device.boundary_table
+        if any(total[y] + d > table[y][2] for y, d in delta.items()):
+            return None
         new = object.__new__(SllState)  # a shallow copy, without copy.copy's cost
         new.__dict__.update(self.__dict__)
         new.update(changed)
-        return new
+        return new if new.feasible() else None
 
     def update(self, changed: dict[int, tuple]) -> None:
         """Re-derive state after functions changed slots, from the route
-        changes of their FIFO edges (``route_changes``).
+        changes of their FIFO edges, ``{edge id: new route}``.
 
         Only those edges are re-examined.  A boundary that such an edge
         enters or leaves, or keeps crossing over another column span, gets
@@ -259,20 +267,6 @@ class SllState:
         return [(y, x, used, limit * table[y][0][x])
                 for y in sorted(loads) for x, used in sorted(loads[y].items())
                 if used > table[y][1][x]]
-
-    def rejects(self, changed: dict[int, tuple]) -> bool:
-        """True when the route changes ``changed`` (``route_changes``) would
-        put some boundary's total crossing width over its reject bound, so
-        the move cannot be feasible.  Changes nothing."""
-        total, table = self._total, self.device.boundary_table
-        width, route_of = self.graph.fifo_width, self.route_of
-        delta: dict[int, int] = {}  # boundary row -> change of its total width
-        for eid, route in changed.items():
-            for y in route_of[eid][0]:
-                delta[y] = delta.get(y, 0) - width[eid]
-            for y in route[0]:
-                delta[y] = delta.get(y, 0) + width[eid]
-        return any(total[y] + d > table[y][2] for y, d in delta.items())
 
     def feasible(self) -> bool:
         """True when no half is over budget.

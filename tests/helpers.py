@@ -256,7 +256,8 @@ def reference_online_pack(state, targets, allow_moves=True):
         group = state.graph.group_of[fn]
         extra = (state.group_load[group.gid] - old) + new
         for dest in _candidate_slots(state, sid, extra):
-            if _fits_slot(state, dest, extra) and state.trial_move(group, dest, (fn, pid)):
+            if _fits_slot(state, dest, extra) and state.trial_move(group, dest):
+                state.apply_point(fn, pid)
                 moves.extend((m, sid, dest) for m in group.members)
                 break
         else:
@@ -421,6 +422,20 @@ def reference_search(device, graph, lib, node_budget, below=math.inf):
     except Stop:
         status = "budget_exceeded"
     return OracleResult(status, *(best or (None, None, None)), spent, candidates, checked)
+
+
+def route_changes(sll, placement):
+    """``{edge id: route}`` for each FIFO edge whose route under
+    ``placement``, read from the device's slot-pair routes, differs from the
+    one ``sll`` records: the changes ``SllState.update`` takes after a move
+    to ``placement``."""
+    routes, route_of = sll.device.routes, sll.route_of
+    changed = {}
+    for e in sll.graph.fifo_edges():
+        route = routes[placement[e.src], placement[e.dst]]
+        if route != route_of[e.index]:
+            changed[e.index] = route
+    return changed
 
 
 def sll_fingerprint(sll):

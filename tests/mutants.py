@@ -16,7 +16,9 @@ Run it from anywhere with pytest and hypothesis installed:
     python tests/mutants.py
 
 It prints one line per mutant and exits 1 when any is stale or not caught.
-Hypothesis runs with seed 0, so a run is repeatable.  The name has no
+Hypothesis runs with seed 0, so a run is repeatable, and under the
+``mutants`` profile (``tests/conftest.py``), which skips the shrink phase:
+a failing property stops at its first failing example.  The name has no
 ``test_`` prefix, so pytest does not collect this file.
 """
 
@@ -37,6 +39,7 @@ FLOORPLAN = "tests/test_floorplan.py::"
 MODEL = "tests/test_model.py::"
 PACKER = "tests/test_packer.py::"
 PIPELINER = "tests/test_pipeliner.py::"
+SEARCH = "tests/test_search.py::"
 
 
 class Mutant(NamedTuple):
@@ -96,16 +99,39 @@ MUTANTS = (
            "pred_at = [tuple(sorted(at[p] for p in preds[k]))[:1] for k in order]",
            (MODEL + "test_design_latency_matches_brute_force",
             MODEL + "test_longest_path_by_chain_runs_matches_a_per_kernel_walk")),
+    Mutant("trace-row-keeps-the-previous-maxima-after-moves", "search.py",
+           "max_util=state.max_utilization(),\n"
+           "            max_sll_util=state.sll.max_utilization(),",
+           "max_util=trace[-1].max_util if trace and moves else state.max_utilization(),\n"
+           "            max_sll_util=trace[-1].max_sll_util if trace and moves"
+           " else state.sll.max_utilization(),",
+           (SEARCH + "test_every_rows_maxima_match_a_recompute[stress-quad]",
+            SEARCH + "test_every_row_keeps_the_search_invariants",
+            SEARCH + "test_search_outcome_is_pinned")),
+    Mutant("moving-endpoint-routed-from-its-old-slot", "pipeliner.py",
+           "at.get(e.dst, placement[e.dst])", "placement[e.dst]",
+           (PACKER + "test_a_move_that_fills_the_reject_bound_exactly_is_applied",
+            PIPELINER + "test_moved_leaves_its_source_as_it_was",
+            PIPELINER + "test_moved_leaves_its_source_and_matches_recompute")),
+    Mutant("moved-state-kept-without-asking-feasible", "pipeliner.py",
+           "return new if new.feasible() else None", "return new",
+           (PACKER + "test_a_move_within_the_reject_bound_that_overflows_a_half_is_refused",
+            PACKER + "test_a_trial_builds_and_asks_one_new_state",
+            PIPELINER + "test_moved_leaves_its_source_and_matches_recompute")),
+    Mutant("reject-bound-refuses-a-move-that-fills-it", "pipeliner.py",
+           "total[y] + d > table[y][2]", "total[y] + d >= table[y][2]",
+           (PACKER + "test_a_move_that_fills_the_reject_bound_exactly_is_applied",)),
 )
 
 
 def _pytest(workdir: Path, tests) -> subprocess.CompletedProcess:
     """The listed tests run in ``workdir`` against its copy of ``src``: seed
-    0, stopping at the first failure, with nothing cached in the checkout."""
+    0 and no shrinking, stopping at the first failure, with nothing cached
+    in the checkout."""
     env = {**os.environ, "PYTHONPATH": str(workdir / "src")}
     return subprocess.run(
         [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
-         "--hypothesis-seed=0", *tests],
+         "--hypothesis-seed=0", "--hypothesis-profile=mutants", *tests],
         cwd=workdir, env=env, capture_output=True, text=True)
 
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from copy import copy
 
 import pytest
 from hypothesis import assume, given, settings
@@ -500,9 +501,9 @@ def spies(monkeypatch):
     trials, fits = [], []
     trial_move, fits_slot = PackState.trial_move, fado.packer._fits_slot
 
-    def spy_trial(state, group, dest, point=None):
+    def spy_trial(state, group, dest):
         trials.append((group.gid, dest))
-        return trial_move(state, group, dest, point)
+        return trial_move(state, group, dest)
 
     def spy_fits(state, slot_id, extra):
         fits.append((slot_id, extra))
@@ -775,10 +776,12 @@ def test_trials_roll_back_exactly_and_group_loads_stay_current(state, data):
             wires = sll_fingerprint(recompute_all(device, graph, state.placement))
             after = {**state.placement, **{m: dest for m in g.members}}
             fits = not recompute_all(device, graph, after).over_budget()
-            assert state.trial_move(g, dest, change) == fits
+            assert state.trial_move(g, dest) == fits
             if not fits:
                 assert _entries(state) == before
                 assert sll_fingerprint(state.sll) == wires
+            elif change:
+                state.apply_point(*change)  # as online packing does after a kept move
         assert state.group_load == {
             g.gid: ResourceVector.sum(lib.point(m, state.config[m]).resources for m in g.members)
             for g in graph.ram_groups}
@@ -794,32 +797,45 @@ def test_trials_roll_back_exactly_and_group_loads_stay_current(state, data):
 
 @settings(max_examples=100, deadline=None)
 @given(_pack_instance(), st.data())
-def test_a_trial_computes_its_route_changes_once(state, data):
+def test_a_trial_builds_and_asks_one_new_state(state, data):
     device, graph = state.device, state.graph
-    calls = []
-    route_changes = SllState.route_changes
+    calls = []  # (method name, routing state it was called on)
 
-    def spy(sll, *args):
-        calls.append(route_changes(sll, *args))
-        return calls[-1]
+    def spy(name):
+        method = getattr(SllState, name)
+
+        def call(sll, *args):
+            calls.append((name, sll))
+            return method(sll, *args)
+        return call
 
     with pytest.MonkeyPatch.context() as patch:
         # on the class: each kept move replaces ``state.sll``, so a spy on
         # the instance would stop seeing the trials after the first one
-        patch.setattr(SllState, "route_changes", spy)
+        for name in ("update", "feasible"):
+            patch.setattr(SllState, name, spy(name))
         for _ in range(data.draw(st.integers(1, 8))):
-            g = data.draw(st.sampled_from(state.graph.ram_groups))
+            g = data.draw(st.sampled_from(graph.ram_groups))
             dest = data.draw(st.sampled_from([s.id for s in device.slots]))
-            before = recompute_all(device, graph, state.placement).route_of
             after = {**state.placement, **{m: dest for m in g.members}}
-            want = {eid: route
-                    for eid, route in enumerate(recompute_all(device, graph, after).route_of)
-                    if route != before[eid]}
+            fresh = recompute_all(device, graph, after)
+            within = all(sum(graph.fifo_width[e] for e in eids) <= device.boundary_table[y][2]
+                         for y, eids in fresh.crossing.items())
+            source = state.sll
+            fp = sll_fingerprint(copy(source))
             calls.clear()
-            state.trial_move(g, dest)
-            # one computation, covering every member's edges, for both the
-            # reject test and the routing state after the move
-            assert calls == [want]
+            kept = state.trial_move(g, dest)
+            assert sll_fingerprint(copy(source)) == fp
+            if calls:
+                # past the reject bound: one new state, updated once and asked once
+                (update, new), (feasible, asked) = calls
+                assert (update, feasible) == ("update", "feasible")
+                assert new is asked and new is not source
+                assert state.sll is (new if kept else source)
+            else:
+                # refused by the reject bound, which the move must exceed
+                assert not kept and not within
+                assert state.sll is source
 
 
 def _one_column_state(edges):
@@ -834,9 +850,9 @@ def _one_column_state(edges):
 def test_a_move_past_the_reject_bound_is_refused_before_it_is_applied(monkeypatch):
     state = _one_column_state([("a", "b", "fifo", 16)])  # 16 wires can never cross
     before, sll, wires = _entries(state), state.sll, sll_fingerprint(state.sll)
-    for name in ("after", "update", "feasible"):
+    for name in ("update", "feasible"):
         monkeypatch.setattr(SllState, name, lambda *a: pytest.fail("the move was tested"))
-    assert not state.trial_move(state.graph.group_of["b"], 1, ("b", "p1"))
+    assert not state.trial_move(state.graph.group_of["b"], 1)
     assert _entries(state) == before
     assert state.sll is sll and sll_fingerprint(sll) == wires
 
@@ -847,6 +863,24 @@ def test_a_move_that_fills_the_reject_bound_exactly_is_applied():
     state = _one_column_state([("a", "b", "fifo", 9), ("b", "c", "ram", 1), ("b", "c", "fifo", 4)])
     assert state.trial_move(state.graph.group_of["b"], 1)
     assert state.sll.boundary_loads[0] == {0: 9}
+
+
+def test_a_move_within_the_reject_bound_that_overflows_a_half_is_refused():
+    # a 90-wire and a 9-wire half: a->b's 10 wires are within the reject
+    # bound, 99, but cross only in column 1 when b goes to slot 3, over the
+    # narrow half's budget; from slot 2 they may take column 0 instead
+    doc = device_doc(width=2, height=2, sll=100)
+    doc["die_boundaries"][0]["halves"][1]["sll_capacity"] = 10
+    design = design_doc([("K", "dataflow", ["a", "b"])], [("a", "b", "fifo", 10)])
+    qor = qor_doc({t: template_doc([("baseline", 5, {"lut": 10})]) for t in ("t_a", "t_b")})
+    device, graph, lib = parse(doc, design, qor)
+    state = PackState(device, graph, lib, baseline_configuration(graph), {"a": 1, "b": 1})
+    before, sll = _entries(state), state.sll
+    assert not state.trial_move(graph.group_of["b"], 3)
+    assert _entries(state) == before
+    assert state.sll is sll
+    assert state.trial_move(graph.group_of["b"], 2)
+    assert state.sll.boundary_loads[0] == {0: 10}
 
 
 # ---------------------------------------------------------------------------
@@ -879,12 +913,8 @@ def test_a_refused_trial_changes_nothing(state, data):
     for _ in range(data.draw(st.integers(1, 10))):
         g = data.draw(st.sampled_from(state.graph.ram_groups))
         dest = data.draw(st.sampled_from([s.id for s in state.device.slots]))
-        point = None
-        if data.draw(st.booleans()):
-            fn = data.draw(st.sampled_from(g.members))
-            point = (fn, data.draw(_point(state.lib, fn)))
         before, sll = _entries(state), state.sll
-        if not state.trial_move(g, dest, point):
+        if not state.trial_move(g, dest):
             assert _entries(state) == before
             assert state.sll is sll
 

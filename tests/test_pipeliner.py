@@ -16,6 +16,7 @@ from helpers import (
     grid_documents,
     parse,
     reference_fold,
+    route_changes,
     sll_fingerprint,
     slot_at,
 )
@@ -24,12 +25,6 @@ from helpers import (
 def _grid(width, height, *, sll=1000, io_cols=(), sll_limit=0.9):
     return device_from_dict(device_doc(
         width=width, height=height, sll=sll, io_cols=io_cols, sll_limit=sll_limit))
-
-
-def _update(state, placement, moved):
-    """Hand ``state`` the route changes of the functions in ``moved``, which
-    ``placement`` already puts on their new slots."""
-    state.update(state.route_changes(placement, {f: placement[f] for f in moved}))
 
 
 def _rows_of(state, eid):
@@ -152,7 +147,7 @@ def test_colocated_then_moved_edge_gains_register_groups():
     assert state.boundary_loads.get(0, {}) == {}
 
     placement["f1"] = 3  # (x=1, y=1): one die row and one io column away
-    _update(state, placement, {"f1"})
+    state.update(route_changes(state, placement))
     assert state.reg_groups == {0: 2}
     assert state.boundary_loads[0] == {0: 12}
 
@@ -165,9 +160,9 @@ def test_move_away_and_back_is_bit_identical():
     before = sll_fingerprint(state)
 
     placement["f2"] = 1
-    _update(state, placement, {"f2"})
+    state.update(route_changes(state, placement))
     placement["f2"] = 2
-    _update(state, placement, {"f2"})
+    state.update(route_changes(state, placement))
     assert sll_fingerprint(state) == before
 
 
@@ -180,7 +175,7 @@ def test_register_groups_map_only_the_edges_that_carry_them():
     assert state.reg_groups == {0: 2}
 
     placement["f3"] = 0  # back across the die row and the io column
-    _update(state, placement, {"f3"})
+    state.update(route_changes(state, placement))
     assert state.reg_groups == {0: 2, 2: 2}
 
 
@@ -252,18 +247,18 @@ def test_incremental_update_equals_recompute(moves):
     for fn_idx, dest in moves:
         fn = f"f{fn_idx}"
         placement[fn] = dest
-        _update(state, placement, {fn})
+        state.update(route_changes(state, placement))
         fresh = recompute_all(_DEV, _GRAPH, placement)
         assert sll_fingerprint(state) == sll_fingerprint(fresh)
 
 
-def test_after_leaves_its_source_as_it_was():
+def test_moved_leaves_its_source_as_it_was():
     dev = _grid(2, 2, io_cols=[0])
     graph = _chain_graph(3, [8, 8])
     placement = {"f0": 0, "f1": 3, "f2": 1}
     state = recompute_all(dev, graph, placement)
     fp = sll_fingerprint(state)
-    moved = state.after(state.route_changes(placement, {"f1": 0}))
+    moved = state.moved(placement, ("f1",), 0)
     assert sll_fingerprint(moved) == sll_fingerprint(recompute_all(dev, graph, {**placement, "f1": 0}))
     assert sll_fingerprint(moved) != fp
     assert sll_fingerprint(state) == fp
@@ -304,9 +299,14 @@ def _pending_fingerprint(state):
     return sll_fingerprint(copy(state))
 
 
+def _move(names, slot):
+    """A strategy for one move: 1-3 of ``names`` and the slot they go to."""
+    return st.tuples(st.lists(st.sampled_from(names), min_size=1, max_size=3, unique=True), slot)
+
+
 @settings(max_examples=200, deadline=None)
 @given(_wired_instance(), st.data())
-def test_update_and_after_match_recompute(instance, data):
+def test_update_and_moved_match_recompute(instance, data):
     dev, graph = instance
     names = sorted(graph.functions)
     slot = st.sampled_from([s.id for s in dev.slots])
@@ -314,24 +314,28 @@ def test_update_and_after_match_recompute(instance, data):
     state = recompute_all(dev, graph, placement)
     saved = []  # (state, fingerprint, placement) of each state left behind
     for _ in range(data.draw(st.integers(1, 12))):
-        op = data.draw(st.sampled_from(("update", "after", "after", "back")))
+        op = data.draw(st.sampled_from(("update", "moved", "moved", "back")))
         if op == "back" and saved:
             # any state left behind, the older ones after later moves
             # included; a copy, since "update" changes the state in place
             source, fp, at = saved[data.draw(st.integers(0, len(saved) - 1))]
             assert _pending_fingerprint(source) == fp
             state, placement = copy(source), dict(at)
-        else:
+        elif op == "update":
             moves = data.draw(st.dictionaries(st.sampled_from(names), slot, min_size=1, max_size=3))
-            changed = state.route_changes(placement, moves)
-            if op == "update":
-                state.update(changed)
-            else:
-                source, fp = state, _pending_fingerprint(state)
-                saved.append((source, fp, placement))
-                state = state.after(changed)
-                assert _pending_fingerprint(source) == fp
             placement = {**placement, **moves}
+            state.update(route_changes(state, placement))
+        else:
+            members, dest = data.draw(_move(names, slot))
+            fp = _pending_fingerprint(state)
+            after = {**placement, **dict.fromkeys(members, dest)}
+            moved = state.moved(placement, members, dest)
+            assert _pending_fingerprint(state) == fp
+            # a refused move leaves the state and placement as they were
+            assert (moved is not None) == (not recompute_all(dev, graph, after).over_budget())
+            if moved is not None:
+                saved.append((state, fp, placement))
+                state, placement = moved, after
         fresh = recompute_all(dev, graph, placement)
         # feasible() first, while boundaries may still be pending
         assert state.feasible() == (not fresh.over_budget())
@@ -344,23 +348,25 @@ def test_update_and_after_match_recompute(instance, data):
 
 @settings(max_examples=150, deadline=None)
 @given(grid_documents(), st.data())
-def test_after_leaves_its_source_and_matches_recompute(docs, data):
+def test_moved_leaves_its_source_and_matches_recompute(docs, data):
     dev, graph, _ = parse(*docs)
     names = sorted(graph.functions)
     slot = st.sampled_from([s.id for s in dev.slots])
     placement = {f: data.draw(slot) for f in names}
     state = recompute_all(dev, graph, placement)
     for _ in range(data.draw(st.integers(1, 8))):
-        moves = data.draw(st.dictionaries(st.sampled_from(names), slot, min_size=1, max_size=3))
+        members, dest = data.draw(_move(names, slot))
         fp = _pending_fingerprint(state)
-        moved = state.after(state.route_changes(placement, moves))
+        moved = state.moved(placement, members, dest)
         assert _pending_fingerprint(state) == fp
-        placement = {**placement, **moves}
-        fresh = recompute_all(dev, graph, placement)
-        assert moved.feasible() == (not fresh.over_budget())
-        assert _pending_fingerprint(state) == fp  # folds on the new state stay there
-        assert sll_fingerprint(moved) == sll_fingerprint(fresh)
-        state = moved
+        after = {**placement, **dict.fromkeys(members, dest)}
+        fresh = recompute_all(dev, graph, after)
+        assert (moved is not None) == (not fresh.over_budget())
+        if moved is not None:
+            assert moved.feasible()
+            assert _pending_fingerprint(state) == fp  # folds on the new state stay there
+            assert sll_fingerprint(moved) == sll_fingerprint(fresh)
+            state, placement = moved, after
 
 
 def test_width_bound_fails_on_a_zero_capacity_half():
@@ -376,12 +382,12 @@ def test_width_bound_fails_on_a_zero_capacity_half():
     # bound, but the column-0 half cannot take a single one, so the accept
     # bound fails, and the fold, with only column 0 to use, finds it over
     placement.update(f0=slot_at(dev, 0, 0).id, f1=slot_at(dev, 0, 1).id)
-    _update(state, placement, {"f0", "f1"})
+    state.update(route_changes(state, placement))
     assert not state.feasible()
     assert state.over_budget() == [(0, 0, 8, 0.0)]
     # nothing crossing passes even with the zero-capacity half
     placement["f1"] = slot_at(dev, 0, 0).id
-    _update(state, placement, {"f1"})
+    state.update(route_changes(state, placement))
     assert state.feasible()
     assert state.boundary_loads[0] == {}
 
@@ -405,7 +411,7 @@ def test_a_refold_still_counts_the_unchanged_edges():
     placement = {"s0": 0, "d0": 2, "s1": 0, "d1": 0}
     state = recompute_all(dev, graph, placement)
     placement["d1"] = 3
-    _update(state, placement, {"d1"})
+    state.update(route_changes(state, placement))
     assert not state.feasible()
     assert state.boundary_loads[0] == {0: 16, 1: 1}
 
@@ -478,7 +484,7 @@ def test_every_fold_matches_the_reference_rule(instance, data):
     for _ in range(data.draw(st.integers(0, 6))):
         moves = data.draw(st.dictionaries(st.sampled_from(names), slot, min_size=1, max_size=3))
         placement.update(moves)
-        _update(state, placement, set(moves))
+        state.update(route_changes(state, placement))
     assert state.boundary_loads == {
         b.y: reference_fold(dev, graph, placement, b.y) for b in dev.die_boundaries
     }
@@ -495,7 +501,7 @@ def test_the_accept_bound_is_the_narrowest_half():
     placement = {"s0": 1, "d0": 1}
     state = recompute_all(dev, graph, placement)
     placement["d0"] = 3
-    _update(state, placement, {"d0"})
+    state.update(route_changes(state, placement))
     assert not state.feasible()
     assert state.over_budget() == [(0, 1, 10, 9.0)]
 
@@ -508,7 +514,7 @@ def test_feasible_folds_only_above_the_narrowest_half(monkeypatch):
         placement = {"s0": 0, "d0": 0, "s1": 0, "d1": 0}
         state = recompute_all(dev, _pairs_graph(widths), placement)
         placement.update(d0=3, d1=3)
-        _update(state, placement, {"d0", "d1"})
+        state.update(route_changes(state, placement))
         return state
 
     within, above = pending_state([4, 5]), pending_state([5, 5])
