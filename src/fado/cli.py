@@ -289,6 +289,12 @@ def _int_key(key: str, where: str) -> int:
         raise ModelError(f"{where}: key {key!r} is not an integer") from None
 
 
+def _counts(table: dict, where: str) -> dict[int, int]:
+    """A result table of counts by integer key, each key and each count read
+    by its one rule, else a ModelError naming the table (``where``)."""
+    return {_int_key(key, where): _number_entry(table, key, where) for key in table}
+
+
 def cmd_check(args) -> int:
     doc, device, graph, lib = _load_result(args.result)
     config, _, mismatch = _result_latency(doc, graph, lib)
@@ -302,19 +308,16 @@ def cmd_check(args) -> int:
 
     tables = _dict_entry(doc, "sll", RESULT_DOC, {})
     recorded_sll = {
-        _int_key(y, "result 'sll'"): {
-            _int_key(x, f"result 'sll' row {y!r}"): used
-            for x, used in _dict_entry(tables, y, "result 'sll'").items()
-        }
+        _int_key(y, "result 'sll'"):
+            _counts(_dict_entry(tables, y, "result 'sll'"), f"result 'sll' row {y!r}")
         for y in tables
     }
     fresh_sll = state.sll.boundary_loads
     if {y: {x: u for x, u in t.items() if u} for y, t in fresh_sll.items()} != \
        {y: {x: u for x, u in t.items() if u} for y, t in recorded_sll.items()}:
         problems.append("recorded SLL table does not match a recompute from scratch")
-    recorded_regs = {
-        _int_key(i, "result 'register_groups'"): n
-        for i, n in _dict_entry(doc, "register_groups", RESULT_DOC, {}).items()}
+    recorded_regs = _counts(_dict_entry(doc, "register_groups", RESULT_DOC, {}),
+                            "result 'register_groups'")
     if state.sll.reg_groups != recorded_regs:
         problems.append("recorded register groups do not match a recompute from scratch")
 

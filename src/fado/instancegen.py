@@ -8,6 +8,11 @@ Presets:
   toy       the five-function two-slot walkthrough fixture
   pair      1x2 device, small instances, exact-solver friendly
   quad      2x2 device with large-FPGA slot capacities
+
+The three devices are built by one builder, ``_device_doc``, from a table
+of the five values in which they differ: width, slot capacity, SLL
+capacity per half, io columns and ``util_limit``.  The QoR generators size
+their points from the device document they emit (``_lut_budget``).
 """
 
 from __future__ import annotations
@@ -133,54 +138,39 @@ def gen_directive_space(loops: list[LoopInfo], arrays: list[dict],
 # Devices
 
 
+# Per preset: width, slot capacity, SLL capacity per half, io columns, util_limit
+_DEVICES = {
+    "toy": (1, dict.fromkeys(RESOURCE_KINDS, 100), 100, (), 0.7),
+    "pair": (1, {"bram": 500, "dsp": 1000, "ff": 100000, "lut": 10000, "uram": 100}, 10000,
+             (), 0.65),
+    "quad": (2, {"bram": 504, "dsp": 1296, "ff": 329760, "lut": 164880, "uram": 136}, 5000,
+             (0,), 0.65),
+}
+
+
 def _device_doc(preset: str) -> dict:
-    if preset == "toy":
-        cap = {k: 100 for k in RESOURCE_KINDS}
-        return {
-            "width": 1,
-            "height": 2,
-            "slots": [
-                {"id": 0, "x": 0, "y": 0, "capacity": dict(cap)},
-                {"id": 1, "x": 0, "y": 1, "capacity": dict(cap)},
-            ],
-            "die_boundaries": [{"y": 0, "halves": [{"x": 0, "sll_capacity": 100}]}],
-            "io_boundaries": [],
-            "util_limit": 0.7,
-            "sll_limit": 0.9,
-        }
-    if preset == "pair":
-        cap = {"bram": 500, "dsp": 1000, "ff": 100000, "lut": 10000, "uram": 100}
-        return {
-            "width": 1,
-            "height": 2,
-            "slots": [
-                {"id": 0, "x": 0, "y": 0, "capacity": dict(cap)},
-                {"id": 1, "x": 0, "y": 1, "capacity": dict(cap)},
-            ],
-            "die_boundaries": [{"y": 0, "halves": [{"x": 0, "sll_capacity": 10000}]}],
-            "io_boundaries": [],
-            "util_limit": 0.65,
-            "sll_limit": 0.9,
-        }
-    if preset == "quad":
-        cap = {"bram": 504, "dsp": 1296, "ff": 329760, "lut": 164880, "uram": 136}
-        return {
-            "width": 2,
-            "height": 2,
-            "slots": [
-                {"id": 0, "x": 0, "y": 0, "capacity": dict(cap)},
-                {"id": 1, "x": 1, "y": 0, "capacity": dict(cap)},
-                {"id": 2, "x": 0, "y": 1, "capacity": dict(cap)},
-                {"id": 3, "x": 1, "y": 1, "capacity": dict(cap)},
-            ],
-            "die_boundaries": [
-                {"y": 0, "halves": [{"x": 0, "sll_capacity": 5000}, {"x": 1, "sll_capacity": 5000}]}
-            ],
-            "io_boundaries": [{"x": 0}],
-            "util_limit": 0.65,
-            "sll_limit": 0.9,
-        }
-    raise ValueError(f"unknown device preset {preset!r}")
+    """A preset's device document: two die rows of ``width`` equal slots,
+    slot id ``y * width + x``, and one die boundary between them."""
+    if preset not in _DEVICES:
+        raise ValueError(f"unknown device preset {preset!r}")
+    width, cap, sll, io_cols, util_limit = _DEVICES[preset]
+    return {
+        "width": width,
+        "height": 2,
+        "slots": [{"id": y * width + x, "x": x, "y": y, "capacity": dict(cap)}
+                  for y in range(2) for x in range(width)],
+        "die_boundaries": [
+            {"y": 0, "halves": [{"x": x, "sll_capacity": sll} for x in range(width)]}],
+        "io_boundaries": [{"x": x} for x in io_cols],
+        "util_limit": util_limit,
+        "sll_limit": 0.9,
+    }
+
+
+def _lut_budget(device: dict) -> float:
+    """All of a device document's LUTs at its ``util_limit``, every slot
+    taken to hold the first one's."""
+    return device["util_limit"] * device["slots"][0]["capacity"]["lut"] * len(device["slots"])
 
 
 # ---------------------------------------------------------------------------
@@ -342,10 +332,7 @@ def _monotone_qor(rng: random.Random, device: dict, functions: list) -> dict:
 def _non_monotone_qor(rng: random.Random, device: dict, functions: list) -> dict:
     """Random QoR curves with at least one non-monotone adjacent pair,
     sized so the baseline boots but ambitious points collide."""
-    slot_cap = device["slots"][0]["capacity"]
-    n_slots = len(device["slots"])
-    total_budget = device["util_limit"] * slot_cap["lut"] * n_slots
-    base_share = 0.45 * total_budget / max(1, len(functions))
+    base_share = 0.45 * _lut_budget(device) / max(1, len(functions))
 
     templates = {}
     for fn in functions:
@@ -416,14 +403,13 @@ def gen_stress(seed: int, n_functions: int = 400, points_per_template: int = 10)
             edges.append({"src": a, "dst": b, "kind": "fifo", "width": rng.choice((8, 16, 32))})
     design = {"kernels": kernels, "edges": edges}
 
-    lut_budget = 0.65 * 164880 * 4
-    base_share = int(0.40 * lut_budget / n_functions)
+    base_share = int(0.40 * _lut_budget(device) / n_functions)
     templates = {}
     for t in range(40):
-        loops = [LoopInfo(label=f"g{t}_L1", depth=1, bound=rng.choice([8, 16, 32, 64]),
-                          min_ii=rng.choice([1, 2]), iter_latency=rng.randint(4, 20))]
+        loop = {"label": f"g{t}_L1", "depth": 1, "bound": rng.choice([8, 16, 32, 64]),
+                "min_ii": rng.choice([1, 2]), "iter_latency": rng.randint(4, 20)}
         skeletons = gen_directive_space(
-            loops, [{"name": f"buf{t}", "dims": 1}], limit=points_per_template - 1)
+            [LoopInfo(**loop)], [{"name": f"buf{t}", "dims": 1}], limit=points_per_template - 1)
         base_lat = rng.randint(5000, 50000)
         base_lut = rng.randint(max(1, base_share // 2), base_share)
         points = [{"id": "baseline", "directives": {}, "latency": base_lat,
@@ -431,10 +417,8 @@ def gen_stress(seed: int, n_functions: int = 400, points_per_template: int = 10)
                                  "bram": rng.randint(0, 4)}}]
         seen_lat = {base_lat}
         for i, directives in enumerate(skeletons):
-            factor = max(v for k, v in directives.items() if k.startswith("UNROLL")) \
-                if any(k.startswith("UNROLL") for k in directives) else 1
-            ii = max(v for k, v in directives.items() if k.startswith("PIPELINE")) \
-                if any(k.startswith("PIPELINE") for k in directives) else 1
+            factor = max((v for k, v in directives.items() if k.startswith("UNROLL")), default=1)
+            ii = max((v for k, v in directives.items() if k.startswith("PIPELINE")), default=1)
             lat = min(base_lat - 1, max(1, (base_lat * ii) // (2 * factor)))
             while lat in seen_lat and lat > 1:
                 lat -= 1
@@ -453,8 +437,6 @@ def gen_stress(seed: int, n_functions: int = 400, points_per_template: int = 10)
                     "uram": rng.randint(0, 2) if uses_uram else 0,
                 },
             })
-        loop_docs = [{"label": l.label, "depth": l.depth, "bound": l.bound,
-                      "min_ii": l.min_ii, "iter_latency": l.iter_latency} for l in loops]
-        templates[f"grp{t}"] = {"loops": loop_docs, "points": points}
+        templates[f"grp{t}"] = {"loops": [loop], "points": points}
     qor = {"templates": templates, "name_rules": []}
     return device, design, qor

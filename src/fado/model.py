@@ -23,8 +23,11 @@ every caller reads that one derivation: a ``DesignGraph``'s RAM groups
 (``ram_groups``, ``group_of``: functions that share a RAM, so must share a
 slot), ``kernel_at``, ``fifo_width`` and ``fifo_of``; a ``DeviceModel``'s
 ``slot_budget`` (which ``holds`` sums), ``device_bound``, slot-pair
-``routes`` and ``boundary_table``.  A group's size under a configuration,
-its members' summed resources, is summed in one place, ``group_sizes``.
+``routes`` and ``boundary_table``.  A device's wire capacities are held
+once, as ``die_boundaries``: per die boundary row, its halves' capacities
+in column order, the tuple ``boundary_table`` keeps and ``routes`` takes
+the rows of.  A group's size under a configuration, its members' summed
+resources, is summed in one place, ``group_sizes``.
 
 The kernel DAG is held once, as the ``latency_plan`` that
 ``design_from_dict`` builds: per kernel in topological order, its member
@@ -244,24 +247,12 @@ class Slot:
     capacity: ResourceVector
 
 
-@dataclass(frozen=True)
-class DieBoundary:
-    """Horizontal die boundary between rows y and y+1.
-
-    ``halves`` maps a column index to the SLL wire budget available for
-    signals crossing the boundary in that column.
-    """
-
-    y: int
-    halves: dict[int, int]
-
-
 @dataclass
 class DeviceModel:
     width: int
     height: int
     slots: list[Slot]
-    die_boundaries: list[DieBoundary]
+    die_boundaries: dict[int, tuple]  # row y, between rows y and y+1 -> SLL capacity per column
     io_boundaries: list[int]
     util_limit: float = 0.65
     sll_limit: float = 0.90
@@ -291,20 +282,20 @@ class DeviceModel:
     @cached_property
     def routes(self) -> "_Routes":
         """Slot pair -> route, each worked out on first lookup (``_Routes``)."""
-        return _Routes(self._by_id, [b.y for b in self.die_boundaries], self.io_boundaries)
+        return _Routes(self._by_id, list(self.die_boundaries), self.io_boundaries)
 
     @cached_property
     def boundary_table(self) -> dict[int, tuple]:
-        """Per die boundary row: its halves' capacities by column, their
-        ``fit_budget`` at ``sll_limit``, its reject and accept bounds on the
-        total crossing width (see ``pipeliner``) and whether it is even, its
-        halves sharing one positive capacity."""
+        """Per die boundary row: its halves' capacities by column (the
+        ``die_boundaries`` tuple itself), their ``fit_budget`` at
+        ``sll_limit``, its reject and accept bounds on the total crossing
+        width (see ``pipeliner``) and whether it is even, its halves sharing
+        one positive capacity."""
         table = {}
-        for b in self.die_boundaries:
-            caps = tuple(b.halves[x] for x in range(self.width))
+        for y, caps in self.die_boundaries.items():
             budget = fit_budget(caps, self.sll_limit)
-            table[b.y] = (caps, budget, floored_total(budget), min(budget),
-                          min(caps) == max(caps) > 0)
+            table[y] = (caps, budget, floored_total(budget), min(budget),
+                        min(caps) == max(caps) > 0)
         return table
 
 
@@ -433,15 +424,14 @@ def device_from_dict(doc: dict) -> DeviceModel:
             halves[hx] = cap
         if sorted(halves) != list(range(width)):
             raise ModelError(f"die boundary y={y} must define one half per column")
-        boundaries.append(DieBoundary(y=y, halves=halves))
-    ys = [b.y for b in boundaries]
-    if len(set(ys)) != len(ys):
+        boundaries.append((y, tuple(halves[x] for x in range(width))))
+    by_row = dict(sorted(boundaries))
+    if len(by_row) != len(boundaries):
         raise ModelError("duplicate die boundary rows")
 
     io_cols = []
     for i, raw in enumerate(_list_entry(doc, "io_boundaries", "device document", [])):
-        x = _number_entry(raw if isinstance(raw, dict) else {"x": raw}, "x",
-                          lambda: f"io boundary #{i}")
+        x = _number_entry(raw, "x", lambda: f"io boundary #{i}")
         if not 0 <= x <= width - 2:
             raise ModelError(f"io boundary x={x} outside column gaps")
         io_cols.append(x)
@@ -457,7 +447,7 @@ def device_from_dict(doc: dict) -> DeviceModel:
         width=width,
         height=height,
         slots=sorted(slots, key=lambda s: s.id),
-        die_boundaries=sorted(boundaries, key=lambda b: b.y),
+        die_boundaries=by_row,
         io_boundaries=sorted(io_cols),
         util_limit=util_limit,
         sll_limit=sll_limit,

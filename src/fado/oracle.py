@@ -64,9 +64,10 @@ def assign_slots(device: DeviceModel, graph: DesignGraph, lib: QoRLibrary, confi
 
     The groups are ``graph.ram_groups``, derived once per design for every
     configuration assigned.  Groups are placed largest first
-    (``floorplan.largest_first``); slots are tried in id order, skipping
-    capacity-equivalent repeats only via the load check.  A full placement is accepted only when the pipeliner's
-    fold leaves no half over budget, asked as the search asks it
+    (``floorplan.largest_first``); each group tries every slot in id order
+    that its size fits within budget, equal-capacity slots included.  A
+    full placement is accepted only when the pipeliner's fold leaves no
+    half over budget, asked as the search asks it
     (``SllState.feasible``, which folds only the boundaries its bounds
     leave in doubt).  ``tick``, when given, is called once per explored
     node (budget accounting).

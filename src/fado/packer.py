@@ -242,11 +242,6 @@ def online_pack(state: PackState, targets: dict, allow_moves: bool = True) -> tu
     (``device_rest``) still holds for the next vector over the same
     functions.
     """
-    for fn, pid in targets.items():
-        if fn not in state.graph.functions:
-            raise ModelError(f"unknown function {fn!r}")
-        state.lib.point(fn, pid)
-
     sll = state.sll
     done: list[tuple] = []  # (function, old point, moved group or None, slot it left)
     moves: list[tuple[str, int, int]] = []

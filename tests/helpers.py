@@ -312,7 +312,7 @@ def reference_fold(device, graph, placement, y):
     each FIFO edge crossing y, in ascending id order, takes the column of its
     endpoint span with the lowest post-add fill ratio, the first such column
     on a tie.  ``SllState.boundary_loads`` must match it exactly."""
-    caps = next(b.halves for b in device.die_boundaries if b.y == y)
+    caps = device.die_boundaries[y]
     loads = {}
     for edge in sorted(graph.fifo_edges(), key=lambda e: e.index):
         src, dst = device.slot(placement[edge.src]), device.slot(placement[edge.dst])

@@ -36,6 +36,7 @@ ROOT = Path(__file__).resolve().parent.parent
 ACCEPTANCE = "tests/test_acceptance.py::"
 CLI = "tests/test_cli.py::"
 FLOORPLAN = "tests/test_floorplan.py::"
+INSTANCEGEN = "tests/test_instancegen.py::"
 MODEL = "tests/test_model.py::"
 PACKER = "tests/test_packer.py::"
 PIPELINER = "tests/test_pipeliner.py::"
@@ -121,6 +122,20 @@ MUTANTS = (
     Mutant("reject-bound-refuses-a-move-that-fills-it", "pipeliner.py",
            "total[y] + d > table[y][2]", "total[y] + d >= table[y][2]",
            (PACKER + "test_a_move_that_fills_the_reject_bound_exactly_is_applied",)),
+    Mutant("preset-slots-numbered-column-major", "instancegen.py",
+           '"id": y * width + x', '"id": x * 2 + y',
+           (INSTANCEGEN + "test_gen_stress_is_pinned[0]",
+            INSTANCEGEN + "test_gen_output_is_pinned[mixed-0]")),
+    Mutant("lut-budget-of-one-slot", "instancegen.py",
+           'device["slots"][0]["capacity"]["lut"] * len(device["slots"])',
+           'device["slots"][0]["capacity"]["lut"]',
+           (INSTANCEGEN + "test_gen_stress_is_pinned[0]",
+            INSTANCEGEN + "test_gen_output_is_pinned[small-0]")),
+    Mutant("boundary-capacities-in-reversed-column-order", "model.py",
+           "tuple(halves[x] for x in range(width))",
+           "tuple(halves[x] for x in reversed(range(width)))",
+           (MODEL + "test_die_boundaries_hold_each_rows_capacities_in_column_order",
+            PIPELINER + "test_the_accept_bound_is_the_narrowest_half")),
 )
 
 

@@ -335,5 +335,5 @@ def test_09_wire_budget_blocks_a_capacity_feasible_move():
     assert state.check_legal() == []
     load = sum(state.sll.boundary_loads[0].values())
     assert load == 10
-    assert load + 9 <= device.die_boundaries[0].halves[0]
+    assert load + 9 <= device.die_boundaries[0][0]
     assert load + 9 > 0.9 * 20

@@ -733,6 +733,10 @@ def _string_resource_count(doc):
     doc["templates"]["tA"]["points"][0]["resources"]["lut"] = "22"
 
 
+def _bare_int_io_boundary(doc):
+    doc["io_boundaries"] = [0]
+
+
 MALFORMED = {
     "slot-without-x": ("device", _drop_slot_x, "'x'"),
     "half-without-sll-capacity": ("device", _drop_half_capacity, "'sll_capacity'"),
@@ -755,6 +759,7 @@ MALFORMED = {
     "latency-a-fraction": ("qor", _fractional_latency, "'latency'"),
     "width-a-bool": ("design", _bool_width, "'width'"),
     "resource-count-a-string": ("qor", _string_resource_count, "'lut'"),
+    "io-boundary-a-bare-int": ("device", _bare_int_io_boundary, "io boundary #0"),
 }
 
 
@@ -946,6 +951,17 @@ def _register_groups_key_a_name(doc):
     doc["register_groups"]["c"] = 1
 
 
+def _recorded_count(table, value):
+    """Damage writing ``value`` as the first count of the result's ``table``
+    (``sll``'s first row, or ``register_groups``)."""
+    def damage(doc):
+        counts = doc[table]
+        if table == "sll":
+            counts = next(iter(counts.values()))
+        counts[next(iter(counts))] = value
+    return damage
+
+
 def _string_design_latency(doc):
     doc["design_latency"] = "fast"
 
@@ -966,6 +982,15 @@ MALFORMED_RESULT = {
     "register-groups-not-an-object": ("check", _register_groups_string, "'register_groups'"),
     "register-groups-key-not-an-integer":
         ("check", _register_groups_key_a_name, "'register_groups'"),
+    "sll-count-a-bool": ("check", _recorded_count("sll", True), "'sll' row '0'"),
+    "sll-count-a-string": ("check", _recorded_count("sll", "16"), "'sll' row '0'"),
+    "sll-count-a-fraction": ("check", _recorded_count("sll", 16.5), "'sll' row '0'"),
+    "register-groups-count-a-bool":
+        ("check", _recorded_count("register_groups", True), "'register_groups'"),
+    "register-groups-count-a-string":
+        ("check", _recorded_count("register_groups", "1"), "'register_groups'"),
+    "register-groups-count-a-fraction":
+        ("check", _recorded_count("register_groups", 1.5), "'register_groups'"),
     "design-latency-not-a-number": ("verify-optimal", _string_design_latency, "'design_latency'"),
 }
 

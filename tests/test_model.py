@@ -176,8 +176,20 @@ def test_device_round_trip():
     # it parses to the same model
     assert device_from_dict(json.loads(json.dumps(doc))) == dev
     assert slot_at(dev, 1, 1).id == 3
-    assert [(b.y, b.halves) for b in dev.die_boundaries] == [(0, {0: 5000, 1: 5000})]
+    assert dev.die_boundaries == {0: (5000, 5000)}
     assert dev.io_boundaries == [0]
+
+
+def test_die_boundaries_hold_each_rows_capacities_in_column_order():
+    # unequal halves, and rows and halves listed out of order
+    doc = device_doc(width=2, height=3)
+    doc["die_boundaries"] = [
+        {"y": 1, "halves": [{"x": 1, "sll_capacity": 40}, {"x": 0, "sll_capacity": 30}]},
+        {"y": 0, "halves": [{"x": 0, "sll_capacity": 10}, {"x": 1, "sll_capacity": 20}]},
+    ]
+    dev = device_from_dict(doc)
+    assert dev.die_boundaries == {0: (10, 20), 1: (30, 40)}
+    assert list(dev.die_boundaries) == [0, 1]
 
 
 def test_device_validation_errors():

@@ -174,15 +174,15 @@ def _naive_minimum(device, graph, lib):
                     break
             if not ok:
                 continue
-            for b in device.die_boundaries:
+            for y, caps in device.die_boundaries.items():
                 crossing = sum(
                     e.width for e in graph.fifo_edges()
                     if min(device.slot(placement[e.src]).y,
-                           device.slot(placement[e.dst]).y) <= b.y <
+                           device.slot(placement[e.dst]).y) <= y <
                     max(device.slot(placement[e.src]).y,
                         device.slot(placement[e.dst]).y)
                 )
-                cap = b.halves[0]
+                cap = caps[0]
                 if crossing > device.sll_limit * cap + 1e-6:
                     ok = False
                     break

@@ -5,6 +5,8 @@ import re
 import sys
 from pathlib import Path
 
+from mutants import MUTANTS
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -31,3 +33,19 @@ def test_runtime_imports_only_the_standard_library():
             for name in names:
                 top = name.split(".")[0]
                 assert top == "fado" or top in sys.stdlib_module_names, (path.name, name)
+
+
+def test_every_mutant_entry_names_text_and_tests_that_exist():
+    # ``tests/mutants.py`` refuses a stale entry only when it runs; this finds
+    # one in milliseconds: an old text not in its file exactly once, or a
+    # listed test function its file no longer defines
+    defined = {}
+    for mutant in MUTANTS:
+        source = (ROOT / "src" / "fado" / mutant.file).read_text(encoding="utf-8")
+        assert source.count(mutant.old) == 1, mutant.name
+        for node_id in mutant.tests:
+            path, name = node_id.split("::")
+            if path not in defined:
+                tree = ast.parse((ROOT / path).read_text(encoding="utf-8"))
+                defined[path] = {n.name for n in tree.body if isinstance(n, ast.FunctionDef)}
+            assert name.split("[")[0] in defined[path], (mutant.name, node_id)

@@ -297,8 +297,6 @@ def test_online_batch_is_all_or_nothing(toy):
 def test_online_validates_inputs(toy):
     state = _toy_state(toy)
     with pytest.raises(ModelError):
-        online_pack(state, {"ZZ": "fast"})
-    with pytest.raises(ModelError):
         online_pack(state, {"A": "warp"})
 
 

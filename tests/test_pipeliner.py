@@ -81,6 +81,7 @@ def test_states_of_one_device_and_design_share_what_they_fix():
     b = recompute_all(dev, graph, {"f0": 1, "f1": 2, "f2": 0})
     assert a.device.routes is b.device.routes is dev.routes
     assert a.device.boundary_table is b.device.boundary_table is dev.boundary_table
+    assert all(dev.boundary_table[y][0] is caps for y, caps in dev.die_boundaries.items())
     assert a.graph.fifo_width is b.graph.fifo_width
     assert a.graph.fifo_of is b.graph.fifo_of
     assert set(vars(a)) == set(vars(b)) == {
@@ -195,14 +196,14 @@ def test_sll_loads_conserve_total_crossing_width():
     for _ in range(20):
         placement = {f: rng.randrange(8) for f in graph.functions}
         state = recompute_all(dev, graph, placement)
-        for b in dev.die_boundaries:
+        for y in dev.die_boundaries:
             want = 0
             for e in graph.fifo_edges():
                 ys = dev.slot(placement[e.src]).y
                 yd = dev.slot(placement[e.dst]).y
-                if min(ys, yd) <= b.y < max(ys, yd):
+                if min(ys, yd) <= y < max(ys, yd):
                     want += e.width
-            assert sum(state.boundary_loads.get(b.y, {}).values()) == want
+            assert sum(state.boundary_loads.get(y, {}).values()) == want
 
 
 def test_a_fresh_build_folds_only_what_a_query_needs(monkeypatch):
@@ -486,7 +487,7 @@ def test_every_fold_matches_the_reference_rule(instance, data):
         placement.update(moves)
         state.update(route_changes(state, placement))
     assert state.boundary_loads == {
-        b.y: reference_fold(dev, graph, placement, b.y) for b in dev.die_boundaries
+        y: reference_fold(dev, graph, placement, y) for y in dev.die_boundaries
     }
 
 
