@@ -312,9 +312,7 @@ def cmd_check(args) -> int:
             _counts(_dict_entry(tables, y, "result 'sll'"), f"result 'sll' row {y!r}")
         for y in tables
     }
-    fresh_sll = state.sll.boundary_loads
-    if {y: {x: u for x, u in t.items() if u} for y, t in fresh_sll.items()} != \
-       {y: {x: u for x, u in t.items() if u} for y, t in recorded_sll.items()}:
+    if state.sll.boundary_loads != recorded_sll:
         problems.append("recorded SLL table does not match a recompute from scratch")
     recorded_regs = _counts(_dict_entry(doc, "register_groups", RESULT_DOC, {}),
                             "result 'register_groups'")

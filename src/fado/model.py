@@ -78,7 +78,8 @@ class ResourceVector(tuple):
     builds its results without re-validating, and fit tests and ratios read
     a vector's items in place.  Equality and hashing are the plain tuple's.
     Repetition and ordering are switched off: ``v * 2`` and ``v < w`` raise
-    ``TypeError`` rather than act on the tuple.
+    ``TypeError`` rather than act on the tuple; ``v.scaled(2)`` is the
+    kind-by-kind multiple.
     """
 
     __slots__ = ()
@@ -123,6 +124,15 @@ class ResourceVector(tuple):
         if min(diff) < 0:
             raise ModelError(f"resource subtraction went negative: {self} - {other}")
         return tuple.__new__(ResourceVector, diff)
+
+    def scaled(self, k: int) -> "ResourceVector":
+        """The vector ``k`` times over, for a count ``k`` >= 1: what ``k``
+        functions at one point hold together.  The vector itself when ``k``
+        is 1, so a one-function share costs nothing."""
+        if k == 1:
+            return self
+        a, b, c, d, e = self
+        return tuple.__new__(ResourceVector, (a * k, b * k, c * k, d * k, e * k))
 
     @classmethod
     def zero(cls) -> "ResourceVector":

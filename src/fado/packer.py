@@ -12,11 +12,13 @@ kind, what the slots hold together (``DeviceModel.device_bound``, the
 device's ``holds`` of all its slots: the slot-side twin of the wires'
 reject bound).  ``fits_device`` is the one test of that bound, and the
 search makes it once per vector, before any packing work; online packing
-itself does not check the bound.  The test adds a vector's target
-resources to a remainder, ``device_rest``: the device total less the
-current resources of the vector's functions.  Moves and failed packs
-leave the remainder as it is, so the search takes it once per batch and
-each vector's test costs one add per member.
+itself does not check the bound.  The test adds a vector's demand, its
+target resources, to a remainder, ``device_rest``: the device total less
+the current resources of the vector's functions.  Both are worked per
+template, as the search works a batch: members of one template at one
+point count that point once per member, as one ``scaled`` vector.  Moves
+and failed packs leave the remainder as it is, so the search takes it once
+per batch and each vector's test costs one add, whatever the batch size.
 
 Offline re-packing tests only what could move.  It buckets the unpinned
 groups by slot once, and gives each source slot a fit floor, the per-kind
@@ -57,6 +59,7 @@ routing state's one overflow report, lists them.
 
 from __future__ import annotations
 
+from collections import Counter
 from operator import sub
 
 from .model import (
@@ -182,29 +185,36 @@ def _fits_slot(state: PackState, slot_id: int, extra: tuple) -> bool:
     return within_budget(state.slot_load[slot_id], state.device.slot_budget[slot_id], extra)
 
 
-def device_rest(state: PackState, fns) -> ResourceVector:
-    """The device's total load less the current resources of ``fns``: the
-    part of the total that a target vector over ``fns`` leaves as it is
-    (see ``fits_device``)."""
-    return (ResourceVector.sum(state.slot_load.values())
-            - ResourceVector.sum(map(state.fn_resources, fns)))
+def device_rest(state: PackState, split) -> ResourceVector:
+    """The device's total load less the batch's current resources: the part
+    of the total that a target vector over the batch leaves as it is (see
+    ``fits_device``).  ``split`` is the batch by template, as (template,
+    functions) pairs: the functions of one template at one point count
+    that point's resources once each, taken as one ``scaled`` vector."""
+    config = state.config
+    rest = ResourceVector.sum(state.slot_load.values())
+    for template, fns in split:
+        if len(fns) == 1:
+            rest = rest - template.by_id[config[fns[0]]].resources
+            continue
+        for pid, k in Counter(map(config.__getitem__, fns)).items():
+            rest = rest - template.by_id[pid].resources.scaled(k)
+    return rest
 
 
-def fits_device(state: PackState, targets: dict, rest: ResourceVector) -> bool:
-    """True when the device's total load, with each function of ``targets``
-    moved to its target point, stays within the device's ``device_bound``:
-    per kind, what the slots hold together (``DeviceModel.holds``).
+def fits_device(state: PackState, demand: ResourceVector, rest: ResourceVector) -> bool:
+    """True when the device's total load, with a batch moved to the target
+    points whose resources sum to ``demand``, stays within the device's
+    ``device_bound``: per kind, what the slots hold together
+    (``DeviceModel.holds``).
 
-    ``rest`` is ``device_rest(state, targets)``.  Moves and failed packs
+    ``rest`` is the batch's ``device_rest``.  Moves and failed packs
     change neither the total nor any point, so one remainder serves
     every vector over the same functions until one of them is applied.  For
     the same reason a batch over the bound has no legal packing at all, and
     neither online packing nor a repack can place it.
     """
-    total = rest
-    for fn, pid in targets.items():
-        total = total + state.lib.point(fn, pid).resources
-    return within_budget(total, state.device.device_bound)
+    return within_budget(rest + demand, state.device.device_bound)
 
 
 def _candidate_slots(state: PackState, exclude: int, extra: ResourceVector) -> list[int]:

@@ -6,19 +6,28 @@ point strictly faster than the second latency level, so one acceptance
 hands the bottleneck role to a different function.  An iteration tries one
 ordered stream of target vectors (``_candidates``) until one packs: the DP
 vector, at most N look-ahead vectors below DP, then every look-back vector
-between DP and the current latency.  Each vector is first checked against
-the device-wide bound (per kind, the sum of the slots' floored fit budgets,
-``fits_device``): no floorplan can hold a vector over it, so it is refused
-before online packing or a repack touches the state.  The check adds the
-vector's target resources to the batch's remainder, the device total less
-the batch's current resources, taken once per iteration: until a vector is
-applied, repacks only move groups and failed packs roll back, so neither
-changes the remainder.  A vector within the bound is packed online; if that
-fails, any but a look-back vector repacks offline and, when the repack
-moved something, retries online packing (which is deterministic, so on an
-unchanged state it would fail again).  A batch that no vector legalizes is
-excluded from future selection; the search stops when nothing is left to
-select.
+between DP and the current latency.
+
+A batch is worked per template.  Its members are instances of few HLS
+templates (on the bench, one per batch), and members of one template share
+the DP, both windows and the point at every attempt, so the batch is split
+by template once per iteration (``split_batch``) and each template takes one
+DP and builds each window once.  Each vector comes with its demand, the
+chosen points' resources once per member (``ResourceVector.scaled``), and
+is first checked against the device-wide bound (per kind, the sum of the
+slots' floored fit budgets, ``fits_device``): no floorplan can hold a
+vector over it, so it is refused before online packing or a repack touches
+the state.  The check adds the demand to the batch's remainder, the device
+total less the batch's current resources (``device_rest``), taken once per
+iteration: until a vector is applied, repacks only move groups and failed
+packs roll back, so neither changes the remainder.  Only online packing and
+acceptance visit the members one at a time.
+
+A vector within the bound is packed online; if that fails, any but a
+look-back vector repacks offline and, when the repack moved something,
+retries online packing (which is deterministic, so on an unchanged state
+it would fail again).  A batch that no vector legalizes is excluded from
+future selection; the search stops when nothing is left to select.
 
 Selection reads latency levels kept current as the search goes: the
 active functions grouped by latency, with the occupied levels sorted.  Only
@@ -46,6 +55,7 @@ from .model import (
     DesignGraph,
     DeviceModel,
     QoRLibrary,
+    ResourceVector,
     baseline_configuration,
     design_latency,
     function_latencies,
@@ -142,7 +152,7 @@ class _Levels:
 
 
 def prune(template, l2: int):
-    """DP for one bottleneck function, or None when DS is empty.
+    """DP for one template of the bottleneck batch, or None when DS is empty.
 
     DS is the points strictly faster than L2, latency ascending; DP is its
     last element, the slowest of them.
@@ -185,38 +195,74 @@ class SearchResult:
     cap_reached: bool = False
 
 
-def _window_vectors(batch, alts, fallback, limit):
-    """Lockstep alternative vectors: attempt k pairs each member with its
-    k-th alternative, falling back to its DP when its list runs dry."""
+def split_batch(lib: QoRLibrary, batch: list) -> list:
+    """The batch by template: (template, members) pairs, the templates in
+    the order they first appear in the batch and each one's members in
+    batch order.  A batch of one template, the common case, is checked
+    for first and kept whole."""
+    template_of = lib.template_of
+    first = template_of[batch[0]]
+    for f in batch:
+        if template_of[f] != first:
+            break
+    else:
+        return [(lib.templates[first], batch)]
+    shares: dict[str, list] = {}
+    for f in batch:
+        shares.setdefault(template_of[f], []).append(f)
+    return [(lib.templates[t], fns) for t, fns in shares.items()]
+
+
+def _targets(batch: list, split: list, points: list):
+    """The target vector over ``batch`` that puts each template's members
+    at its point in ``points``, keyed in batch order, and its demand: each
+    point's resources once per member (``scaled``), summed."""
+    if len(split) == 1:
+        p = points[0]
+        return dict.fromkeys(batch, p.id), p.resources.scaled(len(batch))
+    vec = dict.fromkeys(batch)
+    demand = ResourceVector.zero()
+    for (_, fns), p in zip(split, points):
+        vec.update(dict.fromkeys(fns, p.id))
+        demand = demand + p.resources.scaled(len(fns))
+    return vec, demand
+
+
+def _lockstep(alts: list, dps: list, limit: int):
+    """Lockstep point choices, one per template: attempt k pairs each
+    template with its k-th alternative, falling back to its DP when its
+    list runs dry."""
     for k in range(limit):
-        if all(k >= len(alts[f]) for f in batch):
+        if all(k >= len(a) for a in alts):
             return
-        yield {f: (alts[f][k].id if k < len(alts[f]) else fallback[f].id) for f in batch}
+        yield [a[k] if k < len(a) else dp for a, dp in zip(alts, dps)]
 
 
-def _candidates(lib: QoRLibrary, batch: list, dps: dict, l1: int, n: int):
+def _candidates(batch: list, split: list, dps: list, l1: int, n: int):
     """An iteration's target vectors in the order they are tried, as
-    ``(stage, vector, may_repack)``; the DP vector's stage is None, to be
-    named by the packing that places it.  Lazy: a window is built only
-    once every vector before it has failed."""
-    yield None, {f: dps[f].id for f in batch}, True
-    ahead = {f: [p for p in lib.template_for(f).points if p.latency < dps[f].latency][::-1]
-             for f in batch}
-    for vec in _window_vectors(batch, ahead, dps, n):
-        yield STAGE_LOOK_AHEAD, vec, True
-    back = {f: [p for p in lib.template_for(f).points if dps[f].latency < p.latency < l1]
-            for f in batch}
-    for vec in _window_vectors(batch, back, dps, max(map(len, back.values()), default=0)):
-        yield STAGE_LOOK_BACK, vec, False
+    ``(stage, vector, demand, may_repack)``; the DP vector's stage is None,
+    to be named by the packing that places it.  ``dps`` holds each
+    template's DP, in ``split`` order.  Lazy: a window is built only once
+    every vector before it has failed, and once per template, since its
+    members share every point they are tried at."""
+    yield (None, *_targets(batch, split, dps), True)
+    ahead = [[p for p in t.points if p.latency < dp.latency][::-1]
+             for (t, _), dp in zip(split, dps)]
+    for points in _lockstep(ahead, dps, n):
+        yield (STAGE_LOOK_AHEAD, *_targets(batch, split, points), True)
+    back = [[p for p in t.points if dp.latency < p.latency < l1]
+            for (t, _), dp in zip(split, dps)]
+    for points in _lockstep(back, dps, max(map(len, back))):
+        yield (STAGE_LOOK_BACK, *_targets(batch, split, points), False)
 
 
-def _attempt(state: PackState, vec: dict, rest, moves: list, allow_moves: bool,
-             repack: bool) -> str | None:
+def _attempt(state: PackState, vec: dict, demand: ResourceVector, rest: ResourceVector,
+             moves: list, allow_moves: bool, repack: bool) -> str | None:
     """The stage that packed ``vec``, online or offline, or None; every move
-    made is kept in ``moves``.  ``rest`` is the batch's ``device_rest``.
-    The offline repack and the online retry after it run only when both
-    ``repack`` and ``allow_moves`` hold."""
-    if not fits_device(state, vec, rest):
+    made is kept in ``moves``.  ``demand`` is the vector's and ``rest`` the
+    batch's ``device_rest``.  The offline repack and the online retry after
+    it run only when both ``repack`` and ``allow_moves`` hold."""
+    if not fits_device(state, demand, rest):
         return None
     ok, m = online_pack(state, vec, allow_moves=allow_moves)
     if ok:
@@ -294,20 +340,17 @@ def run(
         it += 1
         l1, batch, l2 = sel
 
-        dps = {}
-        for f in batch:
-            dp = prune(lib.template_for(f), l2)
-            if dp is None:
-                break
-            dps[f] = dp
+        split = split_batch(lib, batch)
+        dps = [prune(t, l2) for t, _ in split]
 
         moves: list = []
         stage, accepted = STAGE_EXCLUDED, {}
         t_legalize = time.perf_counter()
-        if len(dps) == len(batch):
-            rest = device_rest(state, batch)
-            for named, vec, may_repack in _candidates(lib, batch, dps, l1, n):
-                packed = _attempt(state, vec, rest, moves, not freeze_floorplan, may_repack)
+        if None not in dps:
+            rest = device_rest(state, split)
+            for named, vec, demand, may_repack in _candidates(batch, split, dps, l1, n):
+                packed = _attempt(state, vec, demand, rest, moves, not freeze_floorplan,
+                                  may_repack)
                 if packed is not None:
                     stage, accepted = named or packed, vec
                     break

@@ -55,14 +55,17 @@ def slot_at(device, x, y):
     return next(s for s in device.slots if (s.x, s.y) == (x, y))
 
 
-def design_doc(kernels, edges=()):
-    """kernels: (name, kind, [fn names]) triples; edges: (src, dst, kind, width)."""
+def design_doc(kernels, edges=(), templates=None):
+    """kernels: (name, kind, [fn names]) triples; edges: (src, dst, kind, width).
+    Each function f is an instance of template ``templates[f]``, by default
+    of its own template ``t_f``."""
+    templates = templates or {}
     return {
         "kernels": [
             {
                 "name": name,
                 "kind": kind,
-                "functions": [{"name": f, "template": f"t_{f}"} for f in fns],
+                "functions": [{"name": f, "template": templates.get(f, f"t_{f}")} for f in fns],
             }
             for name, kind, fns in kernels
         ],
@@ -305,6 +308,40 @@ def within_device_bound(state, targets):
     config = {**state.config, **targets}
     total = ResourceVector.sum(state.lib.point(f, p).resources for f, p in config.items())
     return all(map(le, total, reference_holds(state.device, state.device.slots)))
+
+
+def reference_window_vectors(batch, alts, fallback, limit):
+    """Lockstep alternative vectors, member by member: attempt k pairs each
+    member with its k-th alternative, falling back to its DP when its list
+    runs dry."""
+    for k in range(limit):
+        if all(k >= len(alts[f]) for f in batch):
+            return
+        yield {f: (alts[f][k].id if k < len(alts[f]) else fallback[f].id) for f in batch}
+
+
+def reference_candidates(lib, batch, dps, l1, n):
+    """An iteration's target vectors in the order they are tried, as
+    ``(stage, vector, may_repack)``, worked out member by member from each
+    member's DP in ``dps``: the DP vector (stage None), at most ``n``
+    look-ahead vectors below DP, then every look-back vector between DP and
+    ``l1``.  ``search._candidates`` must yield the same vectors, in the
+    same order and keyed in batch order."""
+    yield None, {f: dps[f].id for f in batch}, True
+    ahead = {f: [p for p in lib.template_for(f).points if p.latency < dps[f].latency][::-1]
+             for f in batch}
+    for vec in reference_window_vectors(batch, ahead, dps, n):
+        yield "look_ahead", vec, True
+    back = {f: [p for p in lib.template_for(f).points if dps[f].latency < p.latency < l1]
+            for f in batch}
+    for vec in reference_window_vectors(batch, back, dps,
+                                        max(map(len, back.values()), default=0)):
+        yield "look_back", vec, False
+
+
+def reference_demand(lib, targets):
+    """The resources of ``targets``' points, summed member by member."""
+    return ResourceVector.sum(lib.point(f, pid).resources for f, pid in targets.items())
 
 
 def reference_fold(device, graph, placement, y):

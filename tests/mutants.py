@@ -131,6 +131,27 @@ MUTANTS = (
            'device["slots"][0]["capacity"]["lut"]',
            (INSTANCEGEN + "test_gen_stress_is_pinned[0]",
             INSTANCEGEN + "test_gen_output_is_pinned[small-0]")),
+    Mutant("demand-counts-a-template-once", "search.py",
+           "demand = demand + p.resources.scaled(len(fns))",
+           "demand = demand + p.resources",
+           (SEARCH + "test_a_batch_over_two_templates_is_worked_per_template",
+            SEARCH + "test_the_template_stream_matches_a_per_member_one")),
+    Mutant("demand-memo-keyed-by-point-id-across-templates", "search.py",
+           "    demand = ResourceVector.zero()\n"
+           "    for (_, fns), p in zip(split, points):\n"
+           "        vec.update(dict.fromkeys(fns, p.id))\n"
+           "        demand = demand + p.resources.scaled(len(fns))",
+           "    demand, memo = ResourceVector.zero(), {}\n"
+           "    for (_, fns), p in zip(split, points):\n"
+           "        vec.update(dict.fromkeys(fns, p.id))\n"
+           "        demand = demand + memo.setdefault(p.id, p.resources.scaled(len(fns)))",
+           (SEARCH + "test_a_batch_over_two_templates_is_worked_per_template",
+            SEARCH + "test_the_template_stream_matches_a_per_member_one")),
+    Mutant("remainder-by-template-not-by-point", "packer.py",
+           "for pid, k in Counter(map(config.__getitem__, fns)).items():",
+           "for pid, k in ((config[fns[0]], len(fns)),):",
+           (SEARCH + "test_a_batch_over_two_templates_is_worked_per_template",
+            SEARCH + "test_the_template_stream_matches_a_per_member_one")),
     Mutant("boundary-capacities-in-reversed-column-order", "model.py",
            "tuple(halves[x] for x in range(width))",
            "tuple(halves[x] for x in reversed(range(width)))",

@@ -383,6 +383,45 @@ def test_check_rejects_a_tampered_wire_table(toy_files, tmp_path, capsys):
     assert "recompute" in capsys.readouterr().err
 
 
+def _zero_for_a_missing_half(doc):
+    doc["sll"]["0"]["5"] = 0
+
+
+def _zero_row_for_a_missing_boundary(doc):
+    doc["sll"]["7"] = {"0": 0}
+
+
+def _zero_for_an_edge_without_register_groups(doc):
+    doc["register_groups"]["7"] = 0
+
+
+# A zero count at a key the recompute lacks: (damage, the table it names)
+ZERO_ENTRIES = {
+    "sll-half-the-device-lacks": (_zero_for_a_missing_half, "SLL table"),
+    "sll-row-the-device-lacks": (_zero_row_for_a_missing_boundary, "SLL table"),
+    "register-groups-of-an-edge-that-has-none":
+        (_zero_for_an_edge_without_register_groups, "register groups"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ZERO_ENTRIES))
+def test_check_compares_each_recorded_table_exactly(toy_files, tmp_path, capsys, case):
+    # the toy device has one die boundary, row 0, of one column, and its
+    # result's tables hold no zero entry, so each damage adds a key that a
+    # recompute from scratch does not have
+    damage, table = ZERO_ENTRIES[case]
+    _, run_dir = _optimize(toy_files, tmp_path)
+    path = run_dir / "result.json"
+    doc = json.loads(path.read_text())
+    assert doc["sll"] == {"0": {"0": 16}}
+    assert "7" not in doc["register_groups"]
+    damage(doc)
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["check", "--result", str(path)]) == 2
+    assert f"recorded {table}" in capsys.readouterr().err
+
+
 def test_check_rejects_a_tampered_design_latency(toy_files, tmp_path, capsys):
     _, run_dir = _optimize(toy_files, tmp_path)
     path = run_dir / "result.json"

@@ -101,6 +101,11 @@ def test_resource_vector_is_a_tuple_of_counts(a, b):
         2 * v
     with pytest.raises(TypeError):
         v < w
+    # the named multiple instead: the vector itself once, a sum k times over
+    assert v.scaled(1) is v
+    for k in (2, 3, 7):
+        assert type(v.scaled(k)) is ResourceVector
+        assert v.scaled(k) == ResourceVector.sum([v] * k)
 
 
 def test_utilization_ratio_is_worst_kind():

@@ -28,6 +28,7 @@ from fado.packer import (
     online_pack,
 )
 from fado.pipeliner import SllState, recompute_all
+from fado.search import split_batch
 
 from helpers import (
     STATE_ENTRIES,
@@ -37,6 +38,7 @@ from helpers import (
     grid_documents,
     parse,
     qor_doc,
+    reference_demand,
     reference_online_pack,
     reference_repack,
     sll_fingerprint,
@@ -316,9 +318,16 @@ def _bound_state(luts, placement, *, slots=2):
     return PackState(device, graph, lib, baseline_configuration(graph), placement)
 
 
+def _rest(state, batch):
+    """The state's ``device_rest`` for ``batch``, split by template as the
+    search splits it."""
+    return device_rest(state, split_batch(state.lib, sorted(batch)))
+
+
 def _fits(state, targets):
-    """``fits_device`` with the remainder taken from the state as it is."""
-    return fits_device(state, targets, device_rest(state, targets))
+    """``fits_device`` with the demand of ``targets`` summed member by
+    member and the remainder taken from the state as it is."""
+    return fits_device(state, reference_demand(state.lib, targets), _rest(state, targets))
 
 
 def test_fits_device_refuses_a_batch_over_the_device_bound():
@@ -441,9 +450,9 @@ def test_one_remainder_serves_every_vector_until_one_is_applied(instance):
     args, vectors, allow_moves = instance
     state = PackState(*args)
     batch = sorted(vectors[0])
-    rest = device_rest(state, batch)
+    rest = _rest(state, batch)
     for vec in vectors:
-        fits = fits_device(state, vec, rest)
+        fits = fits_device(state, reference_demand(state.lib, vec), rest)
         assert fits == within_device_bound(state, vec)
         if not fits:
             continue
@@ -454,7 +463,7 @@ def test_one_remainder_serves_every_vector_until_one_is_applied(instance):
         assert not state.check_legal()
         if ok:
             # the vector is applied: the next iteration's remainder
-            rest = device_rest(state, batch)
+            rest = _rest(state, batch)
 
 
 def test_candidate_slots_prefer_the_least_critical_fit():

@@ -13,21 +13,23 @@ from hypothesis import strategies as st
 from fado import instancegen, search
 from fado.floorplan import FloorplanError
 from fado.model import (
+    ResourceVector,
     baseline_configuration,
     design_latency,
     function_latencies,
     path_latency,
 )
-from fado.packer import PackState
+from fado.packer import PackState, device_rest, fits_device
 from fado.pipeliner import recompute_all
 from fado.search import (
     DEFAULT_LOOKAHEAD_N,
     _candidates,
     _Levels,
-    _window_vectors,
+    _lockstep,
     compute_lookahead_N,
     prune,
     run,
+    split_batch,
 )
 
 from helpers import (
@@ -38,6 +40,8 @@ from helpers import (
     loop_doc,
     parse,
     qor_doc,
+    reference_candidates,
+    reference_demand,
     reference_lookahead_depth,
     reference_path_latency,
     select_bottleneck,
@@ -126,7 +130,10 @@ def test_levels_follow_accepted_latencies():
 
 
 def _points(lats):
-    return SimpleNamespace(points=[SimpleNamespace(id=f"p{l}", latency=l) for l in sorted(lats)])
+    """A template stand-in whose point of latency l is ``pl``, holding l LUTs."""
+    return SimpleNamespace(points=[SimpleNamespace(id=f"p{l}", latency=l,
+                                                   resources=ResourceVector(lut=l))
+                                   for l in sorted(lats)])
 
 
 def test_prune_keeps_points_below_the_second_tier():
@@ -140,29 +147,155 @@ def test_prune_finds_nothing_below_the_fastest_point():
     assert prune(tmpl, 15) is None
 
 
-def test_window_vectors_lockstep_with_fallback():
+def test_lockstep_choices_fall_back_to_the_dp():
     mk = lambda i: SimpleNamespace(id=i)
-    alts = {"a": [mk("a1"), mk("a2")], "b": [mk("b1")]}
-    fallback = {"a": mk("aDP"), "b": mk("bDP")}
-    vecs = list(_window_vectors(["a", "b"], alts, fallback, 5))
-    assert vecs == [
-        {"a": "a1", "b": "b1"},
-        {"a": "a2", "b": "bDP"},
+    alts = [[mk("a1"), mk("a2")], [mk("b1")]]
+    fallback = [mk("aDP"), mk("bDP")]
+    choices = [[p.id for p in points] for points in _lockstep(alts, fallback, 5)]
+    assert choices == [
+        ["a1", "b1"],
+        ["a2", "bDP"],
     ]
 
 
 def test_candidates_run_dp_then_look_ahead_then_look_back():
     # a has two look-ahead points, so a window of one cuts the second; the
-    # look-back vectors alone may not repack
+    # look-back vectors alone may not repack; each point pl holds l LUTs
     tmpls = {"a": _points([10, 20, 30, 45, 60, 80]), "b": _points([15, 25, 35, 80])}
-    lib = SimpleNamespace(template_for=tmpls.__getitem__)
-    dps = {f: prune(t, 40) for f, t in tmpls.items()}
-    assert list(_candidates(lib, ["a", "b"], dps, 80, 1)) == [
+    split = [(tmpls["a"], ["a"]), (tmpls["b"], ["b"])]
+    dps = [prune(t, 40) for t, _ in split]
+    stream = list(_candidates(["a", "b"], split, dps, 80, 1))
+    assert [(stage, vec, may) for stage, vec, _, may in stream] == [
         (None, {"a": "p30", "b": "p35"}, True),
         ("look_ahead", {"a": "p20", "b": "p25"}, True),
         ("look_back", {"a": "p45", "b": "p35"}, False),
         ("look_back", {"a": "p60", "b": "p35"}, False),
     ]
+    assert [demand.lut for _, _, demand, _ in stream] == [65, 45, 80, 95]
+
+
+def _two_template_instance():
+    """f1 and f3 are instances of template A, f2 of B, and c of its own
+    template at latency 40; both A and B have a point ``p1``, with other
+    latencies and resources.  f1 and f3 sit at A's two latency-80 points,
+    f2 at B's baseline, on one 100-LUT slot.  Each entry: id, latency, LUTs."""
+    a = [("baseline", 80, 5), ("q80", 80, 7), ("p60", 60, 9), ("p1", 30, 20),
+         ("p0a", 20, 25), ("p0", 10, 40)]
+    b = [("baseline", 80, 4), ("p70", 70, 6), ("p50", 50, 8), ("p1", 35, 30), ("p05", 5, 50)]
+    qor = qor_doc({
+        name: template_doc([(pid, lat, {"lut": lut}) for pid, lat, lut in points])
+        for name, points in (("A", a), ("B", b), ("C", [("baseline", 40, 3)]))
+    })
+    design = design_doc([("K", "dataflow", ["c", "f1", "f2", "f3"])],
+                        templates={"f1": "A", "f2": "B", "f3": "A", "c": "C"})
+    device, graph, lib = parse(device_doc(width=1, height=1, cap={"lut": 100}, util_limit=1.0),
+                               design, qor)
+    config = {**baseline_configuration(graph), "f3": "q80"}
+    return PackState(device, graph, lib, config, dict.fromkeys(graph.functions, 0))
+
+
+def test_a_batch_over_two_templates_is_worked_per_template():
+    state = _two_template_instance()
+    lib = state.lib
+    l1, batch, l2 = _Levels(function_latencies(state.graph, lib, state.config)).select()
+    assert (l1, batch, l2) == (80, ["f1", "f2", "f3"], 40)
+    split = split_batch(lib, batch)
+    assert split == [(lib.templates["A"], ["f1", "f3"]), (lib.templates["B"], ["f2"])]
+    # one DP per template: each its own p1
+    dps = [prune(t, l2) for t, _ in split]
+    assert [(p.id, p.latency) for p in dps] == [("p1", 30), ("p1", 35)]
+    # windows: A looks ahead to p0a then p0, B to p05 then falls back to
+    # its DP; A looks back to p60 then falls back, B to p50 then p70.  A's
+    # points count twice in each demand, B's once.
+    stream = list(_candidates(batch, split, dps, l1, 2))
+    want = [
+        (None, ("p1", "p1"), 2 * 20 + 30, True),
+        ("look_ahead", ("p0a", "p05"), 2 * 25 + 50, True),
+        ("look_ahead", ("p0", "p1"), 2 * 40 + 30, True),
+        ("look_back", ("p60", "p50"), 2 * 9 + 8, False),
+        ("look_back", ("p1", "p70"), 2 * 20 + 6, False),
+    ]
+    assert [(stage, (vec["f1"], vec["f2"]), demand, may)
+            for stage, vec, demand, may in stream] == \
+        [(stage, ids, ResourceVector(lut=lut), may) for stage, ids, lut, may in want]
+    assert all(list(vec) == batch and vec["f3"] == vec["f1"] for _, vec, _, _ in stream)
+    # the remainder takes f1's baseline and f3's q80 off the 19-LUT total,
+    # leaving c's 3; of 100 LUTs, the look-ahead vectors ask too much
+    rest = device_rest(state, split)
+    assert rest == ResourceVector(lut=3)
+    assert [fits_device(state, demand, rest) for _, _, demand, _ in stream] == \
+        [True, False, False, True, True]
+
+
+@st.composite
+def _shared_template_state(draw):
+    """A state of 1-7 functions, instances of 1-3 templates, and an anchor
+    function ``z`` at latency 7, on one or two slots, and a look-ahead
+    window size.  The templates share point ids and a few latencies, and
+    each has a 5-cycle point below the anchor, so that a batch often spans
+    templates, has a DP to go to, and holds members of one template at
+    different points of one latency; every function's point is drawn."""
+    names = [f"f{i}" for i in range(draw(st.integers(1, 7)))]
+    n_templates = draw(st.sampled_from((1, 2, 2, 3)))
+    tmpl_of = {f: f"T{draw(st.integers(0, n_templates - 1))}" for f in names}
+    latency = st.sampled_from((10, 20, 40, 80))
+    amount = st.sampled_from((0, 1, 3, 8, 20))
+    shared = draw(st.lists(latency, min_size=1, max_size=3))
+    templates = {}
+    for t in sorted(set(tmpl_of.values())):
+        lats = [*shared, *draw(st.lists(latency, max_size=3)), 5]
+        templates[t] = template_doc([
+            ("baseline" if i == 0 else f"p{i}", lat,
+             {"lut": draw(amount), "dsp": draw(amount), "ff": draw(amount)})
+            for i, lat in enumerate(lats)
+        ])
+    templates["Z"] = template_doc([("baseline", 7, {"lut": 1})])
+    tmpl_of["z"] = "Z"
+    names.append("z")
+    height = draw(st.integers(1, 2))
+    cap = {"lut": draw(st.sampled_from((20, 60, 200))), "dsp": draw(st.sampled_from((0, 30))),
+           "ff": 1000}
+    device, graph, lib = parse(device_doc(width=1, height=height, cap=cap, util_limit=1.0),
+                               design_doc([("K", "dataflow", names)], templates=tmpl_of),
+                               qor_doc(templates))
+    config = {f: draw(st.sampled_from([p.id for p in lib.template_for(f).points]))
+              for f in names}
+    placement = {f: draw(st.integers(0, height - 1)) for f in names}
+    return PackState(device, graph, lib, config, placement), draw(st.integers(0, 4))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_shared_template_state())
+def test_the_template_stream_matches_a_per_member_one(instance):
+    state, n = instance
+    lib = state.lib
+    l1, batch, l2 = _Levels(function_latencies(state.graph, lib, state.config)).select()
+    split = split_batch(lib, batch)
+    # each template once, in the order it first appears, with its members
+    # in batch order
+    firsts = [fns[0] for _, fns in split]
+    assert firsts == sorted(firsts, key=batch.index)
+    assert all(fns == [f for f in batch if lib.template_for(f) is t] for t, fns in split)
+    assert sum(len(fns) for _, fns in split) == len(batch)
+    dps = [prune(t, l2) for t, _ in split]
+    per_member = {f: prune(lib.template_for(f), l2) for f in batch}
+    assert per_member == {f: dp for (_, fns), dp in zip(split, dps) for f in fns}
+    if None in dps:
+        event("no DP")
+        return
+    event("templates in batch: %d" % len(split))
+    if any(len({state.config[f] for f in fns}) > 1 for _, fns in split):
+        event("a template's members at different points")
+    stream = list(_candidates(batch, split, dps, l1, n))
+    assert [(stage, vec, may) for stage, vec, _, may in stream] == \
+        list(reference_candidates(lib, batch, per_member, l1, n))
+    assert all(list(vec) == batch for _, vec, _, _ in stream)
+    total = ResourceVector.sum(state.slot_load.values())
+    rest = device_rest(state, split)
+    assert rest == total - reference_demand(lib, {f: state.config[f] for f in batch})
+    for _, vec, demand, _ in stream:
+        assert demand == reference_demand(lib, vec)
+        assert fits_device(state, demand, rest) == within_device_bound(state, vec)
 
 
 # ---------------------------------------------------------------------------
@@ -397,7 +530,7 @@ def test_a_failed_vector_is_repacked_for_only_within_the_device_bound(monkeypatc
     # ("vector", within the device bound), ("pack", within, ok) or
     # ("repack",), in call order
     events = []
-    pack, repack, fits = search.online_pack, search.offline_repack, search.fits_device
+    attempt, pack, repack = search._attempt, search.online_pack, search.offline_repack
 
     def spy_pack(state, vec, allow_moves=True):
         within = within_device_bound(state, vec)
@@ -405,8 +538,12 @@ def test_a_failed_vector_is_repacked_for_only_within_the_device_bound(monkeypatc
         events.append(("pack", within, ok))
         return ok, moves
 
-    monkeypatch.setattr(search, "fits_device", lambda state, vec, rest: events.append(
-        ("vector", within_device_bound(state, vec))) or fits(state, vec, rest))
+    def spy_attempt(state, vec, *args):
+        # each attempt first checks its vector against the bound
+        events.append(("vector", within_device_bound(state, vec)))
+        return attempt(state, vec, *args)
+
+    monkeypatch.setattr(search, "_attempt", spy_attempt)
     monkeypatch.setattr(search, "online_pack", spy_pack)
     monkeypatch.setattr(search, "offline_repack", lambda state: events.append(("repack",))
                         or repack(state))
@@ -438,9 +575,9 @@ def test_a_look_back_vector_is_never_repacked_for(monkeypatch):
     candidates, pack, repack = search._candidates, search.online_pack, search.offline_repack
 
     def spy_candidates(*args):
-        for stage, vec, may_repack in candidates(*args):
+        for stage, vec, demand, may_repack in candidates(*args):
             events.append(("vector", stage))
-            yield stage, vec, may_repack
+            yield stage, vec, demand, may_repack
 
     def spy_pack(state, vec, allow_moves=True):
         ok, moves = pack(state, vec, allow_moves)
