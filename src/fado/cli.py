@@ -67,20 +67,29 @@ def _read_text(path: str) -> str:
         return fh.read()
 
 
+def _decode(text: str, path: str):
+    """The JSON document ``text``, read from ``path``.  A document nested
+    too deeply for the decoder is a ModelError naming the file."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ModelError(f"{path}: JSON nested too deeply to decode") from None
+
+
 def _load_inputs(args):
     """The device, design and QoR library, and what they were parsed from
     (see ``_result_pieces``): the device document with the CLI limit
     overrides applied, and the design and QoR documents' texts as read."""
-    device_doc = json.loads(_read_text(args.device))
+    device_doc = _decode(_read_text(args.device), args.device)
     for key in ("util_limit", "sll_limit"):
         value = getattr(args, key, None)
         if value is not None and isinstance(device_doc, dict):
             device_doc[key] = value
     device = device_from_dict(device_doc)
     design_text = _read_text(args.design)
-    graph = design_from_dict(json.loads(design_text))
+    graph = design_from_dict(_decode(design_text, args.design))
     qor_text = _read_text(args.qor)
-    lib = qor_from_dict(json.loads(qor_text), graph)
+    lib = qor_from_dict(_decode(qor_text, args.qor), graph)
     return device, graph, lib, (device_doc, design_text, qor_text)
 
 
@@ -94,7 +103,7 @@ RESULT_DOC = "result document"
 
 def _load_result(path: str):
     """A result document and the device, design and QoR library it embeds."""
-    doc = json.loads(_read_text(path))
+    doc = _decode(_read_text(path), path)
     inputs = _entry(doc, "inputs", RESULT_DOC)
     device = device_from_dict(_entry(inputs, "device", "result 'inputs'"))
     graph = design_from_dict(_entry(inputs, "design", "result 'inputs'"))

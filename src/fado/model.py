@@ -55,6 +55,10 @@ log = logging.getLogger(__name__)
 
 RESOURCE_KINDS = ("bram", "dsp", "ff", "lut", "uram")
 
+# The largest count a document may give: 2**53 is the largest integer a
+# float holds exactly, and budgets and ratios take counts as floats.
+MAX_COUNT = 2 ** 53
+
 # Integer loads are compared against fractional limits (e.g. 70 used vs a
 # 0.7 * 100 budget).  The slack absorbs float rounding so a load sitting
 # exactly on the limit is accepted; genuine violations differ by >= 1 unit.
@@ -145,8 +149,9 @@ class ResourceVector(tuple):
         One pass over the kinds: a plain int is taken as it is, and any
         other entry goes through ``_number_entry``, which turns a whole
         float such as ``4.0`` into 4 and refuses a bool, a string or a
-        fraction.  Then unknown kinds and negative counts are refused.
-        ``where`` names the dict in error messages (see ``_context``).
+        fraction.  Then unknown kinds, negative counts and counts above
+        ``MAX_COUNT`` are refused.  ``where`` names the dict in error
+        messages (see ``_context``).
         """
         if not isinstance(d, dict):
             raise ModelError(f"{_context(where)} must be an object, got {d!r}")
@@ -160,6 +165,9 @@ class ResourceVector(tuple):
             raise ModelError(f"unknown resource kinds {sorted(d.keys() - _KIND_SET)}")
         if min(counts) < 0:
             return cls(*counts)  # raises, naming the negative kind
+        if max(counts) > MAX_COUNT:
+            kind = RESOURCE_KINDS[counts.index(max(counts))]
+            raise ModelError(f"{_context(where)}: {kind!r} must be at most 2**53")
         return tuple.__new__(cls, counts)
 
     @classmethod
@@ -429,6 +437,8 @@ def device_from_dict(doc: dict) -> DeviceModel:
             cap = _number_entry(h, "sll_capacity", where)
             if cap < 0:
                 raise ModelError(f"negative SLL capacity at boundary y={y} x={hx}")
+            if cap > MAX_COUNT:
+                raise ModelError(f"{where()}: 'sll_capacity' must be at most 2**53")
             if hx in halves:
                 raise ModelError(f"die boundary y={y} lists column x={hx} twice")
             halves[hx] = cap

@@ -6,11 +6,13 @@ bounded below by its design latency with the functions not yet chosen at
 their fastest points.  A full configuration that survives the bound is
 placed by exhaustive group-to-slot assignment.  The node budget is the
 only bound on a solve: past it the answer is ``budget_exceeded``, whatever
-the instance's size.  Verification is the same solve under a latency
-bound: ``verify_optimal`` prunes every node not faster than the result it
-checks, so any witness it returns is a legal configuration faster than
-that result, and the fastest one when the search finishes within its
-budget.
+the instance's size.  Both walks keep the path from the root on a list,
+not on the interpreter's call stack, so their depth, one level per
+function or RAM group, is bounded by memory alone.  Verification is the
+same solve under a latency bound: ``verify_optimal`` prunes every node not
+faster than the result it checks, so any witness it returns is a legal
+configuration faster than that result, and the fastest one when the
+search finishes within its budget.
 
 A placement counts as routable only when the pipeliner's half-selection
 fold, the one wire rule the search and ``fado check`` apply, keeps every
@@ -78,32 +80,38 @@ def assign_slots(device: DeviceModel, graph: DesignGraph, lib: QoRLibrary, confi
     budget = device.slot_budget
     loads = {s.id: ResourceVector.zero() for s in device.slots}
     chosen: dict[str, int] = {}
-
-    def place(i: int) -> dict | None:
+    slots = device.slots  # in id order: parsing sorts them
+    path = []  # per group placed, in order: its slot's position in ``slots``
+    while True:
         if tick is not None:
             tick()
-        if i == len(order):
+        if len(path) == len(order):
             placement = {
                 m: chosen[g.gid] for g in groups for m in g.members
             }
-            if not recompute_all(device, graph, placement).feasible():
-                return None
-            return placement
-        g = order[i]
-        for s in device.slots:  # in id order: parsing sorts them
-            post = loads[s.id] + sizes[g.gid]
-            if not within_budget(post, budget[s.id]):
+            if recompute_all(device, graph, placement).feasible():
+                return placement
+        else:
+            path.append(-1)
+        # the deepest group with a fitting slot left moves there; each group
+        # passed over leaves its slot
+        while path:
+            gid, j = order[len(path) - 1].gid, path[-1]
+            if j >= 0:
+                sid = slots[j].id
+                loads[sid] = loads[sid] - sizes[gid]
+            for j in range(j + 1, len(slots)):
+                sid = slots[j].id
+                post = loads[sid] + sizes[gid]
+                if within_budget(post, budget[sid]):
+                    loads[sid], chosen[gid], path[-1] = post, sid, j
+                    break
+            else:  # no slot left: back up one group
+                path.pop()
                 continue
-            loads[s.id] = post
-            chosen[g.gid] = s.id
-            found = place(i + 1)
-            if found is not None:
-                return found
-            loads[s.id] = loads[s.id] - sizes[g.gid]
-            del chosen[g.gid]
-        return None
-
-    return place(0)
+            break
+        else:
+            return None
 
 
 def solve(device: DeviceModel, graph: DesignGraph, lib: QoRLibrary,
@@ -147,40 +155,61 @@ def _search(device: DeviceModel, graph: DesignGraph, lib: QoRLibrary,
         if spent > node_budget:
             raise _Stop
 
-    def descend(i: int, lb: int, dist: list) -> None:
-        """The node where ``fns[:i]`` are chosen in ``partial`` and the rest
-        sit at their fastest points, with design latency ``lb`` and kernel
-        path lengths ``dist``; ``i == len(fns)`` is a full configuration."""
+    def visit(lb: int) -> None:
+        """A full configuration, of design latency ``lb``: its placement is
+        searched unless it cannot replace the witness."""
         nonlocal candidates, checked, best_latency, best_config, best_placement
-        tick()
-        if (best_latency is not None and lb > best_latency) or lb >= below:
+        candidates += 1
+        # a tie replaces the witness only with a lexicographically smaller one
+        if lb == best_latency and [partial[f] for f in fns] >= [best_config[f] for f in fns]:
             return
-        if i == len(fns):
-            candidates += 1
-            # a tie replaces the witness only with a lexicographically smaller one
-            if lb == best_latency and [partial[f] for f in fns] >= [best_config[f] for f in fns]:
-                return
-            checked += 1
-            placement = assign_slots(device, graph, lib, partial, tick=tick)
-            if placement is not None:
-                best_latency, best_config, best_placement = lb, dict(partial), placement
-            return
-        f = fns[i]
-        k = kernel_at[f]
-        members, child = plan[k][0], dists[i + 1]
-        kept = partial[f], latency[f], weights[k]
-        for p in points[i]:
-            partial[f], latency[f] = p.id, p.latency
-            weights[k] = kernel_weight(members, latency)
-            if weights[k] == kept[2]:
-                descend(i + 1, lb, dist)
+        checked += 1
+        placement = assign_slots(device, graph, lib, partial, tick=tick)
+        if placement is not None:
+            best_latency, best_config, best_placement = lb, dict(partial), placement
+
+    def walk() -> None:
+        """Depth first from the root, where every function sits at its
+        fastest point.  The node at depth i has ``fns[:i]`` chosen in
+        ``partial``, design latency ``lb`` and kernel path lengths ``dist``;
+        depth ``len(fns)`` is a full configuration.  ``path`` holds, per
+        function chosen, the points it has left to try and what its node
+        had on entry: the function's point, latency and kernel weight, and
+        the node's ``lb`` and ``dist``."""
+        lb, dist = longest_path(plan, weights, dists[0]), dists[0]
+        path = []
+        while True:
+            tick()
+            i = len(path)
+            if (best_latency is None or lb <= best_latency) and lb < below:
+                if i == len(fns):
+                    visit(lb)
+                else:
+                    f = fns[i]
+                    kept = partial[f], latency[f], weights[kernel_at[f]]
+                    path.append((iter(points[i]), kept, lb, dist))
+            # the deepest function with a point left takes it; each function
+            # passed over goes back to its fastest point
+            while path:
+                left, kept, lb, dist = path[-1]
+                f = fns[len(path) - 1]
+                k = kernel_at[f]
+                p = next(left, None)
+                if p is not None:
+                    break
+                partial[f], latency[f], weights[k] = kept
+                path.pop()
             else:
+                return
+            partial[f], latency[f] = p.id, p.latency
+            weights[k] = kernel_weight(plan[k][0], latency)
+            if weights[k] != kept[2]:
+                child = dists[len(path)]
                 child[:k] = dist[:k]
-                descend(i + 1, longest_path(plan, weights, child, k), child)
-        partial[f], latency[f], weights[k] = kept
+                lb, dist = longest_path(plan, weights, child, k), child
 
     try:
-        descend(0, longest_path(plan, weights, dists[0]), dists[0])
+        walk()
         status = "infeasible" if best_latency is None else "optimal"
     except _Stop:
         status = "budget_exceeded"

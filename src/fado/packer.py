@@ -7,18 +7,11 @@ is a best-fit-decreasing compaction that moves groups from less-utilized
 slots into fuller ones to open up contiguous headroom, without touching any
 chosen point.
 
-No packing can place a batch whose total demand exceeds, in some resource
-kind, what the slots hold together (``DeviceModel.device_bound``, the
-device's ``holds`` of all its slots: the slot-side twin of the wires'
-reject bound).  ``fits_device`` is the one test of that bound, and the
-search makes it once per vector, before any packing work; online packing
-itself does not check the bound.  The test adds a vector's demand, its
-target resources, to a remainder, ``device_rest``: the device total less
-the current resources of the vector's functions.  Both are worked per
-template, as the search works a batch: members of one template at one
-point count that point once per member, as one ``scaled`` vector.  Moves
-and failed packs leave the remainder as it is, so the search takes it once
-per batch and each vector's test costs one add, whatever the batch size.
+No packing can place target points whose total demand exceeds, in some
+resource kind, what the slots hold together (``DeviceModel.device_bound``,
+the slot-side twin of the wires' reject bound).  The search screens its
+vectors against that bound before any packing work, so nothing here checks
+it.
 
 Offline re-packing tests only what could move.  It buckets the unpinned
 groups by slot once, and gives each source slot a fit floor, the per-kind
@@ -59,7 +52,6 @@ routing state's one overflow report, lists them.
 
 from __future__ import annotations
 
-from collections import Counter
 from operator import sub
 
 from .model import (
@@ -185,38 +177,6 @@ def _fits_slot(state: PackState, slot_id: int, extra: tuple) -> bool:
     return within_budget(state.slot_load[slot_id], state.device.slot_budget[slot_id], extra)
 
 
-def device_rest(state: PackState, split) -> ResourceVector:
-    """The device's total load less the batch's current resources: the part
-    of the total that a target vector over the batch leaves as it is (see
-    ``fits_device``).  ``split`` is the batch by template, as (template,
-    functions) pairs: the functions of one template at one point count
-    that point's resources once each, taken as one ``scaled`` vector."""
-    config = state.config
-    rest = ResourceVector.sum(state.slot_load.values())
-    for template, fns in split:
-        if len(fns) == 1:
-            rest = rest - template.by_id[config[fns[0]]].resources
-            continue
-        for pid, k in Counter(map(config.__getitem__, fns)).items():
-            rest = rest - template.by_id[pid].resources.scaled(k)
-    return rest
-
-
-def fits_device(state: PackState, demand: ResourceVector, rest: ResourceVector) -> bool:
-    """True when the device's total load, with a batch moved to the target
-    points whose resources sum to ``demand``, stays within the device's
-    ``device_bound``: per kind, what the slots hold together
-    (``DeviceModel.holds``).
-
-    ``rest`` is the batch's ``device_rest``.  Moves and failed packs
-    change neither the total nor any point, so one remainder serves
-    every vector over the same functions until one of them is applied.  For
-    the same reason a batch over the bound has no legal packing at all, and
-    neither online packing nor a repack can place it.
-    """
-    return within_budget(rest + demand, state.device.device_bound)
-
-
 def _candidate_slots(state: PackState, exclude: int, extra: ResourceVector) -> list[int]:
     """Other slots ordered by worst-fit preference for ``extra``.
 
@@ -240,17 +200,14 @@ def _candidate_slots(state: PackState, exclude: int, extra: ResourceVector) -> l
 def online_pack(state: PackState, targets: dict, allow_moves: bool = True) -> tuple[bool, list]:
     """Apply one target point per function, repairing the floorplan on demand.
 
-    Transactional over the whole batch: if any function fits neither in
+    Transactional over all of ``targets``: if any function fits neither in
     place nor (with its RAM group) on any other slot, the state goes back
     to entry and fit is False.  Returned moves are (function, from, to).
 
     The device-wide bound is not checked here: on a state whose slots are
-    all within budget, as the search keeps them, a batch over the bound
-    (``fits_device``) fails whatever is tried and leaves the state as it
-    was, so callers screen it out beforehand.  A failed pack puts back
-    every point and slot load, so a remainder taken before it
-    (``device_rest``) still holds for the next vector over the same
-    functions.
+    all within budget, as the search keeps them, targets over the bound
+    fail whatever is tried and leave the state as it was, and the search
+    screens them out before it packs (see ``search._room``).
     """
     sll = state.sll
     done: list[tuple] = []  # (function, old point, moved group or None, slot it left)

@@ -12,18 +12,16 @@ A batch is worked per template.  Its members are instances of few HLS
 templates (on the bench, one per batch), and members of one template share
 the DP, both windows and the point at every attempt, so the batch is split
 by template once per iteration (``split_batch``) and each template takes one
-DP and builds each window once.  Each vector comes with its demand, the
-chosen points' resources once per member (``ResourceVector.scaled``), and
-is first checked against the device-wide bound (per kind, the sum of the
-slots' floored fit budgets, ``fits_device``): no floorplan can hold a
-vector over it, so it is refused before online packing or a repack touches
-the state.  The check adds the demand to the batch's remainder, the device
-total less the batch's current resources (``device_rest``), taken once per
-iteration: until a vector is applied, repacks only move groups and failed
-packs roll back, so neither changes the remainder.  Only online packing and
-acceptance visit the members one at a time.
+DP and builds each window once.  The stream screens each vector against the
+device-wide bound (``DeviceModel.device_bound``, what the slots hold
+together), so one that no floorplan can hold is neither built nor packed:
+its demand, its points' resources once per member, must fit the batch's
+room (``_room``), the bound less the device total plus the batch's current
+resources.  The room is taken once per iteration: until a vector is
+applied, repacks only move groups and failed packs roll back.  Only online
+packing and acceptance visit the members one at a time.
 
-A vector within the bound is packed online; if that fails, any but a
+A vector the screen passes is packed online; if that fails, any but a
 look-back vector repacks offline and, when the repack moved something,
 retries online packing (which is deterministic, so on an unchanged state
 it would fail again).  A batch that no vector legalizes is excluded from
@@ -48,7 +46,9 @@ from __future__ import annotations
 import logging
 import time
 from bisect import bisect_left, insort
+from collections import Counter
 from dataclasses import dataclass, field
+from operator import sub
 
 from .floorplan import FloorplanError, balanced_initial, min_cut_initial
 from .model import (
@@ -61,8 +61,9 @@ from .model import (
     function_latencies,
     kernel_weight,
     longest_path,
+    within_budget,
 )
-from .packer import PackState, device_rest, fits_device, offline_repack, online_pack
+from .packer import PackState, offline_repack, online_pack
 
 log = logging.getLogger(__name__)
 
@@ -213,19 +214,32 @@ def split_batch(lib: QoRLibrary, batch: list) -> list:
     return [(lib.templates[t], fns) for t, fns in shares.items()]
 
 
-def _targets(batch: list, split: list, points: list):
+def _room(state: PackState, split: list) -> tuple:
+    """Per kind, how much a target vector over the batch may ask for: the
+    device's ``device_bound`` less its total load, plus the batch's current
+    resources, which the vector replaces.  ``split`` is the batch by
+    template: the members of one template at one point count that point's
+    resources once each, as one ``scaled`` vector."""
+    config = state.config
+    rest = ResourceVector.sum(state.slot_load.values())
+    for template, fns in split:
+        if len(fns) == 1:
+            rest = rest - template.by_id[config[fns[0]]].resources
+            continue
+        for pid, k in Counter(map(config.__getitem__, fns)).items():
+            rest = rest - template.by_id[pid].resources.scaled(k)
+    return tuple(map(sub, state.device.device_bound, rest))
+
+
+def _vector(batch: list, split: list, points: list) -> dict:
     """The target vector over ``batch`` that puts each template's members
-    at its point in ``points``, keyed in batch order, and its demand: each
-    point's resources once per member (``scaled``), summed."""
+    at its point in ``points``, keyed in batch order."""
     if len(split) == 1:
-        p = points[0]
-        return dict.fromkeys(batch, p.id), p.resources.scaled(len(batch))
+        return dict.fromkeys(batch, points[0].id)
     vec = dict.fromkeys(batch)
-    demand = ResourceVector.zero()
     for (_, fns), p in zip(split, points):
         vec.update(dict.fromkeys(fns, p.id))
-        demand = demand + p.resources.scaled(len(fns))
-    return vec, demand
+    return vec
 
 
 def _lockstep(alts: list, dps: list, limit: int):
@@ -238,32 +252,37 @@ def _lockstep(alts: list, dps: list, limit: int):
         yield [a[k] if k < len(a) else dp for a, dp in zip(alts, dps)]
 
 
-def _candidates(batch: list, split: list, dps: list, l1: int, n: int):
+def _candidates(batch: list, split: list, dps: list, l1: int, n: int, room: tuple):
     """An iteration's target vectors in the order they are tried, as
-    ``(stage, vector, demand, may_repack)``; the DP vector's stage is None,
-    to be named by the packing that places it.  ``dps`` holds each
-    template's DP, in ``split`` order.  Lazy: a window is built only once
-    every vector before it has failed, and once per template, since its
+    ``(stage, vector, may_repack)``, each only when its demand is within
+    ``room`` (see ``_room``); the DP vector's stage is None, to be named by
+    the packing that places it.  ``dps`` holds each template's DP, in
+    ``split`` order.  Lazy: a window is built only once every vector before
+    it has failed or been screened out, and once per template, since its
     members share every point they are tried at."""
-    yield (None, *_targets(batch, split, dps), True)
+
+    def screened(stage, choices, may_repack):
+        for points in choices:  # demand: each point's resources once per member
+            demand = (points[0].resources.scaled(len(batch)) if len(split) == 1 else
+                      ResourceVector.sum(p.resources.scaled(len(fns))
+                                         for (_, fns), p in zip(split, points)))
+            if within_budget(demand, room):
+                yield stage, _vector(batch, split, points), may_repack
+
+    yield from screened(None, (dps,), True)
     ahead = [[p for p in t.points if p.latency < dp.latency][::-1]
              for (t, _), dp in zip(split, dps)]
-    for points in _lockstep(ahead, dps, n):
-        yield (STAGE_LOOK_AHEAD, *_targets(batch, split, points), True)
+    yield from screened(STAGE_LOOK_AHEAD, _lockstep(ahead, dps, n), True)
     back = [[p for p in t.points if dp.latency < p.latency < l1]
             for (t, _), dp in zip(split, dps)]
-    for points in _lockstep(back, dps, max(map(len, back))):
-        yield (STAGE_LOOK_BACK, *_targets(batch, split, points), False)
+    yield from screened(STAGE_LOOK_BACK, _lockstep(back, dps, max(map(len, back))), False)
 
 
-def _attempt(state: PackState, vec: dict, demand: ResourceVector, rest: ResourceVector,
-             moves: list, allow_moves: bool, repack: bool) -> str | None:
+def _attempt(state: PackState, vec: dict, moves: list, allow_moves: bool,
+             repack: bool) -> str | None:
     """The stage that packed ``vec``, online or offline, or None; every move
-    made is kept in ``moves``.  ``demand`` is the vector's and ``rest`` the
-    batch's ``device_rest``.  The offline repack and the online retry after
-    it run only when both ``repack`` and ``allow_moves`` hold."""
-    if not fits_device(state, demand, rest):
-        return None
+    made is kept in ``moves``.  The offline repack and the online retry
+    after it run only when both ``repack`` and ``allow_moves`` hold."""
     ok, m = online_pack(state, vec, allow_moves=allow_moves)
     if ok:
         moves.extend(m)
@@ -347,10 +366,9 @@ def run(
         stage, accepted = STAGE_EXCLUDED, {}
         t_legalize = time.perf_counter()
         if None not in dps:
-            rest = device_rest(state, split)
-            for named, vec, demand, may_repack in _candidates(batch, split, dps, l1, n):
-                packed = _attempt(state, vec, demand, rest, moves, not freeze_floorplan,
-                                  may_repack)
+            room = _room(state, split)
+            for named, vec, may_repack in _candidates(batch, split, dps, l1, n, room):
+                packed = _attempt(state, vec, moves, not freeze_floorplan, may_repack)
                 if packed is not None:
                     stage, accepted = named or packed, vec
                     break

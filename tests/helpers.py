@@ -6,6 +6,7 @@ import copy
 import math
 from operator import le, sub
 
+from hypothesis import assume
 from hypothesis import strategies as st
 
 from fado import instancegen
@@ -21,9 +22,10 @@ from fado.model import (
     path_latency,
     qor_from_dict,
     utilization_ratio,
+    within_budget,
 )
 from fado.oracle import OracleResult, assign_slots
-from fado.packer import _candidate_slots, _fits_slot
+from fado.packer import PackState, _candidate_slots, _fits_slot
 
 
 def device_doc(width=1, height=2, *, cap=None, sll=1000, util_limit=0.65,
@@ -308,6 +310,55 @@ def within_device_bound(state, targets):
     config = {**state.config, **targets}
     total = ResourceVector.sum(state.lib.point(f, p).resources for f, p in config.items())
     return all(map(le, total, reference_holds(state.device, state.device.slots)))
+
+
+@st.composite
+def bound_instance(draw):
+    """A legal state on 2-4 slots whose kinds may have zero capacity (every
+    slot and die-boundary half within budget, as the search starts from),
+    and a batch of target points for some of its functions, as
+    ``((device, graph, lib, config, placement), targets, allow_moves)``.
+    The functions are instances of 1-3 templates, so members of one
+    template often sit at different current points."""
+    width, height = draw(st.sampled_from(((1, 2), (1, 3), (2, 2))))
+    doc = device_doc(width=width, height=height, sll=draw(st.sampled_from((8, 64, 1000))),
+                     util_limit=draw(st.sampled_from((0.5, 0.8, 1.0))))
+    for slot in doc["slots"]:
+        slot["capacity"] = {"lut": draw(st.sampled_from((40, 60, 100))),
+                            "dsp": draw(st.sampled_from((0, 30, 30))),
+                            "bram": draw(st.sampled_from((0, 20, 20)))}
+    names = [f"f{i}" for i in range(draw(st.integers(2, 6)))]
+    fn = st.sampled_from(names)
+    edges = draw(st.lists(
+        st.tuples(fn, fn, st.sampled_from(("fifo", "ram", "ram")), st.sampled_from((4, 8))),
+        max_size=6,
+    ).map(lambda es: [e for e in es if e[0] != e[1]]))
+    tmpl_of = {n: f"t{draw(st.integers(0, 2))}" for n in names}
+    amount = st.sampled_from((0, 0, 0, 0, 2, 5, 10))
+    lut = {"baseline": st.sampled_from((2, 5, 10)), "p1": st.sampled_from((5, 15, 25)),
+           "p2": st.sampled_from((10, 25, 40))}
+    qor = qor_doc({
+        t: template_doc([
+            (pid, lat, {"lut": draw(lut[pid]), "dsp": draw(amount), "bram": draw(amount)})
+            for pid, lat in (("baseline", 30), ("p1", 20), ("p2", 10))
+        ])
+        for t in sorted(set(tmpl_of.values()))
+    })
+    device, graph, lib = parse(doc, design_doc([("K", "dataflow", names)], edges, tmpl_of), qor)
+    config = {n: draw(st.sampled_from(("baseline", "baseline", "p1", "p2"))) for n in names}
+    load = {s.id: ResourceVector.zero() for s in device.slots}
+    placement = {}
+    for g in graph.ram_groups:
+        need = ResourceVector.sum(lib.point(m, config[m]).resources for m in g.members)
+        room = [sid for sid in load if within_budget(load[sid] + need, device.slot_budget[sid])]
+        assume(room)
+        sid = draw(st.sampled_from(room))
+        load[sid] = load[sid] + need
+        placement.update(dict.fromkeys(g.members, sid))
+    assume(not PackState(device, graph, lib, config, placement).check_legal())
+    targets = draw(st.dictionaries(fn, st.sampled_from(("p1", "p2", "p2")), min_size=1))
+    allow_moves = draw(st.sampled_from((True, True, True, False)))
+    return (device, graph, lib, config, placement), targets, allow_moves
 
 
 def reference_window_vectors(batch, alts, fallback, limit):

@@ -776,6 +776,20 @@ def _bare_int_io_boundary(doc):
     doc["io_boundaries"] = [0]
 
 
+# Counts above 2**53, the largest integer a float holds exactly.
+def _huge_slot_capacity(doc):
+    doc["slots"][0]["capacity"]["lut"] = 10**400
+
+
+def _huge_half_capacity(doc):
+    doc["die_boundaries"][0]["halves"][0]["sll_capacity"] = 10**400
+
+
+def _huge_point_under_a_normalization(doc):
+    doc["normalization"] = {"lut": 1}
+    doc["templates"]["tA"]["points"][0]["resources"]["lut"] = 10**400
+
+
 MALFORMED = {
     "slot-without-x": ("device", _drop_slot_x, "'x'"),
     "half-without-sll-capacity": ("device", _drop_half_capacity, "'sll_capacity'"),
@@ -799,6 +813,10 @@ MALFORMED = {
     "width-a-bool": ("design", _bool_width, "'width'"),
     "resource-count-a-string": ("qor", _string_resource_count, "'lut'"),
     "io-boundary-a-bare-int": ("device", _bare_int_io_boundary, "io boundary #0"),
+    "slot-capacity-too-large": ("device", _huge_slot_capacity, "device slot #0 capacity: 'lut'"),
+    "sll-capacity-too-large": ("device", _huge_half_capacity, "half #0: 'sll_capacity'"),
+    "point-too-large-under-a-normalization":
+        ("qor", _huge_point_under_a_normalization, "'baseline' resources: 'lut'"),
 }
 
 
@@ -847,6 +865,31 @@ def test_result_embedding_a_malformed_document_is_a_usage_error(
     _assert_one_line_error(capsys, needle)
 
 
+# A document nested deeper than the JSON decoder goes.  It is written as
+# raw text, since ``json.dumps`` would recurse as deeply.
+DEEP = "[" * 100_000 + "]" * 100_000
+
+
+@pytest.mark.parametrize("name", ["device", "design", "qor"])
+def test_an_input_nested_too_deeply_is_refused_in_one_line(toy_files, tmp_path, capsys, name):
+    path = toy_files / f"{name}.json"
+    path.write_text(DEEP)
+    code, _ = _optimize(toy_files, tmp_path)
+    assert code == 1
+    _assert_one_line_error(capsys, f"{path}: JSON nested too deeply")
+    inputs = [f"--{n}={toy_files / n}.json" for n in ("device", "design", "qor")]
+    assert main(["oracle", *inputs]) == 1
+    _assert_one_line_error(capsys, f"{path}: JSON nested too deeply")
+
+
+@pytest.mark.parametrize("command", ["check", "verify-optimal"])
+def test_a_result_nested_too_deeply_is_a_usage_error(tmp_path, capsys, command):
+    path = tmp_path / "result.json"
+    path.write_text(DEEP)
+    assert main([command, "--result", str(path)]) == 1
+    _assert_one_line_error(capsys, f"{path}: JSON nested too deeply")
+
+
 # Values a fuzzed entry takes: nested nulls, and every JSON type including
 # a whole float, bools and a name outside ASCII.
 _NULLS = (None, [None], [[None]], {"x": None})
@@ -892,8 +935,8 @@ def _mutate(docs, data):
             docs[n] = _rename(docs[n], old, old + "_é名")
         return
     slots = _slots_of(docs[name])
-    if op == "float":
-        slots = [(c, k) for c, k in slots if type(c[k]) is int]
+    if op == "float":  # only an int a float holds exactly
+        slots = [(c, k) for c, k in slots if type(c[k]) is int and abs(c[k]) <= 2**53]
     if not slots:
         return
     container, key = data.draw(st.sampled_from(slots))

@@ -3,6 +3,7 @@ from __future__ import annotations
 import itertools
 import json
 import random
+import sys
 import time
 
 from hypothesis import assume, given, settings
@@ -252,6 +253,21 @@ def test_solve_has_no_size_guard():
     })
     res = solve(*parse(device_doc(), design, qor))
     assert (res.status, res.latency, res.nodes) == ("optimal", 38, 62)
+
+
+def test_a_walk_deeper_than_the_interpreters_call_limit_completes():
+    # one function and one RAM group per level, more levels than Python
+    # nests calls: each walk keeps its path on a list, not the call stack
+    n = sys.getrecursionlimit() + 200
+    names = [f"f{i}" for i in range(n)]
+    device, graph, lib = parse(
+        device_doc(width=1, height=1, cap={"lut": 2 * n}),
+        design_doc([("K", "dataflow", names)], templates=dict.fromkeys(names, "t")),
+        qor_doc({"t": template_doc([("baseline", 5, {"lut": 1})])}))
+    res = solve(device, graph, lib)
+    assert (res.status, res.latency, res.nodes) == ("optimal", 5, 2 * n + 2)
+    out = verify_optimal(device, graph, lib, 6)
+    assert (out["verdict"], out["nodes"]) == ("counterexample", 2 * n + 2)
 
 
 def test_the_node_budget_stops_a_large_solve(tmp_path):

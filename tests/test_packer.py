@@ -13,7 +13,6 @@ from fado.model import (
     ModelError,
     ResourceVector,
     baseline_configuration,
-    fit_budget,
     kind_ratio,
     utilization_ratio,
     within_budget,
@@ -22,23 +21,20 @@ import fado.packer
 from fado.packer import (
     PackState,
     _candidate_slots,
-    device_rest,
-    fits_device,
     offline_repack,
     online_pack,
 )
 from fado.pipeliner import SllState, recompute_all
-from fado.search import split_batch
 
 from helpers import (
     STATE_ENTRIES,
+    bound_instance,
     copy_state,
     design_doc,
     device_doc,
     grid_documents,
     parse,
     qor_doc,
-    reference_demand,
     reference_online_pack,
     reference_repack,
     sll_fingerprint,
@@ -318,26 +314,15 @@ def _bound_state(luts, placement, *, slots=2):
     return PackState(device, graph, lib, baseline_configuration(graph), placement)
 
 
-def _rest(state, batch):
-    """The state's ``device_rest`` for ``batch``, split by template as the
-    search splits it."""
-    return device_rest(state, split_batch(state.lib, sorted(batch)))
-
-
-def _fits(state, targets):
-    """``fits_device`` with the demand of ``targets`` summed member by
-    member and the remainder taken from the state as it is."""
-    return fits_device(state, reference_demand(state.lib, targets), _rest(state, targets))
-
-
-def test_fits_device_refuses_a_batch_over_the_device_bound():
+def test_a_batch_over_the_device_bound_fails_to_pack():
     # a's 70 LUTs fit no slot, and with b's 35 the design needs 105 of 100
     state = _bound_state({"a": [("baseline", 10), ("big", 70)], "b": [("baseline", 35)]},
                          {"a": 0, "b": 1})
     assert state.device.device_bound == (0, 0, 0, 100, 0)
     before = _entries(state)
-    assert not _fits(state, {"a": "big"})
-    # online packing, which does not check the bound, fails it just the same
+    assert not within_device_bound(state, {"a": "big"})
+    # online packing, which does not check the bound, fails it and leaves
+    # the state as it was
     assert online_pack(state, {"a": "big"}) == (False, [])
     assert _entries(state) == before
 
@@ -347,7 +332,7 @@ def test_a_batch_within_the_device_bound_still_moves():
     # slot 1, and the design's 65 LUTs are more than one slot holds
     state = _bound_state({"a": [("baseline", 30), ("p1", 40)], "b": [("baseline", 10)],
                           "c": [("baseline", 15)]}, {"a": 0, "b": 1, "c": 0})
-    assert _fits(state, {"a": "p1"})
+    assert within_device_bound(state, {"a": "p1"})
     assert online_pack(state, {"a": "p1"}) == (True, [("a", 0, 1)])
 
 
@@ -360,64 +345,17 @@ def test_the_bound_counts_each_member_from_its_current_point():
                           "c": [("baseline", 10), ("big", 40)], "d": [("baseline", 10)],
                           "e": [("baseline", 40), ("small", 5)]},
                          {"a": 0, "e": 0, "b": 1, "c": 1, "d": 2}, slots=3)
-    assert _fits(state, {"c": "big", "e": "small"})
+    assert within_device_bound(state, {"c": "big", "e": "small"})
     assert online_pack(state, {"c": "big", "e": "small"}) == (True, [("c", 1, 2)])
 
 
-@st.composite
-def _bound_instance(draw):
-    """A legal state on 2-4 slots whose kinds may have zero capacity (every
-    slot and die-boundary half within budget, as the search starts from),
-    and a batch of target points for some of its functions."""
-    width, height = draw(st.sampled_from(((1, 2), (1, 3), (2, 2))))
-    doc = device_doc(width=width, height=height, sll=draw(st.sampled_from((8, 64, 1000))),
-                     util_limit=draw(st.sampled_from((0.5, 0.8, 1.0))))
-    for slot in doc["slots"]:
-        slot["capacity"] = {"lut": draw(st.sampled_from((40, 60, 100))),
-                            "dsp": draw(st.sampled_from((0, 30, 30))),
-                            "bram": draw(st.sampled_from((0, 20, 20)))}
-    names = [f"f{i}" for i in range(draw(st.integers(2, 6)))]
-    fn = st.sampled_from(names)
-    edges = draw(st.lists(
-        st.tuples(fn, fn, st.sampled_from(("fifo", "ram", "ram")), st.sampled_from((4, 8))),
-        max_size=6,
-    ).map(lambda es: [e for e in es if e[0] != e[1]]))
-    amount = st.sampled_from((0, 0, 0, 0, 2, 5, 10))
-    lut = {"baseline": st.sampled_from((2, 5, 10)), "p1": st.sampled_from((5, 15, 25)),
-           "p2": st.sampled_from((10, 25, 40))}
-    qor = qor_doc({
-        f"t_{n}": template_doc([
-            (pid, lat, {"lut": draw(lut[pid]), "dsp": draw(amount), "bram": draw(amount)})
-            for pid, lat in (("baseline", 30), ("p1", 20), ("p2", 10))
-        ])
-        for n in names
-    })
-    device, graph, lib = parse(doc, design_doc([("K", "dataflow", names)], edges), qor)
-    config = {n: draw(st.sampled_from(("baseline", "baseline", "p1", "p2"))) for n in names}
-    budget = {s.id: fit_budget(s.capacity, device.util_limit) for s in device.slots}
-    load = {s.id: ResourceVector.zero() for s in device.slots}
-    placement = {}
-    for g in graph.ram_groups:
-        need = ResourceVector.sum(lib.point(m, config[m]).resources for m in g.members)
-        room = [sid for sid in load if within_budget(load[sid] + need, budget[sid])]
-        assume(room)
-        sid = draw(st.sampled_from(room))
-        load[sid] = load[sid] + need
-        placement.update(dict.fromkeys(g.members, sid))
-    assume(not PackState(device, graph, lib, config, placement).check_legal())
-    targets = draw(st.dictionaries(fn, st.sampled_from(("p1", "p2", "p2")), min_size=1))
-    allow_moves = draw(st.sampled_from((True, True, True, False)))
-    return (device, graph, lib, config, placement), targets, allow_moves
-
-
 @settings(max_examples=400, deadline=None)
-@given(_bound_instance())
+@given(bound_instance())
 def test_online_pack_matches_the_bound_free_schedule(instance):
     args, targets, allow_moves = instance
     state, ref = PackState(*args), PackState(*args)
     entries, wires = _entries(state), sll_fingerprint(state.sll)
     over = not within_device_bound(state, targets)
-    assert _fits(state, targets) == (not over)
     got = online_pack(state, targets, allow_moves)
     assert got == reference_online_pack(ref, targets, allow_moves)
     assert _entries(state) == _entries(ref)
@@ -429,41 +367,6 @@ def test_online_pack_matches_the_bound_free_schedule(instance):
         # and leaves the state exactly as it was
         assert got == (False, [])
         assert _entries(state) == entries and sll_fingerprint(state.sll) == wires
-
-
-@st.composite
-def _iteration_instance(draw):
-    """A ``_bound_instance`` state and batch, and 2-6 target vectors over
-    the batch's functions, the first the drawn one: what one search
-    iteration may try."""
-    args, targets, allow_moves = draw(_bound_instance())
-    point = st.sampled_from(("baseline", "p1", "p2", "p2"))
-    more = st.fixed_dictionaries({f: point for f in targets})
-    return args, [targets, *draw(st.lists(more, min_size=1, max_size=5))], allow_moves
-
-
-@settings(max_examples=300, deadline=None)
-@given(_iteration_instance())
-def test_one_remainder_serves_every_vector_until_one_is_applied(instance):
-    # the search's use: one remainder per batch, then per vector an online
-    # pack (which rolls back when it fails), a repack and a retry
-    args, vectors, allow_moves = instance
-    state = PackState(*args)
-    batch = sorted(vectors[0])
-    rest = _rest(state, batch)
-    for vec in vectors:
-        fits = fits_device(state, reference_demand(state.lib, vec), rest)
-        assert fits == within_device_bound(state, vec)
-        if not fits:
-            continue
-        ok, _ = online_pack(state, vec, allow_moves)
-        if not ok and allow_moves and offline_repack(state):
-            ok, _ = online_pack(state, vec)
-        # from a legal start, packing and repacking keep the state legal
-        assert not state.check_legal()
-        if ok:
-            # the vector is applied: the next iteration's remainder
-            rest = _rest(state, batch)
 
 
 def test_candidate_slots_prefer_the_least_critical_fit():

@@ -3,7 +3,9 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 import random
+from operator import sub
 from types import SimpleNamespace
 
 import pytest
@@ -18,14 +20,16 @@ from fado.model import (
     design_latency,
     function_latencies,
     path_latency,
+    within_budget,
 )
-from fado.packer import PackState, device_rest, fits_device
+from fado.packer import PackState, offline_repack, online_pack
 from fado.pipeliner import recompute_all
 from fado.search import (
     DEFAULT_LOOKAHEAD_N,
     _candidates,
     _Levels,
     _lockstep,
+    _room,
     compute_lookahead_N,
     prune,
     run,
@@ -33,6 +37,7 @@ from fado.search import (
 )
 
 from helpers import (
+    bound_instance,
     design_doc,
     device_doc,
     grid_documents,
@@ -158,20 +163,28 @@ def test_lockstep_choices_fall_back_to_the_dp():
     ]
 
 
+# A room no demand exceeds: the stream unscreened.
+_UNBOUNDED = (math.inf,) * 5
+
+
 def test_candidates_run_dp_then_look_ahead_then_look_back():
     # a has two look-ahead points, so a window of one cuts the second; the
     # look-back vectors alone may not repack; each point pl holds l LUTs
     tmpls = {"a": _points([10, 20, 30, 45, 60, 80]), "b": _points([15, 25, 35, 80])}
     split = [(tmpls["a"], ["a"]), (tmpls["b"], ["b"])]
     dps = [prune(t, 40) for t, _ in split]
-    stream = list(_candidates(["a", "b"], split, dps, 80, 1))
-    assert [(stage, vec, may) for stage, vec, _, may in stream] == [
+    assert list(_candidates(["a", "b"], split, dps, 80, 1, _UNBOUNDED)) == [
         (None, {"a": "p30", "b": "p35"}, True),
         ("look_ahead", {"a": "p20", "b": "p25"}, True),
         ("look_back", {"a": "p45", "b": "p35"}, False),
         ("look_back", {"a": "p60", "b": "p35"}, False),
     ]
-    assert [demand.lut for _, _, demand, _ in stream] == [65, 45, 80, 95]
+    # the vectors ask for 65, 45, 80 and 95 LUTs: a room of 80 keeps all
+    # but the last, one of 64 only the look-ahead vector
+    kept = lambda luts: [vec["a"] for _, vec, _ in
+                         _candidates(["a", "b"], split, dps, 80, 1, ResourceVector(lut=luts))]
+    assert kept(80) == ["p30", "p20", "p45"]
+    assert kept(64) == ["p20"]
 
 
 def _two_template_instance():
@@ -207,7 +220,6 @@ def test_a_batch_over_two_templates_is_worked_per_template():
     # windows: A looks ahead to p0a then p0, B to p05 then falls back to
     # its DP; A looks back to p60 then falls back, B to p50 then p70.  A's
     # points count twice in each demand, B's once.
-    stream = list(_candidates(batch, split, dps, l1, 2))
     want = [
         (None, ("p1", "p1"), 2 * 20 + 30, True),
         ("look_ahead", ("p0a", "p05"), 2 * 25 + 50, True),
@@ -215,16 +227,25 @@ def test_a_batch_over_two_templates_is_worked_per_template():
         ("look_back", ("p60", "p50"), 2 * 9 + 8, False),
         ("look_back", ("p1", "p70"), 2 * 20 + 6, False),
     ]
-    assert [(stage, (vec["f1"], vec["f2"]), demand, may)
-            for stage, vec, demand, may in stream] == \
-        [(stage, ids, ResourceVector(lut=lut), may) for stage, ids, lut, may in want]
-    assert all(list(vec) == batch and vec["f3"] == vec["f1"] for _, vec, _, _ in stream)
-    # the remainder takes f1's baseline and f3's q80 off the 19-LUT total,
-    # leaving c's 3; of 100 LUTs, the look-ahead vectors ask too much
-    rest = device_rest(state, split)
-    assert rest == ResourceVector(lut=3)
-    assert [fits_device(state, demand, rest) for _, _, demand, _ in stream] == \
-        [True, False, False, True, True]
+
+    def stream(room):
+        return [(stage, (vec["f1"], vec["f2"]), may)
+                for stage, vec, may in _candidates(batch, split, dps, l1, 2, room)]
+
+    assert stream(_UNBOUNDED) == [(stage, ids, may) for stage, ids, _, may in want]
+    assert all(list(vec) == batch and vec["f3"] == vec["f1"]
+               for _, vec, _ in _candidates(batch, split, dps, l1, 2, _UNBOUNDED))
+    # a room of exactly a vector's demand keeps it, one LUT less screens it
+    # out
+    for stage, ids, lut, may in want:
+        assert (stage, ids, may) in stream(ResourceVector(lut=lut))
+        assert (stage, ids, may) not in stream(ResourceVector(lut=lut - 1))
+    # the room takes f1's baseline and f3's q80 off the 19-LUT total,
+    # leaving c's 3, and the rest of the 100 LUTs is the room: the
+    # look-ahead vectors ask too much
+    assert _room(state, split) == (0, 0, 0, 97, 0)
+    assert stream(_room(state, split)) == [
+        (stage, ids, may) for stage, ids, lut, may in want if lut <= 97]
 
 
 @st.composite
@@ -286,16 +307,57 @@ def test_the_template_stream_matches_a_per_member_one(instance):
     event("templates in batch: %d" % len(split))
     if any(len({state.config[f] for f in fns}) > 1 for _, fns in split):
         event("a template's members at different points")
-    stream = list(_candidates(batch, split, dps, l1, n))
-    assert [(stage, vec, may) for stage, vec, _, may in stream] == \
-        list(reference_candidates(lib, batch, per_member, l1, n))
-    assert all(list(vec) == batch for _, vec, _, _ in stream)
+    whole = list(reference_candidates(lib, batch, per_member, l1, n))
+    assert list(_candidates(batch, split, dps, l1, n, _UNBOUNDED)) == whole
+    assert all(list(vec) == batch for _, vec, _ in whole)
+    # the room is the bound less the total, plus the batch's current
+    # resources summed member by member; the screened stream keeps the
+    # vectors the whole design's demand, member by member, fits
     total = ResourceVector.sum(state.slot_load.values())
-    rest = device_rest(state, split)
-    assert rest == total - reference_demand(lib, {f: state.config[f] for f in batch})
-    for _, vec, demand, _ in stream:
-        assert demand == reference_demand(lib, vec)
-        assert fits_device(state, demand, rest) == within_device_bound(state, vec)
+    current = reference_demand(lib, {f: state.config[f] for f in batch})
+    room = _room(state, split)
+    assert room == tuple(map(sub, state.device.device_bound, total - current))
+    kept = [c for c in whole if within_device_bound(state, c[1])]
+    if len(kept) < len(whole):
+        event("the screen drops a vector")
+    assert list(_candidates(batch, split, dps, l1, n, room)) == kept
+
+
+@st.composite
+def _iteration_instance(draw):
+    """A ``bound_instance`` state and batch, and 2-6 target vectors over
+    the batch's functions, the first the drawn one: what one search
+    iteration may try."""
+    args, targets, allow_moves = draw(bound_instance())
+    point = st.sampled_from(("baseline", "p1", "p2", "p2"))
+    more = st.fixed_dictionaries({f: point for f in targets})
+    return args, [targets, *draw(st.lists(more, min_size=1, max_size=5))], allow_moves
+
+
+@settings(max_examples=300, deadline=None)
+@given(_iteration_instance())
+def test_one_room_serves_every_vector_until_one_is_applied(instance):
+    # the search's use: one room per batch, then per vector an online pack
+    # (which rolls back when it fails), a repack and a retry
+    args, vectors, allow_moves = instance
+    state = PackState(*args)
+    split = split_batch(state.lib, sorted(vectors[0]))
+    if any(len({state.config[f] for f in fns}) > 1 for _, fns in split):
+        event("a template's members at different points")
+    room = _room(state, split)
+    for vec in vectors:
+        fits = within_budget(reference_demand(state.lib, vec), room)
+        assert fits == within_device_bound(state, vec)
+        if not fits:
+            continue
+        ok, _ = online_pack(state, vec, allow_moves)
+        if not ok and allow_moves and offline_repack(state):
+            ok, _ = online_pack(state, vec)
+        # from a legal start, packing and repacking keep the state legal
+        assert not state.check_legal()
+        if ok:
+            # the vector is applied: the next iteration's room
+            room = _room(state, split)
 
 
 # ---------------------------------------------------------------------------
@@ -527,23 +589,37 @@ def test_unknown_initial_strategy_raises(toy):
 
 
 def test_a_failed_vector_is_repacked_for_only_within_the_device_bound(monkeypatch):
-    # ("vector", within the device bound), ("pack", within, ok) or
-    # ("repack",), in call order
-    events = []
-    attempt, pack, repack = search._attempt, search.online_pack, search.offline_repack
+    # ("vector", stage, within the device bound), ("pack", ok) or
+    # ("repack",), in call order; per iteration, how many vectors the
+    # screen dropped
+    events, states, dropped = [], [], []
+    room_of, candidates = search._room, search._candidates
+    pack, repack = search.online_pack, search.offline_repack
+
+    def spy_room(state, split):
+        states.append(state)
+        return room_of(state, split)
+
+    def spy_candidates(batch, split, dps, l1, n, room):
+        # the stream is the unscreened one less the vectors the whole
+        # design's demand, member by member, does not fit, up to the one
+        # that packs
+        state = states[-1]
+        whole = [c for c in candidates(batch, split, dps, l1, n, _UNBOUNDED)]
+        kept = [c for c in whole if within_device_bound(state, c[1])]
+        dropped.append(len(whole) - len(kept))
+        for i, (stage, vec, may_repack) in enumerate(candidates(batch, split, dps, l1, n, room)):
+            assert (stage, vec, may_repack) == kept[i]
+            events.append(("vector", stage, within_device_bound(state, vec)))
+            yield stage, vec, may_repack
 
     def spy_pack(state, vec, allow_moves=True):
-        within = within_device_bound(state, vec)
         ok, moves = pack(state, vec, allow_moves)
-        events.append(("pack", within, ok))
+        events.append(("pack", ok))
         return ok, moves
 
-    def spy_attempt(state, vec, *args):
-        # each attempt first checks its vector against the bound
-        events.append(("vector", within_device_bound(state, vec)))
-        return attempt(state, vec, *args)
-
-    monkeypatch.setattr(search, "_attempt", spy_attempt)
+    monkeypatch.setattr(search, "_room", spy_room)
+    monkeypatch.setattr(search, "_candidates", spy_candidates)
     monkeypatch.setattr(search, "online_pack", spy_pack)
     monkeypatch.setattr(search, "offline_repack", lambda state: events.append(("repack",))
                         or repack(state))
@@ -552,20 +628,17 @@ def test_a_failed_vector_is_repacked_for_only_within_the_device_bound(monkeypatc
         on_iteration=lambda state, row: starts.append(len(events)))
     packs = [i for i, e in enumerate(events) if e[0] == "pack"]
     repacks = [i for i, e in enumerate(events) if e == ("repack",)]
-    # online packing sees only vectors within the bound, each checked just
-    # before, or retried after a repack ...
-    assert packs and all(events[i][1] for i in packs)
-    assert all(events[i - 1] in (("vector", True), ("repack",)) for i in packs)
-    # ... a vector over the bound goes no further ...
-    over = [i for i, e in enumerate(events) if e == ("vector", False)]
-    assert over and all(events[i + 1:i + 2] in ([], [("vector", True)], [("vector", False)])
-                        for i in over)
+    # the screen drops vectors over the bound, so online packing sees only
+    # vectors within it, each just yielded or retried after a repack ...
+    assert sum(dropped) and all(e[2] for e in events if e[0] == "vector")
+    assert packs and all(events[i - 1][0] == "vector" or events[i - 1] == ("repack",)
+                         for i in packs)
     # ... every repack follows a failed vector ...
-    assert repacks and all(events[i - 1] == ("pack", True, False) for i in repacks)
-    # ... and an iteration's first vector, which may repack, does so
-    # whenever it is within the bound and fails
-    firsts = [i for i in starts[:-1] if events[i:i + 1] == [("vector", True)]]
-    failed = [i for i in firsts if events[i + 1] == ("pack", True, False)]
+    assert repacks and all(events[i - 1] == ("pack", False) for i in repacks)
+    # ... and an iteration's DP vector, which may repack, does so whenever
+    # it is within the bound and fails
+    firsts = [i for i in starts[:-1] if events[i:i + 1] == [("vector", None, True)]]
+    failed = [i for i in firsts if events[i + 1] == ("pack", False)]
     assert failed and all(events[i + 2] == ("repack",) for i in failed)
 
 
@@ -575,9 +648,9 @@ def test_a_look_back_vector_is_never_repacked_for(monkeypatch):
     candidates, pack, repack = search._candidates, search.online_pack, search.offline_repack
 
     def spy_candidates(*args):
-        for stage, vec, demand, may_repack in candidates(*args):
+        for stage, vec, may_repack in candidates(*args):
             events.append(("vector", stage))
-            yield stage, vec, demand, may_repack
+            yield stage, vec, may_repack
 
     def spy_pack(state, vec, allow_moves=True):
         ok, moves = pack(state, vec, allow_moves)
